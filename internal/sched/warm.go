@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/isp"
@@ -21,40 +22,34 @@ type reqState struct {
 	id    core.RequestID
 	value float64
 	cands []Candidate // interned copy in the WarmAuction's own arena
-	stamp uint64
 }
 
 // sinkState is the wrapper's persistent view of one live uploader.
 type sinkState struct {
 	id       core.SinkID
 	capacity int
-	stamp    uint64
 }
 
 // WarmAuction is the warm-starting counterpart of Auction: a stateful
-// scheduler that diffs consecutive slot Instances into core.ProblemDeltas
-// and drives a persistent core.Solver, so the auction re-converges from the
-// previous slot's prices instead of from λ = 0 every slot. Under churn the
-// problem changes only marginally between slots, which makes the amortized
-// cost per slot a fraction of a cold solve's (see docs/PERFORMANCE.md); the
-// solution quality guarantee is unchanged — every slot terminates with the
-// same ε-complementary-slackness certificate as the cold auction.
+// scheduler that turns each slot's change into core.ProblemDeltas for a
+// persistent core.Solver, so the auction re-converges from the previous
+// slot's prices instead of from λ = 0 every slot. Under churn the problem
+// changes only marginally between slots, which makes the amortized cost per
+// slot a fraction of a cold solve's (see docs/PERFORMANCE.md); the solution
+// quality guarantee is unchanged — every slot terminates with the same
+// ε-complementary-slackness certificate as the cold auction.
 //
-// The diff recognizes three levels of change per surviving request: exact
-// carry (nothing to do), pure re-valuation (same candidates, new value — a
-// core.ValueShift, the every-round deadline tightening), and a full edge
-// rewrite (changed neighbor set). Uploaders diff into capacity changes and
-// arrivals/departures.
-//
-// Two diff paths feed the solver. Schedule re-derives the diff itself by
-// key-matching every request through the persistent (peer, chunk) map — the
-// fallback that accepts arbitrary instances. ScheduleDelta skips the
-// re-derivation: a producer that already knows the slot-to-slot delta (a
-// Builder-driven simulation, the sharded orchestrator's clean shards) hands
-// it over and the diff costs O(churn) row lookups instead of O(requests)
-// hash probes — with InstanceDelta.Identity collapsing further to a pure
-// value/capacity sweep. Both paths emit the identical core.ProblemDelta
-// operation sequences, so which one ran is unobservable in the schedule.
+// Every call consumes an InstanceDelta relating the instance's rows to the
+// previous call's. A producer that already knows it (a Builder-driven
+// simulation) hands it to ScheduleDelta; Schedule, a nil delta and the first
+// call derive it by matching uploaders by peer and requests by (peer, chunk)
+// against the previous rows. Either way one applier resolves carried rows
+// through per-row state caches: a surviving request is an exact carry, a
+// pure re-valuation (a core.ValueShift, the every-round deadline
+// tightening) or a full edge rewrite (changed neighbor set); uploaders diff
+// into capacity changes and arrivals/departures. InstanceDelta.Identity
+// collapses further to a pure value/capacity sweep. A diff or apply that
+// fails discards the warm state, so the next call solves cold.
 //
 // A WarmAuction carries state across Schedule calls and is therefore bound
 // to one simulation run: create a fresh value per run (as scenario.Spec.Run
@@ -64,18 +59,19 @@ type WarmAuction struct {
 	Epsilon float64
 
 	solver *core.Solver
-	reqs   map[reqKey]*reqState
 	sinks  map[isp.PeerID]*sinkState
-	// prevReqKeys / prevSinkPeers list the previous instance's keys in
-	// instance order, for deterministic removal detection (and, on the
-	// delta path, for O(1) row→key resolution of removals).
+	// prevReqKeys / prevSinkPeers list the previous instance's keys in row
+	// order: what a derived delta matches the next instance against.
 	prevReqKeys   []reqKey
 	prevSinkPeers []isp.PeerID
-	stamp         uint64
+	// derived, reqIdx and upIdx are the delta derivation's scratch.
+	derived InstanceDelta
+	reqIdx  rowIndex[reqKey]
+	upIdx   rowIndex[isp.PeerID]
 	// Reused scratch buffers: an edge arena for delta construction (Apply
 	// copies, so the arena is free to be recycled next round), the key
 	// double-buffer, per-row state caches aligned with the current instance
-	// (double-buffered so the delta path can read the previous round's rows
+	// (double-buffered so the applier can read the previous round's rows
 	// while writing this round's), the solver-delta op lists, and the
 	// added-entity staging arrays.
 	edgeBuf    []core.Edge
@@ -85,7 +81,6 @@ type WarmAuction struct {
 	sinkRow    []*sinkState
 	sinkRowBuf []*sinkState
 	opsBuf     core.ProblemDelta
-	addedKeys  []reqKey
 	addedReqs  []*Request
 	addedRows  []int
 	addedEdges [][]core.Edge
@@ -107,17 +102,9 @@ type WarmAuction struct {
 	// ids are small ints), so grant translation is an array load instead of
 	// a per-candidate map probe.
 	sinkPeer []isp.PeerID
-	// reqsStale marks the request key map out of date: the delta path
-	// resolves everything by row and skips the per-request map churn, so
-	// the map is rebuilt (from prevReqKeys + reqRow, which stay exact) only
-	// if a key-matching fallback round ever follows.
-	reqsStale bool
 	// ops accumulates this round's solver-delta operation counts across
-	// the (up to two) Apply calls a diff path issues — opsBuf is recycled
-	// between them, so sizes must be captured at Apply time. The tallies
-	// are deliberately path-independent: the key-matching and known-delta
-	// paths emit the same operation sequences, so Stats stays identical
-	// across them (pinned by TestScheduleDeltaMatchesSchedule).
+	// the (up to two) Apply calls a diff issues — opsBuf is recycled
+	// between them, so sizes must be captured at Apply time.
 	ops deltaOpCounts
 }
 
@@ -128,8 +115,10 @@ type deltaOpCounts struct {
 	addSinks, removeSinks, setCaps          int
 }
 
-// noteOps folds one about-to-be-applied solver delta into the round tally.
-func (a *WarmAuction) noteOps(d *core.ProblemDelta) {
+// apply folds one solver delta into the round tally and ships it: checked
+// for deltas derived from arbitrary instances, unchecked for a Builder's
+// (core.Solver.ApplyUnchecked).
+func (a *WarmAuction) apply(d *core.ProblemDelta, checked bool) (*core.AppliedDelta, error) {
 	a.ops.addReqs += len(d.AddRequests)
 	a.ops.removeReqs += len(d.RemoveRequests)
 	a.ops.updateReqs += len(d.UpdateRequests)
@@ -137,6 +126,10 @@ func (a *WarmAuction) noteOps(d *core.ProblemDelta) {
 	a.ops.addSinks += len(d.AddSinks)
 	a.ops.removeSinks += len(d.RemoveSinks)
 	a.ops.setCaps += len(d.SetCapacities)
+	if checked {
+		return a.solver.Apply(*d)
+	}
+	return a.solver.ApplyUnchecked(*d), nil
 }
 
 var _ Scheduler = (*WarmAuction)(nil)
@@ -151,56 +144,41 @@ func (a *WarmAuction) Name() string { return "auction-warm" }
 // per-slot churn that creates the garbage).
 const compactThreshold = 8192
 
-// ensureSolver lazily creates the persistent solver state.
-func (a *WarmAuction) ensureSolver() error {
-	if a.solver != nil {
-		return nil
-	}
-	solver, err := core.NewSolver(core.AuctionOptions{Epsilon: a.Epsilon})
-	if err != nil {
-		return err
-	}
-	a.solver = solver
-	a.reqs = make(map[reqKey]*reqState)
-	a.sinks = make(map[isp.PeerID]*sinkState)
-	return nil
-}
-
-// Schedule implements Scheduler: diff the instance against the previous
-// slot's by key-matching, apply the delta to the persistent solver, and
-// re-optimize warm.
+// Schedule implements Scheduler: ScheduleDelta with a nil delta, which
+// derives the delta from the previous call's rows by key.
 func (a *WarmAuction) Schedule(in *Instance) (*Result, error) {
-	if err := a.ensureSolver(); err != nil {
-		return nil, fmt.Errorf("warm auction: %w", err)
-	}
-	a.maybeCompact()
-	a.ops = deltaOpCounts{}
-	carried, err := a.applyDiff(in)
-	if err != nil {
-		return nil, fmt.Errorf("warm auction: %w", err)
-	}
-	return a.finish(in, carried)
+	return a.ScheduleDelta(in, nil)
 }
 
-// ScheduleDelta implements DeltaScheduler: the producer already knows how
-// this instance evolved from the previous call's, so the diff is consumed
-// in O(churn) instead of re-derived by key-matching. A nil delta (or a
-// first call, which has nothing to be incremental against) falls back to
-// Schedule.
+// ScheduleDelta implements DeltaScheduler: apply the delta relating this
+// instance to the previous call's to the persistent solver and re-optimize
+// warm. A nil delta (or a first call, which has nothing to be incremental
+// against) is derived by key-matching.
 func (a *WarmAuction) ScheduleDelta(in *Instance, d *InstanceDelta) (*Result, error) {
-	if d == nil || a.solver == nil {
-		return a.Schedule(in)
+	if a.solver == nil {
+		solver, err := core.NewSolver(core.AuctionOptions{Epsilon: a.Epsilon})
+		if err != nil {
+			return nil, fmt.Errorf("warm auction: %w", err)
+		}
+		a.solver, a.sinks = solver, make(map[isp.PeerID]*sinkState)
+		d = nil
 	}
 	a.maybeCompact()
 	a.ops = deltaOpCounts{}
 	var carried int
 	var err error
-	if d.Identity {
+	switch {
+	case d == nil:
+		carried, err = a.applyKnownDelta(in, a.deriveDelta(in), true)
+	case d.Identity:
 		carried, err = a.applyIdentity(in)
-	} else {
-		carried, err = a.applyKnownDelta(in, d)
+	default:
+		carried, err = a.applyKnownDelta(in, d, false)
 	}
 	if err != nil {
+		// The solver may hold half of the delta: drop the warm state so the
+		// next call solves cold rather than against ghost rows.
+		*a = WarmAuction{Epsilon: a.Epsilon}
 		return nil, fmt.Errorf("warm auction: %w", err)
 	}
 	return a.finish(in, carried)
@@ -347,17 +325,16 @@ func (a *WarmAuction) applyIdentity(in *Instance) (carried int, err error) {
 		// pointing into the current arena half, which the next
 		// non-identity round's swap turns into the comparison baseline.
 	}
-	a.noteOps(d)
-	a.solver.ApplyUnchecked(*d)
-	return len(in.Requests), nil
+	_, err = a.apply(d, false)
+	return len(in.Requests), err
 }
 
-// applyKnownDelta consumes a producer-supplied general delta: removals and
-// carried rows resolve through the previous round's row caches (no key
-// hashing), and only new or edge-rewritten requests pay edge construction.
-// The emitted solver-delta operation lists match applyDiff's entry for
-// entry, so the two paths leave the solver in identical states.
-func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta) (carried int, err error) {
+// applyKnownDelta consumes a general delta, producer-supplied or derived:
+// removals and carried rows resolve through the previous round's row caches,
+// and only new or edge-rewritten requests pay edge construction. Sinks go
+// first so request edges can reference freshly minted ones. checked selects
+// the validating core.Solver.Apply.
+func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta, checked bool) (carried int, err error) {
 	if len(d.PrevUp) != len(in.Uploaders) || len(d.PrevReq) != len(in.Requests) ||
 		len(d.SameCands) != len(in.Requests) {
 		return 0, fmt.Errorf("delta shape mismatch: %d uploader rows for %d uploaders, %d request rows for %d requests",
@@ -405,11 +382,13 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta) (carried i
 		return 0, fmt.Errorf("uploader delta does not cover the previous instance: %d carried + %d removed != %d rows",
 			carriedUps, len(d.RemovedUps), len(prevSinks))
 	}
-	a.noteOps(sinkDelta)
-	applied := a.solver.ApplyUnchecked(*sinkDelta)
+	applied, err := a.apply(sinkDelta, checked)
+	if err != nil {
+		return 0, err
+	}
 	for i, s := range applied.Sinks {
 		row := a.addedRows[i]
-		st := &sinkState{id: s, stamp: a.stamp, capacity: in.Uploaders[row].Capacity}
+		st := &sinkState{id: s, capacity: in.Uploaders[row].Capacity}
 		a.sinks[a.addedPeers[i]] = st
 		a.noteSinkPeer(s, a.addedPeers[i])
 		newSinkRow[row] = st
@@ -423,7 +402,6 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta) (carried i
 	// Request side.
 	a.edgeBuf = a.edgeBuf[:0]
 	reqDelta := a.resetOps()
-	a.reqsStale = true // rows are authoritative below; the map rebuilds lazily
 	a.removedStates = a.removedStates[:0]
 	for _, pr := range d.RemovedReqs {
 		if int(pr) >= len(prevReqs) || prevReqs[pr] == nil {
@@ -481,9 +459,10 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta) (carried i
 			carriedRows, len(d.RemovedReqs), len(prevReqs))
 	}
 	a.emitRequestChurn(reqDelta)
-	a.noteOps(reqDelta)
-	applied = a.solver.ApplyUnchecked(*reqDelta)
-	a.bindChurnedRequests(applied, newReqRow, false)
+	if applied, err = a.apply(reqDelta, checked); err != nil {
+		return 0, err
+	}
+	a.bindChurnedRequests(applied, newReqRow)
 	a.keyBuf = a.prevReqKeys // swap buffers
 	a.prevReqKeys = curKeys
 	a.reqRow, a.reqRowBuf = newReqRow, prevReqs[:0]
@@ -520,22 +499,17 @@ func (a *WarmAuction) emitRequestChurn(reqDelta *core.ProblemDelta) {
 // bindChurnedRequests wires this round's additions to their states after
 // the solver applied the churn: the first pairs recycle the departed
 // requests' state objects (same solver id, new identity), the rest bind
-// freshly minted ids. withMap also registers the new keys in the request
-// map (the fallback path keeps it current; the delta path leaves it stale).
-func (a *WarmAuction) bindChurnedRequests(applied *core.AppliedDelta, rows []*reqState, withMap bool) {
+// freshly minted ids.
+func (a *WarmAuction) bindChurnedRequests(applied *core.AppliedDelta, rows []*reqState) {
 	n := len(a.removedStates)
 	if len(a.addedEdges) < n {
 		n = len(a.addedEdges)
 	}
 	for i := 0; i < n; i++ {
 		st := a.removedStates[i]
-		st.stamp = a.stamp
 		st.value = a.addedReqs[i].Value
 		st.cands = a.internCands(a.addedReqs[i].Candidates)
 		rows[a.addedRows[i]] = st
-		if withMap {
-			a.reqs[a.addedKeys[i]] = st
-		}
 	}
 	for j, id := range applied.Requests {
 		i := n + j
@@ -545,138 +519,75 @@ func (a *WarmAuction) bindChurnedRequests(applied *core.AppliedDelta, rows []*re
 		} else {
 			st = &reqState{}
 		}
-		*st = reqState{
-			id: id, stamp: a.stamp,
-			value: a.addedReqs[i].Value, cands: a.internCands(a.addedReqs[i].Candidates),
-		}
+		*st = reqState{id: id, value: a.addedReqs[i].Value, cands: a.internCands(a.addedReqs[i].Candidates)}
 		rows[a.addedRows[i]] = st
-		if withMap {
-			a.reqs[a.addedKeys[i]] = st
-		}
 	}
 }
 
-// applyDiff turns the instance-over-instance change into solver deltas (two
-// phases: sink-side first so request edges can reference freshly minted
-// sinks) and returns how many requests were carried — kept or value-shifted
-// without re-deriving their assignment. This is the full key-matching diff:
-// every request pays one hash probe into the persistent (peer, chunk) map.
-func (a *WarmAuction) applyDiff(in *Instance) (carried int, err error) {
-	a.syncReqs()
-	a.stamp++
-	a.swapCandArena()
-
-	// Sink side.
-	a.sinkRow = a.sinkRow[:0]
-	sinkDelta := a.resetOps()
-	a.addedPeers = a.addedPeers[:0]
-	a.addedRows = a.addedRows[:0]
+// deriveDelta matches the instance against the previous call's rows —
+// uploaders by peer, requests by (peer, chunk) — into the InstanceDelta a
+// producer would have handed over. Removals come out in ascending
+// previous-row order.
+func (a *WarmAuction) deriveDelta(in *Instance) *InstanceDelta {
+	d := &a.derived
+	a.upIdx.reset(a.prevSinkPeers)
+	d.PrevUp = d.PrevUp[:0]
 	for i := range in.Uploaders {
-		u := &in.Uploaders[i]
-		st, known := a.sinks[u.Peer]
-		a.sinkRow = append(a.sinkRow, st)
-		if !known {
-			sinkDelta.AddSinks = append(sinkDelta.AddSinks, u.Capacity)
-			a.addedPeers = append(a.addedPeers, u.Peer)
-			a.addedRows = append(a.addedRows, i)
-			continue
-		}
-		st.stamp = a.stamp
-		if st.capacity != u.Capacity {
-			sinkDelta.SetCapacities = append(sinkDelta.SetCapacities,
-				core.SinkCapacity{Sink: st.id, Capacity: u.Capacity})
-			st.capacity = u.Capacity
-		}
+		d.PrevUp = append(d.PrevUp, a.upIdx.claim(in.Uploaders[i].Peer))
 	}
-	for _, p := range a.prevSinkPeers {
-		if st, ok := a.sinks[p]; ok && st.stamp != a.stamp {
-			sinkDelta.RemoveSinks = append(sinkDelta.RemoveSinks, st.id)
-			delete(a.sinks, p)
-		}
-	}
-	a.noteOps(sinkDelta)
-	applied, err := a.solver.Apply(*sinkDelta)
-	if err != nil {
-		return 0, err
-	}
-	for i, s := range applied.Sinks {
-		row := a.addedRows[i]
-		st := &sinkState{id: s, stamp: a.stamp, capacity: in.Uploaders[row].Capacity}
-		a.sinks[a.addedPeers[i]] = st
-		a.noteSinkPeer(s, a.addedPeers[i])
-		a.sinkRow[row] = st
-	}
-	a.prevSinkPeers = a.prevSinkPeers[:0]
-	for i := range in.Uploaders {
-		a.prevSinkPeers = append(a.prevSinkPeers, in.Uploaders[i].Peer)
-	}
+	d.RemovedUps = a.upIdx.unclaimed(d.RemovedUps[:0])
 
-	// Request side. curKeys accumulates this instance's keys in order and
-	// becomes prevReqKeys at the end (buffer swap, no extra map pass).
-	a.edgeBuf = a.edgeBuf[:0]
-	a.reqRow = a.reqRow[:0]
-	curKeys := a.keyBuf[:0]
-	reqDelta := a.resetOps()
-	a.addedKeys = a.addedKeys[:0]
-	a.addedReqs = a.addedReqs[:0]
-	a.addedRows = a.addedRows[:0]
-	a.addedEdges = a.addedEdges[:0]
-	a.removedStates = a.removedStates[:0]
+	a.reqIdx.reset(a.prevReqKeys)
+	d.PrevReq, d.SameCands = d.PrevReq[:0], d.SameCands[:0]
 	for ri := range in.Requests {
 		r := &in.Requests[ri]
-		k := key(r)
-		curKeys = append(curKeys, k)
-		st, existed := a.reqs[k]
-		a.reqRow = append(a.reqRow, st)
-		if existed {
-			st.stamp = a.stamp
-			if sameCandidates(st.cands, r.Candidates) {
-				if r.Value != st.value {
-					// A pure re-valuation (the every-round deadline
-					// tightening) shifts all the request's weights uniformly
-					// — the cheap path.
-					reqDelta.ShiftValues = append(reqDelta.ShiftValues,
-						core.ValueShift{Request: st.id, Delta: r.Value - st.value})
-					st.value = r.Value
-				}
-				st.cands = a.internCands(r.Candidates)
-				carried++
-				continue
-			}
-			edges, err := a.edgesOf(r)
-			if err != nil {
-				return 0, err
-			}
-			reqDelta.UpdateRequests = append(reqDelta.UpdateRequests,
-				core.RequestEdges{Request: st.id, Edges: edges})
-			st.value, st.cands = r.Value, a.internCands(r.Candidates)
-			continue
-		}
-		edges, err := a.edgesOf(r)
-		if err != nil {
-			return 0, err
-		}
-		a.addedEdges = append(a.addedEdges, edges)
-		a.addedKeys = append(a.addedKeys, k)
-		a.addedReqs = append(a.addedReqs, r)
-		a.addedRows = append(a.addedRows, ri)
+		pr := a.reqIdx.claim(key(r))
+		d.PrevReq = append(d.PrevReq, pr)
+		d.SameCands = append(d.SameCands, pr >= 0 && sameCandidates(a.reqRow[pr].cands, r.Candidates))
 	}
-	for _, k := range a.prevReqKeys {
-		if st, ok := a.reqs[k]; ok && st.stamp != a.stamp {
-			a.removedStates = append(a.removedStates, st)
-			delete(a.reqs, k)
+	d.RemovedReqs = a.reqIdx.unclaimed(d.RemovedReqs[:0])
+	return d
+}
+
+// rowIndex matches a new instance's keys against the previous instance's
+// rows. Each previous row is claimed at most once, so a key repeated within
+// one instance matches on its first occurrence and later repeats are new.
+type rowIndex[K comparable] struct {
+	rows    map[K]int32
+	claimed []bool
+}
+
+// reset indexes the previous instance's keys, the first occurrence winning.
+func (x *rowIndex[K]) reset(prev []K) {
+	if x.rows == nil {
+		x.rows = make(map[K]int32, len(prev))
+	}
+	clear(x.rows)
+	for i := len(prev) - 1; i >= 0; i-- {
+		x.rows[prev[i]] = int32(i)
+	}
+	x.claimed = slices.Grow(x.claimed[:0], len(prev))[:len(prev)]
+	clear(x.claimed)
+}
+
+// claim returns the unclaimed previous row holding k and claims it, or -1.
+func (x *rowIndex[K]) claim(k K) int32 {
+	pr, ok := x.rows[k]
+	if !ok || x.claimed[pr] {
+		return -1
+	}
+	x.claimed[pr] = true
+	return pr
+}
+
+// unclaimed appends the previous rows no key claimed, in ascending order.
+func (x *rowIndex[K]) unclaimed(dst []int32) []int32 {
+	for pr, c := range x.claimed {
+		if !c {
+			dst = append(dst, int32(pr))
 		}
 	}
-	a.emitRequestChurn(reqDelta)
-	a.noteOps(reqDelta)
-	applied, err = a.solver.Apply(*reqDelta)
-	if err != nil {
-		return 0, err
-	}
-	a.bindChurnedRequests(applied, a.reqRow, true)
-	a.keyBuf = a.prevReqKeys // swap buffers
-	a.prevReqKeys = curKeys
-	return carried, nil
+	return dst
 }
 
 // edgesOf translates a request's candidates into solver edges (weight
@@ -697,21 +608,6 @@ func (a *WarmAuction) edgesOf(r *Request) ([]core.Edge, error) {
 	return a.edgeBuf[start:len(a.edgeBuf):len(a.edgeBuf)], nil
 }
 
-// syncReqs rebuilds the request key map from the authoritative per-row
-// state after delta rounds left it stale (they never touch it).
-func (a *WarmAuction) syncReqs() {
-	if !a.reqsStale {
-		return
-	}
-	for k := range a.reqs {
-		delete(a.reqs, k)
-	}
-	for i, st := range a.reqRow {
-		a.reqs[a.prevReqKeys[i]] = st
-	}
-	a.reqsStale = false
-}
-
 // VerifyState machine-checks the persistent solver's carried certificate
 // (core.Solver.VerifyState): primal feasibility plus ε-complementary
 // slackness of the carried (assignment, prices) over the live subproblem.
@@ -725,8 +621,8 @@ func (a *WarmAuction) VerifyState(tol float64) error {
 }
 
 // maybeCompact reclaims dead solver slots once they dominate, rewriting the
-// peer/chunk handle maps to the compacted ids (the per-row caches hold the
-// same state pointers, so they stay coherent through the rewrite).
+// live states to the compacted ids (the per-row caches and the peer map hold
+// the same state pointers, so they stay coherent through the rewrite).
 func (a *WarmAuction) maybeCompact() {
 	deadReqs, deadSinks := a.solver.Dead()
 	if deadReqs+deadSinks <= compactThreshold ||
@@ -734,8 +630,6 @@ func (a *WarmAuction) maybeCompact() {
 		return
 	}
 	reqMap, sinkMap := a.solver.Compact()
-	// reqRow is the authoritative live-request set (the key map may be
-	// stale after delta rounds).
 	for _, st := range a.reqRow {
 		st.id = reqMap[st.id]
 	}

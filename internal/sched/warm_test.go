@@ -233,3 +233,86 @@ func (a *WarmAuction) solverDead() (int, int) {
 	}
 	return a.solver.Dead()
 }
+
+// TestWarmAuctionFailedCallLeavesNoGhosts pins the failure reset: a call
+// whose delta the solver rejects must not leave its departed requests live
+// in the solver. Request A (value 9 on uploader 10) departs in the failing
+// call; if it lingered, it would outbid C for uploader 10 afterwards.
+func TestWarmAuctionFailedCallLeavesNoGhosts(t *testing.T) {
+	ups := []Uploader{{Peer: 10, Capacity: 1}, {Peer: 11, Capacity: 1}}
+	chunk := video.ChunkID{Video: 0, Index: 1}
+	a := Request{Peer: 1, Chunk: chunk, Value: 9, Candidates: []Candidate{{Peer: 10}}}
+	b := Request{Peer: 2, Chunk: chunk, Value: 5, Candidates: []Candidate{{Peer: 11}, {Peer: 11}}}
+	c := Request{Peer: 3, Chunk: chunk, Value: 2, Candidates: []Candidate{{Peer: 10}}}
+	inst := func(reqs ...Request) *Instance {
+		in, err := NewInstance(reqs, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	warm := &WarmAuction{Epsilon: 0.01}
+	if _, err := warm.Schedule(inst(a)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Schedule(inst(b, c)); err == nil {
+		t.Fatal("a request naming one uploader twice must fail the call")
+	}
+	got, err := warm.Schedule(inst(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&WarmAuction{Epsilon: 0.01}).Schedule(inst(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Grants) != 1 {
+		t.Fatalf("fresh solver granted %v, want C served", want.Grants)
+	}
+	if !reflect.DeepEqual(got.Grants, want.Grants) || !reflect.DeepEqual(got.Prices, want.Prices) {
+		t.Fatalf("after a failed call: grants %v prices %v, fresh solver: grants %v prices %v",
+			got.Grants, got.Prices, want.Grants, want.Prices)
+	}
+}
+
+// TestWarmAuctionRepeatedKeyMatchesCold pins key matching under a
+// (peer, chunk) key repeated within one instance: each previous row is
+// carried at most once, later repeats are new requests, so every slot
+// schedules like a cold auction.
+func TestWarmAuctionRepeatedKeyMatchesCold(t *testing.T) {
+	chunk := video.ChunkID{Video: 0, Index: 1}
+	ups := []Uploader{{Peer: 10, Capacity: 1}, {Peer: 11, Capacity: 1}}
+	slots := [][]Request{
+		{{Peer: 1, Chunk: chunk, Value: 4, Candidates: []Candidate{{Peer: 10}}},
+			{Peer: 1, Chunk: chunk, Value: 3, Candidates: []Candidate{{Peer: 11}}}},
+		{{Peer: 1, Chunk: chunk, Value: 4, Candidates: []Candidate{{Peer: 10}}},
+			{Peer: 1, Chunk: chunk, Value: 3, Candidates: []Candidate{{Peer: 11}}}},
+		{{Peer: 1, Chunk: chunk, Value: 2, Candidates: []Candidate{{Peer: 11}}}},
+		{{Peer: 2, Chunk: chunk, Value: 5, Candidates: []Candidate{{Peer: 11}}},
+			{Peer: 1, Chunk: chunk, Value: 2, Candidates: []Candidate{{Peer: 11}}},
+			{Peer: 1, Chunk: chunk, Value: 6, Candidates: []Candidate{{Peer: 11}}}},
+	}
+	warm := &WarmAuction{Epsilon: 0.01}
+	for slot, reqs := range slots {
+		in, err := NewInstance(reqs, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, err := warm.Schedule(in)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if err := in.Validate(wr.Grants); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		cr, err := (&Auction{Epsilon: 0.01}).Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ww, _ := in.Welfare(wr.Grants)
+		cw, _ := in.Welfare(cr.Grants)
+		if math.Abs(ww-cw) > 1e-9 {
+			t.Fatalf("slot %d: warm welfare %v != cold %v (grants %v)", slot, ww, cw, wr.Grants)
+		}
+	}
+}

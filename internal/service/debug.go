@@ -87,6 +87,10 @@ func (d *Daemon) handleTraceCapture(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	obs.Uninstall()
+	// A tick that began before Uninstall may still be recording into the
+	// single-owner daemon track. Ticks hold d.mu throughout, so Slot (which
+	// takes it) returns only once that tick is done with the trace.
+	d.Slot()
 
 	w.Header().Set("Content-Type", "application/json")
 	if err := tr.WriteJSON(w); err != nil {

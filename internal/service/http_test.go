@@ -126,6 +126,36 @@ func TestHTTPErrors(t *testing.T) {
 	wantStatus(t, resp, http.StatusBadRequest)
 }
 
+// TestHTTPBidBatchAllOrNothing pins whole-batch validation: a batch holding
+// a bid the solver would refuse — an uploader named twice, a non-finite
+// value - cost — gets 400 and books none of its bids, so later ticks solve.
+func TestHTTPBidBatchAllOrNothing(t *testing.T) {
+	d, srv := apiServer(t)
+	wantStatus(t, postJSON(t, srv.URL+"/v1/join", JoinRequest{Peer: 1, ISP: 0}), 200)
+	wantStatus(t, postJSON(t, srv.URL+"/v1/join", JoinRequest{Peer: 2, ISP: 0}), 200)
+	good := WireBid{Video: 0, Chunk: 3, Value: 1.5, Candidates: []WireCandidate{{Peer: 1, Cost: 0.25}}}
+	for _, bad := range []WireBid{
+		{Video: 0, Chunk: 4, Value: 1.5, Candidates: []WireCandidate{{Peer: 1, Cost: 0.25}, {Peer: 1, Cost: 0.5}}},
+		{Video: 0, Chunk: 4, Value: 1.7e308, Candidates: []WireCandidate{{Peer: 1, Cost: -1.7e308}}},
+	} {
+		wantStatus(t, postJSON(t, srv.URL+"/v1/bid", BidBatch{Peer: 2, Bids: []WireBid{good, bad}}), http.StatusBadRequest)
+		if st := d.Stats(); st.PendingBids != 0 {
+			t.Fatalf("refused batch left %d bids booked", st.PendingBids)
+		}
+	}
+	for tick := 0; tick < 3; tick++ {
+		wantStatus(t, postJSON(t, srv.URL+"/v1/offer", OfferRequest{Peer: 1, Capacity: 1}), 200)
+		wantStatus(t, postJSON(t, srv.URL+"/v1/bid", BidBatch{Peer: 2, Bids: []WireBid{good}}), 200)
+		resp := postJSON(t, srv.URL+"/v1/tick", struct{}{})
+		var tr TickResponse
+		err := json.NewDecoder(resp.Body).Decode(&tr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || tr.Grants != 1 {
+			t.Fatalf("tick %d: status %d, %+v, %v; want 200 with 1 grant", tick, resp.StatusCode, tr, err)
+		}
+	}
+}
+
 func TestHTTPMetricsAndHealth(t *testing.T) {
 	d, srv := apiServer(t)
 

@@ -21,7 +21,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -401,12 +403,19 @@ type BidRequest struct {
 // Bid posts a batch of chunk bids for the next slot. A re-bid for the same
 // chunk replaces the earlier bid. Candidates referencing uploaders that have
 // not offered by tick time are dropped at tick time (counted as rejected if
-// the whole bid starves).
+// the whole bid starves). The batch is booked whole or not at all: one bid
+// with no candidates, an uploader named twice, or a non-finite value − cost
+// refuses all of it.
 func (d *Daemon) Bid(p isp.PeerID, reqs []BidRequest) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, known := d.peers[p]; !known {
 		return fmt.Errorf("service: unknown peer %d (join first)", p)
+	}
+	for i := range reqs {
+		if err := checkBid(&reqs[i]); err != nil {
+			return err
+		}
 	}
 	if max := d.opts.MaxPendingBids; max > 0 {
 		fresh := 0
@@ -422,9 +431,6 @@ func (d *Daemon) Bid(p isp.PeerID, reqs []BidRequest) error {
 		}
 	}
 	for _, r := range reqs {
-		if len(r.Candidates) == 0 {
-			return fmt.Errorf("service: bid for %v names no candidate uploaders", r.Chunk)
-		}
 		k := bidKey{peer: p, chunk: r.Chunk}
 		req := sched.Request{
 			Peer:       p,
@@ -443,6 +449,50 @@ func (d *Daemon) Bid(p isp.PeerID, reqs []BidRequest) error {
 	}
 	d.metrics.bids.inc(float64(len(reqs)))
 	return nil
+}
+
+// checkBid rejects a bid the slot solver would refuse. It allocates only to
+// report an error or to check a candidate list too long to scan pairwise.
+func checkBid(r *BidRequest) error {
+	if len(r.Candidates) == 0 {
+		return fmt.Errorf("service: bid for %v names no candidate uploaders", r.Chunk)
+	}
+	for _, c := range r.Candidates {
+		if w := r.Value - c.Cost; math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("service: bid for %v has non-finite value - cost toward uploader %d", r.Chunk, c.Peer)
+		}
+	}
+	if p, dup := repeatedPeer(r.Candidates); dup {
+		return fmt.Errorf("service: bid for %v names uploader %d twice", r.Chunk, p)
+	}
+	return nil
+}
+
+// repeatedPeer finds an uploader named twice in a candidate list: pairwise
+// for short lists, through a sorted copy for long ones, so a hostile body
+// cannot make validation quadratic.
+func repeatedPeer(cs []sched.Candidate) (isp.PeerID, bool) {
+	if len(cs) <= 32 {
+		for i := 1; i < len(cs); i++ {
+			for _, prev := range cs[:i] {
+				if prev.Peer == cs[i].Peer {
+					return prev.Peer, true
+				}
+			}
+		}
+		return 0, false
+	}
+	peers := make([]isp.PeerID, len(cs))
+	for i, c := range cs {
+		peers[i] = c.Peer
+	}
+	slices.Sort(peers)
+	for i := 1; i < len(peers); i++ {
+		if peers[i] == peers[i-1] {
+			return peers[i], true
+		}
+	}
+	return 0, false
 }
 
 // Grants returns the peer's grants from the most recently solved slot.
