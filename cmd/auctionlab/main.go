@@ -18,6 +18,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/randx"
 )
 
@@ -55,23 +56,10 @@ func run(args []string) error {
 
 // instance builds a random slot-shaped transportation problem.
 func instance(rng *randx.Source, requests, sinks int) *repro.Problem {
-	p := repro.NewProblem()
-	for s := 0; s < sinks; s++ {
-		if _, err := p.AddSink(1 + rng.Intn(6)); err != nil {
-			panic(err)
-		}
-	}
-	for r := 0; r < requests; r++ {
-		req := p.AddRequest()
-		degree := 1 + rng.Intn(8)
-		perm := rng.Perm(sinks)
-		for k := 0; k < degree && k < len(perm); k++ {
-			if err := p.AddEdge(req, core.SinkID(perm[k]), rng.Range(-1, 8)); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return p
+	return experiments.RandomTransport(rng, experiments.TransportShape{
+		Requests: requests, Sinks: sinks, MaxDegree: 8,
+		MinCapacity: 1, MaxCapacity: 6, MinWeight: -1, MaxWeight: 8,
+	})
 }
 
 type tally struct {

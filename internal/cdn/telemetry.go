@@ -4,8 +4,8 @@ import "repro/internal/obs"
 
 // Telemetry is the CDN tier's metric registry: cache hit/miss counters and
 // per-tier served-bytes counters, fed once per slot by the sim engines
-// (sim.recordSlot) and bridged into the scheduler daemon's /metrics
-// exposition next to the solver families (internal/service). Counters are
+// (sim.recordSlot) and written after the scheduler daemon's own registry in
+// its /metrics exposition (internal/service). Counters are
 // process-wide — they aggregate across every CDN-enabled run in the process,
 // which is exactly what a scrape wants; per-run accounting lives in
 // sim.Results and economics.ComputeOffload.

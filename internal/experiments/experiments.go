@@ -310,7 +310,10 @@ func AblationEpsilon(scale Scale) (*Report, error) {
 	for _, eps := range epsilons {
 		gapSum, iterSum, stalls := 0.0, 0.0, 0
 		for trial := 0; trial < trials; trial++ {
-			p := randomTransportation(rng, size, size/4)
+			p := RandomTransport(rng, TransportShape{
+				Requests: size, Sinks: size / 4, MaxDegree: 5,
+				MinCapacity: 1, MaxCapacity: 4, MinWeight: -1, MaxWeight: 8,
+			})
 			exact, err := core.SolveExact(p)
 			if err != nil {
 				return nil, err
@@ -342,21 +345,37 @@ func AblationEpsilon(scale Scale) (*Report, error) {
 	}, nil
 }
 
-// randomTransportation builds an instance shaped like a slot problem.
-func randomTransportation(rng *randx.Source, requests, sinks int) *core.Problem {
+// TransportShape bounds a random transportation instance shaped like one
+// slot's scheduling problem.
+type TransportShape struct {
+	// Requests and Sinks size each instance.
+	Requests, Sinks int
+	// MaxDegree bounds candidate sinks per request (uniform in [1, MaxDegree]).
+	MaxDegree int
+	// MinCapacity/MaxCapacity bound sink capacities.
+	MinCapacity, MaxCapacity int
+	// MinWeight/MaxWeight bound edge weights v − w (negatives model
+	// not-worth-fetching chunks).
+	MinWeight, MaxWeight float64
+}
+
+// RandomTransport draws one instance within the shape's bounds: every sink's
+// capacity, then per request a degree, a sink permutation and one weight per
+// edge. The draw order is fixed, so a seed reproduces its instances. The
+// bounds must be valid (MaxDegree ≥ 1, 1 ≤ MinCapacity ≤ MaxCapacity).
+func RandomTransport(rng *randx.Source, t TransportShape) *core.Problem {
 	p := core.NewProblem()
-	for s := 0; s < sinks; s++ {
-		if _, err := p.AddSink(1 + rng.Intn(4)); err != nil {
+	for s := 0; s < t.Sinks; s++ {
+		if _, err := p.AddSink(t.MinCapacity + rng.Intn(t.MaxCapacity-t.MinCapacity+1)); err != nil {
 			panic(err)
 		}
 	}
-	for r := 0; r < requests; r++ {
+	for r := 0; r < t.Requests; r++ {
 		req := p.AddRequest()
-		degree := 1 + rng.Intn(5)
-		perm := rng.Perm(sinks)
+		degree := 1 + rng.Intn(t.MaxDegree)
+		perm := rng.Perm(t.Sinks)
 		for k := 0; k < degree && k < len(perm); k++ {
-			w := rng.Range(-1, 8)
-			if err := p.AddEdge(req, core.SinkID(perm[k]), w); err != nil {
+			if err := p.AddEdge(req, core.SinkID(perm[k]), rng.Range(t.MinWeight, t.MaxWeight)); err != nil {
 				panic(err)
 			}
 		}

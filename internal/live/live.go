@@ -26,20 +26,19 @@ import (
 )
 
 // envelope frames carry [to int32][from int32][protocol frame] so the hub
-// can route and the receiver knows the sender.
+// can route and the receiver knows the sender. The frame goes out in one
+// Write: several hub goroutines forward to the same destination conn, and a
+// net.Conn keeps concurrent Writes whole but not a header/payload pair.
 func writeEnvelope(w io.Writer, from, to int32, msg protocol.Message) error {
 	payload, err := protocol.Encode(msg)
 	if err != nil {
 		return err
 	}
-	header := make([]byte, 12)
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)+8))
-	binary.BigEndian.PutUint32(header[4:8], uint32(to))
-	binary.BigEndian.PutUint32(header[8:12], uint32(from))
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	frame := make([]byte, 12, 12+len(payload))
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+8))
+	binary.BigEndian.PutUint32(frame[4:8], uint32(to))
+	binary.BigEndian.PutUint32(frame[8:12], uint32(from))
+	_, err = w.Write(append(frame, payload...))
 	return err
 }
 

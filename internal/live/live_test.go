@@ -2,6 +2,9 @@ package live
 
 import (
 	"bytes"
+	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +29,54 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	got, ok := msg.(protocol.Bid)
 	if !ok || got != want {
 		t.Fatalf("message mangled: %+v", msg)
+	}
+}
+
+// yieldingConn hands the processor to another goroutine before every Write,
+// as a busy scheduler may, so a frame split across two Writes interleaves
+// even at GOMAXPROCS=1.
+type yieldingConn struct{ net.Conn }
+
+func (c yieldingConn) Write(b []byte) (int, error) {
+	runtime.Gosched()
+	return c.Conn.Write(b)
+}
+
+// TestConcurrentEnvelopeWritesStayWhole: goroutines sharing one conn (the
+// hub's serve loops forwarding to one destination) must never interleave
+// frames, so the reader decodes every envelope intact.
+func TestConcurrentEnvelopeWritesStayWhole(t *testing.T) {
+	const writers, per = 8, 200
+	var wg sync.WaitGroup
+	defer wg.Wait() // after the closes below unblock any stuck writer
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	for w := int32(0); w < writers; w++ {
+		wg.Add(1)
+		go func(w int32) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				msg := protocol.Bid{Chunk: video.ChunkID{Video: video.ID(w), Index: video.ChunkIndex(i)}, Amount: float64(i)}
+				if err := writeEnvelope(yieldingConn{client}, w, 100+w, msg); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	next := make([]int, writers) // per-writer frames read so far, in order
+	for n := 0; n < writers*per; n++ {
+		from, to, msg, err := readEnvelope(server)
+		if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		bid, ok := msg.(protocol.Bid)
+		if !ok || from < 0 || from >= writers || to != 100+from ||
+			bid.Chunk.Video != video.ID(from) || int(bid.Chunk.Index) != next[from] || bid.Amount != float64(next[from]) {
+			t.Fatalf("frame %d mangled: %d→%d %+v", n, from, to, msg)
+		}
+		next[from]++
 	}
 }
 

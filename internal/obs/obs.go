@@ -11,10 +11,11 @@
 //     begins. The exporters in export.go turn a Trace into Chrome
 //     trace-event JSON (chrome://tracing / Perfetto).
 //
-//   - A metrics registry. Counters and gauges are plain structs bumped with
-//     sync/atomic — no locks anywhere near a solve path — and a Registry
-//     renders them in Prometheus text exposition format so a daemon can
-//     merge them into an existing /metrics handler.
+//   - A metrics registry, the repo's only metric implementation. Counters
+//     and gauges are plain structs bumped with sync/atomic — no locks
+//     anywhere near a solve path — histograms take a short mutex per
+//     observation, and a Registry renders them all in Prometheus text
+//     exposition format for a /metrics handler.
 //
 // Tracing is off by default. A single package-level atomic pointer holds the
 // active trace; when none is installed, TrackFor returns nil and every span
@@ -26,6 +27,7 @@ package obs
 import (
 	"errors"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,9 +315,7 @@ func (s *Span) End() {
 // Counter is a monotonically increasing metric bumped with a single atomic
 // add. The nil counter no-ops, so call sites need no registration guard.
 type Counter struct {
-	name string
-	help string
-	v    atomic.Uint64
+	v atomic.Uint64
 }
 
 // Add increments the counter by n.
@@ -335,10 +335,9 @@ func (c *Counter) Value() uint64 {
 }
 
 // Gauge is a last-write-wins float metric stored as float bits in an atomic
-// word. The nil gauge no-ops.
+// word. The nil gauge no-ops. Registered with Registry.FloatCounter it is a
+// float-valued counter that only ever sees Add.
 type Gauge struct {
-	name string
-	help string
 	bits atomic.Uint64
 }
 
@@ -373,63 +372,94 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Registry holds named counters and gauges and renders them in Prometheus
-// text exposition format (see prom.go). Registration takes a lock; reads on
-// the metric structs themselves are lock-free.
+// Histogram is a cumulative-bucket histogram with Prometheus semantics: each
+// bucket counts observations ≤ its upper bound, plus the +Inf catch-all. It
+// keeps a mutex because an observation must update a bucket, the sum and the
+// count together.
+type Histogram struct {
+	mu     sync.Mutex
+	bounds []float64 // ascending upper bounds, +Inf implicit
+	counts []uint64  // len(bounds)+1; last is +Inf
+	sum    float64
+	total  uint64
+}
+
+// Observe records one observation.
+func (h *Histogram) Observe(v float64) {
+	h.mu.Lock()
+	h.counts[sort.SearchFloat64s(h.bounds, v)]++
+	h.sum += v
+	h.total++
+	h.mu.Unlock()
+}
+
+// Registry holds named metric families and renders them in Prometheus text
+// exposition format, in registration order (see prom.go). Registration takes
+// a lock; counters and gauges are updated lock-free.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	ordered  []string // metric names in registration order
-	kinds    map[string]string
+	families []*family // registration order; append-only
+	byName   map[string]*family
+}
+
+// family is one registered metric: exactly one of counter, gauge and hist is
+// set. kind is "counter", "gauge", "float counter" (a Gauge exposed as a
+// counter) or "histogram".
+type family struct {
+	name, help, kind string
+	counter          *Counter
+	gauge            *Gauge
+	hist             *Histogram
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		kinds:    make(map[string]string),
-	}
+	return &Registry{byName: make(map[string]*family)}
 }
 
 // Counter returns the named counter, registering it on first use. It panics
 // if the name is invalid or already registered as a different kind.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	r.register(name, "counter")
-	c := &Counter{name: name, help: help}
-	r.counters[name] = c
-	return c
+	return r.register(&family{name: name, help: help, kind: "counter", counter: new(Counter)}).counter
 }
 
 // Gauge returns the named gauge, registering it on first use. It panics if
 // the name is invalid or already registered as a different kind.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.register(name, "gauge")
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
+	return r.register(&family{name: name, help: help, kind: "gauge", gauge: new(Gauge)}).gauge
 }
 
-func (r *Registry) register(name, kind string) {
-	if !validMetricName(name) {
-		panic("obs: invalid metric name " + name)
+// FloatCounter returns the named float-valued counter — a Gauge the caller
+// only Adds to, exposed with TYPE counter — registering it on first use. It
+// panics like Counter.
+func (r *Registry) FloatCounter(name, help string) *Gauge {
+	return r.register(&family{name: name, help: help, kind: "float counter", gauge: new(Gauge)}).gauge
+}
+
+// Histogram returns the named histogram over the given ascending upper
+// bounds, registering it on first use (a later call's bounds are ignored).
+// It panics like Counter.
+func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	return r.register(&family{name: name, help: help, kind: "histogram", hist: h}).hist
+}
+
+// register adds f, or returns the family already registered under its name.
+func (r *Registry) register(f *family) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.byName[f.name]; ok {
+		if prev.kind != f.kind {
+			panic("obs: metric " + f.name + " already registered as " + prev.kind)
+		}
+		return prev
 	}
-	if prev, ok := r.kinds[name]; ok {
-		panic("obs: metric " + name + " already registered as " + prev)
+	if !validMetricName(f.name) {
+		panic("obs: invalid metric name " + f.name)
 	}
-	r.kinds[name] = kind
-	r.ordered = append(r.ordered, name)
+	r.byName[f.name] = f
+	r.families = append(r.families, f)
+	return f
 }
 
 // validMetricName enforces the Prometheus metric-name charset

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -296,6 +297,97 @@ func TestGaugeAddAndNilMetrics(t *testing.T) {
 	}
 }
 
+func TestHistogramBuckets(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat_seconds", "Latency.", []float64{0.5, 1, 2.5})
+	if r.Histogram("lat_seconds", "dup", nil) != h {
+		t.Fatal("Histogram should be idempotent by name")
+	}
+	// 1 and 2.5 sit exactly on bounds: le is inclusive. 7 lands in +Inf only.
+	for _, v := range []float64{0.25, 1, 1, 2.5, 7} {
+		h.Observe(v)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP lat_seconds Latency.\n" +
+		"# TYPE lat_seconds histogram\n" +
+		"lat_seconds_bucket{le=\"0.5\"} 1\n" +
+		"lat_seconds_bucket{le=\"1\"} 3\n" +
+		"lat_seconds_bucket{le=\"2.5\"} 4\n" +
+		"lat_seconds_bucket{le=\"+Inf\"} 5\n" +
+		"lat_seconds_sum 11.75\n" +
+		"lat_seconds_count 5\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestHistogramConcurrentObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "x", []float64{1, 2})
+	const workers, per = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(float64(w % 3)) // 0, 1 or 2: integral, so the sum is exact
+				if i%100 == 0 {
+					_ = r.WritePrometheus(io.Discard) // scrape while observing
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// workers 0,3,6 observe 0; 1,4,7 observe 1; 2,5 observe 2.
+	for _, want := range []string{
+		`h_bucket{le="1"} 6000` + "\n",
+		`h_bucket{le="+Inf"} 8000` + "\n",
+		"h_sum 7000\n",
+		"h_count 8000\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+func TestFloatCounterRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	c := r.FloatCounter("welfare_total", "Welfare.")
+	if r.FloatCounter("welfare_total", "dup") != c {
+		t.Fatal("FloatCounter should be idempotent by name")
+	}
+	c.Add(1.5)
+	c.Add(0.25)
+	if c.Value() != 1.75 {
+		t.Fatalf("float counter = %v, want 1.75", c.Value())
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP welfare_total Welfare.\n# TYPE welfare_total counter\nwelfare_total 1.75\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition = %q, want %q", got, want)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("re-registering a float counter as a gauge should panic")
+			}
+		}()
+		r.Gauge("welfare_total", "x")
+	}()
+}
+
 // TestObsDisabledZeroAllocs is the enforcement half of the CI pin: the
 // disabled-tracer fast path must never allocate.
 func TestObsDisabledZeroAllocs(t *testing.T) {
@@ -350,6 +442,46 @@ func BenchmarkObsCounter(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Add(1)
+		}
+	})
+}
+
+// BenchmarkObsCounterDuringScrape bumps a counter from parallel goroutines
+// while another goroutine renders the registry without pause: the standing
+// /metrics scrape never blocks the bumps it reads.
+func BenchmarkObsCounterDuringScrape(b *testing.B) {
+	r := NewRegistry()
+	c := r.Counter("bench_total", "x")
+	done := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = r.WritePrometheus(io.Discard)
+			}
+		}
+	}()
+	defer func() { close(done); <-finished }()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Add(1)
+		}
+	})
+}
+
+// BenchmarkObsHistogramObserve measures the contended histogram observation.
+func BenchmarkObsHistogramObserve(b *testing.B) {
+	r := NewRegistry()
+	h := r.Histogram("bench_seconds", "x", []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5})
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			h.Observe(0.003)
 		}
 	})
 }

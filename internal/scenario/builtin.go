@@ -424,9 +424,11 @@ func init() {
 		Kind:     KindTransport,
 		Solver:   SolverAuction,
 		Transport: TransportParams{
-			Requests: 100, Sinks: 20, MaxDegree: 5,
-			MinCapacity: 1, MaxCapacity: 4,
-			MinWeight: -1, MaxWeight: 8,
+			TransportShape: experiments.TransportShape{
+				Requests: 100, Sinks: 20, MaxDegree: 5,
+				MinCapacity: 1, MaxCapacity: 4,
+				MinWeight: -1, MaxWeight: 8,
+			},
 			Trials: 3, Epsilon: 0.01,
 		},
 	})
@@ -441,9 +443,11 @@ func init() {
 		Solver:        SolverAuctionJacobi,
 		SolverWorkers: 4,
 		Transport: TransportParams{
-			Requests: 300, Sinks: 60, MaxDegree: 6,
-			MinCapacity: 1, MaxCapacity: 6,
-			MinWeight: -1, MaxWeight: 8,
+			TransportShape: experiments.TransportShape{
+				Requests: 300, Sinks: 60, MaxDegree: 6,
+				MinCapacity: 1, MaxCapacity: 6,
+				MinWeight: -1, MaxWeight: 8,
+			},
 			Trials: 2, Epsilon: 0.01,
 		},
 	})

@@ -31,6 +31,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/economics"
+	"repro/internal/experiments"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -134,15 +135,8 @@ func (s Spec) scheduler(cfg sim.Config) (sched.Scheduler, error) {
 // TransportParams describes the random transportation instances of a
 // KindTransport spec (the shape of one slot's scheduling problem).
 type TransportParams struct {
-	// Requests and Sinks size each instance.
-	Requests, Sinks int
-	// MaxDegree bounds candidate sinks per request (uniform in [1, MaxDegree]).
-	MaxDegree int
-	// MinCapacity/MaxCapacity bound sink capacities.
-	MinCapacity, MaxCapacity int
-	// MinWeight/MaxWeight bound edge weights v − w (negatives model
-	// not-worth-fetching chunks).
-	MinWeight, MaxWeight float64
+	// TransportShape bounds each instance (experiments.RandomTransport).
+	experiments.TransportShape
 	// Trials is how many instances one run solves (metrics average over them).
 	Trials int
 	// Epsilon is the auction bid increment.
@@ -561,7 +555,7 @@ func (s Spec) runTransport(seed uint64) (*Result, error) {
 	rng := randx.New(seed)
 	var welfare, exactWelfare, gapPct, iters, bids, assigned float64
 	for trial := 0; trial < t.Trials; trial++ {
-		p := randomTransport(rng, t)
+		p := experiments.RandomTransport(rng, t.TransportShape)
 		exact, err := core.SolveExact(p)
 		if err != nil {
 			return nil, err
@@ -610,29 +604,6 @@ func (s Spec) runTransport(seed uint64) (*Result, error) {
 			"assigned":      assigned / n,
 		},
 	}, nil
-}
-
-// randomTransport builds one random instance shaped like a slot problem.
-func randomTransport(rng *randx.Source, t TransportParams) *core.Problem {
-	p := core.NewProblem()
-	for s := 0; s < t.Sinks; s++ {
-		cap := t.MinCapacity + rng.Intn(t.MaxCapacity-t.MinCapacity+1)
-		if _, err := p.AddSink(cap); err != nil {
-			panic(err) // bounds validated by Spec.Validate
-		}
-	}
-	for r := 0; r < t.Requests; r++ {
-		req := p.AddRequest()
-		degree := 1 + rng.Intn(t.MaxDegree)
-		perm := rng.Perm(t.Sinks)
-		for k := 0; k < degree && k < len(perm); k++ {
-			w := rng.Range(t.MinWeight, t.MaxWeight)
-			if err := p.AddEdge(req, core.SinkID(perm[k]), w); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return p
 }
 
 // runLive plays the distributed auction protocol over a real TCP hub. The

@@ -100,6 +100,31 @@ func TestSolveDeadlineCarryAndReconverge(t *testing.T) {
 	}
 }
 
+// TestGrantsMetricSkipsCarriedGrants: a degraded carry tick republishes the
+// previous slot's grants but issues none, so the scraped grants counter must
+// agree with the lifetime total /v1/stats reports.
+func TestGrantsMetricSkipsCarriedGrants(t *testing.T) {
+	d := manual(t, Options{
+		Epsilon:       0.01,
+		SolveDeadline: 50 * time.Millisecond,
+		Fault:         fault.Spec{SolveDelay: 500 * time.Millisecond, SolveDelayEveryN: 2},
+	})
+	for tick := 1; tick <= 2; tick++ {
+		seedBooks(t, d)
+		if _, err := d.Tick(); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+	}
+	st := d.Stats()
+	if st.Totals.DegradedSlots != 1 || st.LastGrants != 1 {
+		t.Fatalf("tick 2 should carry one grant: %+v", st)
+	}
+	fam := parseExposition(t, scrapeMetrics(t, d))["schedulerd_grants_total"]
+	if got := fam.samples["schedulerd_grants_total"]; got != float64(st.Totals.Grants) {
+		t.Fatalf("schedulerd_grants_total = %v, /v1/stats grants = %d", got, st.Totals.Grants)
+	}
+}
+
 // TestGreedyEscalation: with every solve slow, the second consecutive overrun
 // escalates to the greedy fallback, which serves this tick's own bids.
 func TestGreedyEscalation(t *testing.T) {

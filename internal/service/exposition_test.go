@@ -4,12 +4,14 @@ package service
 // /metrics output. It re-parses the text exposition from scratch — HELP and
 // TYPE present and ordered, metric names legal, histogram buckets cumulative
 // and capped by a +Inf bucket equal to _count — so a formatting regression
-// in either the native families or the obs-bridge families fails here
-// before a real scraper ever sees it.
+// in any family of the daemon's obs registry fails here before a real
+// scraper ever sees it.
 
 import (
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"sort"
 	"strconv"
@@ -18,6 +20,18 @@ import (
 
 	"repro/internal/sched"
 )
+
+// scrapeMetrics fetches the daemon's /metrics exposition through its HTTP
+// handler.
+func scrapeMetrics(t testing.TB, d *Daemon) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", rec.Code)
+	}
+	return rec.Body.String()
+}
 
 var metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
@@ -186,7 +200,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	text := d.metrics.expose()
+	text := scrapeMetrics(t, d)
 	families := parseExposition(t, text)
 
 	// Every family the daemon declares must survive the round trip, typed.

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/cdn"
 	"repro/internal/isp"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -129,11 +130,11 @@ func (d *Daemon) instrument(h func(http.ResponseWriter, *http.Request) int) http
 		sp.Arg("status", float64(status)).
 			Arg("slot", float64(d.tickSeq.Load()))
 		sp.End()
-		d.metrics.httpRequests.inc(1)
+		d.metrics.httpRequests.Add(1)
 		if status >= 400 {
-			d.metrics.httpErrors.inc(1)
+			d.metrics.httpErrors.Add(1)
 		}
-		d.metrics.httpSeconds.observe(time.Since(start).Seconds())
+		d.metrics.httpSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -294,7 +295,10 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) int {
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(d.metrics.expose()))
+	// A write error means the scraper hung up; there is no one left to tell.
+	if d.metrics.reg.WritePrometheus(w) == nil {
+		_ = cdn.Telemetry.WritePrometheus(w)
+	}
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -193,7 +193,8 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 
 	// Error accounting: one failed request increments the error counter.
 	wantStatus(t, postJSON(t, srv.URL+"/v1/leave", LeaveRequest{Peer: 99}), http.StatusNotFound)
-	if got := d.metrics.httpErrors.get(); got != 1 {
+	errs := parseExposition(t, scrapeMetrics(t, d))["schedulerd_http_errors_total"]
+	if got := errs.samples["schedulerd_http_errors_total"]; got != 1 {
 		t.Fatalf("httpErrors = %v, want 1", got)
 	}
 }

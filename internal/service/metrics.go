@@ -1,197 +1,51 @@
 package service
 
-// metrics.go: a minimal Prometheus-text-format metric set for the daemon.
-// The module is dependency-free by policy, so instead of the prometheus
-// client library this implements the three instrument kinds the daemon needs
-// (counter, gauge, cumulative histogram) with a deterministic exposition
-// order. Counters and gauges store float bits in an atomic word, so a
-// concurrent /metrics scrape never serializes the HTTP handlers bumping
-// them (BenchmarkCounterContended pins the difference against the old
-// mutex); the histogram keeps its mutex — its observe must update buckets,
-// sum and count together. The exposition format is the stable v0.0.4 text
-// format every Prometheus scraper speaks. Solver-internal families live in
-// an obs.Registry whose exposition is merged into expose() — the bridge the
-// tracing layer shares with every other binary.
+// metrics.go: the daemon's metric families, all on one obs.Registry (the
+// repo's only metric implementation): the daemon's own counters, gauges and
+// latency histograms first, then the solver-telemetry families fed from
+// Result.Stats at every tick. /metrics writes this registry followed by the
+// CDN tier's process-wide cdn.Telemetry.
 
 import (
-	"fmt"
-	"math"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/cdn"
 	"repro/internal/obs"
 )
 
-// metric is one named instrument.
-type metric interface {
-	name() string
-	help() string
-	kind() string // "counter" | "gauge" | "histogram"
-	expose(w *strings.Builder)
-}
+// daemonMetrics holds typed handles into the daemon's registry, so the hot
+// paths never look a family up by name.
+type daemonMetrics struct {
+	reg *obs.Registry
 
-// counter is a monotonically increasing float counter: float bits in an
-// atomic word, incremented by CAS so concurrent handlers never block each
-// other (or the scraper) on a lock.
-type counter struct {
-	nm, hp string
-	bits   atomic.Uint64
-}
-
-func (c *counter) inc(v float64) {
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (c *counter) get() float64 {
-	return math.Float64frombits(c.bits.Load())
-}
-
-func (c *counter) name() string { return c.nm }
-func (c *counter) help() string { return c.hp }
-func (c *counter) kind() string { return "counter" }
-func (c *counter) expose(w *strings.Builder) {
-	fmt.Fprintf(w, "%s %s\n", c.nm, formatFloat(c.get()))
-}
-
-// gauge is a settable value: last-write-wins float bits in an atomic word.
-type gauge struct {
-	nm, hp string
-	bits   atomic.Uint64
-}
-
-func (g *gauge) set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-func (g *gauge) get() float64 {
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *gauge) name() string { return g.nm }
-func (g *gauge) help() string { return g.hp }
-func (g *gauge) kind() string { return "gauge" }
-func (g *gauge) expose(w *strings.Builder) {
-	fmt.Fprintf(w, "%s %s\n", g.nm, formatFloat(g.get()))
-}
-
-// histogram is a cumulative-bucket histogram (Prometheus semantics: each
-// bucket counts observations ≤ its upper bound, plus the +Inf catch-all).
-type histogram struct {
-	mu     sync.Mutex
-	nm, hp string
-	bounds []float64 // ascending upper bounds, +Inf implicit
-	counts []uint64  // len(bounds)+1; last is +Inf
-	sum    float64
-	total  uint64
-}
-
-func newHistogram(name, help string, bounds []float64) *histogram {
-	return &histogram{nm: name, hp: help, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.total++
-	h.mu.Unlock()
-}
-
-// quantile estimates the q-quantile (0 < q ≤ 1) by linear scan of the
-// cumulative buckets, returning the bucket upper bound that first covers the
-// rank — the same resolution a PromQL histogram_quantile gets.
-func (h *histogram) quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
-func (h *histogram) name() string { return h.nm }
-func (h *histogram) help() string { return h.hp }
-func (h *histogram) kind() string { return "histogram" }
-func (h *histogram) expose(w *strings.Builder) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.nm, formatFloat(b), cum)
-	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.nm, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", h.nm, formatFloat(h.sum))
-	fmt.Fprintf(w, "%s_count %d\n", h.nm, h.total)
-}
-
-// formatFloat renders floats the way Prometheus expects (shortest
-// round-trippable form; integers without exponent).
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// registry is the daemon's metric set.
-type registry struct {
-	ticks        *counter
-	tickErrors   *counter
-	bids         *counter
-	grantsTotal  *counter
-	rejectsTotal *counter
-	joins        *counter
-	leaves       *counter
-	welfareTotal *counter
-	httpRequests *counter
-	httpErrors   *counter
+	ticks        *obs.Counter
+	tickErrors   *obs.Counter
+	bids         *obs.Counter
+	grantsTotal  *obs.Counter
+	rejectsTotal *obs.Counter
+	joins        *obs.Counter
+	leaves       *obs.Counter
+	welfareTotal *obs.Gauge // float counter
+	httpRequests *obs.Counter
+	httpErrors   *obs.Counter
 
 	// Degradation and load-shedding families (the robustness layer):
 	// overruns fire per missed deadline, degraded slots per fallback tick,
 	// greedy ticks per escalation, shed requests per 429.
-	solveOverruns *counter
-	degradedSlots *counter
-	greedyTicks   *counter
-	shedRequests  *counter
+	solveOverruns *obs.Counter
+	degradedSlots *obs.Counter
+	greedyTicks   *obs.Counter
+	shedRequests  *obs.Counter
 
-	slot          *gauge
-	peers         *gauge
-	lastWelfare   *gauge
-	shards        *gauge
-	overrunStreak *gauge
+	slot          *obs.Gauge
+	peers         *obs.Gauge
+	lastWelfare   *obs.Gauge
+	shards        *obs.Gauge
+	overrunStreak *obs.Gauge
 
-	solveSeconds *histogram
-	httpSeconds  *histogram
+	solveSeconds *obs.Histogram
+	httpSeconds  *obs.Histogram
 
-	ordered []metric
-
-	// bridge holds the solver-internal telemetry families (obs.Registry
-	// counters/gauges fed from Result.Stats at every tick); its Prometheus
-	// rendering is appended to expose(). Typed handles below avoid map
-	// lookups on the tick path.
-	bridge              *obs.Registry
+	// Solver-internal telemetry, flushed from Result.Stats at every tick.
 	solverBids          *obs.Counter
 	solverIterations    *obs.Counter
 	solverEvictions     *obs.Counter
@@ -213,85 +67,66 @@ var (
 	httpBuckets  = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 )
 
-func newRegistry() *registry {
-	r := &registry{
-		ticks:         &counter{nm: "schedulerd_ticks_total", hp: "Completed slot ticks."},
-		tickErrors:    &counter{nm: "schedulerd_tick_errors_total", hp: "Slot ticks that failed to solve."},
-		bids:          &counter{nm: "schedulerd_bids_total", hp: "Chunk bids accepted into the book."},
-		grantsTotal:   &counter{nm: "schedulerd_grants_total", hp: "Grants issued across all slots."},
-		rejectsTotal:  &counter{nm: "schedulerd_bid_rejects_total", hp: "Bids dropped at tick time (no live candidate uploader)."},
-		joins:         &counter{nm: "schedulerd_joins_total", hp: "Peer registrations (churn, arrival side)."},
-		leaves:        &counter{nm: "schedulerd_leaves_total", hp: "Peer departures (churn, departure side)."},
-		welfareTotal:  &counter{nm: "schedulerd_welfare_total", hp: "Cumulative social welfare over all slots."},
-		httpRequests:  &counter{nm: "schedulerd_http_requests_total", hp: "HTTP API requests served."},
-		httpErrors:    &counter{nm: "schedulerd_http_errors_total", hp: "HTTP API requests answered with an error status."},
-		solveOverruns: &counter{nm: "schedulerd_solve_overruns_total", hp: "Warm solves that missed the tick deadline."},
-		degradedSlots: &counter{nm: "schedulerd_degraded_slots_total", hp: "Slots served degraded (carried grants or greedy fallback)."},
-		greedyTicks:   &counter{nm: "schedulerd_greedy_ticks_total", hp: "Degraded slots that escalated to the greedy fallback scheduler."},
-		shedRequests:  &counter{nm: "schedulerd_shed_requests_total", hp: "Bid/offer submissions refused with 429 (book bound reached)."},
-		slot:          &gauge{nm: "schedulerd_slot", hp: "Current slot number."},
-		peers:         &gauge{nm: "schedulerd_peers", hp: "Registered peer population."},
-		lastWelfare:   &gauge{nm: "schedulerd_slot_welfare", hp: "Social welfare of the last solved slot."},
-		shards:        &gauge{nm: "schedulerd_shards", hp: "Shard count of the last solved slot (0 for the monolithic solver)."},
-		overrunStreak: &gauge{nm: "schedulerd_consecutive_overruns", hp: "Current consecutive solve-deadline overrun streak (alarm input)."},
-		solveSeconds:  newHistogram("schedulerd_solve_seconds", "Per-slot solve latency.", solveBuckets),
-		httpSeconds:   newHistogram("schedulerd_http_request_seconds", "HTTP API request latency.", httpBuckets),
+// newDaemonMetrics registers every family; registration order is exposition
+// order.
+func newDaemonMetrics() *daemonMetrics {
+	r := obs.NewRegistry()
+	return &daemonMetrics{
+		reg:           r,
+		ticks:         r.Counter("schedulerd_ticks_total", "Completed slot ticks."),
+		tickErrors:    r.Counter("schedulerd_tick_errors_total", "Slot ticks that failed to solve."),
+		bids:          r.Counter("schedulerd_bids_total", "Chunk bids accepted into the book."),
+		grantsTotal:   r.Counter("schedulerd_grants_total", "Grants issued across all slots."),
+		rejectsTotal:  r.Counter("schedulerd_bid_rejects_total", "Bids dropped at tick time (no live candidate uploader)."),
+		joins:         r.Counter("schedulerd_joins_total", "Peer registrations (churn, arrival side)."),
+		leaves:        r.Counter("schedulerd_leaves_total", "Peer departures (churn, departure side)."),
+		welfareTotal:  r.FloatCounter("schedulerd_welfare_total", "Cumulative social welfare over all slots."),
+		httpRequests:  r.Counter("schedulerd_http_requests_total", "HTTP API requests served."),
+		httpErrors:    r.Counter("schedulerd_http_errors_total", "HTTP API requests answered with an error status."),
+		solveOverruns: r.Counter("schedulerd_solve_overruns_total", "Warm solves that missed the tick deadline."),
+		degradedSlots: r.Counter("schedulerd_degraded_slots_total", "Slots served degraded (carried grants or greedy fallback)."),
+		greedyTicks:   r.Counter("schedulerd_greedy_ticks_total", "Degraded slots that escalated to the greedy fallback scheduler."),
+		shedRequests:  r.Counter("schedulerd_shed_requests_total", "Bid/offer submissions refused with 429 (book bound reached)."),
+		slot:          r.Gauge("schedulerd_slot", "Current slot number."),
+		peers:         r.Gauge("schedulerd_peers", "Registered peer population."),
+		lastWelfare:   r.Gauge("schedulerd_slot_welfare", "Social welfare of the last solved slot."),
+		shards:        r.Gauge("schedulerd_shards", "Shard count of the last solved slot (0 for the monolithic solver)."),
+		overrunStreak: r.Gauge("schedulerd_consecutive_overruns", "Current consecutive solve-deadline overrun streak (alarm input)."),
+		solveSeconds:  r.Histogram("schedulerd_solve_seconds", "Per-slot solve latency.", solveBuckets),
+		httpSeconds:   r.Histogram("schedulerd_http_request_seconds", "HTTP API request latency.", httpBuckets),
+
+		solverBids:          r.Counter("schedulerd_solver_bids_total", "Bids the auction solver processed across all slots."),
+		solverIterations:    r.Counter("schedulerd_solver_iterations_total", "Solver bidding iterations across all slots."),
+		solverEvictions:     r.Counter("schedulerd_solver_evictions_total", "Accepted bids later displaced by higher ones."),
+		solverRepairRounds:  r.Counter("schedulerd_solver_repair_rounds_total", "CS1-repair reverse-auction rounds of warm solves."),
+		solverSweepPasses:   r.Counter("schedulerd_solver_sweep_passes_total", "Closing epsilon-CS sweep passes of warm solves."),
+		solverColdRestarts:  r.Counter("schedulerd_solver_cold_restarts_total", "Warm solves that fell back to a full cold restart."),
+		solverSurrenders:    r.Counter("schedulerd_solver_reserve_surrenders_total", "Reserve-surrender escalations during closing sweeps."),
+		solverDeltaOps:      r.Counter("schedulerd_solver_delta_ops_total", "Solver-delta operations applied (request/sink churn, value shifts, capacity sets)."),
+		solverCarried:       r.Gauge("schedulerd_solver_carried_requests", "Requests carried unchanged into the last slot's warm solve."),
+		solverEpsilon:       r.Gauge("schedulerd_solver_epsilon", "Bid increment epsilon of the configured solver."),
+		partitionCutEdges:   r.Gauge("schedulerd_partition_cut_edges", "Candidate edges dropped by ISP-affinity refinement in the last slot."),
+		partitionMigrations: r.Counter("schedulerd_partition_migrations_total", "Uploader peers observed under a different shard than the slot before."),
 	}
-	r.ordered = []metric{
-		r.ticks, r.tickErrors, r.bids, r.grantsTotal, r.rejectsTotal,
-		r.joins, r.leaves, r.welfareTotal, r.httpRequests, r.httpErrors,
-		r.solveOverruns, r.degradedSlots, r.greedyTicks, r.shedRequests,
-		r.slot, r.peers, r.lastWelfare, r.shards, r.overrunStreak,
-		r.solveSeconds, r.httpSeconds,
-	}
-	b := obs.NewRegistry()
-	r.bridge = b
-	r.solverBids = b.Counter("schedulerd_solver_bids_total", "Bids the auction solver processed across all slots.")
-	r.solverIterations = b.Counter("schedulerd_solver_iterations_total", "Solver bidding iterations across all slots.")
-	r.solverEvictions = b.Counter("schedulerd_solver_evictions_total", "Accepted bids later displaced by higher ones.")
-	r.solverRepairRounds = b.Counter("schedulerd_solver_repair_rounds_total", "CS1-repair reverse-auction rounds of warm solves.")
-	r.solverSweepPasses = b.Counter("schedulerd_solver_sweep_passes_total", "Closing epsilon-CS sweep passes of warm solves.")
-	r.solverColdRestarts = b.Counter("schedulerd_solver_cold_restarts_total", "Warm solves that fell back to a full cold restart.")
-	r.solverSurrenders = b.Counter("schedulerd_solver_reserve_surrenders_total", "Reserve-surrender escalations during closing sweeps.")
-	r.solverDeltaOps = b.Counter("schedulerd_solver_delta_ops_total", "Solver-delta operations applied (request/sink churn, value shifts, capacity sets).")
-	r.solverCarried = b.Gauge("schedulerd_solver_carried_requests", "Requests carried unchanged into the last slot's warm solve.")
-	r.solverEpsilon = b.Gauge("schedulerd_solver_epsilon", "Bid increment epsilon of the configured solver.")
-	r.partitionCutEdges = b.Gauge("schedulerd_partition_cut_edges", "Candidate edges dropped by ISP-affinity refinement in the last slot.")
-	r.partitionMigrations = b.Counter("schedulerd_partition_migrations_total", "Uploader peers observed under a different shard than the slot before.")
-	return r
 }
 
 // observeSolve feeds the solver-telemetry families from one tick's
 // Result.Stats — the slot-boundary flush of the solver's internal counters.
-func (r *registry) observeSolve(stats map[string]float64) {
+func (m *daemonMetrics) observeSolve(stats map[string]float64) {
 	if stats == nil {
 		return
 	}
-	r.solverBids.Add(uint64(stats["bids"]))
-	r.solverIterations.Add(uint64(stats["iterations"]))
-	r.solverEvictions.Add(uint64(stats["evictions"]))
-	r.solverRepairRounds.Add(uint64(stats["repair_rounds"]))
-	r.solverSweepPasses.Add(uint64(stats["sweep_passes"]))
-	r.solverColdRestarts.Add(uint64(stats["cold_restarts"]))
-	r.solverSurrenders.Add(uint64(stats["reserve_surrenders"]))
-	r.solverDeltaOps.Add(uint64(stats["delta_ops"]))
-	r.solverCarried.Set(stats["carried"])
-	r.partitionCutEdges.Set(stats["cut_edges"])
-	r.partitionMigrations.Add(uint64(stats["migrations"]))
-}
-
-// expose renders the full metric set in Prometheus text format: the
-// daemon's own families followed by the obs bridge's solver-telemetry
-// families and the CDN tier's process-wide cache and per-tier byte counters.
-func (r *registry) expose() string {
-	var w strings.Builder
-	for _, m := range r.ordered {
-		fmt.Fprintf(&w, "# HELP %s %s\n# TYPE %s %s\n", m.name(), m.help(), m.name(), m.kind())
-		m.expose(&w)
-	}
-	_ = r.bridge.WritePrometheus(&w) // strings.Builder writes cannot fail
-	_ = cdn.Telemetry.WritePrometheus(&w)
-	return w.String()
+	m.solverBids.Add(uint64(stats["bids"]))
+	m.solverIterations.Add(uint64(stats["iterations"]))
+	m.solverEvictions.Add(uint64(stats["evictions"]))
+	m.solverRepairRounds.Add(uint64(stats["repair_rounds"]))
+	m.solverSweepPasses.Add(uint64(stats["sweep_passes"]))
+	m.solverColdRestarts.Add(uint64(stats["cold_restarts"]))
+	m.solverSurrenders.Add(uint64(stats["reserve_surrenders"]))
+	m.solverDeltaOps.Add(uint64(stats["delta_ops"]))
+	m.solverCarried.Set(stats["carried"])
+	m.partitionCutEdges.Set(stats["cut_edges"])
+	m.partitionMigrations.Add(uint64(stats["migrations"]))
 }
 
 // fillMemStats adds the runtime memory picture to a stats snapshot (the soak

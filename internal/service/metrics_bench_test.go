@@ -1,115 +1,29 @@
 package service
 
-// metrics_bench_test.go: the before/after pin for the metrics hot-path fix.
-// mutexCounter below is the pre-change implementation (per-inc sync.Mutex),
-// kept only as the benchmark baseline; the live counter stores float bits in
-// an atomic word. The *Contended pair shows concurrent HTTP handlers no
-// longer serializing on a shared counter, and the *DuringScrape pair shows
-// a continuous /metrics scrape no longer stalling the handlers that bump
-// what it reads.
-
 import (
-	"sync"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
-// mutexCounter is the retired implementation, verbatim.
-type mutexCounter struct {
-	mu    sync.Mutex
-	value float64
-}
-
-func (c *mutexCounter) inc(v float64) {
-	c.mu.Lock()
-	c.value += v
-	c.mu.Unlock()
-}
-
-func (c *mutexCounter) get() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.value
-}
-
-func BenchmarkCounterMutexContended(b *testing.B) {
-	var c mutexCounter
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.inc(1)
-		}
-	})
-	if c.get() == 0 {
-		b.Fatal("counter unused")
-	}
-}
-
-func BenchmarkCounterAtomicContended(b *testing.B) {
-	c := &counter{nm: "bench_total"}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.inc(1)
-		}
-	})
-	if c.get() == 0 {
-		b.Fatal("counter unused")
-	}
-}
-
-// benchScrapeLoop runs fn continuously until the returned stop func is
-// called — the standing /metrics scraper of the DuringScrape pair.
-func benchScrapeLoop(fn func()) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				fn()
-			}
-		}
-	}()
-	return func() { close(done); <-finished }
-}
-
-func BenchmarkCounterMutexDuringScrape(b *testing.B) {
-	var c mutexCounter
-	stop := benchScrapeLoop(func() { _ = c.get() })
-	defer stop()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.inc(1)
-		}
-	})
-}
-
-func BenchmarkCounterAtomicDuringScrape(b *testing.B) {
-	c := &counter{nm: "bench_total"}
-	stop := benchScrapeLoop(func() { _ = c.get() })
-	defer stop()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.inc(1)
-		}
-	})
-}
-
-// BenchmarkExposeFullRegistry sizes the scrape itself (both native families
-// and the obs bridge).
+// BenchmarkExposeFullRegistry sizes one /metrics scrape through the HTTP
+// handler: every daemon family on the obs registry plus cdn.Telemetry.
 func BenchmarkExposeFullRegistry(b *testing.B) {
-	r := newRegistry()
-	r.ticks.inc(17)
-	r.solveSeconds.observe(0.004)
-	r.solverBids.Add(123)
+	d, err := New(Options{Epsilon: 0.01})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	d.metrics.ticks.Add(17)
+	d.metrics.solveSeconds.Observe(0.004)
+	d.metrics.solverBids.Add(123)
+	h := d.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(r.expose()) == 0 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Body.Len() == 0 {
 			b.Fatal("empty exposition")
 		}
 	}

@@ -189,7 +189,7 @@ type Daemon struct {
 	ispMu sync.RWMutex
 	ispOf map[isp.PeerID]isp.ID
 
-	metrics *registry
+	metrics *daemonMetrics
 
 	// tickSeq counts completed tickLocked calls (including failed solves),
 	// outside d.mu so the debug trace-capture endpoint can watch slot
@@ -240,7 +240,7 @@ func New(opts Options) (*Daemon, error) {
 		killed:   make(chan struct{}),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
-		metrics:  newRegistry(),
+		metrics:  newDaemonMetrics(),
 	}
 	if opts.Sharded {
 		d.ispOf = make(map[isp.PeerID]isp.ID)
@@ -293,7 +293,7 @@ func (d *Daemon) loop() {
 				// A failed solve leaves the books intact for the next tick;
 				// surface it on the error counter rather than crashing the
 				// clock.
-				d.metrics.tickErrors.inc(1)
+				d.metrics.tickErrors.Add(1)
 			}
 		}
 	}
@@ -311,7 +311,7 @@ func (d *Daemon) Join(p isp.PeerID, ispID isp.ID) error {
 	defer d.mu.Unlock()
 	if _, known := d.peers[p]; !known {
 		d.totals.Joins++
-		d.metrics.joins.inc(1)
+		d.metrics.joins.Add(1)
 	}
 	d.peers[p] = peerInfo{ISP: ispID}
 	if d.ispOf != nil {
@@ -319,7 +319,7 @@ func (d *Daemon) Join(p isp.PeerID, ispID isp.ID) error {
 		d.ispOf[p] = ispID
 		d.ispMu.Unlock()
 	}
-	d.metrics.peers.set(float64(len(d.peers)))
+	d.metrics.peers.Set(float64(len(d.peers)))
 	return nil
 }
 
@@ -350,8 +350,8 @@ func (d *Daemon) Leave(p isp.PeerID) error {
 		}
 	}
 	d.totals.Leaves++
-	d.metrics.leaves.inc(1)
-	d.metrics.peers.set(float64(len(d.peers)))
+	d.metrics.leaves.Add(1)
+	d.metrics.peers.Set(float64(len(d.peers)))
 	return nil
 }
 
@@ -364,7 +364,7 @@ var ErrOverloaded = errors.New("service: book full, retry after the next tick")
 // shedLocked records one load-shed refusal and returns ErrOverloaded.
 func (d *Daemon) shedLocked() error {
 	d.totals.ShedRequests++
-	d.metrics.shedRequests.inc(1)
+	d.metrics.shedRequests.Add(1)
 	return ErrOverloaded
 }
 
@@ -447,7 +447,7 @@ func (d *Daemon) Bid(p isp.PeerID, reqs []BidRequest) error {
 		}
 		d.totals.Bids++
 	}
-	d.metrics.bids.inc(float64(len(reqs)))
+	d.metrics.bids.Add(uint64(len(reqs)))
 	return nil
 }
 
@@ -665,24 +665,25 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	}
 
 	m := d.metrics
-	m.ticks.inc(1)
-	m.slot.set(float64(d.slot))
-	m.grantsTotal.inc(float64(tr.Grants))
-	m.rejectsTotal.inc(float64(rejected))
-	m.lastWelfare.set(welfare)
-	m.welfareTotal.inc(welfare)
-	m.shards.set(float64(tr.Shards))
-	m.solveSeconds.observe(solve.Seconds())
+	m.ticks.Add(1)
+	m.slot.Set(float64(d.slot))
+	m.rejectsTotal.Add(uint64(rejected))
+	m.lastWelfare.Set(welfare)
+	m.welfareTotal.Add(welfare)
+	m.shards.Set(float64(tr.Shards))
+	m.solveSeconds.Observe(solve.Seconds())
 	if res != nil {
+		// Like d.totals.Grants: a carried slot issues no new grants.
+		m.grantsTotal.Add(uint64(grantCount))
 		m.observeSolve(res.Stats)
 	}
 	if degraded {
-		m.degradedSlots.inc(1)
+		m.degradedSlots.Add(1)
 	}
 	if usedGreedy {
-		m.greedyTicks.inc(1)
+		m.greedyTicks.Add(1)
 	}
-	m.overrunStreak.set(float64(d.overruns))
+	m.overrunStreak.Set(float64(d.overruns))
 	if tk != nil {
 		tsp.Arg("slot", float64(tr.Slot)).
 			Arg("requests", float64(tr.Requests)).
@@ -697,7 +698,7 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	if d.opts.SnapshotPath != "" && d.opts.SnapshotEvery > 0 &&
 		d.totals.Ticks%int64(d.opts.SnapshotEvery) == 0 {
 		if werr := d.writeSnapshotLocked(d.opts.SnapshotPath); werr != nil {
-			d.metrics.tickErrors.inc(1)
+			d.metrics.tickErrors.Add(1)
 		}
 	}
 	if ka := d.opts.Fault.KillAfterTicks; ka > 0 && d.totals.Ticks >= int64(ka) {
@@ -757,7 +758,7 @@ func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, u
 	// Degraded slot: the warm solver is busy (overran just now, or still
 	// catching up from an earlier overrun).
 	d.overruns++
-	d.metrics.solveOverruns.inc(1)
+	d.metrics.solveOverruns.Add(1)
 	if d.opts.GreedyAfter > 0 && d.overruns >= d.opts.GreedyAfter {
 		res, err = sched.Greedy{}.Schedule(in)
 		return res, true, true, err
@@ -961,7 +962,7 @@ func (d *Daemon) restoreSnapshot(path string) error {
 			d.ispOf[isp.PeerID(p.Peer)] = isp.ID(p.ISP)
 		}
 	}
-	d.metrics.peers.set(float64(len(d.peers)))
-	d.metrics.slot.set(float64(d.slot))
+	d.metrics.peers.Set(float64(len(d.peers)))
+	d.metrics.slot.Set(float64(d.slot))
 	return nil
 }

@@ -352,7 +352,7 @@ func TestMetricsExposition(t *testing.T) {
 	if _, err := d.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	out := d.metrics.expose()
+	out := scrapeMetrics(t, d)
 	for _, want := range []string{
 		"# TYPE schedulerd_ticks_total counter",
 		"schedulerd_ticks_total 1",
@@ -370,25 +370,5 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram("t", "", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 0.5, 1.5, 3, 3, 3, 3, 3, 3, 5} {
-		h.observe(v)
-	}
-	if q := h.quantile(0.5); q != 4 {
-		t.Fatalf("p50 = %v, want 4", q)
-	}
-	if q := h.quantile(0.2); q != 1 {
-		t.Fatalf("p20 = %v, want 1", q)
-	}
-	if q := h.quantile(0.99); !math.IsInf(q, 1) {
-		t.Fatalf("p99 = %v, want +Inf", q)
-	}
-	empty := newHistogram("e", "", []float64{1})
-	if q := empty.quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
 	}
 }
