@@ -563,11 +563,11 @@ func BenchmarkShardShardedLarge8(b *testing.B)        { benchmarkShardSharded(b,
 // are recorded in BENCH_pipeline.json and discussed in
 // docs/PERFORMANCE.md ("The zero-rebuild pipeline headline").
 
-// pipelineScenarioCfg resolves a registered scenario to a sim config and a
-// scheduler factory, optionally shrunk to peers and stretched to slots
-// (steady-state rounds must dominate setup for the pipeline comparison to
-// mean anything — the mega preset ships with 2 slots).
-func pipelineScenarioCfg(b *testing.B, name string, peers, slots int) (sim.Config, func() sched.Scheduler) {
+// pipelineScenarioSpec resolves a registered scenario to a sim config and
+// the spec whose Scheduler builds its solver, optionally shrunk to peers and
+// stretched to slots (steady-state rounds must dominate setup for the
+// pipeline comparison to mean anything — the mega preset ships with 2 slots).
+func pipelineScenarioSpec(b *testing.B, name string, peers, slots int) (sim.Config, scenario.Spec) {
 	b.Helper()
 	spec, ok := scenario.Get(name)
 	if !ok {
@@ -585,31 +585,22 @@ func pipelineScenarioCfg(b *testing.B, name string, peers, slots int) (sim.Confi
 	}
 	cfg := spec.Sim
 	cfg.Seed = 1
-	if spec.Sharding.Enabled {
-		return cfg, func() sched.Scheduler {
-			// Mirror scenario.Spec.scheduler's construction so the benchmark
-			// measures the scheduler the preset actually runs.
-			return &cluster.ShardedAuction{
-				Epsilon:       cfg.Epsilon,
-				Workers:       spec.Sharding.Workers,
-				MaxShardPeers: spec.Sharding.MaxShardPeers,
-				Seed:          cfg.Seed,
-			}
-		}
-	}
-	return cfg, func() sched.Scheduler { return &sched.Auction{Epsilon: cfg.Epsilon} }
+	return cfg, spec
 }
 
 func benchmarkPipeline(b *testing.B, name string, peers, slots int, incremental bool) {
-	cfg, mk := pipelineScenarioCfg(b, name, peers, slots)
+	cfg, spec := pipelineScenarioSpec(b, name, peers, slots)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
+		s, err := spec.Scheduler(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if incremental {
-			_, err = sim.Run(cfg, mk())
+			_, err = sim.Run(cfg, s)
 		} else {
-			_, err = sim.RunRebuild(cfg, mk())
+			_, err = sim.RunRebuild(cfg, s)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -7,21 +7,24 @@
 //	p2psim -list                                    # catalog of registered scenarios
 //	p2psim -scenario quickstart -seed 7             # one run, metric table + chart
 //	p2psim -scenario churn -solver locality         # same world, baseline solver
-//	p2psim -scenario churn -warmstart               # warm-started incremental auction
+//	p2psim -scenario churn -solver auction-warm     # warm-started incremental auction
 //	p2psim -scenario mega-swarm                     # 100k peers, sharded orchestrator
-//	p2psim -scenario churn -shards -shard-workers 4 # shard any sim scenario
+//	p2psim -scenario churn -solver auction-sharded -set shard-workers=4
 //	p2psim -scenario quickstart -trace out.json     # Perfetto span capture of one run
 //	p2psim -scenario vodstreaming -seeds 10 -workers 4 -csv out.csv
 //	p2psim -scenario vodstreaming -seeds 5 -sweep "neighbors=5,15,30" -json out.json
 //	p2psim -scenario churn -seeds 5 -sweep "warmstart=0,1" -csv warm.csv
 //	p2psim -scenario mega-swarm -seeds 3 -sweep "shard-workers=1,2,4,8" -csv scale.csv
 //
+// -set overrides any sweep parameter (scenario.ApplyParam) with one value,
+// for a single run or a whole batch: -set "locality=0.5;transit-cost=2".
+//
 // Inter-ISP economics (see internal/economics):
 //
 //	p2psim -scenario locality-sweep -isp-report       # settlement table + Pareto series
 //	p2psim -scenario isp-peering -isp-report          # peering pairs settle at zero
-//	p2psim -scenario churn -locality 0.9              # ISP-biased neighbor selection
-//	p2psim -scenario churn -cross-cap 5               # hard cross-ISP neighbor cap
+//	p2psim -scenario churn -set locality=0.9          # ISP-biased neighbor selection
+//	p2psim -scenario churn -set cross-cap=5           # hard cross-ISP neighbor cap
 //	p2psim -scenario vodstreaming -cost-model tiered  # volume-discount transit pricing
 //	p2psim -scenario locality-sweep -seeds 5 -sweep "locality=0,0.5,0.9" -csv loc.csv
 //
@@ -29,9 +32,9 @@
 //
 //	p2psim -scenario free-rider-sweep                 # preset: 30% free-riders
 //	p2psim -scenario clique-attack                    # preset: 8-peer colluding clique
-//	p2psim -scenario churn -free-rider-frac 0.4       # any sim scenario, perturbed
-//	p2psim -scenario churn -shade-factor 0.5          # everyone understates its bids
-//	p2psim -scenario churn -throttle-cap 0.1          # ISP 0 shapes cross-ISP egress
+//	p2psim -scenario churn -set free-rider-frac=0.4   # any sim scenario, perturbed
+//	p2psim -scenario churn -set shade-factor=0.5      # everyone understates its bids
+//	p2psim -scenario churn -set throttle-cap=0.1      # ISP 0 shapes cross-ISP egress
 //	p2psim -scenario free-rider-sweep -seeds 5 -sweep "free-rider-frac=0,0.2,0.4" -csv fr.csv
 //
 // Misbehaving runs also execute the honest control at the same seed and print
@@ -113,82 +116,83 @@ func withProfiles(cpuPath, memPath string, fn func() error) error {
 	return nil
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("p2psim", flag.ContinueOnError)
-	var (
-		expID    = fs.String("exp", "", "experiment id (fig2..fig6, abl-eps, abl-neighbors, abl-seeds, engines, robust-loss, strategic, isp-matrix) or 'all'")
-		scaleStr = fs.String("scale", "small", "experiment scale: small, medium, full")
-		csvPath  = fs.String("csv", "", "write series (experiments/single run) or batch summaries to this CSV file")
-		noChart  = fs.Bool("nochart", false, "suppress ASCII charts")
-		width    = fs.Int("width", 72, "chart width")
-		height   = fs.Int("height", 14, "chart height")
+// options holds every p2psim flag.
+type options struct {
+	exp, scale             string
+	list                   bool
+	name, solver           string
+	costModel, set         string
+	ispReport              bool
+	seed                   uint64
+	seeds, workers         int
+	sweep                  string
+	jsonPath, csvPath      string
+	tracePath              string
+	cpuProfile, memProfile string
+	noChart                bool
+	width, height          int
+}
 
-		list         = fs.Bool("list", false, "list registered scenarios and exit")
-		scenName     = fs.String("scenario", "", "run the named scenario (see -list)")
-		solver       = fs.String("solver", "", "override the scenario's solver (auction, auction-jacobi, exact, locality, random)")
-		warmStart    = fs.Bool("warmstart", false, "schedule slots with the warm-started incremental auction (requires the auction solver); sweep it with -sweep \"warmstart=0,1\"")
-		shards       = fs.Bool("shards", false, "schedule slots with the sharded swarm orchestrator: partitioned per-swarm warm auctions solved concurrently (requires the auction solver)")
-		shardWorkers = fs.Int("shard-workers", 0, "concurrent shard solves for -shards (0 = sequential; also a sweep parameter)")
-		shardMax     = fs.Int("shard-max", 0, "ISP-affinity refinement threshold for -shards: split components bigger than this many peers (0 = never)")
-		locality     = fs.Float64("locality", -1, "ISP-biased neighbor selection with this same-ISP probability in [0,1] (0 = uniform; unset keeps the scenario's policy; also a sweep parameter)")
-		crossCap     = fs.Int("cross-cap", -1, "hard cap on cross-ISP neighbors per peer, à la Le Blond et al. (unset keeps the scenario's policy; also a sweep parameter)")
-		costModel    = fs.String("cost-model", "", "transit settlement model: flat, tiered or peering (unset keeps the scenario's model)")
-		transitCost  = fs.Float64("transit-cost", 0, "flat transit rate in $/GB (0 keeps the scenario's rate; also a sweep parameter)")
-		freeRider    = fs.Float64("free-rider-frac", -1, "fraction of watchers that free-ride (upload nothing) in [0,1] (unset keeps the scenario's behavior; also a sweep parameter)")
-		shadeFactor  = fs.Float64("shade-factor", -1, "bid-shading multiplier on reported values in [0,1]; 1 is truthful (unset keeps the scenario's behavior; also a sweep parameter)")
-		cliqueSize   = fs.Int("clique-size", -1, "size of the colluding clique that overbids and starves outsiders (unset keeps the scenario's behavior; also a sweep parameter)")
-		throttleCap  = fs.Float64("throttle-cap", -1, "cross-ISP egress admission probability for throttling ISPs in [0,1] (ISP set defaults to {0}; unset keeps the scenario's behavior; also a sweep parameter)")
-		ispReport    = fs.Bool("isp-report", false, "print the inter-ISP economics report: per-ISP settlement table, ISP×ISP traffic matrix, and the welfare-vs-transit Pareto series against the baseline schedulers (single sim runs only)")
-		seed         = fs.Uint64("seed", 1, "base seed for scenario runs")
-		seeds        = fs.Int("seeds", 1, "number of consecutive seeds (>1 switches to the batch runner)")
-		workers      = fs.Int("workers", 1, "batch worker pool size")
-		sweep        = fs.String("sweep", "", `parameter grid, e.g. "neighbors=5,15,30" or "peers=40,80;epsilon=0.01,0.1"`)
-		jsonPath     = fs.String("json", "", "write the scenario run / batch result as JSON to this file")
-		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile   = fs.String("memprofile", "", "write a pprof heap profile (post-GC, live objects) to this file at exit")
-		tracePath    = fs.String("trace", "", "write a Chrome trace-event JSON capture of a single scenario run to this file (open in Perfetto or chrome://tracing)")
-	)
-	if err := fs.Parse(args); err != nil {
+// newFlagSet declares p2psim's flags, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("p2psim", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "", "experiment id (fig2..fig6, abl-eps, abl-neighbors, abl-seeds, engines, robust-loss, strategic, isp-matrix) or 'all'")
+	fs.StringVar(&o.scale, "scale", "small", "experiment scale: small, medium, full")
+	fs.StringVar(&o.csvPath, "csv", "", "write series (experiments/single run) or batch summaries to this CSV file")
+	fs.BoolVar(&o.noChart, "nochart", false, "suppress ASCII charts")
+	fs.IntVar(&o.width, "width", 72, "chart width")
+	fs.IntVar(&o.height, "height", 14, "chart height")
+
+	fs.BoolVar(&o.list, "list", false, "list registered scenarios and exit")
+	fs.StringVar(&o.name, "scenario", "", "run the named scenario (see -list)")
+	fs.StringVar(&o.solver, "solver", "", fmt.Sprintf("override the scenario's solver, one of %v", scenario.Solvers()))
+	fs.StringVar(&o.costModel, "cost-model", "", "transit settlement model: flat, tiered or peering (unset keeps the scenario's model)")
+	fs.StringVar(&o.set, "set", "", `override sweep parameters with one value each, e.g. "locality=0.5;transit-cost=2" or "shard-workers=4"`)
+	fs.BoolVar(&o.ispReport, "isp-report", false, "print the inter-ISP economics report: per-ISP settlement table, ISP×ISP traffic matrix, and the welfare-vs-transit Pareto series against the baseline schedulers (single sim runs only)")
+	fs.Uint64Var(&o.seed, "seed", 1, "base seed for scenario runs")
+	fs.IntVar(&o.seeds, "seeds", 1, "number of consecutive seeds (>1 switches to the batch runner)")
+	fs.IntVar(&o.workers, "workers", 1, "batch worker pool size")
+	fs.StringVar(&o.sweep, "sweep", "", `parameter grid, e.g. "neighbors=5,15,30" or "peers=40,80;epsilon=0.01,0.1"`)
+	fs.StringVar(&o.jsonPath, "json", "", "write the scenario run / batch result as JSON to this file")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile (post-GC, live objects) to this file at exit")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON capture of a single scenario run to this file (open in Perfetto or chrome://tracing)")
+	return fs
+}
+
+func run(args []string) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
 		return err
 	}
-	if (*cpuProfile != "" || *memProfile != "") && !profilingActive {
+	if (o.cpuProfile != "" || o.memProfile != "") && !profilingActive {
 		profilingActive = true
-		return withProfiles(*cpuProfile, *memProfile, func() error { return run(args) })
+		return withProfiles(o.cpuProfile, o.memProfile, func() error { return run(args) })
 	}
-	if (*list || *scenName != "") && *expID != "" {
+	if (o.list || o.name != "") && o.exp != "" {
 		return fmt.Errorf("-exp cannot be combined with -list/-scenario")
 	}
-	if *tracePath != "" && *scenName == "" {
+	if o.tracePath != "" && o.name == "" {
 		return fmt.Errorf("-trace requires -scenario (experiments run many interleaved simulations)")
 	}
-	if *list {
+	if o.list {
 		return listScenarios(os.Stdout)
 	}
-	if *scenName != "" {
-		return runScenario(scenarioOpts{
-			name: *scenName, solver: *solver, warmStart: *warmStart,
-			shards: *shards, shardWorkers: *shardWorkers, shardMax: *shardMax,
-			locality: *locality, crossCap: *crossCap,
-			costModel: *costModel, transitCost: *transitCost, ispReport: *ispReport,
-			freeRiderFrac: *freeRider, shadeFactor: *shadeFactor,
-			cliqueSize: *cliqueSize, throttleCap: *throttleCap,
-			seed: *seed, seeds: *seeds, workers: *workers, sweep: *sweep,
-			jsonPath: *jsonPath, csvPath: *csvPath, tracePath: *tracePath,
-			noChart: *noChart, width: *width, height: *height,
-		})
+	if o.name != "" {
+		return runScenario(o)
 	}
-	if *expID == "" {
-		*expID = "all"
+	if o.exp == "" {
+		o.exp = "all"
 	}
-	scale, err := parseScale(*scaleStr)
+	scale, err := parseScale(o.scale)
 	if err != nil {
 		return err
 	}
-	ids, err := selectExperiments(*expID)
+	ids, err := selectExperiments(o.exp)
 	if err != nil {
 		return err
 	}
-	if *csvPath != "" && len(ids) > 1 {
+	if o.csvPath != "" && len(ids) > 1 {
 		return fmt.Errorf("-csv requires a single experiment, got %d", len(ids))
 	}
 	for _, id := range ids {
@@ -196,14 +200,14 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", id, err)
 		}
-		if err := render(rep, *noChart, *width, *height); err != nil {
+		if err := render(rep, o.noChart, o.width, o.height); err != nil {
 			return err
 		}
-		if *csvPath != "" {
-			if err := writeCSV(*csvPath, rep); err != nil {
+		if o.csvPath != "" {
+			if err := writeCSV(o.csvPath, rep); err != nil {
 				return err
 			}
-			fmt.Printf("series written to %s\n", *csvPath)
+			fmt.Printf("series written to %s\n", o.csvPath)
 		}
 	}
 	return nil
@@ -304,44 +308,21 @@ func listScenarios(w *os.File) error {
 		if len(s.Workload) > loadW {
 			loadW = len(s.Workload)
 		}
-		if len(s.SolverName()) > solverW {
-			solverW = len(s.SolverName())
+		if len(s.Solver) > solverW {
+			solverW = len(s.Solver)
 		}
 	}
 	fmt.Fprintf(w, "  %-*s  %-*s  %-*s  %-*s  %s\n", nameW, "name", kindW, "kind", loadW, "workload", solverW, "solver", "summary")
 	for _, s := range specs {
 		fmt.Fprintf(w, "  %-*s  %-*s  %-*s  %-*s  %s\n",
-			nameW, s.Name, kindW, s.Kind.String(), loadW, s.Workload, solverW, s.SolverName(), s.Summary)
+			nameW, s.Name, kindW, s.Kind.String(), loadW, s.Workload, solverW, s.Solver, s.Summary)
 	}
-	fmt.Fprintln(w, "\nrun one with: p2psim -scenario <name> [-seed S] [-seeds N -workers K] [-sweep \"param=v1,v2\"]")
+	fmt.Fprintln(w, "\nrun one with: p2psim -scenario <name> [-seed S] [-set \"key=v\"] [-seeds N -workers K] [-sweep \"param=v1,v2\"]")
 	return nil
 }
 
-type scenarioOpts struct {
-	name, solver           string
-	warmStart              bool
-	shards                 bool
-	shardWorkers, shardMax int
-	locality               float64
-	crossCap               int
-	costModel              string
-	transitCost            float64
-	freeRiderFrac          float64
-	shadeFactor            float64
-	cliqueSize             int
-	throttleCap            float64
-	ispReport              bool
-	seed                   uint64
-	seeds, workers         int
-	sweep                  string
-	jsonPath, csvPath      string
-	tracePath              string
-	noChart                bool
-	width, height          int
-}
-
 // runScenario executes a single run or a batch, per the flags.
-func runScenario(o scenarioOpts) error {
+func runScenario(o options) error {
 	spec, ok := scenario.Get(o.name)
 	if !ok {
 		return fmt.Errorf("unknown scenario %q (have: %s)", o.name, strings.Join(scenario.Names(), ", "))
@@ -349,58 +330,18 @@ func runScenario(o scenarioOpts) error {
 	if o.solver != "" {
 		spec = spec.WithSolver(scenario.Solver(o.solver))
 	}
-	if o.warmStart {
-		spec.WarmStart = true
-	}
-	if o.shards {
-		spec.Sharding.Enabled = true
-	}
-	if o.shardWorkers > 0 {
-		spec.Sharding.Workers = o.shardWorkers
-	}
-	if o.shardMax > 0 {
-		spec.Sharding.MaxShardPeers = o.shardMax
-	}
-	if o.locality >= 0 && o.crossCap >= 0 {
-		return fmt.Errorf("-locality and -cross-cap are mutually exclusive neighbor policies")
-	}
-	if o.locality >= 0 {
-		if err := scenario.ApplyParam(&spec, "locality", o.locality); err != nil {
-			return err
-		}
-	}
-	if o.crossCap >= 0 {
-		if err := scenario.ApplyParam(&spec, "cross-cap", float64(o.crossCap)); err != nil {
-			return err
-		}
-	}
 	if o.costModel != "" {
 		spec.Transit.Kind = o.costModel
 		if o.costModel == "flat" {
 			spec.Transit.Tiers = nil // a flat override drops any preset schedule
 		}
 	}
-	if o.transitCost > 0 {
-		if err := scenario.ApplyParam(&spec, "transit-cost", o.transitCost); err != nil {
-			return err
-		}
+	sets, err := parseSet(o.set)
+	if err != nil {
+		return err
 	}
-	// Behavior knobs route through the sweep vocabulary so flag and -sweep
-	// runs build identical specs (negative = flag unset).
-	for _, knob := range []struct {
-		key string
-		v   float64
-		set bool
-	}{
-		{"free-rider-frac", o.freeRiderFrac, o.freeRiderFrac >= 0},
-		{"shade-factor", o.shadeFactor, o.shadeFactor >= 0},
-		{"clique-size", float64(o.cliqueSize), o.cliqueSize >= 0},
-		{"throttle-cap", o.throttleCap, o.throttleCap >= 0},
-	} {
-		if !knob.set {
-			continue
-		}
-		if err := scenario.ApplyParam(&spec, knob.key, knob.v); err != nil {
+	for _, g := range sets {
+		if err := scenario.ApplyParam(&spec, g.Param, g.Values[0]); err != nil {
 			return err
 		}
 	}
@@ -410,6 +351,13 @@ func runScenario(o scenarioOpts) error {
 	grids, err := parseSweep(o.sweep)
 	if err != nil {
 		return err
+	}
+	for _, g := range grids {
+		for _, set := range sets {
+			if g.Param == set.Param {
+				return fmt.Errorf("-set and -sweep both give %q", g.Param)
+			}
+		}
 	}
 	if o.ispReport && (o.seeds > 1 || len(grids) > 0) {
 		return fmt.Errorf("-isp-report applies to single runs; use -sweep \"locality=...\" for grids")
@@ -522,8 +470,6 @@ func printISPReport(spec scenario.Spec, res *scenario.Result, seed uint64) error
 	points := []economics.Point{res.ParetoPoint(res.Solver)}
 	baseline := func(label string, mutate func(*scenario.Spec)) error {
 		alt := spec
-		alt.WarmStart = false
-		alt.Sharding = scenario.Sharding{}
 		mutate(&alt)
 		r, err := alt.Run(seed)
 		if err != nil {
@@ -556,7 +502,7 @@ func printISPReport(spec scenario.Spec, res *scenario.Result, seed uint64) error
 }
 
 // runScenarioBatch fans the spec over seeds × grid and reports aggregates.
-func runScenarioBatch(spec scenario.Spec, o scenarioOpts, grids []scenario.Grid) error {
+func runScenarioBatch(spec scenario.Spec, o options, grids []scenario.Grid) error {
 	batch := scenario.Batch{
 		Spec:    spec,
 		Seeds:   scenario.Seeds(o.seed, o.seeds),
@@ -611,6 +557,28 @@ func parseSweep(s string) ([]scenario.Grid, error) {
 		grids = append(grids, g)
 	}
 	return grids, nil
+}
+
+// parseSet parses -set's "p1=v1;p2=v2" into single-valued overrides.
+func parseSet(s string) ([]scenario.Grid, error) {
+	sets, err := parseSweep(s)
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(sets))
+	for _, g := range sets {
+		if len(g.Values) != 1 {
+			return nil, fmt.Errorf("-set %s: want exactly one value, got %d", g.Param, len(g.Values))
+		}
+		if seen[g.Param] {
+			return nil, fmt.Errorf("-set gives %q twice", g.Param)
+		}
+		seen[g.Param] = true
+	}
+	if seen["locality"] && seen["cross-cap"] {
+		return nil, fmt.Errorf("-set locality and cross-cap are mutually exclusive neighbor policies")
+	}
+	return sets, nil
 }
 
 // writeFile creates path, runs emit, and closes it, reporting write errors.

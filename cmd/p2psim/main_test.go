@@ -150,13 +150,13 @@ func TestRunScenarioISPReport(t *testing.T) {
 	if err := run([]string{"-scenario", "locality-sweep", "-isp-report", "-nochart"}); err != nil {
 		t.Fatal(err)
 	}
-	// Economics flags reshape the spec.
-	if err := run([]string{"-scenario", "quickstart", "-locality", "0.5",
+	// Economics overrides reshape the spec.
+	if err := run([]string{"-scenario", "quickstart", "-set", "locality=0.5",
 		"-cost-model", "tiered", "-nochart"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-scenario", "quickstart", "-cross-cap", "3",
-		"-transit-cost", "2", "-nochart"}); err != nil {
+	if err := run([]string{"-scenario", "quickstart", "-set", "cross-cap=3;transit-cost=2",
+		"-nochart"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,18 +168,61 @@ func TestISPReportFlagValidation(t *testing.T) {
 	if err := run([]string{"-scenario", "locality-sweep", "-isp-report", "-seeds", "2"}); err == nil {
 		t.Error("-isp-report with a batch should error")
 	}
-	if err := run([]string{"-scenario", "churn", "-locality", "0.5", "-cross-cap", "3"}); err == nil {
-		t.Error("-locality with -cross-cap should error")
+	if err := run([]string{"-scenario", "churn", "-set", "locality=0.5;cross-cap=3"}); err == nil {
+		t.Error("locality with cross-cap should error")
 	}
-	if err := run([]string{"-scenario", "churn", "-locality", "1.5", "-nochart"}); err == nil {
-		t.Error("out-of-range -locality should error")
+	if err := run([]string{"-scenario", "churn", "-set", "locality=1.5", "-nochart"}); err == nil {
+		t.Error("out-of-range locality should error")
 	}
 	if err := run([]string{"-scenario", "churn", "-cost-model", "bogus", "-nochart"}); err == nil {
 		t.Error("unknown -cost-model should error")
 	}
 	if err := run([]string{"-scenario", "churn", "-cost-model", "tiered",
-		"-transit-cost", "2", "-nochart"}); err == nil {
-		t.Error("-transit-cost with a tier schedule should error, not no-op")
+		"-set", "transit-cost=2", "-nochart"}); err == nil {
+		t.Error("transit-cost with a tier schedule should error, not no-op")
+	}
+}
+
+func TestParseSet(t *testing.T) {
+	sets, err := parseSet("locality=0.5; transit-cost=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sets) != 2 || sets[0].Param != "locality" || sets[1].Values[0] != 2 {
+		t.Fatalf("sets = %+v", sets)
+	}
+	for in, why := range map[string]string{
+		"locality=0.5,0.9":          "a grid is -sweep's job",
+		"locality=0.5;locality=0.9": "a key given twice",
+		"locality=0.5;cross-cap=3":  "two neighbor policies",
+		"locality":                  "a missing value",
+	} {
+		if _, err := parseSet(in); err == nil {
+			t.Errorf("parseSet(%q) should reject %s", in, why)
+		}
+	}
+	if sets, err := parseSet(""); err != nil || sets != nil {
+		t.Errorf("empty -set: %v, %v", sets, err)
+	}
+}
+
+func TestRunScenarioSetOverrides(t *testing.T) {
+	if err := run([]string{"-scenario", "assignment", "-set", "requests=40",
+		"-sweep", "requests=40,80"}); err == nil {
+		t.Error("a key in both -set and -sweep should error")
+	}
+	if err := run([]string{"-scenario", "assignment", "-set", "requests=40.5"}); err == nil {
+		t.Error("a fractional integer override should error")
+	}
+	if err := run([]string{"-scenario", "assignment", "-sweep", "requests=40.5,40"}); err == nil {
+		t.Error("a fractional integer sweep should error")
+	}
+	if err := run([]string{"-scenario", "assignment", "-solver", "auction-warm"}); err == nil {
+		t.Error("the warm auction on transport instances should error")
+	}
+	if err := run([]string{"-scenario", "quickstart", "-solver", "locality",
+		"-set", "sharding=1"}); err == nil {
+		t.Error("sharding a price-free baseline should error")
 	}
 }
 

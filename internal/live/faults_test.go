@@ -9,20 +9,6 @@ import (
 	"repro/internal/video"
 )
 
-// waitJoined polls until n peers finished the Join handshake; bidding before
-// that can lose the first envelope to the registration race rather than to
-// the injector.
-func waitJoined(t *testing.T, hub *Hub, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for hub.Peers() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d peers joined", hub.Peers(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestDelayedLinksStillConverge: with every forwarded envelope delayed, the
 // live auction reaches the same outcome as on a clean network — delays are
 // in-order per source, so the protocol just converges slower.
@@ -55,7 +41,6 @@ func TestDelayedLinksStillConverge(t *testing.T) {
 		buyers[i] = p
 	}
 
-	waitJoined(t, hub, 3)
 	chunk := video.ChunkID{Video: 0, Index: 7}
 	for i, b := range buyers {
 		err := b.Bid([]auction.Request{{
@@ -105,7 +90,6 @@ func TestDroppedLinksDoNotWedgeHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	buyer.SetNeighbors([]int32{1})
-	waitJoined(t, hub, 2)
 
 	err = buyer.Bid([]auction.Request{{
 		Chunk: video.ChunkID{Index: 1}, Value: 5,

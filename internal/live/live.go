@@ -63,6 +63,8 @@ func readEnvelope(r io.Reader) (from, to int32, msg protocol.Message, err error)
 
 // Hub is a message router: peers connect over TCP, announce themselves with
 // a Join frame, and send envelopes the hub forwards to their destination.
+// The hub answers each Join with a Join of its own once the peer is
+// registered, so a peer whose Dial returned can be sent to at once.
 type Hub struct {
 	ln net.Listener
 
@@ -102,15 +104,6 @@ func NewHub() (*Hub, error) {
 // Addr returns the hub's dial address.
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
 
-// Peers returns how many peers have completed their Join handshake. Dial
-// returns before the hub's serve goroutine registers the peer, so tests (and
-// drills) that must not lose the first message poll this before sending.
-func (h *Hub) Peers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.conns)
-}
-
 // SetLinkFaults installs (or, with nil, removes) a fault injector whose link
 // stream decides each forwarded envelope's fate — dropped, delayed, or clean.
 // Join and Leave frames are never dropped; only peer-to-peer protocol
@@ -144,8 +137,8 @@ func (h *Hub) acceptLoop() {
 	}
 }
 
-// serve handles one peer connection: first frame must be Join; subsequent
-// envelopes are routed.
+// serve handles one peer connection: first frame must be Join, acknowledged
+// once the peer is routable; subsequent envelopes are routed.
 func (h *Hub) serve(conn net.Conn) {
 	defer h.wg.Done()
 	defer func() {
@@ -167,6 +160,10 @@ func (h *Hub) serve(conn net.Conn) {
 		_ = old.Close()
 	}
 	h.conns[from] = conn
+	// Ack under the lock: a forwarder can only look the conn up after the
+	// unlock, so the ack is the first frame the peer reads. It is a few
+	// bytes on a fresh connection, so the write fits the socket buffer.
+	err = writeEnvelope(conn, 0, from, protocol.Join{Peer: from})
 	h.mu.Unlock()
 
 	defer func() {
@@ -176,6 +173,9 @@ func (h *Hub) serve(conn net.Conn) {
 		}
 		h.mu.Unlock()
 	}()
+	if err != nil {
+		return
+	}
 	for {
 		src, dst, m, err := readEnvelope(conn)
 		if err != nil {
@@ -246,7 +246,11 @@ type Peer struct {
 	done chan struct{}
 }
 
-// Dial connects a peer to the hub and starts its reader.
+// joinTimeout bounds how long Dial waits for the hub's Join ack.
+const joinTimeout = 5 * time.Second
+
+// Dial connects a peer to the hub, waits until the hub has registered it (so
+// its first bid, and every reply to it, is routable), and starts its reader.
 func Dial(addr string, id int32, epsilon float64, capacity int) (*Peer, error) {
 	bidder, err := auction.NewBidder(epsilon)
 	if err != nil {
@@ -267,12 +271,30 @@ func Dial(addr string, id int32, epsilon float64, capacity int) (*Peer, error) {
 		alloc:  alloc,
 		done:   make(chan struct{}),
 	}
-	if err := writeEnvelope(conn, id, 0, protocol.Join{Peer: id}); err != nil {
+	if err := join(conn, id); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
 	go p.readLoop()
 	return p, nil
+}
+
+// join announces id to the hub and waits up to joinTimeout for its ack.
+func join(conn net.Conn, id int32) error {
+	if err := writeEnvelope(conn, id, 0, protocol.Join{Peer: id}); err != nil {
+		return err
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(joinTimeout)); err != nil {
+		return err
+	}
+	_, _, msg, err := readEnvelope(conn)
+	if err != nil {
+		return fmt.Errorf("live: peer %d join: %w", id, err)
+	}
+	if ack, ok := msg.(protocol.Join); !ok || ack.Peer != id {
+		return fmt.Errorf("live: peer %d join: hub answered %T, want its Join ack", id, msg)
+	}
+	return conn.SetReadDeadline(time.Time{})
 }
 
 // SetNeighbors installs the broadcast fan-out list.

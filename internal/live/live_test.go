@@ -249,3 +249,54 @@ func TestHubDoubleCloseSafe(t *testing.T) {
 		t.Fatal("second close should be a no-op")
 	}
 }
+
+// TestDialWaitsForJoinAck: Dial returns only once the hub has acknowledged
+// the Join, and fails when the other end hangs up or answers with anything
+// but the ack.
+func TestDialWaitsForJoinAck(t *testing.T) {
+	for name, answer := range map[string]func(net.Conn){
+		"hang-up":  func(net.Conn) {},
+		"wrong-id": func(c net.Conn) { _ = writeEnvelope(c, 0, 8, protocol.Join{Peer: 8}) },
+		"not-join": func(c net.Conn) { _ = writeEnvelope(c, 0, 7, protocol.Leave{Peer: 7}) },
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if _, _, _, err := readEnvelope(c); err == nil {
+				answer(c)
+			}
+		}()
+		if p, err := Dial(ln.Addr().String(), 7, 0.01, 0); err == nil {
+			_ = p.Close()
+			t.Errorf("%s: Dial succeeded without the hub's Join ack", name)
+		}
+		_ = ln.Close()
+	}
+
+	// Against a real hub, a peer is routable the moment Dial returns.
+	hub, err := NewHub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	for id := int32(1); id <= 3; id++ {
+		p, err := Dial(hub.Addr(), id, 0.01, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		hub.mu.Lock()
+		_, registered := hub.conns[id]
+		hub.mu.Unlock()
+		if !registered {
+			t.Fatalf("peer %d: Dial returned before the hub registered it", id)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -17,13 +18,29 @@ type Grid struct {
 	Values []float64
 }
 
+// intParams are the ApplyParam keys that count something: a fractional value
+// would be truncated, so the run would not be the point it is labelled as.
+var intParams = map[string]bool{
+	"peers": true, "slots": true, "neighbors": true,
+	"seeds-per-video": true, "videos": true, "window": true,
+	"requests": true, "sinks": true,
+	"shard-workers": true, "shard-max": true,
+	"cross-cap": true, "clique-size": true,
+	"edge-capacity": true, "edge-cache": true, "origin-capacity": true,
+	"rejoin-after": true,
+}
+
 // ApplyParam mutates the spec by one named parameter — the vocabulary of
-// batch sweeps. Keys: peers, slots, neighbors, epsilon, arrival, early-leave,
-// cost-scale, seeds-per-video, videos, window, requests, sinks, warmstart,
-// sharding, shard-workers, shard-max, locality, cross-cap, transit-cost,
-// free-rider-frac, shade-factor, clique-size, throttle-cap, edge-capacity,
-// edge-cache, origin-capacity, cdn-only, crash-prob, rejoin-after.
+// batch sweeps and of p2psim's -set. Keys: peers, slots, neighbors, epsilon,
+// arrival, early-leave, cost-scale, seeds-per-video, videos, window,
+// requests, sinks, warmstart, sharding, shard-workers, shard-max, locality,
+// cross-cap, transit-cost, free-rider-frac, shade-factor, clique-size,
+// throttle-cap, edge-capacity, edge-cache, origin-capacity, cdn-only,
+// crash-prob, rejoin-after. Integer keys reject fractional values.
 func ApplyParam(s *Spec, key string, v float64) error {
+	if intParams[key] && (v != math.Trunc(v) || math.IsInf(v, 0)) {
+		return fmt.Errorf("scenario: %s=%v must be an integer", key, v)
+	}
 	switch key {
 	case "free-rider-frac":
 		// Fraction of non-seed peers that upload nothing after joining.
@@ -55,7 +72,7 @@ func ApplyParam(s *Spec, key string, v float64) error {
 		}
 		s.Behavior.Throttle.Cap = v
 	case "warmstart":
-		s.WarmStart = v != 0
+		return toggleVariant(s, SolverAuctionWarm, v != 0)
 	case "locality":
 		// ISP-biased neighbor selection with bias probability v; 0 restores
 		// the uniform (ISP-blind) policy.
@@ -93,7 +110,7 @@ func ApplyParam(s *Spec, key string, v float64) error {
 			s.Transit.Kind = "flat"
 		}
 	case "sharding":
-		s.Sharding.Enabled = v != 0
+		return toggleVariant(s, SolverAuctionSharded, v != 0)
 	case "shard-workers":
 		s.Sharding.Workers = int(v)
 	case "shard-max":
@@ -166,6 +183,28 @@ func ApplyParam(s *Spec, key string, v float64) error {
 			"shard-max, locality, cross-cap, transit-cost, free-rider-frac, "+
 			"shade-factor, clique-size, throttle-cap, edge-capacity, edge-cache, "+
 			"origin-capacity, cdn-only, crash-prob or rejoin-after)", key)
+	}
+	return nil
+}
+
+// toggleVariant maps the warmstart and sharding sweep keys onto the solver
+// name: on turns SolverAuction into the variant, off turns the variant back
+// into SolverAuction. Turning a variant on from any other solver is an error;
+// turning it off leaves other solvers alone.
+func toggleVariant(s *Spec, variant Solver, on bool) error {
+	switch {
+	case s.Solver == variant:
+		if !on {
+			s.Solver = SolverAuction
+		}
+	case !on:
+	case s.Solver == SolverAuction:
+		s.Solver = variant
+	case s.Solver == SolverAuctionWarm || s.Solver == SolverAuctionSharded:
+		return fmt.Errorf("scenario: cannot turn %q into %q: sharding already warm-starts per shard",
+			s.Solver, variant)
+	default:
+		return fmt.Errorf("scenario: %q requires the %q solver, got %q", variant, SolverAuction, s.Solver)
 	}
 	return nil
 }
@@ -358,7 +397,7 @@ func (b Batch) Run() (*BatchResult, error) {
 	out := &BatchResult{
 		Scenario: b.Spec.Name,
 		Workload: b.Spec.Workload,
-		Solver:   b.Spec.SolverName(),
+		Solver:   string(b.Spec.Solver),
 		Seeds:    seeds,
 		Records:  records,
 	}

@@ -51,6 +51,37 @@ func TestApplyParamUnknownKey(t *testing.T) {
 	}
 }
 
+// TestApplyParamRejectsFractionalIntegers: an integer key given 40.5 would
+// run 40 and be labelled 40.5, so every integer key refuses a fraction (and
+// an infinity) while still accepting whole values.
+func TestApplyParamRejectsFractionalIntegers(t *testing.T) {
+	for _, key := range []string{
+		"peers", "slots", "neighbors",
+		"seeds-per-video", "videos", "window",
+		"requests", "sinks",
+		"shard-workers", "shard-max",
+		"cross-cap", "clique-size",
+		"edge-capacity", "edge-cache", "origin-capacity",
+		"rejoin-after",
+	} {
+		for _, v := range []float64{40.5, 0.25, math.Inf(1)} {
+			spec := mustGet(t, "cdn-assist")
+			if err := ApplyParam(&spec, key, v); err == nil {
+				t.Errorf("ApplyParam(%s, %v) accepted a non-integral value", key, v)
+			}
+		}
+		spec := mustGet(t, "cdn-assist")
+		if err := ApplyParam(&spec, key, 4); err != nil {
+			t.Errorf("ApplyParam(%s, 4): %v", key, err)
+		}
+	}
+	// Real-valued keys keep their fractions.
+	spec := mustGet(t, "cdn-assist")
+	if err := ApplyParam(&spec, "epsilon", 0.25); err != nil {
+		t.Errorf("ApplyParam(epsilon, 0.25): %v", err)
+	}
+}
+
 // batchSpec is a fast spec for batch tests.
 func batchSpec(t *testing.T) Spec {
 	t.Helper()

@@ -76,15 +76,14 @@ func init() {
 	// partial assignments carry across slots, so each slot re-converges from
 	// the previous market instead of from λ = 0. Welfare matches the cold
 	// auction (golden-tested in warm_test.go); docs/PERFORMANCE.md records
-	// the speedup. Sweep `warmstart=0,1` on any sim scenario to compare.
+	// the speedup. Sweep `warmstart=0,1` on any auction sim scenario to compare.
 	MustRegister(Spec{
-		Name:      "churn-warm",
-		Summary:   "the churn workload under the warm-started incremental auction",
-		Workload:  "churn",
-		Kind:      KindSim,
-		Solver:    SolverAuction,
-		WarmStart: true,
-		Sim:       churn,
+		Name:     "churn-warm",
+		Summary:  "the churn workload under the warm-started incremental auction",
+		Workload: "churn",
+		Kind:     KindSim,
+		Solver:   SolverAuctionWarm,
+		Sim:      churn,
 	})
 
 	// chaos-churn — the churn workload under fault injection: on top of the
@@ -215,8 +214,8 @@ func init() {
 		Summary:  "100k peers across ~500 swarms under the sharded orchestrator",
 		Workload: "vod",
 		Kind:     KindSim,
-		Solver:   SolverAuction,
-		Sharding: Sharding{Enabled: true, Workers: 8},
+		Solver:   SolverAuctionSharded,
+		Sharding: Sharding{Workers: 8},
 		Heavy:    true,
 		Sim:      mega,
 	})
@@ -243,8 +242,8 @@ func init() {
 		Summary:  "high-churn arrivals toward 100k peers under the sharded orchestrator",
 		Workload: "churn",
 		Kind:     KindSim,
-		Solver:   SolverAuction,
-		Sharding: Sharding{Enabled: true, Workers: 8},
+		Solver:   SolverAuctionSharded,
+		Sharding: Sharding{Workers: 8},
 		Heavy:    true,
 		Sim:      shardedChurn,
 	})
@@ -460,6 +459,7 @@ func init() {
 		Summary:  "distributed auction over real TCP sockets (2 uploaders, 3 downloaders)",
 		Workload: "protocol",
 		Kind:     KindLive,
+		Solver:   SolverAuction,
 		Live: LiveParams{
 			UploaderCosts:       []float64{1, 4},
 			UploaderCapacity:    2,

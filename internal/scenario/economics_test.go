@@ -285,7 +285,8 @@ func TestLocalitySweepParams(t *testing.T) {
 // cluster-level per-shard exactness is pinned in internal/cluster).
 func TestShardedRunCrossISPSeriesRecombines(t *testing.T) {
 	spec := mustGet(t, "locality-sweep")
-	spec.Sharding = Sharding{Enabled: true, Workers: 2}
+	spec.Solver = SolverAuctionSharded
+	spec.Sharding = Sharding{Workers: 2}
 	res, err := spec.Run(goldenSeed)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestIncrementalPipelineEqualsRebuiltPerScenario(t *testing.T) {
 			t.Parallel()
 			cfg := spec.Sim
 			cfg.Seed = seed
-			incScheduler, err := spec.scheduler(cfg)
+			incScheduler, err := spec.Scheduler(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func TestIncrementalPipelineEqualsRebuiltPerScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refScheduler, err := spec.scheduler(cfg)
+			refScheduler, err := spec.Scheduler(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

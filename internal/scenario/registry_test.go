@@ -187,6 +187,11 @@ func TestTransportSolverRestrictions(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("locality on a bare transportation instance should be rejected")
 	}
+	for _, sv := range []Solver{SolverAuctionWarm, SolverAuctionSharded} {
+		if err := spec.WithSolver(sv).Validate(); err == nil {
+			t.Errorf("%s on independent transportation instances should be rejected", sv)
+		}
+	}
 	exact := spec.WithSolver(SolverExact)
 	res, err := exact.Run(1)
 	if err != nil {
@@ -199,8 +204,10 @@ func TestTransportSolverRestrictions(t *testing.T) {
 
 func TestLiveRejectsSolverOverride(t *testing.T) {
 	spec, _ := Get("livenet")
-	if err := spec.WithSolver(SolverLocality).Validate(); err == nil {
-		t.Error("live scenarios should reject non-auction solver overrides")
+	for _, sv := range []Solver{SolverLocality, SolverAuctionWarm, SolverAuctionSharded, ""} {
+		if err := spec.WithSolver(sv).Validate(); err == nil {
+			t.Errorf("live scenarios should reject solver %q", sv)
+		}
 	}
 	if err := spec.WithSolver(SolverAuction).Validate(); err != nil {
 		t.Errorf("explicit auction solver should be accepted: %v", err)

@@ -67,13 +67,28 @@ func (k Kind) String() string {
 	}
 }
 
-// Solver names a scheduling/solving strategy.
+// Solver names a scheduling/solving strategy. The auction's warm-started and
+// sharded variants are solvers of their own, so a spec names exactly the
+// scheduler that runs.
 type Solver string
 
 // Registered solvers.
 const (
 	// SolverAuction is the paper's primal-dual auction, Gauss–Seidel rounds.
 	SolverAuction Solver = "auction"
+	// SolverAuctionWarm is the incremental warm-started auction
+	// (sched.WarmAuction, sim only): prices and partial assignments carry
+	// across the run's slots instead of re-converging from λ = 0. Welfare
+	// guarantees are identical to the cold auction (see docs/PERFORMANCE.md
+	// for the speedups it buys under churn).
+	SolverAuctionWarm Solver = "auction-warm"
+	// SolverAuctionSharded is the sharded swarm orchestrator
+	// (cluster.ShardedAuction, sim only): the slot problem is partitioned into
+	// its independent swarm components, each owned by a persistent
+	// warm-started solver, solved concurrently per Spec.Sharding. Welfare
+	// equals the monolithic solve's within the ε-CS band — exactly, when no
+	// edges are cut (see docs/ARCHITECTURE.md §10).
+	SolverAuctionSharded Solver = "auction-sharded"
 	// SolverAuctionJacobi is the auction with Jacobi rounds, parallelizable
 	// across Spec.SolverWorkers goroutines.
 	SolverAuctionJacobi Solver = "auction-jacobi"
@@ -87,38 +102,26 @@ const (
 
 // Solvers lists every solver usable in a KindSim spec.
 func Solvers() []Solver {
-	return []Solver{SolverAuction, SolverAuctionJacobi, SolverExact, SolverLocality, SolverRandom}
+	return []Solver{SolverAuction, SolverAuctionWarm, SolverAuctionSharded,
+		SolverAuctionJacobi, SolverExact, SolverLocality, SolverRandom}
 }
 
-// scheduler instantiates the spec's solver as a slot scheduler for cfg. A
-// fresh scheduler is built per run: warm-started and sharded schedulers
-// carry state across a run's slots and must not leak across runs.
-func (s Spec) scheduler(cfg sim.Config) (sched.Scheduler, error) {
-	if s.WarmStart && s.Solver != SolverAuction {
-		return nil, fmt.Errorf("scenario: warm start requires the %q solver, got %q",
-			SolverAuction, s.Solver)
-	}
-	if s.Sharding.Enabled {
-		if s.Solver != SolverAuction {
-			return nil, fmt.Errorf("scenario: sharding requires the %q solver, got %q",
-				SolverAuction, s.Solver)
-		}
-		if s.WarmStart {
-			return nil, fmt.Errorf("scenario: sharding already warm-starts per shard; drop the WarmStart flag")
-		}
+// Scheduler instantiates the spec's solver as a slot scheduler for cfg. Call
+// it once per run: warm-started and sharded schedulers carry state across a
+// run's slots and must not leak across runs.
+func (s Spec) Scheduler(cfg sim.Config) (sched.Scheduler, error) {
+	switch s.Solver {
+	case SolverAuction:
+		return &sched.Auction{Epsilon: cfg.Epsilon}, nil
+	case SolverAuctionWarm:
+		return &sched.WarmAuction{Epsilon: cfg.Epsilon}, nil
+	case SolverAuctionSharded:
 		return &cluster.ShardedAuction{
 			Epsilon:       cfg.Epsilon,
 			Workers:       s.Sharding.Workers,
 			MaxShardPeers: s.Sharding.MaxShardPeers,
 			Seed:          cfg.Seed,
 		}, nil
-	}
-	switch s.Solver {
-	case SolverAuction:
-		if s.WarmStart {
-			return &sched.WarmAuction{Epsilon: cfg.Epsilon}, nil
-		}
-		return &sched.Auction{Epsilon: cfg.Epsilon}, nil
 	case SolverAuctionJacobi:
 		return &sched.Auction{Epsilon: cfg.Epsilon, Mode: core.Jacobi, Workers: s.SolverWorkers}, nil
 	case SolverExact:
@@ -128,7 +131,7 @@ func (s Spec) scheduler(cfg sim.Config) (sched.Scheduler, error) {
 	case SolverRandom:
 		return &baseline.Random{Seed: cfg.Seed, Rounds: cfg.LocalityRounds}, nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown solver %q", s.Solver)
+		return nil, fmt.Errorf("scenario: unknown solver %q (want one of %v)", s.Solver, Solvers())
 	}
 }
 
@@ -163,11 +166,8 @@ type LiveParams struct {
 	Epsilon float64
 }
 
-// Sharding configures the sharded swarm orchestrator for KindSim specs (see
-// Spec.Sharding).
+// Sharding configures SolverAuctionSharded's orchestrator.
 type Sharding struct {
-	// Enabled switches the spec's slot scheduling to cluster.ShardedAuction.
-	Enabled bool
 	// Workers bounds concurrent shard solves (0 or 1 = sequential).
 	Workers int
 	// MaxShardPeers enables ISP-affinity refinement of components bigger
@@ -188,25 +188,15 @@ type Spec struct {
 	Workload string
 	// Kind selects the workload family.
 	Kind Kind
-	// Solver schedules KindSim slots or solves KindTransport instances
-	// (KindLive always runs the distributed auction).
+	// Solver schedules KindSim slots, solves KindTransport instances, or —
+	// for KindLive, which only plays the distributed auction — is
+	// SolverAuction.
 	Solver Solver
 	// SolverWorkers parallelizes SolverAuctionJacobi's bid computation
 	// (0 or 1 = sequential).
 	SolverWorkers int
-	// WarmStart schedules KindSim slots with the incremental warm-started
-	// auction (sched.WarmAuction): prices and partial assignments carry
-	// across the run's slots instead of re-converging from λ = 0. Requires
-	// SolverAuction; welfare guarantees are identical to the cold auction
-	// (see docs/PERFORMANCE.md for the speedups it buys under churn).
-	WarmStart bool
-	// Sharding schedules KindSim slots with the sharded swarm orchestrator
-	// (cluster.ShardedAuction): the slot problem is partitioned into its
-	// independent swarm components, each owned by a persistent warm-started
-	// solver, solved concurrently on Sharding.Workers goroutines. Requires
-	// SolverAuction and excludes WarmStart (every shard already warm-starts).
-	// Welfare equals the monolithic solve's within the ε-CS band — exactly,
-	// when no edges are cut (see docs/ARCHITECTURE.md §10).
+	// Sharding sizes SolverAuctionSharded's worker pool and shard
+	// refinement; other solvers ignore it.
 	Sharding Sharding
 	// Heavy marks scenarios too large for routine double-run golden tests;
 	// they are smoke-tested once instead.
@@ -243,23 +233,6 @@ func (s Spec) WithSolver(sv Solver) Spec {
 	return s
 }
 
-// SolverName reports the solver that actually runs: live scenarios always
-// play the distributed auction regardless of the (empty) Solver field,
-// warm-started sim scenarios run the incremental auction, and sharded sim
-// scenarios run the partitioned orchestrator.
-func (s Spec) SolverName() string {
-	if s.Kind == KindLive {
-		return string(SolverAuction)
-	}
-	if s.Sharding.Enabled && s.Solver == SolverAuction {
-		return "auction-sharded"
-	}
-	if s.WarmStart && s.Solver == SolverAuction {
-		return "auction-warm"
-	}
-	return string(s.Solver)
-}
-
 // Validate checks the spec is runnable.
 func (s Spec) Validate() error {
 	if s.Name == "" {
@@ -267,7 +240,7 @@ func (s Spec) Validate() error {
 	}
 	switch s.Kind {
 	case KindSim:
-		if _, err := s.scheduler(s.Sim); err != nil {
+		if _, err := s.Scheduler(s.Sim); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		cfg := s.Sim
@@ -296,12 +269,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: solver %q cannot solve bare transportation instances",
 				s.Name, s.Solver)
 		}
-		if s.WarmStart {
-			return fmt.Errorf("scenario %s: warm start applies to slot sequences (KindSim), not independent transport instances", s.Name)
-		}
-		if s.Sharding.Enabled {
-			return fmt.Errorf("scenario %s: sharding applies to slot sequences (KindSim), not independent transport instances", s.Name)
-		}
 		if !s.Behavior.IsZero() {
 			return fmt.Errorf("scenario %s: behavior policies apply to streaming swarms (KindSim), not bare transport instances", s.Name)
 		}
@@ -319,15 +286,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: negative epsilon", s.Name)
 		}
 	case KindLive:
-		if s.Solver != "" && s.Solver != SolverAuction {
+		if s.Solver != SolverAuction {
 			return fmt.Errorf("scenario %s: live scenarios always run the distributed auction; cannot use solver %q",
 				s.Name, s.Solver)
-		}
-		if s.WarmStart {
-			return fmt.Errorf("scenario %s: warm start is not plumbed through the live TCP engine", s.Name)
-		}
-		if s.Sharding.Enabled {
-			return fmt.Errorf("scenario %s: sharding is not plumbed through the live TCP engine", s.Name)
 		}
 		if !s.Behavior.IsZero() {
 			return fmt.Errorf("scenario %s: behavior policies are not plumbed through the live TCP engine", s.Name)
@@ -419,6 +380,7 @@ func (s Spec) Run(seed uint64) (*Result, error) {
 	}
 	res.Scenario = s.Name
 	res.Workload = s.Workload
+	res.Solver = string(s.Solver)
 	res.Seed = seed
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -429,7 +391,7 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 	cfg := s.Sim
 	cfg.Seed = seed
 	cfg.Behavior = s.Behavior
-	scheduler, err := s.scheduler(cfg)
+	scheduler, err := s.Scheduler(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +412,6 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 		welfareSum += v
 	}
 	res := &Result{
-		Solver: s.SolverName(),
 		Metrics: map[string]float64{
 			"welfare_per_slot": r.Welfare.Summarize().Mean,
 			"welfare_final":    r.Welfare.Last(),
@@ -493,16 +454,14 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 		res.Metrics["crashes"] = float64(r.Crashes)
 		res.Metrics["rejoins"] = float64(r.Rejoins)
 	}
-	if s.Sharding.Enabled {
+	if sa, ok := scheduler.(*cluster.ShardedAuction); ok {
 		res.Metrics["shards_mean"] = r.Shards.Summarize().Mean
 		res.Series = append(res.Series, &r.Shards)
-		if sa, ok := scheduler.(*cluster.ShardedAuction); ok {
-			st := sa.Stats()
-			res.Metrics["shards_born"] = float64(st.Born)
-			res.Metrics["shards_retired"] = float64(st.Retired)
-			res.Metrics["shard_migrations"] = float64(st.Migrations)
-			res.Metrics["shard_cut_edges"] = float64(st.CutEdges)
-		}
+		st := sa.Stats()
+		res.Metrics["shards_born"] = float64(st.Born)
+		res.Metrics["shards_retired"] = float64(st.Retired)
+		res.Metrics["shard_migrations"] = float64(st.Migrations)
+		res.Metrics["shard_cut_edges"] = float64(st.CutEdges)
 	}
 	if !s.Behavior.IsZero() {
 		// Run the honest control at the same seed — the behavior RNG stream
@@ -594,7 +553,6 @@ func (s Spec) runTransport(seed uint64) (*Result, error) {
 	}
 	n := float64(t.Trials)
 	return &Result{
-		Solver: string(s.Solver),
 		Metrics: map[string]float64{
 			"welfare":       welfare / n,
 			"exact_welfare": exactWelfare / n,
@@ -679,5 +637,5 @@ func (s Spec) runLive(_ uint64) (*Result, error) {
 		m[fmt.Sprintf("wins_downloader_%d", i)] = float64(wins)
 	}
 	m["wins_total"] = float64(total)
-	return &Result{Solver: string(SolverAuction), Metrics: m}, nil
+	return &Result{Metrics: m}, nil
 }

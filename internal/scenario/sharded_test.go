@@ -89,8 +89,7 @@ func TestShardedPresetMatchesMonolithicMetrics(t *testing.T) {
 			t.Fatalf("%s not registered", name)
 		}
 		boundHeavy(t, &shardedSpec, 300, 5)
-		monoSpec := shardedSpec
-		monoSpec.Sharding = Sharding{}
+		monoSpec := shardedSpec.WithSolver(SolverAuction)
 		shardedRes, err := shardedSpec.Run(7)
 		if err != nil {
 			t.Fatal(err)
@@ -115,46 +114,29 @@ func TestShardedPresetMatchesMonolithicMetrics(t *testing.T) {
 	}
 }
 
-// TestShardingValidation pins the plumbing: sharding composes only with the
-// auction solver and sim scenarios, excludes WarmStart, and is sweepable.
+// TestShardingValidation pins the plumbing: the sharded orchestrator is a
+// sim solver of its own, sized by Spec.Sharding, and the sharding sweep key
+// maps onto it.
 func TestShardingValidation(t *testing.T) {
-	spec, _ := Get("churn")
-	spec.Sharding = Sharding{Enabled: true, Workers: 2}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("sharded churn should validate: %v", err)
-	}
-	if got := spec.SolverName(); got != "auction-sharded" {
-		t.Fatalf("SolverName = %q, want auction-sharded", got)
-	}
-	both := spec
-	both.WarmStart = true
-	if err := both.Validate(); err == nil {
-		t.Error("sharding + warm start should be rejected (shards already warm-start)")
-	}
-	bad := spec.WithSolver(SolverLocality)
-	if err := bad.Validate(); err == nil {
-		t.Error("sharding with a price-free baseline should be rejected")
-	}
-	transport, _ := Get("assignment")
-	transport.Sharding.Enabled = true
-	if err := transport.Validate(); err == nil {
-		t.Error("sharding on independent transport instances should be rejected")
-	}
-	live, _ := Get("livenet")
-	live.Sharding.Enabled = true
-	if err := live.Validate(); err == nil {
-		t.Error("sharding on the live TCP engine should be rejected")
-	}
-	swept, _ := Get("churn")
+	spec := mustGet(t, "churn").WithSolver(SolverAuctionSharded)
 	for _, p := range []struct {
 		key string
 		val float64
-	}{{"sharding", 1}, {"shard-workers", 4}, {"shard-max", 2000}} {
-		if err := ApplyParam(&swept, p.key, p.val); err != nil {
+	}{{"shard-workers", 4}, {"shard-max", 2000}} {
+		if err := ApplyParam(&spec, p.key, p.val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !swept.Sharding.Enabled || swept.Sharding.Workers != 4 || swept.Sharding.MaxShardPeers != 2000 {
-		t.Errorf("ApplyParam did not reach the sharding knobs: %+v", swept.Sharding)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("sharded churn should validate: %v", err)
 	}
+	s, err := spec.Scheduler(spec.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, ok := s.(*cluster.ShardedAuction)
+	if !ok || sa.Workers != 4 || sa.MaxShardPeers != 2000 {
+		t.Fatalf("auction-sharded built %T %+v, want a 4-worker ShardedAuction refining above 2000 peers", s, s)
+	}
+	testVariantSweepKey(t, "sharding", SolverAuctionSharded, SolverAuctionWarm)
 }

@@ -81,7 +81,8 @@ func TestTraceSmokePerLayer(t *testing.T) {
 		t.Fatal("quickstart not registered")
 	}
 	spec.Name = "quickstart-sharded-trace" // unregistered variant: sharded solve path
-	spec.Sharding = Sharding{Enabled: true, Workers: 2}
+	spec.Solver = SolverAuctionSharded
+	spec.Sharding = Sharding{Workers: 2}
 	_, tr := captureRun(t, spec, 1)
 
 	var buf bytes.Buffer

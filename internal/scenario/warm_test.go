@@ -111,8 +111,7 @@ func TestWarmScenarioPresetMatchesColdMetrics(t *testing.T) {
 	if !ok {
 		t.Fatal("churn-warm not registered")
 	}
-	coldSpec := warmSpec
-	coldSpec.WarmStart = false
+	coldSpec := warmSpec.WithSolver(SolverAuction)
 	warmRes, err := warmSpec.Run(7)
 	if err != nil {
 		t.Fatal(err)
@@ -138,36 +137,49 @@ func TestWarmScenarioPresetMatchesColdMetrics(t *testing.T) {
 	}
 }
 
-// TestWarmStartValidation pins the plumbing: warm start composes only with
-// the auction solver and sim scenarios, and is sweepable.
+// TestWarmStartValidation pins the plumbing: the warm auction is a sim
+// solver of its own, and the warmstart sweep key maps onto it.
 func TestWarmStartValidation(t *testing.T) {
-	spec, _ := Get("churn")
-	spec.WarmStart = true
+	spec := mustGet(t, "churn").WithSolver(SolverAuctionWarm)
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("warm churn should validate: %v", err)
 	}
-	if got := spec.SolverName(); got != "auction-warm" {
-		t.Fatalf("SolverName = %q, want auction-warm", got)
-	}
-	bad := spec.WithSolver(SolverLocality)
-	if err := bad.Validate(); err == nil {
-		t.Error("warm start with a price-free baseline should be rejected")
-	}
-	transport, _ := Get("assignment")
-	transport.WarmStart = true
-	if err := transport.Validate(); err == nil {
-		t.Error("warm start on independent transport instances should be rejected")
-	}
-	live, _ := Get("livenet")
-	live.WarmStart = true
-	if err := live.Validate(); err == nil {
-		t.Error("warm start on the live TCP engine should be rejected")
-	}
-	swept, _ := Get("churn")
-	if err := ApplyParam(&swept, "warmstart", 1); err != nil {
+	if s, err := spec.Scheduler(spec.Sim); err != nil {
 		t.Fatal(err)
+	} else if _, ok := s.(*sched.WarmAuction); !ok {
+		t.Fatalf("auction-warm built %T, want *sched.WarmAuction", s)
 	}
-	if !swept.WarmStart {
-		t.Error("ApplyParam(warmstart, 1) did not enable warm start")
+	testVariantSweepKey(t, "warmstart", SolverAuctionWarm, SolverAuctionSharded)
+}
+
+// testVariantSweepKey pins a variant's sweep key: 1 turns the auction into
+// the variant and 0 turns it back; 1 on the other variant or on a
+// price-free baseline is an error, and 0 leaves other solvers alone.
+func testVariantSweepKey(t *testing.T, key string, variant, other Solver) {
+	t.Helper()
+	for _, c := range []struct {
+		from    Solver
+		v       float64
+		want    Solver
+		wantErr bool
+	}{
+		{SolverAuction, 1, variant, false},
+		{variant, 1, variant, false},
+		{variant, 0, SolverAuction, false},
+		{SolverAuction, 0, SolverAuction, false},
+		{SolverLocality, 0, SolverLocality, false},
+		{other, 0, other, false},
+		{other, 1, other, true},
+		{SolverLocality, 1, SolverLocality, true},
+		{SolverAuctionJacobi, 1, SolverAuctionJacobi, true},
+	} {
+		spec := mustGet(t, "churn").WithSolver(c.from)
+		err := ApplyParam(&spec, key, c.v)
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s=%v on %s: err = %v, want error %v", key, c.v, c.from, err, c.wantErr)
+		}
+		if spec.Solver != c.want {
+			t.Errorf("%s=%v on %s: solver = %s, want %s", key, c.v, c.from, spec.Solver, c.want)
+		}
 	}
 }

@@ -172,13 +172,16 @@ type (
 	Solver = scenario.Solver
 )
 
-// Scenario solvers (Scenario.WithSolver derives a re-solved variant).
+// Scenario solvers (Scenario.WithSolver derives a re-solved variant). The
+// warm-started and sharded auctions are solvers of their own.
 const (
-	SolverAuction       = scenario.SolverAuction
-	SolverAuctionJacobi = scenario.SolverAuctionJacobi
-	SolverExact         = scenario.SolverExact
-	SolverLocality      = scenario.SolverLocality
-	SolverRandom        = scenario.SolverRandom
+	SolverAuction        = scenario.SolverAuction
+	SolverAuctionWarm    = scenario.SolverAuctionWarm
+	SolverAuctionSharded = scenario.SolverAuctionSharded
+	SolverAuctionJacobi  = scenario.SolverAuctionJacobi
+	SolverExact          = scenario.SolverExact
+	SolverLocality       = scenario.SolverLocality
+	SolverRandom         = scenario.SolverRandom
 )
 
 // FprintScenario renders one scenario run as an aligned metric table.
