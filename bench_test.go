@@ -662,3 +662,46 @@ func BenchmarkCDNFlashCrowd(b *testing.B) { benchmarkCDNScenario(b, "flash-crowd
 func BenchmarkCDNOnlyBaseline(b *testing.B) {
 	benchmarkCDNScenario(b, "cdn-assist", true)
 }
+
+// lastRound wraps a scheduler and keeps a private copy of the last instance
+// it was handed.
+type lastRound struct {
+	sched.Scheduler
+	in *sched.Instance
+}
+
+func (l *lastRound) Schedule(in *sched.Instance) (*sched.Result, error) {
+	l.in = in.Clone()
+	return l.Scheduler.Schedule(in)
+}
+
+// BenchmarkAuctionScheduleCold times one cold per-round auction call —
+// instance → core.Problem → SolveAuction → grants — on a round of the
+// cdn-assist world at 400 static peers and one bidding round per slot,
+// captured after 10 slots: the round shape of perfbench's sim-cdn-cold
+// workload. B/op and allocs/op are the cold slot's allocation cost, which a
+// presized problem keeps independent of the request count.
+func BenchmarkAuctionScheduleCold(b *testing.B) {
+	spec, ok := scenario.Get("cdn-assist")
+	if !ok {
+		b.Fatal("cdn-assist not registered")
+	}
+	cfg := spec.Sim
+	cfg.Seed = 1
+	cfg.StaticPeers = 400
+	cfg.BidRoundsPerSlot = 1
+	cfg.Slots = 11
+	auction := &sched.Auction{Epsilon: cfg.Epsilon}
+	round := &lastRound{Scheduler: auction}
+	if _, err := sim.Run(cfg, round); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := auction.Schedule(round.in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(round.in.Requests)), "requests")
+}

@@ -1,7 +1,6 @@
 package cdn
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -21,13 +20,26 @@ import (
 type LRU struct {
 	mu  sync.Mutex
 	cap int
-	// order is the recency list, most-recently-used at the front; items
-	// indexes its elements (each carrying a video.ChunkID value).
-	order *list.List
-	items map[video.ChunkID]*list.Element
+	// entries holds the cached chunks, doubly linked by index into recency
+	// order from head (most recently used) to tail (least); noEntry ends
+	// the list. A miss on a full cache reuses the tail's slot, so the
+	// slice never grows past the capacity and a full cache allocates
+	// nothing. items indexes entries by chunk id.
+	entries    []lruEntry
+	head, tail int
+	items      map[video.ChunkID]int
 
 	hits, misses, evictions uint64
 }
+
+// lruEntry is one cached chunk and its recency-list links.
+type lruEntry struct {
+	id         video.ChunkID
+	prev, next int
+}
+
+// noEntry is the nil link of the recency list.
+const noEntry = -1
 
 // NewLRU creates an empty cache holding up to capacity chunks.
 func NewLRU(capacity int) (*LRU, error) {
@@ -35,9 +47,11 @@ func NewLRU(capacity int) (*LRU, error) {
 		return nil, fmt.Errorf("cdn: LRU capacity must be positive, got %d", capacity)
 	}
 	return &LRU{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[video.ChunkID]*list.Element, capacity),
+		cap:     capacity,
+		entries: make([]lruEntry, 0, capacity),
+		head:    noEntry,
+		tail:    noEntry,
+		items:   make(map[video.ChunkID]int, capacity),
 	}, nil
 }
 
@@ -48,20 +62,56 @@ func NewLRU(capacity int) (*LRU, error) {
 func (c *LRU) Access(id video.ChunkID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.items[id]; ok {
-		c.order.MoveToFront(e)
+	if i, ok := c.items[id]; ok {
+		if i != c.head {
+			c.unlink(i)
+			c.pushFront(i)
+		}
 		c.hits++
 		return true
 	}
 	c.misses++
-	if c.order.Len() >= c.cap {
-		lru := c.order.Back()
-		c.order.Remove(lru)
-		delete(c.items, lru.Value.(video.ChunkID))
+	var i int
+	if len(c.entries) >= c.cap {
+		i = c.tail
+		c.unlink(i)
+		delete(c.items, c.entries[i].id)
+		c.entries[i].id = id
 		c.evictions++
+	} else {
+		i = len(c.entries)
+		c.entries = append(c.entries, lruEntry{id: id})
 	}
-	c.items[id] = c.order.PushFront(id)
+	c.pushFront(i)
+	c.items[id] = i
 	return false
+}
+
+// unlink removes entry i from the recency list.
+func (c *LRU) unlink(i int) {
+	e := &c.entries[i]
+	if e.prev == noEntry {
+		c.head = e.next
+	} else {
+		c.entries[e.prev].next = e.next
+	}
+	if e.next == noEntry {
+		c.tail = e.prev
+	} else {
+		c.entries[e.next].prev = e.prev
+	}
+}
+
+// pushFront links entry i in as the most recently used.
+func (c *LRU) pushFront(i int) {
+	e := &c.entries[i]
+	e.prev, e.next = noEntry, c.head
+	if c.head == noEntry {
+		c.tail = i
+	} else {
+		c.entries[c.head].prev = i
+	}
+	c.head = i
 }
 
 // Contains reports presence without touching recency or the hit/miss
@@ -77,7 +127,7 @@ func (c *LRU) Contains(id video.ChunkID) bool {
 func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.entries)
 }
 
 // Capacity returns the configured capacity.
@@ -88,9 +138,9 @@ func (c *LRU) Capacity() int { return c.cap }
 func (c *LRU) Keys() []video.ChunkID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]video.ChunkID, 0, c.order.Len())
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(video.ChunkID))
+	out := make([]video.ChunkID, 0, len(c.entries))
+	for i := c.head; i != noEntry; i = c.entries[i].next {
+		out = append(out, c.entries[i].id)
 	}
 	return out
 }

@@ -1,9 +1,12 @@
 package cdn
 
 import (
+	"container/list"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/randx"
 	"repro/internal/video"
 )
 
@@ -149,5 +152,100 @@ func TestLRURaceHammer(t *testing.T) {
 	}
 	if c.Len() > c.Capacity() {
 		t.Errorf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	}
+}
+
+// listLRU is the reference model: the container/list cache the LRU's
+// index-linked slice replaced.
+type listLRU struct {
+	cap                     int
+	order                   *list.List
+	items                   map[video.ChunkID]*list.Element
+	hits, misses, evictions uint64
+}
+
+func (m *listLRU) access(id video.ChunkID) bool {
+	if e, ok := m.items[id]; ok {
+		m.order.MoveToFront(e)
+		m.hits++
+		return true
+	}
+	m.misses++
+	if m.order.Len() >= m.cap {
+		lru := m.order.Back()
+		m.order.Remove(lru)
+		delete(m.items, lru.Value.(video.ChunkID))
+		m.evictions++
+	}
+	m.items[id] = m.order.PushFront(id)
+	return false
+}
+
+func (m *listLRU) keys() []video.ChunkID {
+	var out []video.ChunkID
+	for e := m.order.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(video.ChunkID))
+	}
+	return out
+}
+
+// TestLRUMatchesListModel drives the LRU and the container/list model with
+// the same random accesses: every hit/miss answer, the recency order and the
+// counters must agree throughout.
+func TestLRUMatchesListModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 64} {
+		c, err := NewLRU(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &listLRU{cap: capacity, order: list.New(), items: map[video.ChunkID]*list.Element{}}
+		rng := randx.New(uint64(capacity))
+		universe := 3*capacity/2 + 2 // enough reuse for hits, enough spread for evictions
+		for i := range 10000 {
+			id := chunk(rng.Intn(universe))
+			if got, want := c.Access(id), m.access(id); got != want {
+				t.Fatalf("cap %d access %d (%v): hit = %v, model %v", capacity, i, id, got, want)
+			}
+			if i%97 == 0 || i == 9999 {
+				if got, want := c.Keys(), m.keys(); !slices.Equal(got, want) {
+					t.Fatalf("cap %d after access %d: Keys() = %v, model %v", capacity, i, got, want)
+				}
+			}
+		}
+		hits, misses, evictions := c.Stats()
+		if hits != m.hits || misses != m.misses || evictions != m.evictions {
+			t.Errorf("cap %d: Stats() = (%d, %d, %d), model (%d, %d, %d)",
+				capacity, hits, misses, evictions, m.hits, m.misses, m.evictions)
+		}
+		if m.hits == 0 || m.evictions == 0 {
+			t.Errorf("cap %d: the access stream produced %d hits and %d evictions; it must exercise both",
+				capacity, m.hits, m.evictions)
+		}
+	}
+}
+
+// TestLRUAccessAllocs pins the edge cache's hot path: on a full cache
+// neither a hit nor a miss (which evicts and reuses the tail's slot)
+// allocates.
+func TestLRUAccessAllocs(t *testing.T) {
+	const capacity = 64
+	c, err := NewLRU(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range capacity {
+		c.Access(chunk(i))
+	}
+	next := capacity
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Access(chunk(next - capacity/2)) // hit
+		c.Access(chunk(next))              // miss: evicts the LRU entry
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Access on a full cache allocates %v per op, want 0", allocs)
+	}
+	if hits, misses, _ := c.Stats(); hits == 0 || misses <= capacity {
+		t.Fatalf("Stats() = %d hits, %d misses: the loop must both hit and miss", hits, misses)
 	}
 }

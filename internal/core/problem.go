@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Edge is one admissible (request, sink) pair and its welfare weight
@@ -14,9 +15,18 @@ type Edge struct {
 
 // Problem is one slot's chunk-scheduling instance: unit-demand requests,
 // capacitated sinks and weighted admissible edges. Build it with AddSink /
-// AddRequest / AddEdge; it is then safe for concurrent readers.
+// AddRequest / AddEdge (optionally presized by Grow); it is then safe for
+// concurrent readers.
+//
+// All edges live in one slab. Each request's list is a capped window into
+// it (len == cap), and the newest request's window always ends at the
+// slab's end, so adding requests in order appends every edge in place. An
+// AddEdge to an older request — or an append to a slice returned by Edges —
+// finds no spare capacity and copies that one list out of the slab, never
+// overwriting a neighbour.
 type Problem struct {
 	capacities []int
+	edges      []Edge
 	adj        [][]Edge
 	numEdges   int
 }
@@ -36,9 +46,31 @@ func (p *Problem) AddSink(capacity int) (SinkID, error) {
 	return SinkID(len(p.capacities) - 1), nil
 }
 
+// Grow reserves room for at least the given numbers of further requests and
+// edges, so building a problem of known size reallocates nothing. It never
+// changes the problem's contents.
+func (p *Problem) Grow(requests, edges int) {
+	if requests > 0 {
+		p.adj = slices.Grow(p.adj, requests)
+	}
+	if edges > 0 && cap(p.edges)-len(p.edges) < edges {
+		p.edges = slices.Grow(p.edges, edges)
+		if n := len(p.adj); n > 0 {
+			// The newest request's window must end at the slab's end.
+			p.adj[n-1] = p.tail(len(p.adj[n-1]))
+		}
+	}
+}
+
+// tail returns the slab's last k edges as a capped window.
+func (p *Problem) tail(k int) []Edge {
+	end := len(p.edges)
+	return p.edges[end-k : end : end]
+}
+
 // AddRequest registers a unit-demand request and returns its RequestID.
 func (p *Problem) AddRequest() RequestID {
-	p.adj = append(p.adj, nil)
+	p.adj = append(p.adj, p.tail(0))
 	return RequestID(len(p.adj) - 1)
 }
 
@@ -59,7 +91,13 @@ func (p *Problem) AddEdge(r RequestID, s SinkID, w float64) error {
 			return fmt.Errorf("core: duplicate edge (%d,%d)", r, s)
 		}
 	}
-	p.adj[r] = append(p.adj[r], Edge{Sink: s, Weight: w})
+	e := Edge{Sink: s, Weight: w}
+	if int(r) == len(p.adj)-1 {
+		p.edges = append(p.edges, e)
+		p.adj[r] = p.tail(len(p.adj[r]) + 1)
+	} else {
+		p.adj[r] = slices.Clip(append(p.adj[r], e))
+	}
 	p.numEdges++
 	return nil
 }
@@ -87,7 +125,8 @@ func (p *Problem) TotalCapacity() int {
 }
 
 // Edges returns request r's admissible edges. The returned slice is owned by
-// the Problem and must not be mutated.
+// the Problem and must not be mutated; it has no spare capacity, so an append
+// to it copies.
 func (p *Problem) Edges(r RequestID) []Edge { return p.adj[r] }
 
 // Weight returns the weight of edge (r, s) and whether the edge exists.

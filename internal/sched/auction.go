@@ -27,39 +27,56 @@ func (a *Auction) Name() string { return "auction" }
 
 // buildProblem translates a slot instance into the transportation problem of
 // (1): one sink per uploader with capacity B(u), one request per wish, edge
-// weights v_c(d) − w_{u→d}. Shared by the auction and exact schedulers.
-// uploaderOf maps each minted SinkID back to its uploader's index.
-func buildProblem(in *Instance) (p *core.Problem, uploaderOf map[core.SinkID]int, err error) {
-	p = core.NewProblem()
-	sinkOf := make([]core.SinkID, len(in.Uploaders))
-	uploaderOf = make(map[core.SinkID]int, len(in.Uploaders))
-	for i, u := range in.Uploaders {
-		s, err := p.AddSink(u.Capacity)
-		if err != nil {
-			return nil, nil, err
-		}
-		sinkOf[i] = s
-		uploaderOf[s] = i
+// weights v_c(d) − w_{u→d}. Shared by the auction and exact schedulers. Sinks
+// are minted in uploader order, so SinkID i is in.Uploaders[i]; the problem
+// is presized from the instance, so the build appends every edge in place.
+func buildProblem(in *Instance) (*core.Problem, error) {
+	p := core.NewProblem()
+	edges := 0
+	for i := range in.Requests {
+		edges += len(in.Requests[i].Candidates)
 	}
-	for _, req := range in.Requests {
+	p.Grow(len(in.Requests), edges)
+	for _, u := range in.Uploaders {
+		if _, err := p.AddSink(u.Capacity); err != nil {
+			return nil, err
+		}
+	}
+	for i := range in.Requests {
+		req := &in.Requests[i]
 		r := p.AddRequest()
 		for _, cand := range req.Candidates {
 			ui, ok := in.UploaderIndex(cand.Peer)
 			if !ok {
-				return nil, nil, fmt.Errorf("unknown uploader %d", cand.Peer)
+				return nil, fmt.Errorf("unknown uploader %d", cand.Peer)
 			}
-			if err := p.AddEdge(r, sinkOf[ui], req.Value-cand.Cost); err != nil {
-				return nil, nil, err
+			if err := p.AddEdge(r, core.SinkID(ui), req.Value-cand.Cost); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return p, uploaderOf, nil
+	return p, nil
+}
+
+// grantsOf turns a solved assignment back into grants, in request order.
+func grantsOf(in *Instance, a *core.Assignment) []Grant {
+	n := a.Assigned()
+	if n == 0 {
+		return nil
+	}
+	grants := make([]Grant, 0, n)
+	for r, s := range a.SinkOf {
+		if s != core.Unassigned {
+			grants = append(grants, Grant{Request: r, Uploader: in.Uploaders[s].Peer})
+		}
+	}
+	return grants
 }
 
 // Schedule implements Scheduler by translating the instance to a
 // transportation problem and running the auction solver.
 func (a *Auction) Schedule(in *Instance) (*Result, error) {
-	p, uploaderOf, err := buildProblem(in)
+	p, err := buildProblem(in)
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
@@ -68,6 +85,7 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
 	out := &Result{
+		Grants: grantsOf(in, res.Assignment),
 		Prices: make(map[isp.PeerID]float64, len(in.Uploaders)),
 		Stats: map[string]float64{
 			"bids":       float64(res.Bids),
@@ -75,14 +93,8 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 			"evictions":  float64(res.Evictions),
 		},
 	}
-	for s, i := range uploaderOf {
-		out.Prices[in.Uploaders[i].Peer] = res.Prices[s]
-	}
-	for r, s := range res.Assignment.SinkOf {
-		if s == core.Unassigned {
-			continue
-		}
-		out.Grants = append(out.Grants, Grant{Request: r, Uploader: in.Uploaders[uploaderOf[s]].Peer})
+	for i, u := range in.Uploaders {
+		out.Prices[u.Peer] = res.Prices[i]
 	}
 	return out, nil
 }

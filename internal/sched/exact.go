@@ -20,7 +20,7 @@ func (e *Exact) Name() string { return "exact" }
 // Schedule implements Scheduler by translating the instance to a
 // transportation problem and solving it to optimality.
 func (e *Exact) Schedule(in *Instance) (*Result, error) {
-	p, uploaderOf, err := buildProblem(in)
+	p, err := buildProblem(in)
 	if err != nil {
 		return nil, fmt.Errorf("exact schedule: %w", err)
 	}
@@ -28,12 +28,5 @@ func (e *Exact) Schedule(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exact schedule: %w", err)
 	}
-	out := &Result{}
-	for r, s := range a.SinkOf {
-		if s == core.Unassigned {
-			continue
-		}
-		out.Grants = append(out.Grants, Grant{Request: r, Uploader: in.Uploaders[uploaderOf[s]].Peer})
-	}
-	return out, nil
+	return &Result{Grants: grantsOf(in, a)}, nil
 }

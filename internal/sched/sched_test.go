@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/isp"
@@ -155,5 +156,53 @@ func TestExactMatchesAuctionWelfare(t *testing.T) {
 	}
 	if ew+1e-9 < aw {
 		t.Fatalf("exact welfare %v below auction %v", ew, aw)
+	}
+}
+
+// allocsInstance builds a NewInstance of n requests over a fixed set of 50
+// uploaders, each request with 6 candidates.
+func allocsInstance(t *testing.T, n int) *Instance {
+	t.Helper()
+	const uploaders = 50
+	ups := make([]Uploader, uploaders)
+	for i := range ups {
+		ups[i] = Uploader{Peer: isp.PeerID(1000 + i), Capacity: 3}
+	}
+	reqs := make([]Request, n)
+	for r := range reqs {
+		cands := make([]Candidate, 6)
+		for k := range cands {
+			cands[k] = Candidate{Peer: ups[(r+7*k)%uploaders].Peer, Cost: float64(k) / 10}
+		}
+		reqs[r] = Request{Peer: isp.PeerID(r), Value: 2, Deadline: float64(r % 5), Candidates: cands}
+	}
+	in, err := NewInstance(reqs, ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestBuildProblemAllocs pins the cold build's allocation count: the
+// problem is presized from the instance, so translating 10k requests costs
+// exactly as many allocations as 1k — the Problem, its request and edge
+// slabs, and the capacity slice's growth to 50 sinks: 10 measured, 12 under
+// the race detector. The collector is paused while counting, so allocations
+// the runtime makes during a GC cycle are not charged to the build.
+func TestBuildProblemAllocs(t *testing.T) {
+	const bound = 12
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var counts []float64
+	for _, n := range []int{1000, 10000} {
+		in := allocsInstance(t, n)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := buildProblem(in); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] > bound {
+		t.Fatalf("buildProblem allocs at 1k / 10k requests = %v / %v, want equal and <= %d",
+			counts[0], counts[1], bound)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -121,9 +122,14 @@ type world struct {
 	buildRound   uint64
 	forceRebuild bool
 
-	// Transfer/playback scratch (reused across slots): grant sort indices,
-	// the peers holding delivery records this slot, and the departure list.
+	// Transfer/playback scratch (reused across slots): the grouped grant
+	// indices with groupGrants' per-grant row, per-row offset and row-order
+	// arrays, the peers holding delivery records this slot, and the
+	// departure list.
 	grantIdx       []int32
+	grantRow       []int32
+	rowNext        []int32
+	rowOrder       []int32
 	deliveredPeers []isp.PeerID
 	departScratch  []isp.PeerID
 
@@ -760,34 +766,19 @@ func (out *slotOutcome) addPayments(grants []sched.Grant, prices map[isp.PeerID]
 // applyGrants turns bidding round j's grants into serialized chunk
 // deliveries: caches update, the traffic ledger advances and per-peer
 // absolute delivery times (seconds from slot start) accumulate into the
-// peers' delivery lists for miss accounting. One index sort groups the
-// grants by (uploader, deadline, request) — the exact order the old
-// per-uploader map grouping produced — with no per-slot maps or slices.
+// peers' delivery lists for miss accounting. Grants are served grouped by
+// uploader in (uploader, deadline, request) order (see groupGrants).
 func (w *world) applyGrants(j int, in *sched.Instance, grants []sched.Grant, out *slotOutcome) error {
 	if err := in.Validate(grants); err != nil {
 		return fmt.Errorf("sim: scheduler produced invalid grants: %w", err)
 	}
-	idx := w.grantIdx[:0]
-	for i := range grants {
-		idx = append(idx, int32(i))
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ga, gb := &grants[a], &grants[b]
-		if ga.Uploader != gb.Uploader {
-			return int(ga.Uploader - gb.Uploader)
-		}
-		// Most urgent first on the uplink.
-		da, db := in.Requests[ga.Request].Deadline, in.Requests[gb.Request].Deadline
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		}
-		return ga.Request - gb.Request
-	})
-	w.grantIdx = idx
+	return w.serveGrants(j, in, grants, w.groupGrants(in, grants), out)
+}
 
+// serveGrants delivers the grants in the order idx lists them, uploader by
+// uploader: each uplink serves its run back to back at B(u)/slot chunks per
+// second.
+func (w *world) serveGrants(j int, in *sched.Instance, grants []sched.Grant, idx []int32, out *slotOutcome) error {
 	tau := w.tauOf(j)
 	for s := 0; s < len(idx); {
 		u := grants[idx[s]].Uploader
@@ -866,6 +857,61 @@ func (w *world) applyGrants(j int, in *sched.Instance, grants []sched.Grant, out
 		s = e
 	}
 	return nil
+}
+
+// groupGrants orders the (validated) grants by uploader PeerID, then
+// deadline (most urgent first on the uplink), then request index, and
+// returns them as indices into grants. A counting pass over the instance's
+// uploader rows, visited in PeerID order, buckets the grants; only each
+// uploader's own run is then sorted. All scratch lives on the world, so a
+// round allocates nothing once the buffers have grown.
+func (w *world) groupGrants(in *sched.Instance, grants []sched.Grant) []int32 {
+	nu := len(in.Uploaders)
+	order := w.rowOrder[:0]
+	for i := range nu {
+		order = append(order, int32(i))
+	}
+	byPeer := func(a, b sched.Uploader) int { return cmp.Compare(a.Peer, b.Peer) }
+	if !slices.IsSortedFunc(in.Uploaders, byPeer) {
+		slices.SortFunc(order, func(a, b int32) int { return byPeer(in.Uploaders[a], in.Uploaders[b]) })
+	}
+	next := slices.Grow(w.rowNext[:0], nu)[:nu]
+	clear(next)
+	rows := w.grantRow[:0]
+	for _, g := range grants {
+		r, _ := in.UploaderIndex(g.Uploader) // Validate resolved every uploader
+		rows = append(rows, int32(r))
+		next[r]++
+	}
+	// Turn per-row counts into each row's first slot, in PeerID order.
+	var at int32
+	for _, r := range order {
+		at, next[r] = at+next[r], at
+	}
+	idx := slices.Grow(w.grantIdx[:0], len(grants))[:len(grants)]
+	for i, r := range rows {
+		idx[next[r]] = int32(i)
+		next[r]++
+	}
+	for s := 0; s < len(idx); {
+		u := grants[idx[s]].Uploader
+		e := s + 1
+		for e < len(idx) && grants[idx[e]].Uploader == u {
+			e++
+		}
+		if e-s > 1 {
+			slices.SortFunc(idx[s:e], func(a, b int32) int {
+				ga, gb := &grants[a], &grants[b]
+				if c := cmp.Compare(in.Requests[ga.Request].Deadline, in.Requests[gb.Request].Deadline); c != 0 {
+					return c
+				}
+				return ga.Request - gb.Request
+			})
+		}
+		s = e
+	}
+	w.grantIdx, w.grantRow, w.rowNext, w.rowOrder = idx, rows, next, order
+	return idx
 }
 
 func mustCost(in *sched.Instance, g sched.Grant) float64 {

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cdn"
 	"repro/internal/economics"
+	"repro/internal/isp"
 	"repro/internal/sched"
 	"repro/internal/video"
 )
@@ -224,5 +228,134 @@ func TestPerISPMissRateAndFairness(t *testing.T) {
 	empty := &Results{}
 	if empty.MissRateFairness() != 1 {
 		t.Fatal("empty results should report fairness 1")
+	}
+}
+
+// oracleGrantOrder is the grant order applyGrants served before it bucketed
+// by uploader: one comparison sort on (uploader PeerID, deadline, request).
+func oracleGrantOrder(in *sched.Instance, grants []sched.Grant) []int32 {
+	idx := make([]int32, len(grants))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		ga, gb := &grants[a], &grants[b]
+		if ga.Uploader != gb.Uploader {
+			return int(ga.Uploader - gb.Uploader)
+		}
+		da, db := in.Requests[ga.Request].Deadline, in.Requests[gb.Request].Deadline
+		switch {
+		case da < db:
+			return -1
+		case da > db:
+			return 1
+		}
+		return ga.Request - gb.Request
+	})
+	return idx
+}
+
+// TestApplyGrantsMatchesSortOracle hand-builds a round whose uploader rows
+// run in descending PeerID order — an edge server and three peers — with
+// deadline ties on one uploader and the grants listed out of order. The
+// bucketed grouping must serve them exactly as the comparison-sort oracle
+// does: same order, delivery lists, traffic ledgers, edge cache and
+// slotOutcome.
+func TestApplyGrantsMatchesSortOracle(t *testing.T) {
+	cfg := cdnTestConfig()
+	got, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var ups []sched.Uploader
+	var downs []isp.PeerID
+	edge := noPeer
+	for _, id := range got.order {
+		p := got.peers[id]
+		switch {
+		case p.tier == cdn.TierEdge && edge == noPeer:
+			edge = id
+			ups = append(ups, sched.Uploader{Peer: id, Capacity: p.capacity})
+		case p.tier == cdn.TierP2P && !p.seed && len(downs) < 6:
+			downs = append(downs, id)
+		case p.tier == cdn.TierP2P && len(downs) == 6 && len(ups) < 4 && p.capacity >= 4:
+			ups = append(ups, sched.Uploader{Peer: id, Capacity: p.capacity})
+		}
+	}
+	if len(ups) != 4 || len(downs) != 6 {
+		t.Fatalf("world has %d usable uploaders and %d watchers, want 4 and 6", len(ups), len(downs))
+	}
+	slices.SortFunc(ups, func(a, b sched.Uploader) int { return int(b.Peer - a.Peer) })
+	if slices.IsSortedFunc(ups, func(a, b sched.Uploader) int { return int(a.Peer - b.Peer) }) {
+		t.Fatal("uploader rows must not be in PeerID order")
+	}
+
+	// Request k is watcher k%6's chunk k; plan[k] names its uploader row
+	// and deadline. Row 1 gets four grants, two of them tied at deadline 1.
+	plan := []struct {
+		row      int
+		deadline float64
+	}{
+		{1, 3}, {0, 2}, {1, 1}, {2, 4}, {3, 1}, {1, 1}, {0, 0.5}, {2, 4}, {1, 0.2}, {3, 5},
+	}
+	var reqs []sched.Request
+	var grants []sched.Grant
+	for k, pl := range plan {
+		down := got.peers[downs[k%len(downs)]]
+		var cands []sched.Candidate
+		for _, u := range ups {
+			cands = append(cands, sched.Candidate{Peer: u.Peer, Cost: 0.01 * float64(k+1)})
+		}
+		reqs = append(reqs, sched.Request{
+			Peer:       down.id,
+			Chunk:      video.ChunkID{Video: down.vid, Index: video.ChunkIndex(k)},
+			Value:      2,
+			Deadline:   pl.deadline,
+			Candidates: cands,
+		})
+		grants = append(grants, sched.Grant{Request: k, Uploader: ups[pl.row].Peer})
+	}
+	slices.Reverse(grants)
+	in, err := sched.NewInstance(reqs, ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var gotOut, refOut slotOutcome
+	if err := got.applyGrants(1, in, grants, &gotOut); err != nil {
+		t.Fatal(err)
+	}
+	want := oracleGrantOrder(in, grants)
+	if !slices.Equal(got.grantIdx, want) {
+		t.Fatalf("grant order %v, oracle %v", got.grantIdx, want)
+	}
+	if err := ref.serveGrants(1, in, grants, want, &refOut); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotOut, refOut) {
+		t.Errorf("slotOutcome %+v, oracle %+v", gotOut, refOut)
+	}
+	if gotOut.servedEdge == 0 || gotOut.servedP2P == 0 {
+		t.Errorf("round served %d edge and %d p2p grants; it must exercise both tiers",
+			gotOut.servedEdge, gotOut.servedP2P)
+	}
+	if !reflect.DeepEqual(got.traffic, ref.traffic) || !reflect.DeepEqual(got.slotTraffic, ref.slotTraffic) {
+		t.Error("traffic ledgers differ from the oracle's")
+	}
+	if !slices.Equal(got.deliveredPeers, ref.deliveredPeers) {
+		t.Errorf("delivered peers %v, oracle %v", got.deliveredPeers, ref.deliveredPeers)
+	}
+	for _, id := range downs {
+		if g, r := got.peers[id].delivered, ref.peers[id].delivered; !slices.Equal(g, r) {
+			t.Errorf("peer %d deliveries %v, oracle %v", id, g, r)
+		}
+	}
+	if g, r := got.peers[edge].edgeLRU.Keys(), ref.peers[edge].edgeLRU.Keys(); !slices.Equal(g, r) {
+		t.Errorf("edge cache %v, oracle %v", g, r)
 	}
 }
