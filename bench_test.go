@@ -1,22 +1,24 @@
-// Package repro's benchmark harness: one benchmark per table/figure of the
-// paper's evaluation plus the repository’s ablations (docs/ARCHITECTURE.md). Each benchmark runs the
-// corresponding experiment and reports its headline metrics through
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates the full
-// evaluation at bench scale:
+// Package repro's benchmark harness: one benchmark per paper report
+// (internal/scenario/report.go). Each runs the report and returns its
+// headline metrics through b.ReportMetric, so `go test -bench=. -benchmem`
+// regenerates the evaluation at bench scale:
 //
 //	BenchmarkFig2PriceConvergence  — λ_u sawtooth (message-level engine)
 //	BenchmarkFig3SocialWelfare     — welfare, auction vs Simple Locality
 //	BenchmarkFig4InterISPTraffic   — inter-ISP traffic share
 //	BenchmarkFig5ChunkMissRate     — deadline miss rate
 //	BenchmarkFig6PeerDynamics      — all three metrics under churn
-//	BenchmarkAblation*             — ε sweep, neighbors, seeds, engines
+//	BenchmarkEngines               — centralized vs distributed welfare gap
+//	BenchmarkRobustnessLoss        — welfare under message loss
+//	BenchmarkStrategicBidding      — grants won by exaggerated bids
 //	BenchmarkSolver*               — raw solver throughput
 //	BenchmarkWarmStart*            — cold vs warm-started incremental auction
 //	                                 under churn (see docs/PERFORMANCE.md and
 //	                                 BENCH_warmstart.json)
 //
 // Figures at the paper's scale are produced by `p2psim -scale full`;
-// benches use the small scale so the suite stays fast.
+// benches use the small scale so the suite stays fast. The ablations (ε,
+// neighbors, seeds per video) are preset sweeps, `p2psim -scenario … -sweep`.
 package repro_test
 
 import (
@@ -33,7 +35,7 @@ import (
 	"repro/internal/sim"
 )
 
-// reportPair pulls "auction vs locality" numbers out of an experiment table.
+// reportPair pulls "auction vs locality" numbers out of a report table.
 func reportPair(b *testing.B, rep *repro.Report, col int, metric string) {
 	b.Helper()
 	a, err := strconv.ParseFloat(rep.Table.Rows[0][col], 64)
@@ -98,46 +100,7 @@ func BenchmarkFig6PeerDynamics(b *testing.B) {
 	reportPair(b, rep, 4, "miss-rate")
 }
 
-func BenchmarkAblationEpsilon(b *testing.B) {
-	rep := runExperiment(b, "abl-eps")
-	// Report the gap at the largest ε (worst case of the sweep).
-	last := rep.Table.Rows[len(rep.Table.Rows)-1]
-	gap, err := strconv.ParseFloat(last[1], 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(gap, "worst-gap-%")
-}
-
-func BenchmarkAblationNeighbors(b *testing.B) {
-	rep := runExperiment(b, "abl-neighbors")
-	first, err := strconv.ParseFloat(rep.Table.Rows[0][1], 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	last, err := strconv.ParseFloat(rep.Table.Rows[len(rep.Table.Rows)-1][1], 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(first, "welfare-fewest-neighbors")
-	b.ReportMetric(last, "welfare-most-neighbors")
-}
-
-func BenchmarkAblationSeeds(b *testing.B) {
-	rep := runExperiment(b, "abl-seeds")
-	first, err := strconv.ParseFloat(rep.Table.Rows[0][3], 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	last, err := strconv.ParseFloat(rep.Table.Rows[len(rep.Table.Rows)-1][3], 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(first, "miss-1seed")
-	b.ReportMetric(last, "miss-5seeds")
-}
-
-func BenchmarkAblationEngines(b *testing.B) {
+func BenchmarkEngines(b *testing.B) {
 	rep := runExperiment(b, "engines")
 	gap, err := strconv.ParseFloat(rep.Table.Rows[2][1], 64)
 	if err != nil {

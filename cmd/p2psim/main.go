@@ -41,14 +41,20 @@
 // the equilibrium-degradation report (welfare loss, transit delta, per-ISP
 // settlement shifts).
 //
-// Paper figures and ablations (see internal/experiments):
+// Paper reports (see internal/scenario/report.go):
 //
 //	p2psim -exp fig4 -scale full            # Fig. 4 at the paper's scale
-//	p2psim -exp all -scale small            # everything, quickly
+//	p2psim -exp all -scale small            # every report, quickly
 //	p2psim -exp fig3 -csv fig3.csv          # export the series as CSV
 //
+// The ablations are sweeps over presets:
+//
+//	p2psim -scenario assignment -sweep "epsilon=0,0.001,0.01,0.1,0.5,1"
+//	p2psim -scenario vodstreaming -sweep "neighbors=5,10,20,30,45"
+//	p2psim -scenario vodstreaming -sweep "seeds-per-video=1,2,3,5"
+//
 // Output: metric/summary tables, ASCII charts of the per-slot series, and —
-// for experiments — reading notes on what shape to expect against the paper.
+// for reports — reading notes on what shape to expect against the paper.
 package main
 
 import (
@@ -63,7 +69,6 @@ import (
 
 	"repro"
 	"repro/internal/economics"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -136,9 +141,9 @@ type options struct {
 // newFlagSet declares p2psim's flags, bound to o.
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("p2psim", flag.ContinueOnError)
-	fs.StringVar(&o.exp, "exp", "", "experiment id (fig2..fig6, abl-eps, abl-neighbors, abl-seeds, engines, robust-loss, strategic, isp-matrix) or 'all'")
-	fs.StringVar(&o.scale, "scale", "small", "experiment scale: small, medium, full")
-	fs.StringVar(&o.csvPath, "csv", "", "write series (experiments/single run) or batch summaries to this CSV file")
+	fs.StringVar(&o.exp, "exp", "", "paper report id (fig2..fig6, engines, robust-loss, strategic, isp-matrix) or 'all'")
+	fs.StringVar(&o.scale, "scale", "small", "report scale: small, medium, full")
+	fs.StringVar(&o.csvPath, "csv", "", "write series (report/single run) or batch summaries to this CSV file")
 	fs.BoolVar(&o.noChart, "nochart", false, "suppress ASCII charts")
 	fs.IntVar(&o.width, "width", 72, "chart width")
 	fs.IntVar(&o.height, "height", 14, "chart height")
@@ -173,7 +178,7 @@ func run(args []string) error {
 		return fmt.Errorf("-exp cannot be combined with -list/-scenario")
 	}
 	if o.tracePath != "" && o.name == "" {
-		return fmt.Errorf("-trace requires -scenario (experiments run many interleaved simulations)")
+		return fmt.Errorf("-trace requires -scenario (reports run many interleaved simulations)")
 	}
 	if o.list {
 		return listScenarios(os.Stdout)
@@ -228,7 +233,7 @@ func parseScale(s string) (repro.Scale, error) {
 
 func selectExperiments(id string) ([]string, error) {
 	if id != "all" {
-		if _, ok := experiments.All()[id]; !ok {
+		if _, ok := scenario.Reports()[id]; !ok {
 			return nil, fmt.Errorf("unknown experiment %q (have: %s)",
 				id, strings.Join(sortedIDs(), ", "))
 		}
@@ -259,7 +264,7 @@ func render(rep *repro.Report, noChart bool, width, height int) error {
 	return nil
 }
 
-func printTable(t *experiments.Table) {
+func printTable(t *scenario.Table) {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)

@@ -24,6 +24,7 @@ var honestPathGolden = map[string]map[string]float64{
 		"exact_welfare": 361.50777814098836,
 		"gap_pct":       0,
 		"iterations":    239,
+		"stalls":        0,
 		"welfare":       361.50777814098836,
 	},
 	"asymmetric-cost": {
@@ -207,6 +208,7 @@ var honestPathGolden = map[string]map[string]float64{
 		"exact_welfare": 1380.8463820563122,
 		"gap_pct":       0,
 		"iterations":    42,
+		"stalls":        0,
 		"welfare":       1380.8463820563122,
 	},
 	"vodstreaming": {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/behavior"
 	"repro/internal/cdn"
 	"repro/internal/economics"
-	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/isp"
 	"repro/internal/sim"
@@ -12,9 +11,9 @@ import (
 )
 
 // smallSim returns the calibrated reproduction config at the fast evaluation
-// size (experiments.ScaleSmall): the shared starting point of the presets.
+// size (ScaleSmall): the shared starting point of the presets.
 func smallSim() sim.Config {
-	cfg, err := experiments.At(experiments.ScaleSmall)
+	cfg, err := At(ScaleSmall)
 	if err != nil {
 		panic(err) // ScaleSmall is a known scale
 	}
@@ -423,7 +422,7 @@ func init() {
 		Kind:     KindTransport,
 		Solver:   SolverAuction,
 		Transport: TransportParams{
-			TransportShape: experiments.TransportShape{
+			TransportShape: TransportShape{
 				Requests: 100, Sinks: 20, MaxDegree: 5,
 				MinCapacity: 1, MaxCapacity: 4,
 				MinWeight: -1, MaxWeight: 8,
@@ -442,7 +441,7 @@ func init() {
 		Solver:        SolverAuctionJacobi,
 		SolverWorkers: 4,
 		Transport: TransportParams{
-			TransportShape: experiments.TransportShape{
+			TransportShape: TransportShape{
 				Requests: 300, Sinks: 60, MaxDegree: 6,
 				MinCapacity: 1, MaxCapacity: 6,
 				MinWeight: -1, MaxWeight: 8,

@@ -31,7 +31,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/economics"
-	"repro/internal/experiments"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -138,8 +137,8 @@ func (s Spec) Scheduler(cfg sim.Config) (sched.Scheduler, error) {
 // TransportParams describes the random transportation instances of a
 // KindTransport spec (the shape of one slot's scheduling problem).
 type TransportParams struct {
-	// TransportShape bounds each instance (experiments.RandomTransport).
-	experiments.TransportShape
+	// TransportShape bounds each instance (RandomTransport).
+	TransportShape
 	// Trials is how many instances one run solves (metrics average over them).
 	Trials int
 	// Epsilon is the auction bid increment.
@@ -319,6 +318,9 @@ type Result struct {
 	Metrics  map[string]float64
 	// Traffic is the run's ISP×ISP chunk-transfer ledger (KindSim only).
 	Traffic *economics.Matrix `json:",omitempty"`
+	// PerISPMissRate is each ISP's watchers' aggregate miss rate (KindSim
+	// only): the per-ISP view behind the fairness metric.
+	PerISPMissRate []float64 `json:"-"`
 	// Settlement prices Traffic under the spec's transit model (KindSim
 	// only): the per-ISP cost table behind the transit_usd metric.
 	Settlement *economics.Settlement `json:",omitempty"`
@@ -428,8 +430,9 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 			"cross_isp_gb":     settlement.CrossGB,
 			"transit_usd":      settlement.TransitUSD,
 		},
-		Traffic:    r.TrafficMatrix,
-		Settlement: settlement,
+		Traffic:        r.TrafficMatrix,
+		PerISPMissRate: r.PerISPMissRate,
+		Settlement:     settlement,
 		Series: []*metrics.Series{
 			&r.Welfare, &r.InterISP, &r.MissRate, &r.Online, &r.CrossISPBytes,
 		},
@@ -512,9 +515,9 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 func (s Spec) runTransport(seed uint64) (*Result, error) {
 	t := s.Transport
 	rng := randx.New(seed)
-	var welfare, exactWelfare, gapPct, iters, bids, assigned float64
+	var welfare, exactWelfare, gapPct, iters, bids, assigned, stalls float64
 	for trial := 0; trial < t.Trials; trial++ {
-		p := experiments.RandomTransport(rng, t.TransportShape)
+		p := RandomTransport(rng, t.TransportShape)
 		exact, err := core.SolveExact(p)
 		if err != nil {
 			return nil, err
@@ -545,6 +548,9 @@ func (s Spec) runTransport(seed uint64) (*Result, error) {
 			iters += float64(res.Iterations)
 			bids += float64(res.Bids)
 			assigned += float64(res.Assignment.Assigned())
+			if res.Stalled {
+				stalls++
+			}
 		}
 		welfare += got
 		if opt > 0 {
@@ -560,6 +566,7 @@ func (s Spec) runTransport(seed uint64) (*Result, error) {
 			"iterations":    iters / n,
 			"bids":          bids / n,
 			"assigned":      assigned / n,
+			"stalls":        stalls, // stalled solves in the run, not a mean
 		},
 	}, nil
 }

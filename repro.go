@@ -15,10 +15,11 @@
 //     a message-level discrete-event engine);
 //   - the paper's Simple Locality baseline and a network-agnostic random
 //     baseline;
-//   - one runnable experiment per figure of the paper (Figs. 2–6) plus
-//     ablations and extensions (robustness, strategic bidding, ISP matrix);
 //   - a declarative scenario registry with named workload presets and a
-//     parallel batch runner (internal/scenario, driven by cmd/p2psim);
+//     parallel batch runner (internal/scenario, driven by cmd/p2psim),
+//     which also runs one report per figure of the paper (Figs. 2–6) plus
+//     the engine validation and extensions (robustness, strategic
+//     bidding, ISP matrix);
 //   - an inter-ISP traffic-economics layer: every run records the ISP×ISP
 //     traffic matrix, prices it under pluggable transit models
 //     (flat/tiered/peering) into per-ISP settlements, and compares
@@ -37,7 +38,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/economics"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -71,7 +71,7 @@ func PaperConfig() Config { return sim.PaperConfig() }
 
 // ReproConfig returns the calibrated reproduction configuration used for the
 // figures (see docs/ARCHITECTURE.md §7 for the calibration rationale).
-func ReproConfig() Config { return experiments.ReproConfig() }
+func ReproConfig() Config { return scenario.ReproConfig() }
 
 // RunAuction simulates cfg under the paper's primal-dual auction scheduler.
 func RunAuction(cfg Config) (*Results, error) {
@@ -123,36 +123,36 @@ func SettleTraffic(m *TrafficMatrix, chunkBytes float64, model TransitModel) (*S
 	return economics.Settle(m, chunkBytes, model)
 }
 
-// Experiment reproduction.
+// Paper reports (see internal/scenario/report.go).
 type (
-	// Report is one experiment's output: series, summary table and notes.
-	Report = experiments.Report
-	// Scale selects experiment size (ScaleSmall/ScaleMedium/ScaleFull).
-	Scale = experiments.Scale
+	// Report is one paper report's output: series, summary table and notes.
+	Report = scenario.Report
+	// Scale selects report size (ScaleSmall/ScaleMedium/ScaleFull).
+	Scale = scenario.Scale
 )
 
-// Experiment sizes.
+// Report sizes.
 const (
-	ScaleSmall  = experiments.ScaleSmall
-	ScaleMedium = experiments.ScaleMedium
-	ScaleFull   = experiments.ScaleFull
+	ScaleSmall  = scenario.ScaleSmall
+	ScaleMedium = scenario.ScaleMedium
+	ScaleFull   = scenario.ScaleFull
 )
 
-// Experiment runs the experiment with the given id ("fig2".."fig6",
-// "abl-eps", "abl-neighbors", "abl-seeds", "engines", "robust-loss",
-// "strategic", "isp-matrix") at the given scale; ExperimentIDs lists them.
+// Experiment runs the paper report with the given id ("fig2".."fig6",
+// "engines", "robust-loss", "strategic", "isp-matrix") at the given scale;
+// ExperimentIDs lists them.
 func Experiment(id string, scale Scale) (*Report, error) {
-	runner, ok := experiments.All()[id]
+	runner, ok := scenario.Reports()[id]
 	if !ok {
 		return nil, fmt.Errorf("repro: unknown experiment %q", id)
 	}
 	return runner(scale)
 }
 
-// ExperimentIDs lists the available experiment ids.
+// ExperimentIDs lists the available report ids.
 func ExperimentIDs() []string {
-	ids := make([]string, 0, len(experiments.All()))
-	for id := range experiments.All() {
+	ids := make([]string, 0, len(scenario.Reports()))
+	for id := range scenario.Reports() {
 		ids = append(ids, id)
 	}
 	return ids
