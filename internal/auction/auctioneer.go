@@ -74,27 +74,6 @@ func (a *Auctioneer) StartSlot(capacity int) error {
 	return nil
 }
 
-// StartSlotWarm opens a new slot like StartSlot but carries λ_u over as a
-// reserve price when the previous slot sold out — the distributed analog of
-// the warm-started centralized solver (core.Solver): consecutive slots face
-// nearly the same market, so starting the book at the last clearing price
-// skips most of the bidding war. A slot that ended with unsold units resets
-// to 0 instead (a carried positive price on an unsaturated seller violates
-// complementary slackness condition 1 and would deter buyers it should
-// serve), which is the protocol-level counterpart of the solver's CS1
-// repair, at one slot of lag.
-func (a *Auctioneer) StartSlotWarm(capacity int) error {
-	reserve := 0.0
-	if a.capacity > 0 && a.full() {
-		reserve = a.price
-	}
-	if err := a.StartSlot(capacity); err != nil {
-		return err
-	}
-	a.price = reserve
-	return nil
-}
-
 // Price returns the current unit-bandwidth price λ_u.
 func (a *Auctioneer) Price() float64 { return a.price }
 

@@ -77,30 +77,11 @@ func (n *Node) Shutdown() { n.net.Unregister(netsim.NodeID(n.id)) }
 // upload capacity and the bidding module emits initial bids for the wanted
 // chunks.
 func (n *Node) StartSlot(requests []auction.Request, capacity int) error {
-	return n.startSlot(requests, capacity, false)
-}
-
-// StartSlotWarm opens a new bidding cycle carrying λ_u over as a reserve
-// price when the previous cycle sold out (auction.Auctioneer.StartSlotWarm)
-// — the message-level warm start used by sim.RunDES with
-// DESOptions.WarmStart.
-func (n *Node) StartSlotWarm(requests []auction.Request, capacity int) error {
-	return n.startSlot(requests, capacity, true)
-}
-
-func (n *Node) startSlot(requests []auction.Request, capacity int, warm bool) error {
-	var err error
-	if warm {
-		err = n.alloc.StartSlotWarm(capacity)
-	} else {
-		err = n.alloc.StartSlot(capacity)
-	}
-	if err != nil {
+	if err := n.alloc.StartSlot(capacity); err != nil {
 		return fmt.Errorf("peer: %w", err)
 	}
 	if n.onPrice != nil {
-		// The slot-boundary price (0 on a cold reset, the carried reserve on
-		// a warm one) is part of the λ_u trace.
+		// The slot-boundary reset to 0 is part of the λ_u trace.
 		n.onPrice(n.sched.Now(), n.alloc.Price())
 	}
 	n.route(n.bidder.StartSlot(requests))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/auction"
-	"repro/internal/cluster"
 	"repro/internal/isp"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -32,24 +31,9 @@ type DESOptions struct {
 	// paper's bidders re-bid only on explicit rejection), so lost bids mean
 	// unresolved requests and lost win notices mean one-sided books — the
 	// auctioneer's book is authoritative for transfers, exactly as the
-	// uploading peer's allocator is in the paper. Used by the robustness
-	// ablation.
+	// uploading peer's allocator is in the paper. Used by the robust-loss
+	// report.
 	DropRate float64
-	// Jitter adds uniform [0, Jitter) extra latency per message, perturbing
-	// bid arrival order.
-	Jitter time.Duration
-	// WarmStart carries each auctioneer's λ_u across bidding cycles as a
-	// reserve price when its book sold out (peer.Node.StartSlotWarm) — the
-	// message-level counterpart of the warm-started centralized solver, so
-	// churn scenarios stop paying cold price re-convergence every slot.
-	WarmStart bool
-	// TrackShards records the slot problem's component partition size
-	// (cluster.PartitionInstance) in Results.Shards each slot — the
-	// message-level view of how the market decomposes into independent
-	// swarms; the distributed protocol exploits that decomposition
-	// implicitly (messages never cross components), so the series is
-	// diagnostics, not behavior.
-	TrackShards bool
 }
 
 // RunDES executes the message-level engine: the same world and slot pipeline
@@ -85,7 +69,6 @@ func RunDES(cfg Config, opts DESOptions) (*Results, error) {
 		return nil, err
 	}
 	network.SetDropRate(opts.DropRate)
-	network.SetJitter(opts.Jitter)
 
 	res := &Results{Strategy: "auction-des"}
 	res.nameSeries("auction-des")
@@ -197,14 +180,7 @@ func desSlot(w *world, netSched *netsim.Scheduler, network *netsim.Network,
 		if err != nil {
 			return err
 		}
-		if opts.TrackShards {
-			part, err := cluster.PartitionInstance(in, 0, nil)
-			if err != nil {
-				return err
-			}
-			out.shards = float64(len(part.Shards))
-		}
-		grants, err := desRound(w, j, in, netSched, nodes, opts.WarmStart)
+		grants, err := desRound(w, j, in, netSched, nodes)
 		if err != nil {
 			return err
 		}
@@ -293,7 +269,7 @@ func watchersOf(w *world, v video.ID, exclude isp.PeerID) []isp.PeerID {
 // desRound runs one bidding round's distributed auction to quiescence and
 // extracts the grants.
 func desRound(w *world, j int, in *sched.Instance,
-	netSched *netsim.Scheduler, nodes map[isp.PeerID]*peer.Node, warm bool) ([]sched.Grant, error) {
+	netSched *netsim.Scheduler, nodes map[isp.PeerID]*peer.Node) ([]sched.Grant, error) {
 	// Index requests by (peer, chunk) to translate auction wins to grants.
 	type reqKey struct {
 		peer  isp.PeerID
@@ -327,22 +303,15 @@ func desRound(w *world, j int, in *sched.Instance,
 			return nil, err
 		}
 	}
-	// Open the round on every node: allocators reset (or, warm, keep their
-	// sold-out reserve) with the round's capacity share; bidders fire their
-	// initial bids.
+	// Open the round on every node: allocators reset with the round's
+	// capacity share; bidders fire their initial bids.
 	for _, id := range w.order {
 		if id == noPeer {
 			continue
 		}
 		node := nodes[id]
 		capacity := roundCapacity(w.peers[id].capacity, j, w.cfg.BidRoundsPerSlot)
-		var err error
-		if warm {
-			err = node.StartSlotWarm(perPeer[id], capacity)
-		} else {
-			err = node.StartSlot(perPeer[id], capacity)
-		}
-		if err != nil {
+		if err := node.StartSlot(perPeer[id], capacity); err != nil {
 			return nil, err
 		}
 	}

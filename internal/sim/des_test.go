@@ -121,67 +121,3 @@ func TestRunDESInvalidConfig(t *testing.T) {
 		t.Fatal("invalid config should error")
 	}
 }
-
-// TestRunDESWarmStart exercises the message-level warm start: carried
-// reserve prices must not change the engine's determinism or wreck welfare
-// relative to the cold protocol (stale reserves self-heal with one slot of
-// lag, so small gaps are expected, large ones are a bug).
-func TestRunDESWarmStart(t *testing.T) {
-	cfg := desConfig()
-	cold, err := RunDES(cfg, DESOptions{TracePeer: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunDES(cfg, DESOptions{TracePeer: -1, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm2, err := RunDES(cfg, DESOptions{TracePeer: -1, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.TotalGrants != warm2.TotalGrants || warm.TotalMissed != warm2.TotalMissed {
-		t.Fatalf("warm DES non-deterministic: %d/%d vs %d/%d",
-			warm.TotalGrants, warm.TotalMissed, warm2.TotalGrants, warm2.TotalMissed)
-	}
-	if warm.TotalGrants == 0 {
-		t.Fatal("warm distributed auction granted nothing")
-	}
-	cw := cold.Welfare.Summarize().Mean
-	ww := warm.Welfare.Summarize().Mean
-	if cw <= 0 {
-		t.Fatalf("degenerate cold welfare %v", cw)
-	}
-	if gap := math.Abs(cw-ww) / cw; gap > 0.05 {
-		t.Fatalf("warm DES welfare %v diverges %.1f%% from cold %v", ww, 100*gap, cw)
-	}
-}
-
-// TestRunDESTrackShards exercises the DES engine's shard telemetry: with
-// TrackShards on, every slot must record the component-partition size, and
-// it must be at least the number of watched videos (components never span
-// videos) while never exceeding the catalog.
-func TestRunDESTrackShards(t *testing.T) {
-	cfg := desConfig()
-	res, err := RunDES(cfg, DESOptions{TracePeer: -1, TrackShards: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards.Len() != cfg.Slots {
-		t.Fatalf("shard series has %d points, want %d", res.Shards.Len(), cfg.Slots)
-	}
-	for i, p := range res.Shards.Points {
-		if p.V < 1 || p.V > float64(cfg.Catalog.Count) {
-			t.Fatalf("slot %d: %v shards, want within [1, %d]", i, p.V, cfg.Catalog.Count)
-		}
-	}
-	off, err := RunDES(cfg, DESOptions{TracePeer: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range off.Shards.Points {
-		if p.V != 0 {
-			t.Fatal("shard series populated without TrackShards")
-		}
-	}
-}

@@ -28,8 +28,8 @@ type Results struct {
 	// price-free strategies); with it, buyer surplus = welfare − payments.
 	Payments metrics.Series
 	// Shards is the per-slot shard count when the slot scheduler partitions
-	// the market (cluster.ShardedAuction; also recorded by the DES engine
-	// under DESOptions.TrackShards). All-zero for monolithic strategies.
+	// the market (cluster.ShardedAuction). All-zero for monolithic
+	// strategies and the DES engine.
 	Shards metrics.Series
 	// CrossISPBytes is the absolute cross-ISP traffic volume per slot in
 	// bytes (inter-ISP chunk transfers × chunk size) — unlike the InterISP

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/sched"
@@ -287,7 +286,7 @@ func TestPaymentsAccounting(t *testing.T) {
 
 func TestRunDESWithLossAndJitter(t *testing.T) {
 	cfg := desConfig()
-	res, err := RunDES(cfg, DESOptions{TracePeer: -1, DropRate: 0.15, Jitter: 50 * time.Millisecond})
+	res, err := RunDES(cfg, DESOptions{TracePeer: -1, DropRate: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
