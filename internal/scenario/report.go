@@ -32,7 +32,7 @@ type Report struct {
 // three extensions (message-loss robustness, strategic bidding, the per-ISP
 // traffic matrix). A report built on a world runs it as a Spec under the
 // auction and Simple Locality; the ablations are sweeps over the presets
-// (the README's "Reproducing the paper").
+// (the README's "Reproducing the paper's figures").
 func Reports() map[string]func(Scale) (*Report, error) {
 	return map[string]func(Scale) (*Report, error){
 		"fig2":        fig2PriceConvergence,

@@ -18,6 +18,10 @@
 // map of named scalar metrics; Batch fans a spec out over seed lists and
 // parameter grids on a worker pool and aggregates mean/p50/p95 summaries
 // (batch.go), exportable as JSON or CSV (output.go).
+//
+// The paper's calibrated configuration (ReproConfig, At) and its figure
+// reports (Reports, driven by `p2psim -exp`) live here too, in paper.go and
+// report.go, so the figures and the presets come from one catalog.
 package scenario
 
 import (
