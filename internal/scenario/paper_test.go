@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/randx"
 )
 
@@ -44,6 +45,49 @@ func TestRandomTransportShape(t *testing.T) {
 	}
 	if p.NumEdges() == 0 {
 		t.Fatal("no edges")
+	}
+}
+
+// TestMeasureVerifiesCertificates solves random instances with the auction,
+// the exact solver and the greedy baseline: every auction result carries a
+// valid ε-CS certificate, the auction's total welfare stays within n·ε of the
+// exact optimum, and greedy never beats exact.
+func TestMeasureVerifiesCertificates(t *testing.T) {
+	const (
+		requests, sinks, trials = 60, 12, 3
+		eps                     = 0.01
+	)
+	shape := TransportShape{
+		Requests: requests, Sinks: sinks, MaxDegree: 8,
+		MinCapacity: 1, MaxCapacity: 6, MinWeight: -1, MaxWeight: 8,
+	}
+	rng := randx.New(6)
+	var auction, exact, greedy float64
+	for i := 0; i < trials; i++ {
+		p := RandomTransport(rng, shape)
+		res, err := core.SolveAuction(p, core.AuctionOptions{Epsilon: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.VerifyEpsilonCS(p, res.Assignment, res.Prices, eps, 1e-9); err != nil {
+			t.Fatalf("trial %d: ε-CS verification failed: %v", i, err)
+		}
+		auction += res.Assignment.Welfare(p)
+		opt, err := core.SolveExact(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact += opt.Welfare(p)
+		greedy += core.SolveGreedy(p).Welfare(p)
+	}
+	if auction <= 0 || exact <= 0 {
+		t.Fatalf("degenerate welfare: auction %v, exact %v", auction, exact)
+	}
+	if slack := trials * requests * eps; auction < exact-slack {
+		t.Fatalf("auction %v below exact %v - slack", auction, exact)
+	}
+	if greedy > exact+1e-9 {
+		t.Fatalf("greedy beat exact: %v > %v", greedy, exact)
 	}
 }
 

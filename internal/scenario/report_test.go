@@ -35,6 +35,17 @@ func TestAllRegistry(t *testing.T) {
 	}
 }
 
+// TestExtensionsRegistered checks the two extension reports are reachable
+// through the catalog.
+func TestExtensionsRegistered(t *testing.T) {
+	all := Reports()
+	for _, id := range []string{"robust-loss", "strategic"} {
+		if _, ok := all[id]; !ok {
+			t.Errorf("%s missing", id)
+		}
+	}
+}
+
 // TestFig3Shape verifies the reproduction's headline ordering at small scale:
 // auction welfare above locality.
 func TestFig3Shape(t *testing.T) {
