@@ -1,30 +1,22 @@
 package main
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/exp_small.golden from this build")
-
 // TestExpAllSmallGolden pins every paper report byte for byte: the stdout of
 // `p2psim -exp all -scale small`, charts included, must equal the committed
-// capture. Regenerate it with `go test ./cmd/p2psim -run ExpAllSmall -update`
-// only when a report is meant to change.
+// capture. Regenerate it, only when a report is meant to change, with
+// `go run ./cmd/p2psim -exp all -scale small > cmd/p2psim/testdata/exp_small.golden`.
 func TestExpAllSmallGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every paper report at small scale")
 	}
 	got := captureStdout(t, func() error { return run([]string{"-exp", "all", "-scale", "small"}) })
 	path := filepath.Join("testdata", "exp_small.golden")
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
