@@ -6,10 +6,8 @@
 package baseline
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/isp"
 	"repro/internal/randx"
 	"repro/internal/sched"
 )
@@ -39,22 +37,21 @@ func (l *Locality) Schedule(in *sched.Instance) (*sched.Result, error) {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
-	pick := func(r *sched.Request, tried map[isp.PeerID]bool) (isp.PeerID, bool) {
-		bestCost := 0.0
-		var best isp.PeerID
-		found := false
-		for _, c := range r.Candidates {
-			if tried[c.Peer] {
+	pick := func(r *sched.Request, tried []bool) (int, bool) {
+		best := -1
+		for k, c := range r.Candidates {
+			if tried[k] {
 				continue
 			}
 			// Lowest cost wins; ties to the lower peer id for determinism.
-			if !found || c.Cost < bestCost || (c.Cost == bestCost && c.Peer < best) {
-				bestCost, best, found = c.Cost, c.Peer, true
+			if best < 0 || c.Cost < r.Candidates[best].Cost ||
+				(c.Cost == r.Candidates[best].Cost && c.Peer < r.Candidates[best].Peer) {
+				best = k
 			}
 		}
-		return best, found
+		return best, best >= 0
 	}
-	return runRounds(in, rounds, pick)
+	return runRounds(in, rounds, pick), nil
 }
 
 // Random is the network-agnostic baseline: downstream peers pick a uniformly
@@ -82,11 +79,12 @@ func (r *Random) Schedule(in *sched.Instance) (*sched.Result, error) {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
-	pick := func(req *sched.Request, tried map[isp.PeerID]bool) (isp.PeerID, bool) {
-		var open []isp.PeerID
-		for _, c := range req.Candidates {
-			if !tried[c.Peer] {
-				open = append(open, c.Peer)
+	var open []int
+	pick := func(req *sched.Request, tried []bool) (int, bool) {
+		open = open[:0]
+		for k := range req.Candidates {
+			if !tried[k] {
+				open = append(open, k)
 			}
 		}
 		if len(open) == 0 {
@@ -94,63 +92,75 @@ func (r *Random) Schedule(in *sched.Instance) (*sched.Result, error) {
 		}
 		return open[r.rng.Intn(len(open))], true
 	}
-	return runRounds(in, rounds, pick)
+	return runRounds(in, rounds, pick), nil
 }
 
-// pickFunc chooses the next uploader a request should try, given the set it
-// has already been rejected by.
-type pickFunc func(r *sched.Request, tried map[isp.PeerID]bool) (isp.PeerID, bool)
+// pickFunc chooses the candidate position a request should try next;
+// tried[k] marks the positions whose uploader already rejected it.
+type pickFunc func(r *sched.Request, tried []bool) (int, bool)
 
 // runRounds is the shared round loop: downstreams propose via pick, each
 // uploader accepts its most urgent proposals while capacity lasts, rejected
 // proposals retry next round with that uploader marked as tried.
-func runRounds(in *sched.Instance, rounds int, pick pickFunc) (*sched.Result, error) {
+func runRounds(in *sched.Instance, rounds int, pick pickFunc) *sched.Result {
 	remaining := make([]int, len(in.Uploaders))
 	for i, u := range in.Uploaders {
 		remaining[i] = u.Capacity
 	}
 	granted := make([]bool, len(in.Requests))
-	tried := make([]map[isp.PeerID]bool, len(in.Requests))
-	for i := range tried {
-		tried[i] = make(map[isp.PeerID]bool, len(in.Requests[i].Candidates))
+	// tried is per candidate edge: request ri's flags start at edgeOff[ri].
+	edgeOff := make([]int, len(in.Requests)+1)
+	for ri := range in.Requests {
+		edgeOff[ri+1] = edgeOff[ri] + len(in.Requests[ri].Candidates)
 	}
+	tried := make([]bool, edgeOff[len(in.Requests)])
+	// proposals[ui] lists the requests proposing to uploader row ui this
+	// round; proposed lists those rows.
+	proposals := make([][]int, len(in.Uploaders))
+	var proposed []int32
 	res := &sched.Result{Stats: map[string]float64{}}
 	proposalsTotal := 0
 
 	for round := 0; round < rounds; round++ {
-		// Collect proposals per uploader.
-		proposals := make(map[isp.PeerID][]int)
-		active := 0
+		for _, ui := range proposed {
+			proposals[ui] = proposals[ui][:0]
+		}
+		proposed = proposed[:0]
 		for ri := range in.Requests {
 			if granted[ri] {
 				continue
 			}
-			target, ok := pick(&in.Requests[ri], tried[ri])
+			rt := tried[edgeOff[ri]:edgeOff[ri+1]]
+			k, ok := pick(&in.Requests[ri], rt)
 			if !ok {
 				continue // exhausted all candidates
 			}
-			tried[ri][target] = true
+			rows := in.Rows(ri)
+			target := rows[k]
+			for j, ui := range rows {
+				if ui == target {
+					rt[j] = true
+				}
+			}
+			if len(proposals[target]) == 0 {
+				proposed = append(proposed, target)
+			}
 			proposals[target] = append(proposals[target], ri)
-			active++
 		}
-		if active == 0 {
+		if len(proposed) == 0 {
 			break
 		}
-		proposalsTotal += active
-
-		// Deterministic uploader processing order.
-		uploaders := make([]isp.PeerID, 0, len(proposals))
-		for u := range proposals {
-			uploaders = append(uploaders, u)
+		for _, ui := range proposed {
+			proposalsTotal += len(proposals[ui])
 		}
-		sort.Slice(uploaders, func(i, j int) bool { return uploaders[i] < uploaders[j] })
 
-		for _, u := range uploaders {
-			ui, ok := in.UploaderIndex(u)
-			if !ok {
-				return nil, fmt.Errorf("baseline: proposal to unknown uploader %d", u)
-			}
-			reqs := proposals[u]
+		// Deterministic uploader processing order: ascending peer id.
+		sort.Slice(proposed, func(i, j int) bool {
+			return in.Uploaders[proposed[i]].Peer < in.Uploaders[proposed[j]].Peer
+		})
+
+		for _, ui := range proposed {
+			reqs := proposals[ui]
 			// Most urgent deadline first; ties by request index.
 			sort.Slice(reqs, func(i, j int) bool {
 				di := in.Requests[reqs[i]].Deadline
@@ -166,11 +176,11 @@ func runRounds(in *sched.Instance, rounds int, pick pickFunc) (*sched.Result, er
 				}
 				remaining[ui]--
 				granted[ri] = true
-				res.Grants = append(res.Grants, sched.Grant{Request: ri, Uploader: u})
+				res.Grants = append(res.Grants, sched.Grant{Request: ri, Uploader: in.Uploaders[ui].Peer})
 			}
 		}
 	}
 	res.Stats["proposals"] = float64(proposalsTotal)
 	res.Stats["rounds"] = float64(rounds)
-	return res, nil
+	return res
 }

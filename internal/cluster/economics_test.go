@@ -35,10 +35,7 @@ func TestShardedTrafficMatrixRecombinesExactly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("slot %d: %v", si, err)
 		}
-		part, err := PartitionInstance(in, 0, nil)
-		if err != nil {
-			t.Fatalf("slot %d: %v", si, err)
-		}
+		part := PartitionInstance(in, 0, nil)
 		// Assign every granted request to its owning shard.
 		owner := make(map[int]int, len(in.Requests)) // request index -> shard index
 		for shi, sh := range part.Shards {

@@ -87,7 +87,7 @@ func (ip *incrementalPartitioner) invalidate() { ip.valid = false }
 // the previous slot — only values/capacities may differ — so the shard's
 // solver can take an identity delta). The returned partition and flags are
 // valid until the next update.
-func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDelta) (*Partition, []bool, error) {
+func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDelta) (*Partition, []bool) {
 	if d != nil && ip.valid &&
 		len(d.PrevUp) == len(in.Uploaders) && len(d.PrevReq) == len(in.Requests) &&
 		len(d.SameCands) == len(in.Requests) {
@@ -98,12 +98,12 @@ func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDe
 			for i := range ip.cleanFlags {
 				ip.cleanFlags[i] = true
 			}
-			return &ip.cur.part, ip.cleanFlags, nil
+			return &ip.cur.part, ip.cleanFlags
 		}
 		part, clean, err := ip.updateIncremental(in, d)
 		if err == nil {
 			ip.incremental++
-			return part, clean, nil
+			return part, clean
 		}
 		// Inconsistent delta: fall through to the full rebuild (never
 		// wrong, only slower). The error is intentionally not surfaced —
@@ -114,18 +114,15 @@ func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDe
 
 // rebuild runs the full partition and captures its row→shard maps as the
 // next slot's baseline.
-func (ip *incrementalPartitioner) rebuild(in *sched.Instance) (*Partition, []bool, error) {
-	part, err := PartitionInstance(in, 0, nil)
-	if err != nil {
-		return nil, nil, err
-	}
+func (ip *incrementalPartitioner) rebuild(in *sched.Instance) (*Partition, []bool) {
+	part := PartitionInstance(in, 0, nil)
 	ip.rebuilds++
 	st := &ip.cur
 	st.reset()
 	st.part = *part
 	ip.captureMaps(st, len(in.Uploaders), len(in.Requests))
 	ip.valid = true
-	return &st.part, nil, nil
+	return &st.part, nil
 }
 
 // captureMaps derives shardOfUp/shardOfReq from st.part.
@@ -209,11 +206,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 				dirty[s] = true
 			}
 		}
-		for _, c := range in.Requests[ri].Candidates {
-			ui, ok := in.UploaderIndex(c.Peer)
-			if !ok {
-				return nil, nil, fmt.Errorf("cluster: request %d references unknown uploader %d", ri, c.Peer)
-			}
+		for _, ui := range in.Rows(ri) {
 			inSetUp[ui] = true
 			if p := d.PrevUp[ui]; p >= 0 {
 				if s := prev.shardOfUp[p]; s >= 0 {
@@ -268,30 +261,14 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 			parent[rb] = ra
 		}
 	}
-	anchorOf := func(ri int) (int32, error) {
-		cands := in.Requests[ri].Candidates
-		if len(cands) == 0 {
-			return -1, nil
-		}
-		first, ok := in.UploaderIndex(cands[0].Peer)
-		if !ok {
-			return -1, fmt.Errorf("cluster: request %d references unknown uploader %d", ri, cands[0].Peer)
-		}
-		for _, c := range cands[1:] {
-			ui, ok := in.UploaderIndex(c.Peer)
-			if !ok {
-				return -1, fmt.Errorf("cluster: request %d references unknown uploader %d", ri, c.Peer)
-			}
-			union(int32(first), int32(ui))
-		}
-		return int32(first), nil
-	}
 	for ri := 0; ri < nReq; ri++ {
 		if !inSetReq[ri] {
 			continue
 		}
-		if _, err := anchorOf(ri); err != nil {
-			return nil, nil, err
+		if rows := in.Rows(ri); len(rows) > 0 {
+			for _, ui := range rows[1:] {
+				union(rows[0], ui)
+			}
 		}
 	}
 
@@ -318,12 +295,11 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		if !inSetReq[ri] {
 			continue
 		}
-		cands := in.Requests[ri].Candidates
-		if len(cands) == 0 {
+		rows := in.Rows(ri)
+		if len(rows) == 0 {
 			continue
 		}
-		first, _ := in.UploaderIndex(cands[0].Peer)
-		root := find(int32(first))
+		root := find(rows[0])
 		v := in.Requests[ri].Chunk.Video
 		if cur, ok := videoKey[root]; !ok || v < cur {
 			videoKey[root] = v
@@ -334,12 +310,11 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		if !inSetReq[ri] {
 			continue
 		}
-		cands := in.Requests[ri].Candidates
-		if len(cands) == 0 {
+		rows := in.Rows(ri)
+		if len(rows) == 0 {
 			continue
 		}
-		first, _ := in.UploaderIndex(cands[0].Peer)
-		v := videoKey[find(int32(first))]
+		v := videoKey[find(rows[0])]
 		sh := refound[v]
 		if sh == nil {
 			sh = &Shard{Key: Key{Video: v, ISP: NoISP}}

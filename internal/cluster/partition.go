@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/isp"
@@ -108,27 +107,19 @@ func (u *unionFind) union(a, b int32) {
 // slice, each request follows its cheapest candidate, and the request's
 // candidates outside that slice are cut (counted in CutEdges — the partition
 // is no longer exact, see the package comment).
-func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) (*Partition, error) {
+func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) *Partition {
 	nUp := len(in.Uploaders)
 	uf := newUnionFind(nUp)
 	reqAnchor := make([]int32, len(in.Requests)) // first candidate's uploader index, -1 for orphans
 	for ri := range in.Requests {
-		cands := in.Requests[ri].Candidates
-		if len(cands) == 0 {
+		rows := in.Rows(ri)
+		if len(rows) == 0 {
 			reqAnchor[ri] = -1
 			continue
 		}
-		first, ok := in.UploaderIndex(cands[0].Peer)
-		if !ok {
-			return nil, fmt.Errorf("cluster: request %d references unknown uploader %d", ri, cands[0].Peer)
-		}
-		reqAnchor[ri] = int32(first)
-		for _, c := range cands[1:] {
-			ui, ok := in.UploaderIndex(c.Peer)
-			if !ok {
-				return nil, fmt.Errorf("cluster: request %d references unknown uploader %d", ri, c.Peer)
-			}
-			uf.union(int32(first), int32(ui))
+		reqAnchor[ri] = rows[0]
+		for _, ui := range rows[1:] {
+			uf.union(rows[0], ui)
 		}
 	}
 
@@ -178,13 +169,17 @@ func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) 
 	}
 	sort.Slice(videos, func(i, j int) bool { return videos[i] < videos[j] })
 
+	var ispOfRow []isp.ID // refinement's per-uploader-row ISP, shared by every group
 	for _, v := range videos {
 		sh := byVideo[v]
 		if maxPeers <= 0 || ispOf == nil || sh.Peers(in) <= maxPeers {
 			p.Shards = append(p.Shards, *sh)
 			continue
 		}
-		refined, cut := refineByISP(in, sh, ispOf)
+		if ispOfRow == nil {
+			ispOfRow = make([]isp.ID, nUp)
+		}
+		refined, cut := refineByISP(in, sh, ispOf, ispOfRow)
 		if len(refined) <= 1 {
 			// Everyone is in one ISP (or unknown): nothing to split.
 			p.Shards = append(p.Shards, *sh)
@@ -195,7 +190,7 @@ func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) 
 		p.Shards = append(p.Shards, refined...)
 	}
 	sort.Slice(p.Shards, func(i, j int) bool { return p.Shards[i].Key.less(p.Shards[j].Key) })
-	return p, nil
+	return p
 }
 
 // refineByISP splits one oversized swarm group into per-ISP slices. Each
@@ -203,7 +198,8 @@ func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) 
 // request follows its cheapest candidate (ties: first in candidate order,
 // the instance's deterministic order) and loses its candidates outside that
 // slice. Returns the slices sorted by ISP and the number of cut edges.
-func refineByISP(in *sched.Instance, sh *Shard, ispOf func(isp.PeerID) (isp.ID, bool)) ([]Shard, int) {
+// ispOfRow is scratch indexed by uploader row; only sh's rows are written.
+func refineByISP(in *sched.Instance, sh *Shard, ispOf func(isp.PeerID) (isp.ID, bool), ispOfRow []isp.ID) ([]Shard, int) {
 	slice := make(map[isp.ID]*Shard)
 	ids := make([]isp.ID, 0, 8)
 	sliceFor := func(m isp.ID) *Shard {
@@ -215,14 +211,12 @@ func refineByISP(in *sched.Instance, sh *Shard, ispOf func(isp.PeerID) (isp.ID, 
 		}
 		return s
 	}
-	ispOfUploader := make(map[isp.PeerID]isp.ID, len(sh.Uploaders))
 	for _, ui := range sh.Uploaders {
-		peer := in.Uploaders[ui].Peer
-		m, ok := ispOf(peer)
+		m, ok := ispOf(in.Uploaders[ui].Peer)
 		if !ok {
 			m = NoISP
 		}
-		ispOfUploader[peer] = m
+		ispOfRow[ui] = m
 		sliceFor(m).Uploaders = append(sliceFor(m).Uploaders, ui)
 	}
 	cut := 0
@@ -234,11 +228,12 @@ func refineByISP(in *sched.Instance, sh *Shard, ispOf func(isp.PeerID) (isp.ID, 
 				best = ci
 			}
 		}
-		home := ispOfUploader[cands[best].Peer]
+		rows := in.Rows(ri)
+		home := ispOfRow[rows[best]]
 		s := sliceFor(home)
 		s.Requests = append(s.Requests, ri)
-		for _, c := range cands {
-			if ispOfUploader[c.Peer] != home {
+		for _, ui := range rows {
+			if ispOfRow[ui] != home {
 				s.CutEdges++
 				cut++
 			}

@@ -20,10 +20,7 @@ var (
 
 func TestPartitionFindsSwarmComponents(t *testing.T) {
 	in := buildSlots(1, 1, 3, 20, 6, 0, false)[0]
-	p, err := PartitionInstance(in, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := PartitionInstance(in, 0, nil)
 	if len(p.Shards) != 3 {
 		t.Fatalf("got %d shards, want 3: %+v", len(p.Shards), p.Shards)
 	}
@@ -75,10 +72,7 @@ func TestPartitionOrphansAndIdleUploaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PartitionInstance(in, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := PartitionInstance(in, 0, nil)
 	if len(p.Shards) != 1 || len(p.Shards[0].Requests) != 1 {
 		t.Fatalf("shards = %+v", p.Shards)
 	}
@@ -105,10 +99,7 @@ func TestPartitionMergesSameVideoComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PartitionInstance(in, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := PartitionInstance(in, 0, nil)
 	if len(p.Shards) != 1 {
 		t.Fatalf("got %d shards, want 1 (same video key): %+v", len(p.Shards), p.Shards)
 	}
@@ -124,10 +115,7 @@ func TestPartitionMergesSameVideoComponents(t *testing.T) {
 func TestPartitionRefinesOversizedByISP(t *testing.T) {
 	in := buildSlots(2, 1, 1, 60, 12, 0, false)[0]
 	ispOf := func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true }
-	p, err := PartitionInstance(in, 20, ispOf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := PartitionInstance(in, 20, ispOf)
 	if p.Refined != 1 {
 		t.Fatalf("refined = %d, want 1 (partition: %+v)", p.Refined, p)
 	}
@@ -171,10 +159,7 @@ func TestPartitionRefinesOversizedByISP(t *testing.T) {
 			len(seen), len(in.Uploaders), reqSeen, len(in.Requests))
 	}
 	// Below the threshold nothing splits.
-	p2, err := PartitionInstance(in, 0, ispOf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := PartitionInstance(in, 0, ispOf)
 	if p2.Refined != 0 || len(p2.Shards) != 1 {
 		t.Fatalf("threshold 0 must not refine: %+v", p2)
 	}

@@ -171,19 +171,15 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	psp := ctk.Begin("partition")
 	var part *Partition
 	var clean []bool
-	var err error
 	if a.MaxShardPeers > 0 && a.ispOf != nil {
 		// ISP-affinity refinement re-slices oversized shards by a global
 		// cost heuristic; membership is not locally maintainable, so this
 		// configuration keeps the full per-slot partition.
 		a.inc.invalidate()
 		a.inc.rebuilds++
-		part, err = PartitionInstance(in, a.MaxShardPeers, a.ispOf)
+		part = PartitionInstance(in, a.MaxShardPeers, a.ispOf)
 	} else {
-		part, clean, err = a.inc.update(in, d)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sharded auction: %w", err)
+		part, clean = a.inc.update(in, d)
 	}
 	a.stats.PartitionIncremental = a.inc.incremental
 	a.stats.PartitionRebuilds = a.inc.rebuilds
@@ -313,6 +309,15 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	}
 	for i := range in.Uploaders {
 		out.Prices[in.Uploaders[i].Peer] = 0 // idle uploaders sell nothing at 0
+	}
+	grants := 0
+	for i := range results {
+		if results[i].res != nil {
+			grants += len(results[i].res.Grants)
+		}
+	}
+	if grants > 0 {
+		out.Grants = make([]sched.Grant, 0, grants)
 	}
 	migrations := 0
 	for k := range a.curShardOf {

@@ -302,19 +302,39 @@ func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
 	}
 	nReq, nSink := p.NumRequests(), p.NumSinks()
 	sinks := make([]auctioneer, nSink)
+	indeg := make([]int, nSink)
+	for r := 0; r < nReq; r++ {
+		for _, e := range p.Edges(RequestID(r)) {
+			indeg[e.Sink]++
+		}
+	}
+	// Every sink's book is a capped window of one slab. A request bids only
+	// while unassigned, so it sits in at most one book, once: a book never
+	// holds more than min(B(u), indeg(u)) bids and never outgrows its window.
+	books := 0
 	for s := range sinks {
 		sinks[s].capacity = p.Capacity(SinkID(s))
+		books += min(sinks[s].capacity, indeg[s])
+	}
+	slab := make([]acceptedBid, books)
+	for s := range sinks {
+		n := min(sinks[s].capacity, indeg[s])
+		sinks[s].accepted = slab[:0:n]
+		slab = slab[n:]
 	}
 	assignment := NewAssignment(nReq)
 	res := &AuctionResult{Assignment: assignment}
 
-	// FIFO queue of unassigned requests; inQueue guards against double
-	// enqueueing.
-	queue := make([]RequestID, 0, nReq)
+	// FIFO queue of unassigned requests, as a ring over queue[head:] and
+	// its wrap; inQueue guards against double enqueueing, so at most nReq
+	// requests are ever queued and the ring never grows.
+	queue := make([]RequestID, nReq)
 	inQueue := make([]bool, nReq)
+	head, queued := 0, 0
 	enqueue := func(r RequestID) {
 		if !inQueue[r] {
-			queue = append(queue, r)
+			queue[(head+queued)%nReq] = r
+			queued++
 			inQueue[r] = true
 		}
 	}
@@ -360,14 +380,15 @@ func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
 		// move only on accepted bids, so counting rejects since the last
 		// accept is sound.
 		consecutiveRejects := 0
-		for len(queue) > 0 {
+		for queued > 0 {
 			if res.Iterations >= opts.MaxIterations {
 				return nil, fmt.Errorf("core: auction exceeded %d iterations (ε=%v)",
 					opts.MaxIterations, opts.Epsilon)
 			}
 			res.Iterations++
-			r := queue[0]
-			queue = queue[1:]
+			r := queue[head]
+			head = (head + 1) % nReq
+			queued--
 			inQueue[r] = false
 
 			target, bid, ok := computeBid(r)
@@ -379,12 +400,12 @@ func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
 			if !accepted {
 				enqueue(r)
 				consecutiveRejects++
-				if consecutiveRejects >= len(queue) {
+				if consecutiveRejects >= queued {
 					res.Stalled = true
-					for _, q := range queue {
-						inQueue[q] = false
+					for i := range queued {
+						inQueue[queue[(head+i)%nReq]] = false
 					}
-					queue = nil
+					queued = 0
 				}
 				continue
 			}
@@ -397,7 +418,9 @@ func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
 			}
 		}
 	case Jacobi:
-		for len(queue) > 0 {
+		// Every round drains the whole queue, so the ring stays linear:
+		// head is 0 and the round's bidders are queue[:queued].
+		for queued > 0 {
 			if res.Iterations >= opts.MaxIterations {
 				return nil, fmt.Errorf("core: auction exceeded %d rounds (ε=%v)",
 					opts.MaxIterations, opts.Epsilon)
@@ -407,11 +430,11 @@ func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
 			// within a round bid computation is pure (prices move only when
 			// offers are processed afterwards), so it parallelizes with
 			// bit-identical results.
-			round := computeRound(queue, computeBid, opts.Workers)
-			for _, r := range queue {
+			round := computeRound(queue[:queued], computeBid, opts.Workers)
+			for _, r := range queue[:queued] {
 				inQueue[r] = false
 			}
-			queue = queue[:0]
+			queued = 0
 			if len(round) == 0 {
 				break
 			}

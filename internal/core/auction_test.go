@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -390,5 +391,30 @@ func TestVerifyEpsilonCSRejectsBadCertificates(t *testing.T) {
 	good.SinkOf[r0] = s0
 	if err := VerifyEpsilonCS(p, good, []float64{0, 0}, 0.01, 1e-9); err != nil {
 		t.Errorf("valid certificate rejected: %v", err)
+	}
+}
+
+// TestSolveAuctionAllocs pins the cold solve's allocation count: the
+// sinks' bid books are windows of one slab sized from the in-degrees and
+// the request queue is a fixed ring, so solving 10 sinks costs exactly as
+// many allocations as 1 000, however long either bidding war runs: 10
+// measured, with or without the race detector. The collector is paused
+// while counting, so allocations the runtime makes during a GC cycle are
+// not charged to the solve.
+func TestSolveAuctionAllocs(t *testing.T) {
+	const bound = 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var counts []float64
+	for _, sinks := range []int{10, 1000} {
+		p := randomProblemLarge(randx.New(uint64(sinks)), 8*sinks, sinks)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := SolveAuction(p, AuctionOptions{Epsilon: 0.01}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] > bound {
+		t.Fatalf("SolveAuction allocs at 10 / 1000 sinks = %v / %v, want equal and <= %d",
+			counts[0], counts[1], bound)
 	}
 }

@@ -28,8 +28,9 @@ func (a *Auction) Name() string { return "auction" }
 // buildProblem translates a slot instance into the transportation problem of
 // (1): one sink per uploader with capacity B(u), one request per wish, edge
 // weights v_c(d) − w_{u→d}. Shared by the auction and exact schedulers. Sinks
-// are minted in uploader order, so SinkID i is in.Uploaders[i]; the problem
-// is presized from the instance, so the build appends every edge in place.
+// are minted in uploader order, so SinkID i is in.Uploaders[i] and each
+// edge's sink is its row; the problem is presized from the instance, so the
+// build appends every edge in place.
 func buildProblem(in *Instance) (*core.Problem, error) {
 	p := core.NewProblem()
 	edges := 0
@@ -45,12 +46,8 @@ func buildProblem(in *Instance) (*core.Problem, error) {
 	for i := range in.Requests {
 		req := &in.Requests[i]
 		r := p.AddRequest()
-		for _, cand := range req.Candidates {
-			ui, ok := in.UploaderIndex(cand.Peer)
-			if !ok {
-				return nil, fmt.Errorf("unknown uploader %d", cand.Peer)
-			}
-			if err := p.AddEdge(r, core.SinkID(ui), req.Value-cand.Cost); err != nil {
+		for k, ui := range in.Rows(i) {
+			if err := p.AddEdge(r, core.SinkID(ui), req.Value-req.Candidates[k].Cost); err != nil {
 				return nil, err
 			}
 		}

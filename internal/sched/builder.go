@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isp"
 	"repro/internal/video"
@@ -46,12 +47,15 @@ type DeltaScheduler interface {
 }
 
 // instStore is one half of the builder's double buffer: the instance plus
-// the candidate arena its requests point into. Two stores alternate so the
+// the candidate arena its requests point into, the row table aligned with
+// that arena and its per-request offsets. Two stores alternate so the
 // previous round's instance (and every candidate slice a consumer may still
 // hold from it) stays intact while the next one is built.
 type instStore struct {
 	inst    Instance
 	arena   []Candidate
+	rows    []int32
+	rowOff  []int32
 	slotRow []int32
 }
 
@@ -62,6 +66,11 @@ type instStore struct {
 // the InstanceDelta against the previous round as a by-product of the
 // ordered replay (a two-pointer merge, no hashing). The produced instance
 // and delta are valid until the next Build.
+//
+// AddUploader returns the row it assigned, and the producer names each
+// candidate by that row (AddCandidate(row, cost)), so the instance's row
+// table is filled without resolving a single PeerID. Carried candidate
+// lists have their rows remapped through the round's uploader merge.
 //
 // Key order: uploaders ascending by peer id; requests ascending by
 // (peer, video, chunk), strictly. Out-of-order rounds still build a correct
@@ -78,6 +87,13 @@ type Builder struct {
 	slotOf    map[isp.PeerID]int32
 	freeSlots []int32
 	numSlots  int
+
+	// upNext maps each previous-round uploader row to its row this round
+	// (-1 = departed), filled by the ordered uploader merge; carried
+	// candidate lists remap their rows through it.
+	upNext []int32
+	// err is the first candidate error of the round, reported by Build.
+	err error
 
 	delta     InstanceDelta
 	ordered   bool // current build's keys ascending so far
@@ -136,6 +152,14 @@ func (b *Builder) Begin() {
 	b.cur.inst.Requests = b.cur.inst.Requests[:0]
 	b.cur.inst.Uploaders = b.cur.inst.Uploaders[:0]
 	b.cur.arena = b.cur.arena[:0]
+	b.cur.rows = b.cur.rows[:0]
+	b.cur.rowOff = b.cur.rowOff[:0]
+	b.err = nil
+	np := len(b.prev.inst.Uploaders)
+	b.upNext = slices.Grow(b.upNext[:0], np)[:np]
+	for i := range b.upNext {
+		b.upNext[i] = -1
+	}
 	if cap(b.cur.slotRow) < b.numSlots {
 		b.cur.slotRow = make([]int32, b.numSlots, b.numSlots+b.numSlots/4+8)
 	}
@@ -168,22 +192,23 @@ func (b *Builder) dropUploader(i int) {
 	b.delta.RemovedUps = append(b.delta.RemovedUps, int32(i))
 }
 
-// AddUploader appends one uploader. Uploaders must arrive in strictly
+// AddUploader appends one uploader and returns its row, the index
+// AddCandidate names it by this round. Uploaders must arrive in strictly
 // ascending peer order for the round to yield a delta; duplicates are an
 // error either way.
-func (b *Builder) AddUploader(p isp.PeerID, capacity int) error {
+func (b *Builder) AddUploader(p isp.PeerID, capacity int) (int32, error) {
 	if !b.building {
 		panic("sched: Builder.AddUploader outside Begin/Build")
 	}
 	if b.reqOpen || len(b.cur.inst.Requests) > 0 {
-		return fmt.Errorf("sched: uploaders must be added before requests")
+		return -1, fmt.Errorf("sched: uploaders must be added before requests")
 	}
 	if capacity < 0 {
-		return fmt.Errorf("sched: uploader %d has negative capacity", p)
+		return -1, fmt.Errorf("sched: uploader %d has negative capacity", p)
 	}
 	if b.haveUp && p <= b.lastUp {
 		if p == b.lastUp {
-			return fmt.Errorf("sched: duplicate uploader %d", p)
+			return -1, fmt.Errorf("sched: duplicate uploader %d", p)
 		}
 		b.ordered = false
 	}
@@ -216,12 +241,16 @@ func (b *Builder) AddUploader(p isp.PeerID, capacity int) error {
 		b.slotOf[p] = s
 	}
 	if int(s) < len(b.cur.slotRow) && b.cur.slotRow[s] >= 0 {
-		return fmt.Errorf("sched: duplicate uploader %d", p)
+		return -1, fmt.Errorf("sched: duplicate uploader %d", p)
 	}
-	b.cur.slotRow[s] = int32(len(b.cur.inst.Uploaders))
+	row := int32(len(b.cur.inst.Uploaders))
+	b.cur.slotRow[s] = row
 	b.cur.inst.Uploaders = append(b.cur.inst.Uploaders, Uploader{Peer: p, Capacity: capacity})
 	b.delta.PrevUp = append(b.delta.PrevUp, prevRow)
-	return nil
+	if prevRow >= 0 {
+		b.upNext[prevRow] = row
+	}
+	return row, nil
 }
 
 // StartRequest opens one request. Requests must arrive in strictly
@@ -287,22 +316,48 @@ func (b *Builder) PrevCandidates() []Candidate {
 
 // CarryCandidates copies the previous round's candidate list into the open
 // request — the producer's assertion that nothing changed (checked nowhere:
-// this is the fast path the dirty tracking guards). Reports whether a
-// previous list existed; when it returns false the producer must fall back
-// to AddCandidate calls.
+// this is the fast path the dirty tracking guards) — and remaps its rows
+// to this round's uploader rows. Reports whether a previous list existed;
+// when it returns false the producer must fall back to AddCandidate calls.
+// A carried candidate whose uploader did not return this round makes Build
+// fail.
 func (b *Builder) CarryCandidates() bool {
 	pc := b.PrevCandidates()
 	if pc == nil {
 		return false
 	}
-	b.cur.arena = append(b.cur.arena, pc...)
+	for k, r := range b.prev.inst.Rows(int(b.openPrev)) {
+		nr := b.upNext[r]
+		if nr < 0 {
+			b.fail(fmt.Errorf("sched: uploader %d of a carried candidate of request (%d, %v) has departed",
+				pc[k].Peer, b.openReq.Peer, b.openReq.Chunk))
+			continue
+		}
+		b.cur.arena = append(b.cur.arena, pc[k])
+		b.cur.rows = append(b.cur.rows, nr)
+	}
 	b.carried = true
 	return true
 }
 
-// AddCandidate appends one candidate to the open request.
-func (b *Builder) AddCandidate(p isp.PeerID, cost float64) {
-	b.cur.arena = append(b.cur.arena, Candidate{Peer: p, Cost: cost})
+// AddCandidate appends the uploader at row (as returned by this round's
+// AddUploader) to the open request, at network cost cost. A row not yet
+// added makes Build fail.
+func (b *Builder) AddCandidate(row int32, cost float64) {
+	if row < 0 || int(row) >= len(b.cur.inst.Uploaders) {
+		b.fail(fmt.Errorf("sched: candidate names uploader row %d, but %d uploaders were added",
+			row, len(b.cur.inst.Uploaders)))
+		return
+	}
+	b.cur.arena = append(b.cur.arena, Candidate{Peer: b.cur.inst.Uploaders[row].Peer, Cost: cost})
+	b.cur.rows = append(b.cur.rows, row)
+}
+
+// fail records the round's first candidate error for Build to return.
+func (b *Builder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
 }
 
 // EndRequest commits the open request. Requests that gathered no candidates
@@ -317,6 +372,7 @@ func (b *Builder) EndRequest() {
 	cands := b.cur.arena[b.arenaStart:len(b.cur.arena):len(b.cur.arena)]
 	if len(cands) == 0 {
 		b.cur.arena = b.cur.arena[:b.arenaStart]
+		b.cur.rows = b.cur.rows[:b.arenaStart]
 		if b.openPrev >= 0 {
 			b.delta.RemovedReqs = append(b.delta.RemovedReqs, b.openPrev)
 		}
@@ -324,6 +380,7 @@ func (b *Builder) EndRequest() {
 	}
 	b.openReq.Candidates = cands
 	b.cur.inst.Requests = append(b.cur.inst.Requests, b.openReq)
+	b.cur.rowOff = append(b.cur.rowOff, int32(b.arenaStart))
 	same := false
 	switch {
 	case b.openPrev < 0:
@@ -356,7 +413,9 @@ func candidatesEqual(a, b []Candidate) bool {
 // Build closes the round and returns the instance plus the delta versus the
 // previous Build (nil on the first round or when either round broke key
 // order). Both are valid until the next Build; the delta's slices are
-// reused across rounds.
+// reused across rounds. A round with a candidate error (an AddCandidate row
+// never added, a carried candidate whose uploader left) returns that error,
+// and the next round starts without a delta baseline.
 func (b *Builder) Build() (*Instance, *InstanceDelta, error) {
 	if !b.building {
 		panic("sched: Builder.Build without Begin")
@@ -371,6 +430,8 @@ func (b *Builder) Build() (*Instance, *InstanceDelta, error) {
 			b.reqCursor++
 		}
 	}
+	b.cur.rowOff = append(b.cur.rowOff, int32(len(b.cur.arena)))
+	b.cur.inst.rows, b.cur.inst.rowOff = b.cur.rows, b.cur.rowOff
 	b.cur.inst.slotRow = b.cur.slotRow
 	b.building = false
 
@@ -387,6 +448,11 @@ func (b *Builder) Build() (*Instance, *InstanceDelta, error) {
 	}
 	b.prevOrder = b.ordered
 	b.prevValid = true
+	if b.err != nil {
+		// Nothing may be carried from, or diffed against, a broken round.
+		b.prevOrder = false
+		return nil, nil, b.err
+	}
 	return &b.cur.inst, d, nil
 }
 

@@ -117,17 +117,20 @@ func (m *churnModel) churn(valuesOnly bool) {
 func (m *churnModel) buildRound(t *testing.T, b *sched.Builder) (*sched.Instance, *sched.InstanceDelta) {
 	t.Helper()
 	b.Begin()
+	rowOf := make(map[isp.PeerID]int32, len(m.ups))
 	for _, u := range m.ups {
-		if err := b.AddUploader(u.Peer, u.Capacity); err != nil {
+		row, err := b.AddUploader(u.Peer, u.Capacity)
+		if err != nil {
 			t.Fatal(err)
 		}
+		rowOf[u.Peer] = row
 	}
 	for i := range m.reqs {
 		r := &m.reqs[i]
 		b.StartRequest(r.peer, video.ChunkID{Video: 0, Index: r.chunk}, r.value, 1)
 		if r.changed || !b.CarryCandidates() {
 			for _, c := range r.cands {
-				b.AddCandidate(c.Peer, c.Cost)
+				b.AddCandidate(rowOf[c.Peer], c.Cost)
 			}
 		}
 		b.EndRequest()
@@ -285,7 +288,7 @@ func TestBuilderUnorderedRoundsStillBuild(t *testing.T) {
 	build := func(order []isp.PeerID) (*sched.Instance, *sched.InstanceDelta) {
 		b.Begin()
 		for _, p := range []isp.PeerID{0, 1} {
-			if err := b.AddUploader(p, 2); err != nil {
+			if _, err := b.AddUploader(p, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -321,10 +324,10 @@ func TestBuilderUnorderedRoundsStillBuild(t *testing.T) {
 func TestBuilderRejectsDuplicateUploaders(t *testing.T) {
 	b := sched.NewBuilder()
 	b.Begin()
-	if err := b.AddUploader(4, 1); err != nil {
+	if _, err := b.AddUploader(4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddUploader(4, 2); err == nil {
+	if _, err := b.AddUploader(4, 2); err == nil {
 		t.Fatal("duplicate uploader accepted")
 	}
 }

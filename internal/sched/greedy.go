@@ -32,15 +32,15 @@ func (Greedy) Schedule(in *Instance) (*Result, error) {
 		best := -1
 		bestUp := 0
 		bestMargin := 0.0
-		for _, c := range r.Candidates {
-			ui, ok := in.UploaderIndex(c.Peer)
-			if !ok || remaining[ui] <= 0 {
+		for k, ui := range in.Rows(ri) {
+			if remaining[ui] <= 0 {
 				continue
 			}
+			c := &r.Candidates[k]
 			// Only individually-rational grants: a transfer that costs more
 			// than the chunk is worth lowers welfare.
 			if m := r.Value - c.Cost; m > 0 && (best < 0 || m > bestMargin) {
-				best, bestUp, bestMargin = ri, ui, m
+				best, bestUp, bestMargin = ri, int(ui), m
 			}
 		}
 		if best >= 0 {

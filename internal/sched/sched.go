@@ -43,29 +43,51 @@ type Uploader struct {
 
 // Instance is one slot's complete scheduling problem.
 //
-// Instances come from two producers: NewInstance copies nothing and indexes
-// the uploaders in a per-instance map (the general path: tests, Subset,
-// hand-built problems), while Builder maintains one persistent instance
-// across rounds, reusing every backing array and keeping a stable
-// peer→slot index so steady-state rounds allocate nothing (see builder.go).
-// A builder-produced instance is valid until the builder's next Build.
+// Besides the public requests and uploaders, every instance carries a row
+// table: for each candidate edge, the dense index of its uploader in
+// Uploaders, read through Rows. Every per-edge consumer (the problem build,
+// the warm applier, the partitioners, the greedy and baseline passes, grant
+// validation) reads rows and never resolves a PeerID. Instances come from two producers that
+// both fill the table: NewInstance resolves each candidate once in the
+// validation pass it makes anyway (the general path: tests, Subset, Clone,
+// the daemon), while Builder maintains one persistent instance across
+// rounds, takes each candidate's row from the producer and reuses every
+// backing array, so steady-state rounds allocate nothing (see builder.go).
+// A builder-produced instance is valid until the builder's next Build. The
+// table describes the candidate lists as built: an instance's Candidates
+// must not be edited afterwards.
 type Instance struct {
 	Requests  []Request
 	Uploaders []Uploader
 
-	// uploaderIdx is NewInstance's per-instance index.
+	// rows[rowOff[ri]:rowOff[ri+1]] are request ri's candidate uploader
+	// rows, aligned with Requests[ri].Candidates.
+	rows   []int32
+	rowOff []int32
+
+	// UploaderIndex's PeerID lookup, for callers keyed by peer:
+	// uploaderIdx is NewInstance's per-instance map; slotOf/slotRow are the
+	// Builder's two-level index, a persistent peer→slot map (touched only by
+	// uploader churn) plus a per-round slot→row array.
 	uploaderIdx map[isp.PeerID]int
-	// slotOf/slotRow are the Builder's two-level index: a persistent
-	// peer→slot map (touched only by uploader churn) plus a per-round
-	// slot→row array, so rebuilding the index each round is a linear int32
-	// pass instead of len(Uploaders) map inserts.
-	slotOf  map[isp.PeerID]int32
-	slotRow []int32
+	slotOf      map[isp.PeerID]int32
+	slotRow     []int32
 }
 
-// NewInstance builds an instance and indexes the uploaders. Duplicate
-// uploaders are rejected.
+// NewInstance builds an instance, indexes the uploaders and resolves every
+// candidate to its uploader row. Duplicate uploaders and candidates naming
+// an unknown uploader are rejected.
 func NewInstance(requests []Request, uploaders []Uploader) (*Instance, error) {
+	idx, err := indexUploaders(uploaders)
+	if err != nil {
+		return nil, err
+	}
+	return newInstance(requests, uploaders, idx)
+}
+
+// indexUploaders maps each uploader's peer to its row, rejecting duplicate
+// uploaders and negative capacities.
+func indexUploaders(uploaders []Uploader) (map[isp.PeerID]int, error) {
 	idx := make(map[isp.PeerID]int, len(uploaders))
 	for i, u := range uploaders {
 		if _, dup := idx[u.Peer]; dup {
@@ -76,17 +98,46 @@ func NewInstance(requests []Request, uploaders []Uploader) (*Instance, error) {
 		}
 		idx[u.Peer] = i
 	}
-	for ri, r := range requests {
-		for _, c := range r.Candidates {
-			if _, ok := idx[c.Peer]; !ok {
-				return nil, fmt.Errorf("sched: request %d references unknown uploader %d", ri, c.Peer)
-			}
-		}
-	}
-	return &Instance{Requests: requests, Uploaders: uploaders, uploaderIdx: idx}, nil
+	return idx, nil
 }
 
-// UploaderIndex returns the dense index of uploader p.
+// newInstance fills the row table through the uploader index idx, in the
+// validation pass over every candidate: the one place a non-Builder
+// instance resolves PeerIDs to rows.
+func newInstance(requests []Request, uploaders []Uploader, idx map[isp.PeerID]int) (*Instance, error) {
+	edges := 0
+	for ri := range requests {
+		edges += len(requests[ri].Candidates)
+	}
+	// One allocation holds both tables: the per-request offsets, then the
+	// rows.
+	table := make([]int32, len(requests)+1+edges)
+	rowOff, rows := table[:len(requests)+1], table[len(requests)+1:]
+	n := 0
+	for ri, r := range requests {
+		for _, c := range r.Candidates {
+			ui, ok := idx[c.Peer]
+			if !ok {
+				return nil, fmt.Errorf("sched: request %d references unknown uploader %d", ri, c.Peer)
+			}
+			rows[n] = int32(ui)
+			n++
+		}
+		rowOff[ri+1] = int32(n)
+	}
+	return &Instance{Requests: requests, Uploaders: uploaders, rows: rows, rowOff: rowOff, uploaderIdx: idx}, nil
+}
+
+// Rows returns request ri's candidate uploader rows: Rows(ri)[k] is the
+// index in Uploaders of Requests[ri].Candidates[k].Peer. The slice is
+// read-only.
+func (in *Instance) Rows(ri int) []int32 {
+	lo, hi := in.rowOff[ri], in.rowOff[ri+1]
+	return in.rows[lo:hi:hi]
+}
+
+// UploaderIndex returns the dense index of uploader p. It is for callers
+// keyed by PeerID; per-edge loops read Rows instead.
 func (in *Instance) UploaderIndex(p isp.PeerID) (int, bool) {
 	if in.uploaderIdx != nil {
 		i, ok := in.uploaderIdx[p]
@@ -100,14 +151,21 @@ func (in *Instance) UploaderIndex(p isp.PeerID) (int, bool) {
 	return 0, false
 }
 
-// Cost returns the network cost of serving request ri from uploader p.
-func (in *Instance) Cost(ri int, p isp.PeerID) (float64, bool) {
-	for _, c := range in.Requests[ri].Candidates {
+// Edge finds uploader p among request ri's candidates and returns its
+// uploader row and the edge's network cost, from one scan of the list.
+func (in *Instance) Edge(ri int, p isp.PeerID) (row int, cost float64, ok bool) {
+	for k, c := range in.Requests[ri].Candidates {
 		if c.Peer == p {
-			return c.Cost, true
+			return int(in.Rows(ri)[k]), c.Cost, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
+}
+
+// Cost returns the network cost of serving request ri from uploader p.
+func (in *Instance) Cost(ri int, p isp.PeerID) (float64, bool) {
+	_, c, ok := in.Edge(ri, p)
+	return c, ok
 }
 
 // Subset carves a sub-instance out of in: the requests and uploaders at the
@@ -117,20 +175,19 @@ func (in *Instance) Cost(ri int, p isp.PeerID) (float64, bool) {
 // candidate list survives intact shares the original backing array. The
 // returned instance's request i is in.Requests[reqIdx[i]], so callers can map
 // grants back to the parent instance. Duplicate or out-of-range indices are
-// an error.
+// an error. The sub-instance is built like NewInstance's, reusing the
+// uploader index the filtering consults.
 func (in *Instance) Subset(reqIdx, upIdx []int) (*Instance, error) {
 	uploaders := make([]Uploader, 0, len(upIdx))
-	keep := make(map[isp.PeerID]bool, len(upIdx))
 	for _, ui := range upIdx {
 		if ui < 0 || ui >= len(in.Uploaders) {
 			return nil, fmt.Errorf("sched: subset references unknown uploader index %d", ui)
 		}
-		u := in.Uploaders[ui]
-		if keep[u.Peer] {
-			return nil, fmt.Errorf("sched: subset lists uploader %d twice", u.Peer)
-		}
-		keep[u.Peer] = true
-		uploaders = append(uploaders, u)
+		uploaders = append(uploaders, in.Uploaders[ui])
+	}
+	idx, err := indexUploaders(uploaders)
+	if err != nil {
+		return nil, fmt.Errorf("sched: subset: %w", err)
 	}
 	requests := make([]Request, 0, len(reqIdx))
 	for _, ri := range reqIdx {
@@ -140,14 +197,14 @@ func (in *Instance) Subset(reqIdx, upIdx []int) (*Instance, error) {
 		r := in.Requests[ri]
 		kept := 0
 		for _, c := range r.Candidates {
-			if keep[c.Peer] {
+			if _, ok := idx[c.Peer]; ok {
 				kept++
 			}
 		}
 		if kept != len(r.Candidates) {
 			cands := make([]Candidate, 0, kept)
 			for _, c := range r.Candidates {
-				if keep[c.Peer] {
+				if _, ok := idx[c.Peer]; ok {
 					cands = append(cands, c)
 				}
 			}
@@ -155,7 +212,7 @@ func (in *Instance) Subset(reqIdx, upIdx []int) (*Instance, error) {
 		}
 		requests = append(requests, r)
 	}
-	return NewInstance(requests, uploaders)
+	return newInstance(requests, uploaders, idx)
 }
 
 // Clone returns a deep, self-contained copy of the instance: its own
@@ -241,12 +298,9 @@ func (in *Instance) Validate(grants []Grant) error {
 			return fmt.Errorf("sched: request %d granted twice", g.Request)
 		}
 		seen[g.Request] = true
-		if _, ok := in.Cost(g.Request, g.Uploader); !ok {
-			return fmt.Errorf("sched: grant %d→%d is not a candidate edge", g.Request, g.Uploader)
-		}
-		i, ok := in.UploaderIndex(g.Uploader)
+		i, _, ok := in.Edge(g.Request, g.Uploader)
 		if !ok {
-			return fmt.Errorf("sched: grant to unknown uploader %d", g.Uploader)
+			return fmt.Errorf("sched: grant %d→%d is not a candidate edge", g.Request, g.Uploader)
 		}
 		load[i]++
 	}

@@ -59,7 +59,6 @@ type WarmAuction struct {
 	Epsilon float64
 
 	solver *core.Solver
-	sinks  map[isp.PeerID]*sinkState
 	// prevReqKeys / prevSinkPeers list the previous instance's keys in row
 	// order: what a derived delta matches the next instance against.
 	prevReqKeys   []reqKey
@@ -160,7 +159,7 @@ func (a *WarmAuction) ScheduleDelta(in *Instance, d *InstanceDelta) (*Result, er
 		if err != nil {
 			return nil, fmt.Errorf("warm auction: %w", err)
 		}
-		a.solver, a.sinks = solver, make(map[isp.PeerID]*sinkState)
+		a.solver = solver
 		d = nil
 	}
 	a.maybeCompact()
@@ -217,6 +216,15 @@ func (a *WarmAuction) finish(in *Instance, carried int) (*Result, error) {
 	}
 	for i := range in.Uploaders {
 		out.Prices[in.Uploaders[i].Peer] = res.Prices[a.sinkRow[i].id]
+	}
+	granted := 0
+	for ri := range in.Requests {
+		if res.Assignment.SinkOf[a.reqRow[ri].id] != core.Unassigned {
+			granted++
+		}
+	}
+	if granted > 0 {
+		out.Grants = make([]Grant, 0, granted)
 	}
 	for ri := range in.Requests {
 		if s := res.Assignment.SinkOf[a.reqRow[ri].id]; s != core.Unassigned {
@@ -350,7 +358,6 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta, checked bo
 			return 0, fmt.Errorf("delta removes unknown uploader row %d", pr)
 		}
 		sinkDelta.RemoveSinks = append(sinkDelta.RemoveSinks, prevSinks[pr].id)
-		delete(a.sinks, a.prevSinkPeers[pr])
 	}
 	newSinkRow := a.sinkRowBuf[:0]
 	a.addedPeers = a.addedPeers[:0]
@@ -389,7 +396,6 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta, checked bo
 	for i, s := range applied.Sinks {
 		row := a.addedRows[i]
 		st := &sinkState{id: s, capacity: in.Uploaders[row].Capacity}
-		a.sinks[a.addedPeers[i]] = st
 		a.noteSinkPeer(s, a.addedPeers[i])
 		newSinkRow[row] = st
 	}
@@ -420,10 +426,7 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta, checked bo
 		curKeys = append(curKeys, key(r))
 		pr := d.PrevReq[ri]
 		if pr < 0 {
-			edges, err := a.edgesOf(r)
-			if err != nil {
-				return 0, err
-			}
+			edges := a.edgesOf(in, ri)
 			a.addedEdges = append(a.addedEdges, edges)
 			a.addedReqs = append(a.addedReqs, r)
 			a.addedRows = append(a.addedRows, ri)
@@ -446,10 +449,7 @@ func (a *WarmAuction) applyKnownDelta(in *Instance, d *InstanceDelta, checked bo
 			carried++
 			continue
 		}
-		edges, err := a.edgesOf(r)
-		if err != nil {
-			return 0, err
-		}
+		edges := a.edgesOf(in, ri)
 		reqDelta.UpdateRequests = append(reqDelta.UpdateRequests,
 			core.RequestEdges{Request: st.id, Edges: edges})
 		st.value, st.cands = r.Value, a.internCands(r.Candidates)
@@ -590,22 +590,19 @@ func (x *rowIndex[K]) unclaimed(dst []int32) []int32 {
 	return dst
 }
 
-// edgesOf translates a request's candidates into solver edges (weight
-// v − w, as buildProblem does for the cold path), carved out of the per-
-// round edge arena. Arena growth may strand earlier slices on the old
-// backing array; they stay valid, the capacity is simply rebuilt next
-// round.
-func (a *WarmAuction) edgesOf(r *Request) ([]core.Edge, error) {
+// edgesOf translates request ri's candidates into solver edges (weight
+// v − w, as buildProblem does for the cold path), each edge's sink read
+// from its uploader row's state, carved out of the per-round edge arena.
+// It runs after the sink side, so a.sinkRow is aligned with in.Uploaders.
+// Arena growth may strand earlier slices on the old backing array; they
+// stay valid, the capacity is simply rebuilt next round.
+func (a *WarmAuction) edgesOf(in *Instance, ri int) []core.Edge {
+	r := &in.Requests[ri]
 	start := len(a.edgeBuf)
-	for _, c := range r.Candidates {
-		st, ok := a.sinks[c.Peer]
-		if !ok {
-			return nil, fmt.Errorf("request (%d, %v) references unknown uploader %d",
-				r.Peer, r.Chunk, c.Peer)
-		}
-		a.edgeBuf = append(a.edgeBuf, core.Edge{Sink: st.id, Weight: r.Value - c.Cost})
+	for k, row := range in.Rows(ri) {
+		a.edgeBuf = append(a.edgeBuf, core.Edge{Sink: a.sinkRow[row].id, Weight: r.Value - r.Candidates[k].Cost})
 	}
-	return a.edgeBuf[start:len(a.edgeBuf):len(a.edgeBuf)], nil
+	return a.edgeBuf[start:len(a.edgeBuf):len(a.edgeBuf)]
 }
 
 // VerifyState machine-checks the persistent solver's carried certificate
@@ -621,8 +618,9 @@ func (a *WarmAuction) VerifyState(tol float64) error {
 }
 
 // maybeCompact reclaims dead solver slots once they dominate, rewriting the
-// live states to the compacted ids (the per-row caches and the peer map hold
-// the same state pointers, so they stay coherent through the rewrite).
+// live states to the compacted ids (the per-row caches hold the state
+// pointers, so they stay coherent through the rewrite; a.sinkRow lists
+// every live sink, aligned with a.prevSinkPeers).
 func (a *WarmAuction) maybeCompact() {
 	deadReqs, deadSinks := a.solver.Dead()
 	if deadReqs+deadSinks <= compactThreshold ||
@@ -634,8 +632,8 @@ func (a *WarmAuction) maybeCompact() {
 		st.id = reqMap[st.id]
 	}
 	a.sinkPeer = a.sinkPeer[:0]
-	for p, st := range a.sinks {
+	for i, st := range a.sinkRow {
 		st.id = sinkMap[st.id]
-		a.noteSinkPeer(st.id, p)
+		a.noteSinkPeer(st.id, a.prevSinkPeers[i])
 	}
 }

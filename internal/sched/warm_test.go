@@ -227,6 +227,66 @@ func TestWarmAuctionCompactsUnderLongChurn(t *testing.T) {
 }
 
 // solverDead exposes the solver's garbage counters to the compaction test.
+// TestWarmAuctionCompactsUnderUploaderChurn drives the solver past its
+// compaction threshold with uploader turnover: most uploaders are replaced
+// every slot (their sinks die) while a core set persists, so compaction
+// must rewrite the sink ids of carried uploaders and re-derive the
+// sink→uploader map from the per-row caches. Integer weights with
+// ε < 1/(n+1) make warm and cold exactly optimal, so their welfare must
+// match every slot, before and after compaction.
+func TestWarmAuctionCompactsUnderUploaderChurn(t *testing.T) {
+	rng := randx.New(23)
+	warm := &WarmAuction{Epsilon: 0.005}
+	cold := &Auction{Epsilon: 0.005}
+	next := isp.PeerID(1000)
+	compactions := 0
+	for slot := 0; slot < 260; slot++ {
+		ups := []Uploader{{Peer: 1, Capacity: 3}, {Peer: 2, Capacity: 2}, {Peer: 3, Capacity: 1}}
+		for i := 0; i < 37; i++ {
+			ups = append(ups, Uploader{Peer: next, Capacity: rng.Intn(3)})
+			next++
+		}
+		var reqs []Request
+		for r := 0; r < 60; r++ {
+			var cands []Candidate
+			for _, u := range rng.Perm(len(ups))[:3] {
+				cands = append(cands, Candidate{Peer: ups[u].Peer, Cost: float64(rng.Intn(4))})
+			}
+			reqs = append(reqs, Request{
+				Peer: isp.PeerID(100 + r), Chunk: video.ChunkID{Index: video.ChunkIndex(slot)},
+				Value: float64(2 + rng.Intn(6)), Candidates: cands,
+			})
+		}
+		in, err := NewInstance(reqs, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, deadBefore := warm.solverDead()
+		wr, err := warm.Schedule(in)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if _, deadAfter := warm.solverDead(); deadAfter < deadBefore {
+			compactions++
+		}
+		if err := in.Validate(wr.Grants); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		cr, err := cold.Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ww, _ := in.Welfare(wr.Grants)
+		cw, _ := in.Welfare(cr.Grants)
+		if math.Abs(ww-cw) > 1e-9 {
+			t.Fatalf("slot %d (after %d compactions): warm welfare %v != cold %v", slot, compactions, ww, cw)
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("uploader churn never crossed the compaction threshold")
+	}
+}
+
 func (a *WarmAuction) solverDead() (int, int) {
 	if a.solver == nil {
 		return 0, 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/cdn"
@@ -166,5 +167,48 @@ func TestRunDESRejectsCDN(t *testing.T) {
 	cfg.CDN = cdn.DefaultSpec()
 	if _, err := RunDES(cfg, DESOptions{TracePeer: -1}); err == nil {
 		t.Fatal("RunDES accepted a CDN-enabled config; the tier is fast-engine-only")
+	}
+}
+
+// TestBuildInstanceAllocs pins the allocations of one neighbor refresh plus
+// one instance build on a static world shaped like the cdn-assist preset
+// (60 watchers, 6 videos, 8 neighbors, one global seed per video, the CDN
+// tier on), with no population change between rounds. Builder arrays, the
+// window scratch and the neighbor-cost slab are all reused, so a round
+// allocates nothing once they have grown: 0 measured. Per-peer cost slices
+// coming back would show here as one allocation per watcher per refresh.
+// The collector is paused while counting.
+func TestBuildInstanceAllocs(t *testing.T) {
+	const want = 0
+	cfg := cdnTestConfig()
+	cfg.StaticPeers = 60
+	cfg.Catalog.Count = 6
+	cfg.NeighborCount = 8
+	cfg.SeedsPerVideo = 1
+	cfg.Placement = SeedsGlobal
+	w, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var requests int
+	round := func() {
+		w.refreshNeighbors()
+		in, _, err := w.buildInstance(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests = len(in.Requests)
+	}
+	// Both halves of the builder's double buffer grow to size first.
+	for range 4 {
+		round()
+	}
+	got := testing.AllocsPerRun(20, round)
+	if requests == 0 {
+		t.Fatal("the world built an empty instance")
+	}
+	if got != want {
+		t.Fatalf("refresh + buildInstance allocates %v per round, want %d", got, want)
 	}
 }

@@ -209,7 +209,7 @@ func syncNodes(w *world, netSched *netsim.Scheduler, network *netsim.Network,
 	nodes map[isp.PeerID]*peer.Node, tracePeer isp.PeerID,
 	traces map[isp.PeerID]*metrics.Series) error {
 	for id, node := range nodes {
-		if _, ok := w.peers[id]; !ok {
+		if w.peers[id] == nil {
 			node.Shutdown()
 			delete(nodes, id)
 		}

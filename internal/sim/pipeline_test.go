@@ -271,15 +271,25 @@ func TestRemovePeerOrderInvariants(t *testing.T) {
 				t.Fatalf("order not ascending at %d: %d after %d", i, id, last)
 			}
 			last = id
-			if j, ok := w.orderIdx[id]; !ok || int(j) != i {
-				t.Fatalf("orderIdx[%d] = %d,%v; want %d", id, j, ok, i)
-			}
-			if _, ok := w.peers[id]; !ok {
+			p := w.peers[id]
+			if p == nil {
 				t.Fatalf("order lists %d but peers does not", id)
 			}
+			if int(p.orderIdx) != i {
+				t.Fatalf("peer %d orderIdx = %d; want %d", id, p.orderIdx, i)
+			}
 		}
-		if live != len(w.peers) {
-			t.Fatalf("%d live order entries, %d peers", live, len(w.peers))
+		peers := 0
+		for id, p := range w.peers {
+			if p != nil {
+				peers++
+				if p.id != isp.PeerID(id) {
+					t.Fatalf("peers[%d] holds peer %d", id, p.id)
+				}
+			}
+		}
+		if live != peers {
+			t.Fatalf("%d live order entries, %d peers", live, peers)
 		}
 	}
 	check()

@@ -124,8 +124,8 @@ func (w *world) buildInstanceRebuild(j int) (*sched.Instance, error) {
 			var cands []sched.Candidate
 			if !w.cfg.CDN.Only {
 				for _, nb := range p.neighbors {
-					up, ok := w.peers[nb]
-					if !ok || up.vid != p.vid || !up.cache.Has(idx) || up.capacity == 0 {
+					up := w.peers[nb]
+					if up == nil || up.vid != p.vid || !up.cache.Has(idx) || up.capacity == 0 {
 						continue
 					}
 					if w.behave != nil && !w.behave.AllowEdge(nb, up.ispID, up.seed, id, p.ispID) {

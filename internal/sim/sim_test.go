@@ -223,7 +223,7 @@ func TestWorldSeedPlacements(t *testing.T) {
 	}
 	seeds := 0
 	for _, p := range w.peers {
-		if p.seed {
+		if p != nil && p.seed {
 			seeds++
 		}
 	}
@@ -239,7 +239,7 @@ func TestWorldSeedPlacements(t *testing.T) {
 	}
 	seeds = 0
 	for _, p := range w.peers {
-		if p.seed {
+		if p != nil && p.seed {
 			seeds++
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/behavior"
@@ -57,6 +58,15 @@ type peerRuntime struct {
 	// delivered collects this slot's deliveries (reset every slot; peers
 	// with entries are tracked in world.deliveredPeers).
 	delivered []deliveredChunk
+	// orderIdx is the peer's position in world.order.
+	orderIdx int32
+	// row is the peer's uploader row in the instance being built, set by
+	// buildInstance's uploader pass before any candidate names it.
+	row int32
+	// costOff locates the peer's neighbor costs in world.nbCost:
+	// nbCost[costOff+k] is the scaled cost of the transfer neighbors[k]→p,
+	// NaN until a candidate scan first needs it. Reassigned every refresh.
+	costOff int32
 }
 
 // started reports whether playback is running at the given slot.
@@ -74,13 +84,14 @@ type world struct {
 	catalog *video.Catalog
 	track   *tracker.Tracker
 
-	peers map[isp.PeerID]*peerRuntime
-	// order is the deterministic iteration order: ascending peer ids
-	// (AddPeer mints them monotonically), with departures tombstoned as
-	// noPeer instead of slice-deleted — O(1) removal via orderIdx, relative
-	// order untouched, compacted when tombstones dominate.
+	// peers is the dense peer table, indexed by PeerID (AddPeer mints ids
+	// monotonically from 0); departed peers are nil.
+	peers []*peerRuntime
+	// order is the deterministic iteration order: ascending peer ids, with
+	// departures tombstoned as noPeer instead of slice-deleted — O(1)
+	// removal via peerRuntime.orderIdx, relative order untouched,
+	// compacted when tombstones dominate.
 	order      []isp.PeerID
-	orderIdx   map[isp.PeerID]int32
 	tombstones int
 
 	rngChurn *randx.Source
@@ -121,6 +132,9 @@ type world struct {
 	dirty        [][]uint64
 	buildRound   uint64
 	forceRebuild bool
+	// nbCost is the slab of every watcher's neighbor costs (see
+	// peerRuntime.costOff), refilled in place on each neighbor refresh.
+	nbCost []float64
 
 	// Transfer/playback scratch (reused across slots): the grouped grant
 	// indices with groupGrants' per-grant row, per-row offset and row-order
@@ -207,8 +221,6 @@ func newWorld(cfg Config) (*world, error) {
 		topo:          topo,
 		catalog:       catalog,
 		track:         tracker.New(),
-		peers:         make(map[isp.PeerID]*peerRuntime),
-		orderIdx:      make(map[isp.PeerID]int32),
 		rngChurn:      root.Derive(2),
 		rngPeer:       root.Derive(3),
 		rngLocality:   root.Derive(4),
@@ -310,11 +322,10 @@ func (w *world) placeCDN() error {
 		if err != nil {
 			return noPeer, fmt.Errorf("sim: cdn: %w", err)
 		}
-		w.peers[id] = &peerRuntime{
+		w.addPeer(&peerRuntime{
 			id: id, ispID: m, vid: -1, seed: true, tier: tier,
 			capacity: capacity, earlyLeaveSlot: -1, edgeLRU: lru,
-		}
-		w.appendOrder(id)
+		})
 		return id, nil
 	}
 	var err error
@@ -336,11 +347,16 @@ func (w *world) placeCDN() error {
 	return nil
 }
 
-// appendOrder registers a freshly minted peer at the end of the iteration
-// order (AddPeer ids are monotone, so the order stays ascending).
-func (w *world) appendOrder(id isp.PeerID) {
-	w.orderIdx[id] = int32(len(w.order))
-	w.order = append(w.order, id)
+// addPeer registers a freshly minted peer in the peer table and at the end
+// of the iteration order (AddPeer ids are monotone, so the order stays
+// ascending).
+func (w *world) addPeer(p *peerRuntime) {
+	for int(p.id) >= len(w.peers) {
+		w.peers = append(w.peers, nil)
+	}
+	w.peers[p.id] = p
+	p.orderIdx = int32(len(w.order))
+	w.order = append(w.order, p.id)
 }
 
 func (w *world) addSeed(v video.ID, m isp.ID, capacity int) error {
@@ -356,8 +372,7 @@ func (w *world) addSeed(v video.ID, m isp.ID, capacity int) error {
 		id: id, ispID: m, vid: v, seed: true,
 		capacity: capacity, cache: cache, earlyLeaveSlot: -1,
 	}
-	w.peers[id] = p
-	w.appendOrder(id)
+	w.addPeer(p)
 	w.joined++
 	if err := w.track.Join(tracker.Entry{Peer: id, Video: v, Seed: true}); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -429,8 +444,7 @@ func (w *world) addWatcher(vid video.ID, m isp.ID, pos, startSlot, earlyLeaveSlo
 		// (and every other peer's capacity) matches the honest run.
 		p.capacity = w.behave.ClampCapacity(id, p.capacity)
 	}
-	w.peers[id] = p
-	w.appendOrder(id)
+	w.addPeer(p)
 	w.joined++
 	if err := w.track.Join(tracker.Entry{Peer: id, Video: vid, Position: video.ChunkIndex(pos)}); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -438,20 +452,20 @@ func (w *world) addWatcher(vid video.ID, m isp.ID, pos, startSlot, earlyLeaveSlo
 	return nil
 }
 
-// removePeer deletes a departed watcher: O(1) via the order index, leaving
+// removePeer deletes a departed watcher: O(1) via its order index, leaving
 // an order-preserving tombstone (quadratic slice deletes under heavy churn
 // were the old cost). The order compacts once tombstones outnumber live
 // entries; compaction preserves relative order, so iteration — and with it
 // every downstream instance and schedule — is identical to the slice-delete
 // scheme (pinned by TestRemovalSchemeGolden).
 func (w *world) removePeer(id isp.PeerID) {
-	i, ok := w.orderIdx[id]
-	if !ok {
+	p := w.peers[id]
+	if p == nil {
 		return
 	}
-	delete(w.peers, id)
+	i := p.orderIdx
+	w.peers[id] = nil
 	w.track.Leave(id)
-	delete(w.orderIdx, id)
 	if w.behave != nil {
 		w.behave.Forget(id)
 	}
@@ -517,7 +531,7 @@ func (w *world) compactOrder() {
 	kept := w.order[:0]
 	for _, id := range w.order {
 		if id != noPeer {
-			w.orderIdx[id] = int32(len(kept))
+			w.peers[id].orderIdx = int32(len(kept))
 			kept = append(kept, id)
 		}
 	}
@@ -528,8 +542,8 @@ func (w *world) compactOrder() {
 // online returns the number of online watchers (seeds excluded).
 func (w *world) online() int {
 	n := 0
-	for _, p := range w.peers {
-		if !p.seed {
+	for _, id := range w.order {
+		if id != noPeer && !w.peers[id].seed {
 			n++
 		}
 	}
@@ -541,9 +555,11 @@ func (w *world) online() int {
 // the configured locality policy. The uniform policy takes the classic
 // Neighbors path (and consumes no randomness), keeping ISP-blind runs
 // byte-identical to the pre-locality engine. Fresh neighbor lists invalidate
-// every carried candidate list, so the next instance build re-scans.
+// every carried candidate list, so the next instance build re-scans, and
+// every watcher's neighbor costs, which the cost slab re-lays out empty.
 func (w *world) refreshNeighbors() {
 	pol := w.cfg.Locality
+	w.nbCost = w.nbCost[:0]
 	for _, id := range w.order {
 		if id == noPeer {
 			continue
@@ -561,10 +577,13 @@ func (w *world) refreshNeighbors() {
 		} else {
 			neighbors, err = w.track.NeighborsLocal(id, w.cfg.NeighborCount, pol, w.ispOf, w.rngLocality)
 		}
-		if err != nil {
-			continue // freshly departed; next slot heals
+		if err == nil { // on error: freshly departed; next slot heals
+			p.neighbors = neighbors
 		}
-		p.neighbors = neighbors
+		p.costOff = int32(len(w.nbCost))
+		for range p.neighbors {
+			w.nbCost = append(w.nbCost, math.NaN())
+		}
 	}
 	if w.behave != nil {
 		// Strategic state is per-slot: clique membership follows the live
@@ -676,9 +695,12 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 		if id == noPeer {
 			continue
 		}
-		if err := b.AddUploader(id, roundCapacity(w.peers[id].capacity, j, rounds)); err != nil {
+		up := w.peers[id]
+		row, err := b.AddUploader(id, roundCapacity(up.capacity, j, rounds))
+		if err != nil {
 			return nil, nil, fmt.Errorf("sim: %w", err)
 		}
+		up.row = row
 	}
 	for _, id := range w.order {
 		if id == noPeer {
@@ -700,15 +722,19 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 				continue
 			}
 			if !w.cfg.CDN.Only {
-				for _, nb := range p.neighbors {
-					up, ok := w.peers[nb]
-					if !ok || up.vid != p.vid || !up.cache.Has(idx) || up.capacity == 0 {
+				costs := w.nbCost[p.costOff : int(p.costOff)+len(p.neighbors)]
+				for k, nb := range p.neighbors {
+					up := w.peers[nb]
+					if up == nil || up.vid != p.vid || !up.cache.Has(idx) || up.capacity == 0 {
 						continue
 					}
 					if w.behave != nil && !w.behave.AllowEdge(nb, up.ispID, up.seed, id, p.ispID) {
 						continue
 					}
-					b.AddCandidate(nb, w.cfg.CostScale*w.costOf(nb, id))
+					if math.IsNaN(costs[k]) {
+						costs[k] = w.cfg.CostScale * w.costOf(nb, id)
+					}
+					b.AddCandidate(up.row, costs[k])
 				}
 			}
 			// The CDN fallback path: the watcher's ISP-local edge, then the
@@ -716,9 +742,9 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 			// independent, so carried candidate lists stay sound.
 			if w.cfg.CDN.Enabled {
 				if w.cdnEdge != nil {
-					b.AddCandidate(w.cdnEdge[p.ispID], w.cfg.CDN.EdgeEgressCost)
+					b.AddCandidate(w.peers[w.cdnEdge[p.ispID]].row, w.cfg.CDN.EdgeEgressCost)
 				}
-				b.AddCandidate(w.cdnOrigin, w.cfg.CDN.OriginEgressCost)
+				b.AddCandidate(w.peers[w.cdnOrigin].row, w.cfg.CDN.OriginEgressCost)
 			}
 			b.EndRequest()
 		}
@@ -879,7 +905,7 @@ func (w *world) groupGrants(in *sched.Instance, grants []sched.Grant) []int32 {
 	clear(next)
 	rows := w.grantRow[:0]
 	for _, g := range grants {
-		r, _ := in.UploaderIndex(g.Uploader) // Validate resolved every uploader
+		r, _, _ := in.Edge(g.Request, g.Uploader) // Validate resolved every edge
 		rows = append(rows, int32(r))
 		next[r]++
 	}
