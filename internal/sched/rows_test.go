@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isp"
 	"repro/internal/randx"
@@ -245,5 +246,14 @@ func TestBuilderRejectsUnknownRows(t *testing.T) {
 	}
 	if err := round([]isp.PeerID{1}, false, 0); err != nil {
 		t.Fatalf("round after a failed one: %v", err)
+	}
+}
+
+// TestCandidateStays16Bytes pins the candidate layout: rows live beside the
+// candidates, in the instance's row table, because widening Candidate to
+// carry its row (24 B) cost the cold CDN workload about 20 MB of peak RSS.
+func TestCandidateStays16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(sched.Candidate{}); got != 16 {
+		t.Fatalf("sched.Candidate is %d bytes, want 16", got)
 	}
 }
