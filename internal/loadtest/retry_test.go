@@ -37,6 +37,7 @@ func TestClassify(t *testing.T) {
 		{"shed 503", &apiError{Status: http.StatusServiceUnavailable}, classShed},
 		{"protocol 400", &apiError{Status: http.StatusBadRequest, Msg: "unknown peer"}, classHard},
 		{"protocol 500", &apiError{Status: http.StatusInternalServerError}, classHard},
+		{"body too large 413", &apiError{Status: http.StatusRequestEntityTooLarge}, classHard},
 		{"other", errors.New("json: cannot unmarshal"), classHard},
 	}
 	for _, c := range cases {

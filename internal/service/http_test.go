@@ -199,12 +199,78 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody pins 413 for a body over 4 MiB on every POST verb,
+// whether the limit falls inside the JSON value or after the value ends; the
+// second used to be answered 200, and a bid body of that shape booked.
 func TestHTTPOversizedBody(t *testing.T) {
-	_, srv := apiServer(t)
-	big := fmt.Sprintf(`{"peer":1,"isp":%s1}`, strings.Repeat("0", 5<<20))
-	resp, err := http.Post(srv.URL+"/v1/join", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	d, srv := apiServer(t)
+	wantStatus(t, postJSON(t, srv.URL+"/v1/join", JoinRequest{Peer: 1, ISP: 0}), 200)
+	wantStatus(t, postJSON(t, srv.URL+"/v1/join", JoinRequest{Peer: 2, ISP: 0}), 200)
+	pad := 5 << 20
+	for verb, body := range map[string]string{
+		"join":  `{"peer":3,"isp":0}`,
+		"leave": `{"peer":1}`,
+		"offer": `{"peer":1,"capacity":2}`,
+		"bid":   `{"peer":2,"bids":[{"video":0,"chunk":3,"value":1.5,"candidates":[{"peer":1,"cost":0.25}]}]}`,
+	} {
+		for _, big := range []string{
+			fmt.Sprintf(`{"peer":1,"isp":%s1}`, strings.Repeat("0", pad)),
+			body + strings.Repeat(" ", pad),
+		} {
+			resp, err := http.Post(srv.URL+"/v1/"+verb, "application/json", strings.NewReader(big))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStatus(t, resp, http.StatusRequestEntityTooLarge)
+		}
 	}
-	wantStatus(t, resp, http.StatusBadRequest)
+	if st := d.Stats(); st.Peers != 2 || st.PendingBids != 0 || st.PendingOffers != 0 {
+		t.Fatalf("an oversized body took effect: %+v", st)
+	}
+}
+
+// TestHTTPTrailingData pins that a POST body is exactly one JSON value:
+// trailing bytes other than whitespace get 400 on every verb, whichever
+// decoder the body takes, and nothing is booked.
+func TestHTTPTrailingData(t *testing.T) {
+	d, srv := apiServer(t)
+	wantStatus(t, postJSON(t, srv.URL+"/v1/join", JoinRequest{Peer: 1, ISP: 0}), 200)
+	wantStatus(t, postJSON(t, srv.URL+"/v1/join", JoinRequest{Peer: 2, ISP: 0}), 200)
+	bid := `{"peer":2,"bids":[{"video":0,"chunk":3,"value":1.5,"candidates":[{"peer":1,"cost":0.25}]}]}`
+	post := func(verb, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/"+verb, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, c := range []struct{ verb, body string }{
+		{"join", `{"peer":3,"isp":0} trailing`},
+		{"join", `{"peer":3,"isp":0}{"peer":4}`},
+		{"leave", `{"peer":1}{}`},
+		{"offer", `{"peer":1,"capacity":2} trailing`},
+		{"bid", `{"peer":2,"bids":[]}{"peer":99}`},
+		{"bid", bid + "garbage"},
+		{"bid", `{"PEER":2,"bids":[]} x`}, // not canonical: encoding/json's path
+	} {
+		status, msg := post(c.verb, c.body)
+		if status != http.StatusBadRequest || !strings.Contains(msg, "trailing data") {
+			t.Errorf("%s %q: %d %q, want 400 trailing data", c.verb, c.body, status, msg)
+		}
+	}
+	if st := d.Stats(); st.Peers != 2 || st.PendingBids != 0 || st.PendingOffers != 0 {
+		t.Fatalf("a body with trailing data took effect: %+v", st)
+	}
+	for _, c := range []struct{ verb, body string }{
+		{"offer", "{\"peer\":1,\"capacity\":2} \t\r\n"},
+		{"bid", bid + "\n"},
+	} {
+		if status, msg := post(c.verb, c.body); status != http.StatusOK {
+			t.Errorf("%s %q: %d %q, want 200", c.verb, c.body, status, msg)
+		}
+	}
 }
