@@ -168,12 +168,12 @@ func (d *Daemon) writeOverloaded(w http.ResponseWriter, err error) int {
 // encoding/json. These verbs are about one call in eight on a busy daemon,
 // at ~3 µs each, so unlike /v1/bid they take no fast path (wire.go).
 func decodeInto(w http.ResponseWriter, r *http.Request, into any) (int, bool) {
-	body, status, ok := readBody(w, r)
+	in, status, ok := readBody(w, r)
 	if !ok {
 		return status, false
 	}
-	defer putBody(body)
-	if err := decodeBody(body.Bytes(), into); err != nil {
+	defer in.release()
+	if err := decodeBody(in.body.Bytes(), into); err != nil {
 		return writeError(w, http.StatusBadRequest, err), false
 	}
 	return 0, true
@@ -219,17 +219,15 @@ func (d *Daemon) handleOffer(w http.ResponseWriter, r *http.Request) int {
 // pass into pooled scratch (wire.go); any other is decoded by encoding/json,
 // with the same result.
 func (d *Daemon) handleBid(w http.ResponseWriter, r *http.Request) int {
-	body, status, ok := readBody(w, r)
+	in, status, ok := readBody(w, r)
 	if !ok {
 		return status
 	}
-	defer putBody(body)
-	sc := bidPool.Get().(*bidScratch)
-	defer sc.release()
-	peer, reqs, ok := sc.decode(body.Bytes())
+	defer in.release()
+	peer, reqs, ok := in.decode(in.body.Bytes())
 	if !ok {
 		var req BidBatch
-		if err := decodeBody(body.Bytes(), &req); err != nil {
+		if err := decodeBody(in.body.Bytes(), &req); err != nil {
 			return writeError(w, http.StatusBadRequest, err)
 		}
 		peer, reqs = req.Peer, req.requests()

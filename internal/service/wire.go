@@ -32,33 +32,53 @@ import (
 const (
 	// maxBody caps every POST body; a larger one is answered 413.
 	maxBody = 4 << 20
-	// maxPooledBody is the largest body buffer put back in bodyPool, so one
-	// big body cannot pin maxBody per P.
-	maxPooledBody = 64 << 10
-	// maxPooledBids and maxPooledCands bound the bid scratch put back in
-	// bidPool by the same reasoning (56 KiB and 64 KiB).
+	// maxPooledBody, maxPooledBids and maxPooledCands bound what an ingest
+	// put back in ingestPool holds (64 KiB, 56 KiB and 64 KiB), so one big
+	// body cannot pin maxBody per P. maxPooledBody also caps how far a
+	// declared Content-Length pre-sizes the body buffer: beyond it the
+	// buffer grows only as bytes arrive, so a client that declares 4 MiB
+	// and sends nothing costs no more than one that declares 64 KiB.
+	maxPooledBody  = 64 << 10
 	maxPooledBids  = 1 << 10
 	maxPooledCands = 4 << 10
 )
 
 var errTrailingData = errors.New("trailing data after the JSON value")
 
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// ingest is one POST's pooled working memory: the body, read whole, and —
+// for /v1/bid — the fast path's output, the batch's requests and one
+// candidate slab, of which each request's Candidates is a capped window.
+// Daemon.Bid copies every candidate list it books, so the whole ingest is
+// free again once the handler returns.
+type ingest struct {
+	body  bytes.Buffer
+	reqs  []BidRequest
+	cands []sched.Candidate
+}
 
-// readBody reads a POST body whole into a pooled buffer, which the caller
-// hands back with putBody once nothing references it. On failure it has
+var ingestPool = sync.Pool{New: func() any { return new(ingest) }}
+
+func (in *ingest) release() {
+	if in.body.Cap() <= maxPooledBody && cap(in.reqs) <= maxPooledBids && cap(in.cands) <= maxPooledCands {
+		ingestPool.Put(in)
+	}
+}
+
+// readBody reads a POST body whole into a pooled ingest, which the caller
+// hands back with release once nothing references it. On failure it has
 // answered the request and returns the status.
-func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, int, bool) {
+func readBody(w http.ResponseWriter, r *http.Request) (*ingest, int, bool) {
 	if r.Method != http.MethodPost {
 		return nil, writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST")), false
 	}
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if n := r.ContentLength; n > 0 && n <= maxBody {
-		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free for its last read
+	in := ingestPool.Get().(*ingest)
+	in.body.Reset()
+	if n := r.ContentLength; n > 0 {
+		// ReadFrom wants MinRead free for its last read.
+		in.body.Grow(int(min(n, maxPooledBody)) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
-		putBody(buf)
+	if _, err := in.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		in.release()
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -66,13 +86,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, int, bool)
 		}
 		return nil, writeError(w, status, fmt.Errorf("bad request body: %w", err)), false
 	}
-	return buf, 0, true
-}
-
-func putBody(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
-	}
+	return in, 0, true
 }
 
 // decodeBody decodes a whole body with encoding/json: exactly one value, no
@@ -108,25 +122,8 @@ func (b *BidBatch) requests() []BidRequest {
 	return reqs
 }
 
-// bidScratch is one handler's fast-path output, reused through bidPool: the
-// batch's requests and one candidate slab, of which each request's
-// Candidates is a capped window. Daemon.Bid copies every candidate list it
-// books, so the scratch is free again once Bid returns.
-type bidScratch struct {
-	reqs  []BidRequest
-	cands []sched.Candidate
-}
-
-var bidPool = sync.Pool{New: func() any { return new(bidScratch) }}
-
-func (sc *bidScratch) release() {
-	if cap(sc.reqs) <= maxPooledBids && cap(sc.cands) <= maxPooledCands {
-		bidPool.Put(sc)
-	}
-}
-
 // decode parses body as a BidBatch in canonical form and returns the peer
-// and the requests, which live in sc until its next decode. It reports
+// and the requests, which live in the ingest until its next decode. It reports
 // false — declined — for anything else, and the caller falls back to
 // encoding/json. Canonical form is a strict subset of JSON:
 //
@@ -141,8 +138,8 @@ func (sc *bidScratch) release() {
 // strconv calls encoding/json makes, so every value is bit-identical to its
 // decode; a number encoding/json would refuse (a fraction or exponent in an
 // integer field, an int32 overflow, 1e400) declines.
-func (sc *bidScratch) decode(body []byte) (peer int64, reqs []BidRequest, ok bool) {
-	sc.reqs, sc.cands = sc.reqs[:0], sc.cands[:0]
+func (in *ingest) decode(body []byte) (peer int64, reqs []BidRequest, ok bool) {
+	in.reqs, in.cands = in.reqs[:0], in.cands[:0]
 	s := bidScanner{b: body}
 	s.expect('{')
 	var seen uint8
@@ -155,7 +152,7 @@ func (sc *bidScratch) decode(body []byte) (peer int64, reqs []BidRequest, ok boo
 			s.once(&seen, 2)
 			s.expect('[')
 			for i := 0; s.element(i); i++ {
-				sc.bid(&s)
+				in.bid(&s)
 			}
 		default:
 			s.decline()
@@ -168,18 +165,18 @@ func (sc *bidScratch) decode(body []byte) (peer int64, reqs []BidRequest, ok boo
 	// Each bid's candidates were appended in order; point its window at the
 	// final slab, which appends may have moved.
 	lo := 0
-	for i := range sc.reqs {
-		hi := lo + len(sc.reqs[i].Candidates)
-		sc.reqs[i].Candidates = sc.cands[lo:hi:hi]
+	for i := range in.reqs {
+		hi := lo + len(in.reqs[i].Candidates)
+		in.reqs[i].Candidates = in.cands[lo:hi:hi]
 		lo = hi
 	}
-	return peer, sc.reqs, true
+	return peer, in.reqs, true
 }
 
-func (sc *bidScratch) bid(s *bidScanner) {
+func (in *ingest) bid(s *bidScanner) {
 	var r BidRequest
 	var seen uint8
-	lo := len(sc.cands)
+	lo := len(in.cands)
 	s.expect('{')
 	for n := 0; s.member(n); n++ {
 		switch string(s.key) {
@@ -199,17 +196,17 @@ func (sc *bidScratch) bid(s *bidScanner) {
 			s.once(&seen, 16)
 			s.expect('[')
 			for i := 0; s.element(i); i++ {
-				sc.candidate(s)
+				in.candidate(s)
 			}
 		default:
 			s.decline()
 		}
 	}
-	r.Candidates = sc.cands[lo:]
-	sc.reqs = append(sc.reqs, r)
+	r.Candidates = in.cands[lo:]
+	in.reqs = append(in.reqs, r)
 }
 
-func (sc *bidScratch) candidate(s *bidScanner) {
+func (in *ingest) candidate(s *bidScanner) {
 	var c sched.Candidate
 	var seen uint8
 	s.expect('{')
@@ -225,10 +222,10 @@ func (sc *bidScratch) candidate(s *bidScanner) {
 			s.decline()
 		}
 	}
-	sc.cands = append(sc.cands, c)
+	in.cands = append(in.cands, c)
 }
 
-// bidScanner walks one body for bidScratch.decode. Declining is sticky: it
+// bidScanner walks one body for ingest.decode. Declining is sticky: it
 // moves the cursor to the end, so every later step fails and every loop
 // ends.
 type bidScanner struct {

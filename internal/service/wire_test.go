@@ -16,7 +16,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,11 +59,11 @@ func FuzzBidBody(f *testing.F) {
 	f.Add(warm)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// A scratch that held another batch first: decode must not leak it.
-		var sc bidScratch
-		if _, _, ok := sc.decode(warm); !ok {
+		var in ingest
+		if _, _, ok := in.decode(warm); !ok {
 			t.Fatal("fast path declined the warm-up body")
 		}
-		peer, reqs, ok := sc.decode(body)
+		peer, reqs, ok := in.decode(body)
 		if !ok {
 			return // declined: encoding/json decides
 		}
@@ -125,7 +127,7 @@ func randomBatch(rng *rand.Rand) BidBatch {
 // both key orders (the client marshals a map, so "bids" comes first).
 func TestMarshalledBidsTakeFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var sc bidScratch
+	var in ingest
 	exponents := 0
 	for i := 0; i < 1000; i++ {
 		b := randomBatch(rng)
@@ -140,7 +142,7 @@ func TestMarshalledBidsTakeFastPath(t *testing.T) {
 		if bytes.Contains(data, []byte("e-")) || bytes.Contains(data, []byte("e+")) {
 			exponents++
 		}
-		peer, reqs, ok := sc.decode(data)
+		peer, reqs, ok := in.decode(data)
 		if !ok {
 			t.Fatalf("fast path declined json.Marshal output %s", data)
 		}
@@ -221,6 +223,36 @@ func TestBidHandlerAllocs(t *testing.T) {
 	t.Logf("POST /v1/bid: %.1f allocations", allocs)
 	if allocs > maxBidHandlerAllocs {
 		t.Fatalf("POST /v1/bid allocates %.1f, pinned at %d", allocs, maxBidHandlerAllocs)
+	}
+}
+
+// TestDeclaredLengthPresizeCapped pins that a body's declared
+// Content-Length pre-sizes its buffer only up to maxPooledBody: a client that
+// declares 4 MiB and sends a few bytes, or none yet, must not make the daemon
+// hold 4 MiB for the life of the connection.
+func TestDeclaredLengthPresizeCapped(t *testing.T) {
+	d := manual(t, Options{Epsilon: 0.01})
+	h := d.Handler()
+	w := &discardWriter{hdr: http.Header{}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range []struct{ verb, body string }{
+		{"join", `{"peer":1,"isp":0}`},
+		{"offer", `{"peer":1,"capacity":2}`},
+		{"bid", `{"peer":1,"bids":[]}`},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/"+c.verb, strings.NewReader(c.body))
+		req.ContentLength = maxBody
+		clear(w.hdr)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("%s %s: status %d", c.verb, c.body, w.status)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBody/4 {
+		t.Fatalf("3 short bodies declaring %d bytes allocated %d bytes", maxBody, got)
 	}
 }
 
@@ -313,16 +345,16 @@ func TestBidBodyDeclines(t *testing.T) {
 		`{"peer":1}{}`,
 		`{"extra":1}`,
 	} {
-		var sc bidScratch
-		if _, _, ok := sc.decode([]byte(body)); ok {
+		var in ingest
+		if _, _, ok := in.decode([]byte(body)); ok {
 			t.Errorf("fast path accepted %q", body)
 		}
 	}
 	// Declined but valid: encoding/json gives the same answer as the
 	// canonical spelling's.
 	const canonical = `{"peer":7,"bids":[{"video":1,"chunk":2,"value":1,"candidates":[{"peer":3,"cost":0.5}]}]}`
-	var sc bidScratch
-	peer, reqs, ok := sc.decode([]byte(canonical))
+	var in ingest
+	peer, reqs, ok := in.decode([]byte(canonical))
 	if !ok {
 		t.Fatal("fast path declined the canonical spelling")
 	}
