@@ -16,7 +16,9 @@ import (
 // linear pass), and only the dirty shards' subgraph is re-run through
 // union-find. The output is defined to be identical to a from-scratch
 // PartitionInstance(in, 0, nil) — pinned by TestIncrementalPartitionEqualsFull
-// — so which path produced a partition is unobservable downstream.
+// — so which path produced a partition is unobservable downstream. After a
+// carried update, project maps the producer's delta onto the rows of each
+// shard that kept its key, so its solver need not re-derive it.
 //
 // Dirtiness closure: a removed row dirties its shard (the component may
 // split); a new or edge-rewritten request dirties its previous shard and
@@ -38,6 +40,12 @@ type incrementalPartitioner struct {
 	// Lifecycle counters (surfaced through ShardedAuction.Stats).
 	incremental, rebuilds int64
 
+	// prevOf maps each shard of the current partition to the index of the
+	// same-key shard in the previous one (-1: a new key). It is filled only
+	// by a carried update, the one case in which project can map the
+	// producer's delta onto a shard; it is empty otherwise.
+	prevOf []int32
+
 	// Scratch reused across slots.
 	p2cUp, p2cReq []int32
 	dirtyShard    []bool
@@ -45,10 +53,28 @@ type incrementalPartitioner struct {
 	inSetReq      []bool
 	ufParent      []int32
 	cleanFlags    []bool
-	videoKey      map[int32]video.ID
-	refound       map[video.ID]*Shard
+	rootComp      []int32 // union-find root row → index in comps (-1: none)
+	comps         []component
+	groups        []refoundGroup
+	groupOf       map[video.ID]int32
 	usedKey       map[video.ID]int
 	pendingBuf    []pendingShard
+}
+
+// component is one re-found connected component: its swarm key (the
+// smallest video id of its requests) and the re-found group it joins.
+type component struct {
+	key   video.ID
+	group int32
+}
+
+// refoundGroup is one re-found shard under construction: its key and its
+// member lists, carved from the arena after a counting pass. nReq/nUp count
+// the members, then serve as the fill cursors.
+type refoundGroup struct {
+	key       video.ID
+	nReq, nUp int
+	reqs, ups []int
 }
 
 // pendingShard stages one output shard (carried or re-found) before the
@@ -59,12 +85,14 @@ type pendingShard struct {
 }
 
 // partitionState is one retained slot's partition plus its row→shard maps
-// (shard indices refer to part.Shards; -1 = idle uploader / orphan request).
+// (shard indices refer to part.Shards; -1 = idle uploader / orphan request)
+// and each member row's position in its shard's list — its row in that
+// shard's sub-instance.
 type partitionState struct {
-	part       Partition
-	shardOfUp  []int32
-	shardOfReq []int32
-	rowArena   []int // backing storage for the carried shards' member lists
+	part                  Partition
+	shardOfUp, shardOfReq []int32
+	localOfUp, localOfReq []int32
+	rowArena              []int // backing storage for the shards' member lists
 }
 
 // reset prepares the state for reuse as the next slot's build target.
@@ -76,11 +104,16 @@ func (s *partitionState) reset() {
 	s.part.Refined = 0
 	s.shardOfUp = s.shardOfUp[:0]
 	s.shardOfReq = s.shardOfReq[:0]
+	s.localOfUp = s.localOfUp[:0]
+	s.localOfReq = s.localOfReq[:0]
 	s.rowArena = s.rowArena[:0]
 }
 
 // invalidate drops the carried state (the next update rebuilds).
-func (ip *incrementalPartitioner) invalidate() { ip.valid = false }
+func (ip *incrementalPartitioner) invalidate() {
+	ip.valid = false
+	ip.prevOf = ip.prevOf[:0]
+}
 
 // update returns the slot's partition and, when membership was carried, a
 // per-shard clean flag (clean = identical membership and candidate lists as
@@ -88,6 +121,7 @@ func (ip *incrementalPartitioner) invalidate() { ip.valid = false }
 // solver can take an identity delta). The returned partition and flags are
 // valid until the next update.
 func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDelta) (*Partition, []bool) {
+	ip.prevOf = ip.prevOf[:0]
 	if d != nil && ip.valid &&
 		len(d.PrevUp) == len(in.Uploaders) && len(d.PrevReq) == len(in.Requests) &&
 		len(d.SameCands) == len(in.Requests) {
@@ -125,17 +159,19 @@ func (ip *incrementalPartitioner) rebuild(in *sched.Instance) (*Partition, []boo
 	return &st.part, nil
 }
 
-// captureMaps derives shardOfUp/shardOfReq from st.part.
+// captureMaps derives the row→shard and row→position maps from st.part.
 func (ip *incrementalPartitioner) captureMaps(st *partitionState, nUp, nReq int) {
 	st.shardOfUp = resizeInt32(st.shardOfUp, nUp, -1)
 	st.shardOfReq = resizeInt32(st.shardOfReq, nReq, -1)
+	st.localOfUp = resizeInt32(st.localOfUp, nUp, -1)
+	st.localOfReq = resizeInt32(st.localOfReq, nReq, -1)
 	for si := range st.part.Shards {
 		sh := &st.part.Shards[si]
-		for _, ui := range sh.Uploaders {
-			st.shardOfUp[ui] = int32(si)
+		for j, ui := range sh.Uploaders {
+			st.shardOfUp[ui], st.localOfUp[ui] = int32(si), int32(j)
 		}
-		for _, ri := range sh.Requests {
-			st.shardOfReq[ri] = int32(si)
+		for j, ri := range sh.Requests {
+			st.shardOfReq[ri], st.localOfReq[ri] = int32(si), int32(j)
 		}
 	}
 }
@@ -272,25 +308,14 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		}
 	}
 
-	// Key the subset components by min video id and group them into shards
-	// (phase 2, on the subset). The maps are struct scratch (cleared, not
-	// reallocated) — this runs every bidding round on the steady-state
-	// sharded path, where allocs/op is the headline.
-	if ip.videoKey == nil {
-		ip.videoKey = make(map[int32]video.ID)
-		ip.refound = make(map[video.ID]*Shard)
-		ip.usedKey = make(map[video.ID]int)
-	}
-	for k := range ip.videoKey {
-		delete(ip.videoKey, k)
-	}
-	for k := range ip.refound {
-		delete(ip.refound, k)
-	}
-	for k := range ip.usedKey {
-		delete(ip.usedKey, k)
-	}
-	videoKey := ip.videoKey
+	// Key the subset components by min video id (phase 2, on the subset).
+	// Roots are uploader rows, so the root → component table is an array;
+	// only the per-component grouping consults a map. All of it is struct
+	// scratch — this runs every bidding round on the steady-state sharded
+	// path, where allocs/op is the headline.
+	ip.rootComp = resizeInt32(ip.rootComp, nUp, -1)
+	rootComp := ip.rootComp
+	comps := ip.comps[:0]
 	for ri := 0; ri < nReq; ri++ {
 		if !inSetReq[ri] {
 			continue
@@ -301,36 +326,55 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		}
 		root := find(rows[0])
 		v := in.Requests[ri].Chunk.Video
-		if cur, ok := videoKey[root]; !ok || v < cur {
-			videoKey[root] = v
+		if c := rootComp[root]; c < 0 {
+			rootComp[root] = int32(len(comps))
+			comps = append(comps, component{key: v})
+		} else if v < comps[c].key {
+			comps[c].key = v
 		}
 	}
-	refound := ip.refound
+	ip.comps = comps
+	if ip.groupOf == nil {
+		ip.groupOf = make(map[video.ID]int32)
+		ip.usedKey = make(map[video.ID]int)
+	}
+	clear(ip.groupOf)
+	clear(ip.usedKey)
+	groups := ip.groups[:0]
+	for c := range comps {
+		g, ok := ip.groupOf[comps[c].key]
+		if !ok {
+			g = int32(len(groups))
+			ip.groupOf[comps[c].key] = g
+			groups = append(groups, refoundGroup{key: comps[c].key})
+		}
+		comps[c].group = g
+	}
+	ip.groups = groups
+	// groupOfUp returns subset uploader row i's re-found group (-1: idle
+	// within the subset).
+	groupOfUp := func(i int32) int32 {
+		if c := rootComp[find(i)]; c >= 0 {
+			return comps[c].group
+		}
+		return -1
+	}
+	members := 0
 	for ri := 0; ri < nReq; ri++ {
-		if !inSetReq[ri] {
-			continue
+		if inSetReq[ri] {
+			if rows := in.Rows(ri); len(rows) > 0 {
+				groups[groupOfUp(rows[0])].nReq++
+				members++
+			}
 		}
-		rows := in.Rows(ri)
-		if len(rows) == 0 {
-			continue
-		}
-		v := videoKey[find(rows[0])]
-		sh := refound[v]
-		if sh == nil {
-			sh = &Shard{Key: Key{Video: v, ISP: NoISP}}
-			refound[v] = sh
-		}
-		sh.Requests = append(sh.Requests, ri)
 	}
 	for i := 0; i < nUp; i++ {
-		if !inSetUp[i] {
-			continue
+		if inSetUp[i] {
+			if g := groupOfUp(int32(i)); g >= 0 {
+				groups[g].nUp++
+				members++
+			}
 		}
-		v, ok := videoKey[find(int32(i))]
-		if !ok {
-			continue // idle within the subset
-		}
-		refound[v].Uploaders = append(refound[v].Uploaders, i)
 	}
 
 	// Assemble the new state: carried clean shards (rows remapped through
@@ -367,17 +411,49 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		usedKey[src.Key.Video] = len(out)
 		out = append(out, pendingShard{shard: Shard{Key: src.Key, Requests: reqs, Uploaders: ups}, clean: true})
 	}
-	for v, sh := range refound {
-		if oi, collision := usedKey[v]; collision {
+	// Carve the re-found groups' member lists from the arena (one
+	// reservation, so no carved list moves), then fill them in parent row
+	// order.
+	start := len(next.rowArena)
+	next.rowArena = slices.Grow(next.rowArena, members)[:start+members]
+	for g := range groups {
+		gr := &groups[g]
+		gr.reqs = next.rowArena[start : start+gr.nReq : start+gr.nReq]
+		start += gr.nReq
+		gr.ups = next.rowArena[start : start+gr.nUp : start+gr.nUp]
+		start += gr.nUp
+		gr.nReq, gr.nUp = 0, 0
+	}
+	for ri := 0; ri < nReq; ri++ {
+		if inSetReq[ri] {
+			if rows := in.Rows(ri); len(rows) > 0 {
+				gr := &groups[groupOfUp(rows[0])]
+				gr.reqs[gr.nReq] = ri
+				gr.nReq++
+			}
+		}
+	}
+	for i := 0; i < nUp; i++ {
+		if inSetUp[i] {
+			if g := groupOfUp(int32(i)); g >= 0 {
+				gr := &groups[g]
+				gr.ups[gr.nUp] = i
+				gr.nUp++
+			}
+		}
+	}
+	for g := range groups {
+		gr := &groups[g]
+		if oi, collision := usedKey[gr.key]; collision {
 			// Merge into the carried shard, keeping parent order; the shard
 			// is no longer identical to last slot's.
-			out[oi].shard.Requests = mergeSortedRows(out[oi].shard.Requests, sh.Requests)
-			out[oi].shard.Uploaders = mergeSortedRows(out[oi].shard.Uploaders, sh.Uploaders)
+			out[oi].shard.Requests = mergeSortedRows(out[oi].shard.Requests, gr.reqs)
+			out[oi].shard.Uploaders = mergeSortedRows(out[oi].shard.Uploaders, gr.ups)
 			out[oi].clean = false
 			continue
 		}
-		usedKey[v] = len(out)
-		out = append(out, pendingShard{shard: *sh})
+		usedKey[gr.key] = len(out)
+		out = append(out, pendingShard{shard: Shard{Key: Key{Video: gr.key, ISP: NoISP}, Requests: gr.reqs, Uploaders: gr.ups}})
 	}
 	slices.SortFunc(out, func(a, b pendingShard) int {
 		if a.shard.Key.less(b.shard.Key) {
@@ -404,7 +480,77 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		}
 	}
 	ip.cur, ip.spare = ip.spare, ip.cur
+	ip.linkPrevious()
 	return &ip.cur.part, ip.cleanFlags, nil
+}
+
+// linkPrevious fills prevOf after a carried update: both partitions are
+// sorted by key, so one merge pass pairs the same-key shards.
+func (ip *incrementalPartitioner) linkPrevious() {
+	cur, prev := ip.cur.part.Shards, ip.spare.part.Shards
+	ip.prevOf = slices.Grow(ip.prevOf[:0], len(cur))
+	j := 0
+	for i := range cur {
+		for j < len(prev) && prev[j].Key.less(cur[i].Key) {
+			j++
+		}
+		link := int32(-1)
+		if j < len(prev) && prev[j].Key == cur[i].Key {
+			link = int32(j)
+		}
+		ip.prevOf = append(ip.prevOf, link)
+	}
+}
+
+// project fills dst with shard i's slot-to-slot delta in shard-local rows —
+// the rows of its Subset sub-instance — mapped from the producer's delta d,
+// and reports whether it could. It can only after a carried update, and
+// only for a shard whose key was in the previous partition: that shard's
+// solver last saw exactly the previous same-key shard's rows. Local rows
+// are positions in the member lists; a row carried from another shard (or
+// from nowhere) is new to this one, and a previous member that left the
+// shard is removed from it, exactly as a by-key match would find. The
+// result is marked Projected. Safe to call concurrently for distinct shards.
+func (ip *incrementalPartitioner) project(i int, d, dst *sched.InstanceDelta) bool {
+	if i >= len(ip.prevOf) || ip.prevOf[i] < 0 {
+		return false
+	}
+	ps := ip.prevOf[i]
+	cur, prev := &ip.cur, &ip.spare
+	sh, psh := &cur.part.Shards[i], &prev.part.Shards[ps]
+	dst.Identity, dst.Projected = false, true
+
+	dst.PrevUp = dst.PrevUp[:0]
+	for _, ui := range sh.Uploaders {
+		local := int32(-1)
+		if p := d.PrevUp[ui]; p >= 0 && prev.shardOfUp[p] == ps {
+			local = prev.localOfUp[p]
+		}
+		dst.PrevUp = append(dst.PrevUp, local)
+	}
+	dst.RemovedUps = dst.RemovedUps[:0]
+	for j, p := range psh.Uploaders {
+		if c := ip.p2cUp[p]; c < 0 || cur.shardOfUp[c] != int32(i) {
+			dst.RemovedUps = append(dst.RemovedUps, int32(j))
+		}
+	}
+
+	dst.PrevReq, dst.SameCands = dst.PrevReq[:0], dst.SameCands[:0]
+	for _, ri := range sh.Requests {
+		local := int32(-1)
+		if p := d.PrevReq[ri]; p >= 0 && prev.shardOfReq[p] == ps {
+			local = prev.localOfReq[p]
+		}
+		dst.PrevReq = append(dst.PrevReq, local)
+		dst.SameCands = append(dst.SameCands, local >= 0 && d.SameCands[ri])
+	}
+	dst.RemovedReqs = dst.RemovedReqs[:0]
+	for j, p := range psh.Requests {
+		if c := ip.p2cReq[p]; c < 0 || cur.shardOfReq[c] != int32(i) {
+			dst.RemovedReqs = append(dst.RemovedReqs, int32(j))
+		}
+	}
+	return true
 }
 
 // mergeSortedRows merges two ascending row lists into a fresh ascending

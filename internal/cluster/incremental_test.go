@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isp"
@@ -306,4 +308,261 @@ func TestIncrementalPartitionKeyMigration(t *testing.T) {
 	if ip.incremental != 1 || ip.rebuilds != 1 {
 		t.Fatalf("incremental/rebuilds = %d/%d, want 1/1", ip.incremental, ip.rebuilds)
 	}
+}
+
+// replay feeds one instance through a Builder in its key order (uploaders
+// by peer, requests by (peer, video, chunk)), so any instance trace becomes
+// a Builder-produced sequence with a delta per slot after the first.
+func replay(t testing.TB, b *sched.Builder, in *sched.Instance) (*sched.Instance, *sched.InstanceDelta) {
+	t.Helper()
+	ups := slices.Clone(in.Uploaders)
+	slices.SortFunc(ups, func(x, y sched.Uploader) int { return cmp.Compare(x.Peer, y.Peer) })
+	reqs := slices.Clone(in.Requests)
+	slices.SortFunc(reqs, func(x, y sched.Request) int {
+		return cmp.Or(cmp.Compare(x.Peer, y.Peer), cmp.Compare(x.Chunk.Video, y.Chunk.Video),
+			cmp.Compare(x.Chunk.Index, y.Chunk.Index))
+	})
+	b.Begin()
+	rowOf := make(map[isp.PeerID]int32, len(ups))
+	for _, u := range ups {
+		row, err := b.AddUploader(u.Peer, u.Capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowOf[u.Peer] = row
+	}
+	for _, r := range reqs {
+		b.StartRequest(r.Peer, r.Chunk, r.Value, r.Deadline)
+		for _, c := range r.Candidates {
+			b.AddCandidate(rowOf[c.Peer], c.Cost)
+		}
+		b.EndRequest()
+	}
+	out, d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, d
+}
+
+// TestShardedProjectedDeltasEqualDerived is the differential test of the
+// per-shard delta projection: the same Builder-produced churn sequence fed
+// through ScheduleDelta (dirty shards take the producer's delta projected
+// onto their rows) and through a second orchestrator's Schedule (every
+// shard derives its delta by key) must yield bit-equal grants, prices and
+// stats on every slot.
+func TestShardedProjectedDeltasEqualDerived(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		slots   []*sched.Instance
+		workers int
+	}{
+		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false), 2},
+		{"integral", buildSlots(31, 14, 5, 60, 12, 0.3, true), 8},
+		{"heavy-churn", buildSlots(37, 10, 12, 25, 6, 0.6, false), 1},
+		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := sched.NewBuilder()
+			viaDelta := &ShardedAuction{Epsilon: 0.01, Workers: tc.workers, Seed: 5}
+			viaKey := &ShardedAuction{Epsilon: 0.01, Workers: tc.workers, Seed: 5}
+			for slot, raw := range tc.slots {
+				in, d := replay(t, b, raw)
+				got, err := viaDelta.ScheduleDelta(in, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := viaKey.Schedule(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Grants, want.Grants) {
+					t.Fatalf("slot %d: grants diverge", slot)
+				}
+				if !reflect.DeepEqual(got.Prices, want.Prices) {
+					t.Fatalf("slot %d: prices diverge", slot)
+				}
+				if !reflect.DeepEqual(got.Stats, want.Stats) {
+					t.Fatalf("slot %d: stats diverge:\n got %v\nwant %v", slot, got.Stats, want.Stats)
+				}
+			}
+			if !reflect.DeepEqual(viaDelta.WelfareSeries(), viaKey.WelfareSeries()) {
+				t.Fatal("welfare series diverge")
+			}
+			if viaDelta.Stats().ProjectedDeltas == 0 {
+				t.Fatal("no shard ever took a projected delta")
+			}
+			if viaKey.Stats().ProjectedDeltas != 0 {
+				t.Fatal("the by-key twin projected a delta")
+			}
+		})
+	}
+}
+
+// crossSwarmSlots generates a churn trace whose components merge, split
+// and re-key across slots: a tenth of the candidate edges reach into the
+// next swarm (welding the two swarms under the smaller video id until the
+// edge goes), and uploaders sit out single slots (their edges vanish and
+// return). Requests survive with their candidate lists intact, change
+// them, re-value or depart, so carried, rewritten, moved and new rows all
+// occur, inside a shard and between shards.
+func crossSwarmSlots(t *testing.T, seed uint64, slots, swarms, upPer, reqPer int) []*sched.Instance {
+	t.Helper()
+	rng := randx.New(seed)
+	type req struct {
+		down  isp.PeerID
+		chunk video.ChunkID
+		value float64
+		cands []isp.PeerID
+	}
+	upPeer := func(s, u int) isp.PeerID { return isp.PeerID(s*1000 + u) }
+	cost := func(p isp.PeerID) float64 { return float64(int(p) % 3) }
+	pick := func(s int) []isp.PeerID {
+		var out []isp.PeerID
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			home := s
+			if rng.Float64() < 0.1 {
+				home = (s + 1) % swarms
+			}
+			p := upPeer(home, rng.Intn(upPer))
+			if !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	next := 0
+	fresh := func(s int) req {
+		next++
+		return req{down: isp.PeerID(1_000_000 + next), chunk: video.ChunkID{Video: video.ID(s)},
+			value: rng.Range(1, 8), cands: pick(s)}
+	}
+	reqs := make([][]req, swarms)
+	for s := range reqs {
+		for k := 0; k < reqPer; k++ {
+			reqs[s] = append(reqs[s], fresh(s))
+		}
+	}
+	var out []*sched.Instance
+	for slot := 0; slot < slots; slot++ {
+		if slot > 0 {
+			for s := range reqs {
+				for k := range reqs[s] {
+					switch x := rng.Float64(); {
+					case x < 0.08:
+						reqs[s][k] = fresh(s)
+					case x < 0.2:
+						reqs[s][k].cands = pick(s)
+					case x < 0.45:
+						reqs[s][k].value = rng.Range(1, 8)
+					}
+				}
+			}
+		}
+		present := map[isp.PeerID]bool{}
+		var ups []sched.Uploader
+		for s := 0; s < swarms; s++ {
+			for u := 0; u < upPer; u++ {
+				if slot == 0 || rng.Float64() >= 0.05 {
+					ups = append(ups, sched.Uploader{Peer: upPeer(s, u), Capacity: 1 + rng.Intn(2)})
+					present[upPeer(s, u)] = true
+				}
+			}
+		}
+		var rs []sched.Request
+		for s := range reqs {
+			for _, r := range reqs[s] {
+				var cands []sched.Candidate
+				for _, p := range r.cands {
+					if present[p] {
+						cands = append(cands, sched.Candidate{Peer: p, Cost: cost(p)})
+					}
+				}
+				if len(cands) > 0 {
+					rs = append(rs, sched.Request{Peer: r.down, Chunk: r.chunk, Value: r.value, Candidates: cands})
+				}
+			}
+		}
+		in, err := sched.NewInstance(rs, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// TestIncrementalPartitionAllocs pins the carried partition's steady state:
+// once its scratch has grown, an incremental update allocates nothing, at
+// two population sizes. Two instances alternate, each with a non-identity
+// delta to the other (removed, added and edge-rewritten requests).
+func TestIncrementalPartitionAllocs(t *testing.T) {
+	for _, swarms := range []int{6, 60} {
+		slots := buildSlots(41, 2, swarms, 30, 8, 0.3, false)
+		a, b := slots[0], slots[1]
+		ab, ba := keyDelta(a, b), keyDelta(b, a)
+		var ip incrementalPartitioner
+		ip.update(a, nil)
+		step := func() {
+			ip.update(b, ab)
+			ip.update(a, ba)
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if ip.incremental != 6 {
+			t.Fatalf("%d swarms: %d incremental updates of 6 — the carried path did not run", swarms, ip.incremental)
+		}
+		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			t.Fatalf("%d swarms: a steady-state incremental update allocates %.1f, want 0", swarms, allocs/2)
+		}
+	}
+}
+
+// keyDelta relates cur to prev the way a Builder (or WarmAuction's by-key
+// match) would: uploaders by peer, requests by (peer, chunk).
+func keyDelta(prev, cur *sched.Instance) *sched.InstanceDelta {
+	d := &sched.InstanceDelta{}
+	upRow := map[isp.PeerID]int32{}
+	for i, u := range prev.Uploaders {
+		upRow[u.Peer] = int32(i)
+	}
+	carriedUp := map[int32]bool{}
+	for _, u := range cur.Uploaders {
+		p, ok := upRow[u.Peer]
+		if !ok {
+			p = -1
+		}
+		carriedUp[p] = true
+		d.PrevUp = append(d.PrevUp, p)
+	}
+	for i := range prev.Uploaders {
+		if !carriedUp[int32(i)] {
+			d.RemovedUps = append(d.RemovedUps, int32(i))
+		}
+	}
+	type key struct {
+		peer  isp.PeerID
+		chunk video.ChunkID
+	}
+	reqRow := map[key]int32{}
+	for i, r := range prev.Requests {
+		reqRow[key{r.Peer, r.Chunk}] = int32(i)
+	}
+	carriedReq := map[int32]bool{}
+	for _, r := range cur.Requests {
+		p, ok := reqRow[key{r.Peer, r.Chunk}]
+		if !ok {
+			p = -1
+		}
+		carriedReq[p] = true
+		d.PrevReq = append(d.PrevReq, p)
+		d.SameCands = append(d.SameCands, ok && slices.Equal(prev.Requests[p].Candidates, r.Candidates))
+	}
+	for i := range prev.Requests {
+		if !carriedReq[int32(i)] {
+			d.RemovedReqs = append(d.RemovedReqs, int32(i))
+		}
+	}
+	return d
 }

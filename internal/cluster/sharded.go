@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/isp"
@@ -26,9 +29,16 @@ type shardState struct {
 	rng    *randx.Source
 	// idle counts consecutive slots the shard was absent from the partition.
 	idle int
-	// welfare is the shard's per-solve welfare series (timestamps are solve
-	// indices), merged across shards by WelfareSeries.
-	welfare metrics.Series
+	// delta is the shard's projected-delta scratch (see
+	// incrementalPartitioner.project), reused across slots.
+	delta sched.InstanceDelta
+}
+
+// solved is one shard's outcome in a slot.
+type solved struct {
+	res     *sched.Result
+	welfare float64
+	err     error
 }
 
 // Stats are the orchestrator's cumulative lifecycle counters.
@@ -44,6 +54,9 @@ type Stats struct {
 	// shards re-found) versus re-partitioned the whole graph (first slot,
 	// no delta, refinement active, or an inconsistent delta).
 	PartitionIncremental, PartitionRebuilds int64
+	// ProjectedDeltas counts shard solves fed a delta projected from the
+	// producer's (the rest take an identity delta or derive theirs by key).
+	ProjectedDeltas int64
 	// CutEdges totals candidate edges dropped by ISP-affinity refinement.
 	CutEdges int64
 	// MaxShardRequests is the largest per-shard request count seen.
@@ -94,9 +107,16 @@ type ShardedAuction struct {
 	root        *randx.Source
 	slot        int
 	stats       Stats
-	// retiredWelfare accumulates the welfare series of reclaimed shards, so
-	// WelfareSeries stays exact after idle reclamation deletes their state.
-	retiredWelfare metrics.Series
+	// welfare is the per-solve welfare series (timestamps are solve
+	// indices): each slot with shards adds Σ shard welfare, summed in
+	// shard-key order during the merge.
+	welfare metrics.Series
+
+	// Per-slot scratch: the shards' states and outcomes (indexed like
+	// Partition.Shards) and the pool's largest-first hand-out order.
+	states  []*shardState
+	results []solved
+	order   []int32
 }
 
 var _ sched.Scheduler = (*ShardedAuction)(nil)
@@ -116,17 +136,12 @@ func (a *ShardedAuction) Stats() Stats { return a.stats }
 // ShardCount returns the number of live (not yet reclaimed) shard solvers.
 func (a *ShardedAuction) ShardCount() int { return len(a.shards) }
 
-// WelfareSeries merges the per-solve welfare series of the live shards and
-// of every reclaimed one (their history is folded into an accumulator on
-// retirement) into the global per-solve welfare series — exact, since
-// welfare is additive over shards.
+// WelfareSeries returns the global per-solve welfare series: one point per
+// solve that had shards, the sum of its shards' welfare in shard-key order
+// (welfare is additive over shards, and the fixed order makes the float sum
+// deterministic). Reclaimed shards' history is part of it.
 func (a *ShardedAuction) WelfareSeries() *metrics.Series {
-	parts := make([]*metrics.Series, 0, len(a.shards)+1)
-	parts = append(parts, &a.retiredWelfare)
-	for _, st := range a.shards {
-		parts = append(parts, &st.welfare)
-	}
-	return metrics.SumSeries(a.Name()+"/welfare", parts...)
+	return &metrics.Series{Name: a.Name() + "/welfare", Points: slices.Clone(a.welfare.Points)}
 }
 
 // ttl returns the idle-reclamation horizon in force.
@@ -189,7 +204,10 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		Arg("incremental_total", float64(a.inc.incremental))
 	psp.End()
 
-	states := make([]*shardState, len(part.Shards))
+	n := len(part.Shards)
+	states := slices.Grow(a.states[:0], n)[:n]
+	results := slices.Grow(a.results[:0], n)[:n]
+	a.states, a.results = states, results
 	for i := range part.Shards {
 		sh := &part.Shards[i]
 		st, ok := a.shards[sh.Key]
@@ -212,12 +230,6 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		}
 	}
 
-	type solved struct {
-		res     *sched.Result
-		welfare float64
-		err     error
-	}
-	results := make([]solved, len(part.Shards))
 	// readyAt stamps when the whole batch became runnable (the start of the
 	// solve phase): a shard's span reports the gap to its own pickup as
 	// queue_wait_us, separating pool latency from solve time per shard.
@@ -225,6 +237,7 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	if tracing {
 		readyAt = time.Now()
 	}
+	var projected atomic.Int64
 	solveOne := func(tk *obs.Track, i int) {
 		sh := &part.Shards[i]
 		identity := clean != nil && clean[i]
@@ -247,11 +260,17 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		var res *sched.Result
 		if ds, ok := states[i].solver.(sched.DeltaScheduler); ok {
 			// A clean shard saw the identical membership and edges last
-			// slot — its solver diffs values and capacities only; every
-			// other shard re-diffs its sub-instance by key (nil delta).
+			// slot — its solver diffs values and capacities only. A shard
+			// whose key was in last slot's carried partition takes the
+			// producer's delta projected onto its rows; every other shard
+			// re-diffs its sub-instance by key (nil delta).
 			var sd *sched.InstanceDelta
-			if identity {
+			switch {
+			case identity:
 				sd = identityDelta
+			case d != nil && a.inc.project(i, d, &states[i].delta):
+				sd = &states[i].delta
+				projected.Add(1)
 			}
 			res, err = ds.ScheduleDelta(sub, sd)
 		} else {
@@ -267,40 +286,47 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		w, err := sub.Welfare(res.Grants)
 		results[i] = solved{res: res, welfare: w, err: err}
 	}
-	workerTrack := func(w int) *obs.Track {
-		if !tracing {
-			return nil
-		}
-		return obs.TrackFor("shard-worker-" + strconv.Itoa(w))
+	// The pool hands shards out largest first (by request count, ties by
+	// index) through one atomic cursor, so the long poles start at once
+	// and the small shards fill in behind them. The calling goroutine is
+	// worker 0, beside Workers−1 helpers.
+	order := a.order[:0]
+	for i := range part.Shards {
+		order = append(order, int32(i))
 	}
-	if a.Workers <= 1 || len(part.Shards) <= 1 {
-		tk := workerTrack(0)
-		for i := range part.Shards {
-			solveOne(tk, i)
+	slices.SortFunc(order, func(x, y int32) int {
+		if c := cmp.Compare(len(part.Shards[y].Requests), len(part.Shards[x].Requests)); c != 0 {
+			return c
 		}
-	} else {
-		workers := a.Workers
-		if workers > len(part.Shards) {
-			workers = len(part.Shards)
+		return cmp.Compare(x, y)
+	})
+	a.order = order
+	var cursor atomic.Int64
+	work := func(w int) {
+		var tk *obs.Track
+		if tracing {
+			tk = obs.TrackFor("shard-worker-" + strconv.Itoa(w))
 		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				tk := workerTrack(w)
-				for i := range jobs {
-					solveOne(tk, i)
-				}
-			}(w)
+		for {
+			k := int(cursor.Add(1) - 1)
+			if k >= len(order) {
+				return
+			}
+			solveOne(tk, int(order[k]))
 		}
-		for i := range part.Shards {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
 	}
+	workers := min(max(a.Workers, 1), n)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	a.stats.ProjectedDeltas += projected.Load()
 
 	msp := ctk.Begin("merge")
 	out := &sched.Result{
@@ -323,9 +349,13 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	for k := range a.curShardOf {
 		delete(a.curShardOf, k)
 	}
+	welfare := 0.0
 	for i := range part.Shards {
 		sh := &part.Shards[i]
 		if err := results[i].err; err != nil {
+			// Shards that failed did not move their solvers to this slot's
+			// rows: the next slot must not project deltas onto them.
+			a.inc.invalidate()
 			return nil, fmt.Errorf("sharded auction: shard %v: %w", sh.Key, err)
 		}
 		res := results[i].res
@@ -345,7 +375,11 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 				migrations++
 			}
 		}
-		_ = states[i].welfare.Add(float64(a.slot), results[i].welfare)
+		welfare += results[i].welfare
+	}
+	clear(results) // the shard results are merged: let them go
+	if n > 0 {
+		_ = a.welfare.Add(float64(a.slot), welfare)
 	}
 	a.lastShardOf, a.curShardOf = a.curShardOf, a.lastShardOf
 	a.stats.Migrations += int64(migrations)
@@ -368,7 +402,6 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		}
 		st.idle++
 		if st.idle >= a.ttl() {
-			a.retiredWelfare = *metrics.SumSeries(a.retiredWelfare.Name, &a.retiredWelfare, &st.welfare)
 			delete(a.shards, key)
 			a.stats.Retired++
 		}

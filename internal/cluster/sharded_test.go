@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/isp"
+	"repro/internal/metrics"
 	"repro/internal/randx"
 	"repro/internal/sched"
 	"repro/internal/video"
@@ -219,8 +220,8 @@ func TestShardedLifecycle(t *testing.T) {
 }
 
 // TestShardedWelfareSeriesMergesExactly checks the cross-shard metric merge:
-// the orchestrator's merged welfare series (metrics.SumSeries over per-shard
-// series) must reproduce each slot's total welfare exactly.
+// the orchestrator's merged welfare series (Σ shard welfare per slot) must
+// reproduce each slot's total welfare exactly.
 func TestShardedWelfareSeriesMergesExactly(t *testing.T) {
 	slots := buildSlots(19, 6, 4, 25, 8, 0.15, true) // integral: sums are exact
 	a := &ShardedAuction{Epsilon: 1e-3}
@@ -271,4 +272,34 @@ func TestShardedPerShardStreamsStable(t *testing.T) {
 
 func chunkOf(swarm, idx int) video.ChunkID {
 	return video.ChunkID{Video: video.ID(swarm), Index: video.ChunkIndex(idx)}
+}
+
+// TestShardedWelfareSeriesDeterministic pins the welfare series bit for bit
+// on float weights, where summation order shows in the last bits: repeated
+// calls and 1, 2 or 8 workers must all return the identical series.
+func TestShardedWelfareSeriesDeterministic(t *testing.T) {
+	var base *metrics.Series
+	for _, workers := range []int{1, 2, 8} {
+		slots := buildSlots(43, 10, 40, 20, 6, 0.2, false)
+		a := &ShardedAuction{Epsilon: 0.01, Workers: workers, TTLSlots: 2}
+		for _, in := range slots {
+			if _, err := a.Schedule(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := a.WelfareSeries()
+		if first.Len() != len(slots) {
+			t.Fatalf("workers=%d: %d points, want %d", workers, first.Len(), len(slots))
+		}
+		for call := 0; call < 200; call++ {
+			if got := a.WelfareSeries(); !reflect.DeepEqual(got, first) {
+				t.Fatalf("workers=%d call %d: welfare series changed between calls", workers, call)
+			}
+		}
+		if base == nil {
+			base = first
+		} else if !reflect.DeepEqual(first, base) {
+			t.Fatalf("workers=%d: welfare series differs from sequential", workers)
+		}
+	}
 }

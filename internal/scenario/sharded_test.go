@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/isp"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -139,4 +141,96 @@ func TestShardingValidation(t *testing.T) {
 		t.Fatalf("auction-sharded built %T %+v, want a 4-worker ShardedAuction refining above 2000 peers", s, s)
 	}
 	testVariantSweepKey(t, "sharding", SolverAuctionSharded, SolverAuctionWarm)
+}
+
+// shardRecorder forwards to a ShardedAuction and keeps every result. On its
+// own it hides sched.DeltaScheduler, so the simulator calls Schedule and
+// every shard derives its delta by key; deltaRecorder exposes the delta path.
+type shardRecorder struct {
+	inner   *cluster.ShardedAuction
+	results []*sched.Result
+}
+
+func (r *shardRecorder) Name() string { return r.inner.Name() }
+
+func (r *shardRecorder) SetISPLookup(f func(isp.PeerID) (isp.ID, bool)) { r.inner.SetISPLookup(f) }
+
+func (r *shardRecorder) Schedule(in *sched.Instance) (*sched.Result, error) {
+	return r.keep(r.inner.Schedule(in))
+}
+
+func (r *shardRecorder) keep(res *sched.Result, err error) (*sched.Result, error) {
+	if err == nil {
+		r.results = append(r.results, res)
+	}
+	return res, err
+}
+
+type deltaRecorder struct{ shardRecorder }
+
+func (r *deltaRecorder) ScheduleDelta(in *sched.Instance, d *sched.InstanceDelta) (*sched.Result, error) {
+	return r.keep(r.inner.ScheduleDelta(in, d))
+}
+
+// TestShardedProjectedDeltasEqualDerivedPerPreset is the preset-level
+// differential test of the per-shard delta projection: the sharded presets'
+// Builder-produced churn, fed through ScheduleDelta (dirty shards take the
+// producer's delta projected onto their rows) and through Schedule on a
+// second orchestrator (every shard derives its delta by key), must give
+// bit-equal grants, prices and stats on every solve, and equal runs. These
+// presets grant nearly every request in the round it is issued, so their
+// projections carry uploaders but hardly any request; the cluster
+// package's TestShardedProjectedDeltasEqualDerived covers carried,
+// rewritten and migrating requests.
+func TestShardedProjectedDeltasEqualDerivedPerPreset(t *testing.T) {
+	for _, name := range []string{"sharded-churn", "mega-swarm"} {
+		spec := mustGet(t, name)
+		boundHeavy(t, &spec, 400, 8)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := spec.Sim
+			cfg.Seed = 3
+			cfg.Slots = 30 // the presets' own runs are 2–10 slots: too few deltas
+			newSharded := func() *cluster.ShardedAuction {
+				s, err := spec.Scheduler(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s.(*cluster.ShardedAuction)
+			}
+			viaDelta := &deltaRecorder{shardRecorder{inner: newSharded()}}
+			viaKey := &shardRecorder{inner: newSharded()}
+			gotRun, err := sim.Run(cfg, viaDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRun, err := sim.Run(cfg, viaKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(viaDelta.results) != len(viaKey.results) || len(viaDelta.results) == 0 {
+				t.Fatalf("%d solves via deltas, %d by key", len(viaDelta.results), len(viaKey.results))
+			}
+			for i, got := range viaDelta.results {
+				want := viaKey.results[i]
+				if !reflect.DeepEqual(got.Grants, want.Grants) {
+					t.Fatalf("solve %d: grants diverge", i)
+				}
+				if !reflect.DeepEqual(got.Prices, want.Prices) {
+					t.Fatalf("solve %d: prices diverge", i)
+				}
+				if !reflect.DeepEqual(got.Stats, want.Stats) {
+					t.Fatalf("solve %d: stats diverge:\n got %v\nwant %v", i, got.Stats, want.Stats)
+				}
+			}
+			if !reflect.DeepEqual(gotRun, wantRun) {
+				t.Fatal("run results diverge")
+			}
+			projected := viaDelta.inner.Stats().ProjectedDeltas
+			if projected == 0 {
+				t.Fatal("no shard ever took a projected delta")
+			}
+			t.Logf("%d solves, %d projected shard deltas", len(viaDelta.results), projected)
+		})
+	}
 }

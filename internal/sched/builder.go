@@ -13,7 +13,8 @@ import (
 // (WarmAuction, cluster.ShardedAuction) can apply in O(churn) instead of
 // re-diffing two full instances by key. Deltas are produced by Builder
 // (every Build that follows an ordered Build returns one) and are trusted:
-// consumers bounds-check the row maps but do not re-derive them.
+// consumers bounds-check the row maps but do not re-derive them. A
+// Projected delta is not a Builder's, and is validated.
 //
 // All row references are dense indices: PrevReq[i] is the previous
 // instance's row of the new instance's request i (-1 when the request is
@@ -28,6 +29,12 @@ type InstanceDelta struct {
 	// rows — only values and capacities may have moved. Consumers can skip
 	// the row maps entirely.
 	Identity bool
+	// Projected marks a delta a consumer re-derived from a producer's (the
+	// sharded orchestrator projects one delta per shard, in shard-local
+	// rows) instead of one a Builder merged. A warm consumer validates the
+	// solver delta it issues from a projected delta (core.Solver.Apply)
+	// rather than trusting it.
+	Projected bool
 
 	PrevReq     []int32
 	SameCands   []bool

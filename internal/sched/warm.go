@@ -48,8 +48,10 @@ type sinkState struct {
 // pure re-valuation (a core.ValueShift, the every-round deadline
 // tightening) or a full edge rewrite (changed neighbor set); uploaders diff
 // into capacity changes and arrivals/departures. InstanceDelta.Identity
-// collapses further to a pure value/capacity sweep. A diff or apply that
-// fails discards the warm state, so the next call solves cold.
+// collapses further to a pure value/capacity sweep. A Builder's delta ships
+// unchecked; derived and Projected deltas go through the validating
+// core.Solver.Apply. A diff or apply that fails discards the warm state, so
+// the next call solves cold.
 //
 // A WarmAuction carries state across Schedule calls and is therefore bound
 // to one simulation run: create a fresh value per run (as scenario.Spec.Run
@@ -115,8 +117,8 @@ type deltaOpCounts struct {
 }
 
 // apply folds one solver delta into the round tally and ships it: checked
-// for deltas derived from arbitrary instances, unchecked for a Builder's
-// (core.Solver.ApplyUnchecked).
+// for deltas derived from arbitrary instances or projected by a consumer,
+// unchecked for a Builder's (core.Solver.ApplyUnchecked).
 func (a *WarmAuction) apply(d *core.ProblemDelta, checked bool) (*core.AppliedDelta, error) {
 	a.ops.addReqs += len(d.AddRequests)
 	a.ops.removeReqs += len(d.RemoveRequests)
@@ -172,7 +174,7 @@ func (a *WarmAuction) ScheduleDelta(in *Instance, d *InstanceDelta) (*Result, er
 	case d.Identity:
 		carried, err = a.applyIdentity(in)
 	default:
-		carried, err = a.applyKnownDelta(in, d, false)
+		carried, err = a.applyKnownDelta(in, d, d.Projected)
 	}
 	if err != nil {
 		// The solver may hold half of the delta: drop the warm state so the
