@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/cdn"
@@ -136,10 +138,15 @@ func (d *Daemon) instrument(h func(http.ResponseWriter, *http.Request) int) http
 	}
 }
 
+// jsonContentType is writeJSON's Content-Type value, shared by every answer
+// (Header().Set would allocate a fresh one-element slice per call). net/http
+// only reads header values, and an Add would copy, not write through.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON answers with a JSON body and returns the status for the
 // instrumentation wrapper.
 func writeJSON(w http.ResponseWriter, status int, body any) int {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 	return status
@@ -267,7 +274,7 @@ func (d *Daemon) handleGrants(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodGet {
 		return writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 	}
-	peer, err := strconv.ParseInt(r.URL.Query().Get("peer"), 10, 64)
+	peer, err := strconv.ParseInt(queryGet(r.URL.RawQuery, "peer"), 10, 64)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, fmt.Errorf("peer query parameter: %w", err))
 	}
@@ -282,6 +289,31 @@ func (d *Daemon) handleGrants(w http.ResponseWriter, r *http.Request) int {
 		})
 	}
 	return writeJSON(w, http.StatusOK, resp)
+}
+
+// queryGet returns the first value of key in a raw URL query, exactly as
+// url.ParseQuery(raw).Get(key) would (r.URL.Query().Get), without building
+// the map: pairs split on '&', a pair holding ';' is skipped, a pair whose
+// key or value does not unescape is skipped, and a missing key reads "".
+// url.QueryUnescape returns its argument as is when there is nothing to
+// unescape, so the common case allocates nothing.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || k != key {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) int {

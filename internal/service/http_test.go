@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -271,6 +272,40 @@ func TestHTTPTrailingData(t *testing.T) {
 	} {
 		if status, msg := post(c.verb, c.body); status != http.StatusOK {
 			t.Errorf("%s %q: %d %q, want 200", c.verb, c.body, status, msg)
+		}
+	}
+}
+
+// TestQueryGetMatchesURLQuery pins the grants handler's query reader to
+// r.URL.Query().Get, case by case.
+func TestQueryGetMatchesURLQuery(t *testing.T) {
+	for _, raw := range []string{
+		"",
+		"peer=5",
+		"peer=5&peer=6",     // repeated key: first wins
+		"x=1&peer=7&peer=8", // repeated key after another
+		"peer=%35",          // percent escape in the value
+		"pe%65r=9",          // percent escape in the key
+		"peer=%2D3",
+		"peer=5+",    // '+' is a space
+		"+peer=5",    // ... also in the key
+		"peer=1%2B2", // escaped '+'
+		"peer=5;x=1", // ';' voids the pair
+		"x=1;peer=5&peer=6",
+		"peer=%zz&peer=4", // malformed value: skipped
+		"%zz=1&peer=3",    // malformed key: skipped
+		"peer=%4",         // truncated escape
+		"peer",            // no '='
+		"peer=",           // empty value
+		"=5&peer=2",       // empty key
+		"&&peer=4&",       // empty pairs
+		"other=1",         // absent
+		"peer=6&peer=%zz",
+		"peer=a=b", // '=' inside the value
+	} {
+		want := (&url.URL{RawQuery: raw}).Query().Get("peer")
+		if got := queryGet(raw, "peer"); got != want {
+			t.Errorf("queryGet(%q) = %q, url.Query().Get = %q", raw, got, want)
 		}
 	}
 }

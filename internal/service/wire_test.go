@@ -170,9 +170,10 @@ func (w *discardWriter) WriteHeader(s int)           { w.status = s }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // maxBidHandlerAllocs pins one 4-bid × 6-candidate POST /v1/bid through
-// Handler(): the body limiter, Daemon.Bid's copy of each candidate list, and
-// writeJSON's header slice. Decoding with encoding/json took 46.
-const maxBidHandlerAllocs = 6
+// Handler(): the body limiter and Daemon.Bid's copy of each candidate list.
+// Decoding with encoding/json took 46; a fresh Content-Type slice per
+// answer took one more.
+const maxBidHandlerAllocs = 5
 
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
