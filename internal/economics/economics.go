@@ -12,13 +12,12 @@
 // savings of biased neighbor selection, and "Can P2P Technology Benefit
 // Eyeball ISPs?" (Xu et al.) frames the cross-ISP byte count as a
 // settlement problem between access ISPs and their transit providers. This
-// package provides the measurement plane for both: every simulation run
-// (fast and DES engines alike) records per-slot traffic matrices, and the
+// package provides the measurement plane for both: every simulation run,
+// whatever its scheduler, records per-slot traffic matrices, and the
 // settlement models price them.
 //
 // All quantities are additive: matrices merge cell-wise (Matrix.Merge), so
-// per-shard or per-slot ledgers recombine into the exact global ledger, the
-// same contract as metrics.SumSeries.
+// per-shard or per-slot ledgers recombine into the exact global ledger.
 package economics
 
 import (
@@ -124,8 +123,7 @@ func (m *Matrix) IngressInter(dst isp.ID) int64 {
 }
 
 // Merge adds o cell-wise into m — the exact recombination of disjoint
-// ledgers (per-shard, per-slot, per-engine), mirroring metrics.SumSeries for
-// additive series. Dimensions must match.
+// ledgers (per-shard, per-slot, per-scheduler). Dimensions must match.
 func (m *Matrix) Merge(o *Matrix) error {
 	if o == nil {
 		return nil

@@ -5,7 +5,7 @@ package economics
 // or the origin — and the operator's question is the offload ratio: what
 // share of delivered bytes the P2P swarm kept off the CDN, and what the
 // remainder cost in CDN egress and edge-fill backhaul. ComputeOffload turns
-// the sim engines' per-tier chunk counters into that report, priced next to
+// the simulator's per-tier chunk counters into that report, priced next to
 // (not inside) the ISP transit settlement: CDN traffic bypasses the ISP×ISP
 // matrix by construction, so the two bills never double-count a byte.
 

@@ -39,8 +39,14 @@ type Spec struct {
 	// 0 or 1 = every solve). Lets drills alternate overrun and recovery.
 	SolveDelayEveryN int `json:"solve_delay_every_n,omitempty"`
 
-	// DropProb is the per-message probability that the live hub drops a
-	// forwarded envelope on the floor, like a lossy link. [0, 1].
+	// DropProb is the per-message loss probability of the auction
+	// protocol's links, on both of its transports: the live TCP hub drops a
+	// forwarded envelope, and the sim's message-level auction (auction-des)
+	// drops a network message. Nothing retransmits — bidders re-bid only on
+	// an explicit rejection or eviction, as in the paper — so a lost bid or
+	// answer leaves that request unresolved for the round, and a lost win
+	// notice leaves the books one-sided (the auctioneer's book is the one
+	// that transfers). [0, 1].
 	DropProb float64 `json:"drop_prob,omitempty"`
 	// DelayMax, when > 0, holds each forwarded envelope for a uniform
 	// [0, DelayMax) duration before delivery — per-link latency jitter.

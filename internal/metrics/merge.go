@@ -1,16 +1,9 @@
 package metrics
 
-// merge.go: cross-shard aggregation. The sharded orchestrator
-// (internal/cluster) evaluates each shard separately; these combinators fold
-// per-shard measurements back into the exact global view — sums for additive
-// quantities (welfare, grants, transfers), count-weighted means for ratios
-// (inter-ISP share, miss rate), and Summary.Merge for descriptive
-// statistics.
+// merge.go: Summary.Merge, which folds the descriptive statistics of
+// disjoint sample sets into one.
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Merge combines the summaries of two disjoint sample sets. Count, Mean, Min
 // and Max are exact; the percentiles are count-weighted interpolations —
@@ -35,102 +28,4 @@ func (s Summary) Merge(o Summary) Summary {
 		P90:   ws*s.P90 + wo*o.P90,
 		P95:   ws*s.P95 + wo*o.P95,
 	}
-}
-
-// unionTimes returns the sorted union of the series' timestamps.
-func unionTimes(series []*Series) []float64 {
-	set := make(map[float64]bool)
-	for _, s := range series {
-		for _, p := range s.Points {
-			set[p.T] = true
-		}
-	}
-	times := make([]float64, 0, len(set))
-	for t := range set {
-		times = append(times, t)
-	}
-	sort.Float64s(times)
-	return times
-}
-
-// SumSeries combines per-shard series of an additive quantity (welfare,
-// grant counts, traffic) into the exact global series: the pointwise sum
-// over the union of timestamps, a shard missing a sample contributing 0 —
-// exactly right for additive metrics, where an absent shard produced
-// nothing. Returns an empty named series when given none.
-func SumSeries(name string, series ...*Series) *Series {
-	out := &Series{Name: name}
-	times := unionTimes(series)
-	if len(times) == 0 {
-		return out
-	}
-	lookup := indexSeries(series)
-	for _, t := range times {
-		total := 0.0
-		for i := range series {
-			if v, ok := lookup[i][t]; ok {
-				total += v
-			}
-		}
-		_ = out.Add(t, total) // times are sorted; Add cannot fail
-	}
-	return out
-}
-
-// Weighted pairs a per-shard ratio series with the weight series that
-// denominates it (inter-ISP share weighted by grants, miss rate weighted by
-// chunks played).
-type Weighted struct {
-	Value  *Series
-	Weight *Series
-}
-
-// WeightedMeanSeries combines per-shard ratio series into the exact global
-// ratio series: at every timestamp, Σᵢ vᵢ·wᵢ / Σᵢ wᵢ. A shard missing a
-// sample (or with weight 0) contributes nothing; a timestamp with zero total
-// weight yields 0, matching the simulator's convention for ratio metrics
-// over empty slots.
-func WeightedMeanSeries(name string, parts ...Weighted) *Series {
-	values := make([]*Series, len(parts))
-	weights := make([]*Series, len(parts))
-	for i, p := range parts {
-		values[i], weights[i] = p.Value, p.Weight
-	}
-	out := &Series{Name: name}
-	times := unionTimes(values)
-	if len(times) == 0 {
-		return out
-	}
-	vIdx := indexSeries(values)
-	wIdx := indexSeries(weights)
-	for _, t := range times {
-		num, den := 0.0, 0.0
-		for i := range parts {
-			v, okV := vIdx[i][t]
-			w, okW := wIdx[i][t]
-			if !okV || !okW {
-				continue
-			}
-			num += v * w
-			den += w
-		}
-		ratio := 0.0
-		if den != 0 {
-			ratio = num / den
-		}
-		_ = out.Add(t, ratio)
-	}
-	return out
-}
-
-// indexSeries builds per-series timestamp→value lookups.
-func indexSeries(series []*Series) []map[float64]float64 {
-	lookup := make([]map[float64]float64, len(series))
-	for i, s := range series {
-		lookup[i] = make(map[float64]float64, len(s.Points))
-		for _, p := range s.Points {
-			lookup[i][p.T] = p.V
-		}
-	}
-	return lookup
 }

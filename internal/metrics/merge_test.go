@@ -34,105 +34,3 @@ func TestSummaryMergeEmptySides(t *testing.T) {
 		t.Errorf("s.Merge(empty) = %+v, want %+v", got, s)
 	}
 }
-
-// TestSumSeriesRecoversGlobalWelfare plays the sharded-metrics scenario:
-// per-shard welfare series (integer values, exactly representable) must sum
-// to the exact global per-slot welfare, including slots where a shard is
-// absent (born late / retired early).
-func TestSumSeriesRecoversGlobalWelfare(t *testing.T) {
-	shardA := &Series{Name: "a"}
-	shardB := &Series{Name: "b"}
-	shardC := &Series{Name: "c"}
-	// Slot times 0,10,20,30; B is born at 10, C dies after 10.
-	for _, p := range []struct{ t, v float64 }{{0, 12}, {10, 9}, {20, 14}, {30, 7}} {
-		if err := shardA.Add(p.t, p.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []struct{ t, v float64 }{{10, 5}, {20, 6}, {30, 11}} {
-		if err := shardB.Add(p.t, p.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []struct{ t, v float64 }{{0, 3}, {10, 2}} {
-		if err := shardC.Add(p.t, p.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := SumSeries("global", shardA, shardB, shardC)
-	want := []Point{{0, 15}, {10, 16}, {20, 20}, {30, 18}}
-	if got.Len() != len(want) {
-		t.Fatalf("merged has %d points, want %d: %+v", got.Len(), len(want), got.Points)
-	}
-	for i, p := range got.Points {
-		if p != want[i] {
-			t.Errorf("point %d = %+v, want %+v", i, p, want[i])
-		}
-	}
-	if empty := SumSeries("none"); empty.Len() != 0 || empty.Name != "none" {
-		t.Errorf("empty sum = %+v", empty)
-	}
-}
-
-// TestWeightedMeanSeriesRecoversGlobalRatio reconstructs a global ratio
-// (inter-ISP share) from per-shard ratios weighted by per-shard grant
-// counts: the merged series must equal total-inter / total-grants at every
-// slot.
-func TestWeightedMeanSeriesRecoversGlobalRatio(t *testing.T) {
-	// Shard 1: 3/12 and 5/10 inter-ISP grants; shard 2: 1/4 and 0/6.
-	inter := [][]float64{{3, 5}, {1, 0}}
-	grants := [][]float64{{12, 10}, {4, 6}}
-	times := []float64{0, 10}
-	var parts []Weighted
-	for s := range inter {
-		v := &Series{Name: "ratio"}
-		w := &Series{Name: "grants"}
-		for i, tm := range times {
-			if err := v.Add(tm, inter[s][i]/grants[s][i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Add(tm, grants[s][i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		parts = append(parts, Weighted{Value: v, Weight: w})
-	}
-	got := WeightedMeanSeries("inter-isp", parts...)
-	for i, tm := range times {
-		totalInter := inter[0][i] + inter[1][i]
-		totalGrants := grants[0][i] + grants[1][i]
-		want := totalInter / totalGrants
-		if math.Abs(got.Points[i].V-want) > 1e-12 {
-			t.Errorf("t=%v: merged ratio %v, want %v", tm, got.Points[i].V, want)
-		}
-	}
-}
-
-// TestWeightedMeanSeriesZeroWeight pins the empty-slot convention: zero total
-// weight yields ratio 0, and a shard missing a sample contributes nothing.
-func TestWeightedMeanSeriesZeroWeight(t *testing.T) {
-	v := &Series{Name: "v"}
-	w := &Series{Name: "w"}
-	if err := v.Add(0, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := WeightedMeanSeries("r", Weighted{Value: v, Weight: w})
-	if got.Len() != 1 || got.Points[0].V != 0 {
-		t.Errorf("zero-weight slot = %+v, want ratio 0", got.Points)
-	}
-	// Value sample without a weight sample: skipped, not counted as weight 0
-	// with value contribution.
-	v2 := &Series{Name: "v2"}
-	if err := v2.Add(0, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	got2 := WeightedMeanSeries("r2",
-		Weighted{Value: v, Weight: w},
-		Weighted{Value: v2, Weight: &Series{Name: "w2"}})
-	if got2.Points[0].V != 0 {
-		t.Errorf("missing weight sample contributed: %+v", got2.Points)
-	}
-}

@@ -5,8 +5,7 @@
 // and a message-passing network whose per-message latency is supplied by the
 // caller (the simulator wires it to the ISP cost model, reproducing the
 // paper's environment where inter-ISP links are slower than intra-ISP ones).
-// Failure injection — message loss, latency jitter, partitions — supports the
-// churn/robustness experiments.
+// Per-message loss supports the robustness experiments.
 package netsim
 
 import (
@@ -144,17 +143,15 @@ func (s *Scheduler) Drain(maxEvents uint64) error {
 // another.
 type LatencyFunc func(from, to NodeID) time.Duration
 
-// Network delivers messages between registered handlers with configurable
-// latency, jitter, loss and partitions.
+// Network delivers messages between registered handlers with per-pair latency
+// and independent per-message loss.
 type Network struct {
 	sched    *Scheduler
 	latency  LatencyFunc
 	handlers map[NodeID]Handler
 
-	rng       *randx.Source
-	dropRate  float64
-	jitterMax time.Duration
-	cut       map[[2]NodeID]bool // severed ordered pairs
+	rng      *randx.Source
+	dropRate float64
 
 	sent      uint64
 	delivered uint64
@@ -162,8 +159,7 @@ type Network struct {
 }
 
 // NewNetwork creates a network on the given scheduler. latency must not be
-// nil; rng seeds the jitter/loss stream (failure injection is deterministic
-// too).
+// nil; rng seeds the loss stream (message loss is deterministic too).
 func NewNetwork(sched *Scheduler, latency LatencyFunc, rng *randx.Source) (*Network, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("netsim: nil scheduler")
@@ -179,7 +175,6 @@ func NewNetwork(sched *Scheduler, latency LatencyFunc, rng *randx.Source) (*Netw
 		latency:  latency,
 		handlers: make(map[NodeID]Handler),
 		rng:      rng,
-		cut:      make(map[[2]NodeID]bool),
 	}, nil
 }
 
@@ -218,39 +213,19 @@ func (n *Network) SetDropRate(p float64) {
 	}
 }
 
-// SetJitter adds a uniform [0, max) random extra delay per message.
-func (n *Network) SetJitter(max time.Duration) {
-	if max < 0 {
-		max = 0
-	}
-	n.jitterMax = max
-}
-
-// Partition severs the ordered pair from→to (messages silently dropped).
-func (n *Network) Partition(from, to NodeID) { n.cut[[2]NodeID{from, to}] = true }
-
-// Heal restores the ordered pair from→to.
-func (n *Network) Heal(from, to NodeID) { delete(n.cut, [2]NodeID{from, to}) }
-
-// HealAll removes all partitions.
-func (n *Network) HealAll() { n.cut = make(map[[2]NodeID]bool) }
-
-// Send schedules delivery of msg from→to after the configured latency
-// (+jitter), unless the message is lost or the pair is partitioned. Sending
-// to an unregistered node is not an error: the message is dropped at
-// delivery time, exactly like a message racing a peer's departure.
+// Send schedules delivery of msg from→to after the pair's latency, unless
+// the message is lost. Sending to an unregistered node is not an error: the
+// message is dropped at delivery time, exactly like a message racing a peer's
+// departure.
 func (n *Network) Send(from, to NodeID, msg any) {
 	n.sent++
-	if n.cut[[2]NodeID{from, to}] || (n.dropRate > 0 && n.rng.Bool(n.dropRate)) {
+	if n.dropRate > 0 && n.rng.Bool(n.dropRate) {
 		n.dropped++
 		return
 	}
 	delay := n.latency(from, to)
 	if delay < 0 {
 		delay = 0
-	}
-	if n.jitterMax > 0 {
-		delay += time.Duration(n.rng.Float64() * float64(n.jitterMax))
 	}
 	err := n.sched.After(delay, func() {
 		h, ok := n.handlers[to]

@@ -250,63 +250,6 @@ func TestNetworkDropRate(t *testing.T) {
 	n.SetDropRate(2) // clamps, no panic
 }
 
-func TestNetworkPartitionAndHeal(t *testing.T) {
-	s, n := newTestNet(t, fixedLatency(time.Millisecond))
-	var rec recorder
-	n.Register(2, rec.handler(s))
-	n.Partition(1, 2)
-	n.Send(1, 2, "lost")
-	n.Send(2, 1, "reverse-ok") // partition is directional
-	if err := s.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.got) != 0 {
-		t.Fatal("partitioned message delivered")
-	}
-	n.Heal(1, 2)
-	n.Send(1, 2, "after-heal")
-	if err := s.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.got) != 1 || rec.got[0].msg != "after-heal" {
-		t.Fatalf("heal failed: %+v", rec.got)
-	}
-	n.Partition(1, 2)
-	n.HealAll()
-	n.Send(1, 2, "after-healall")
-	if err := s.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.got) != 2 {
-		t.Fatal("HealAll failed")
-	}
-}
-
-func TestNetworkJitter(t *testing.T) {
-	s, n := newTestNet(t, fixedLatency(10*time.Millisecond))
-	var rec recorder
-	n.Register(2, rec.handler(s))
-	n.SetJitter(5 * time.Millisecond)
-	for i := 0; i < 100; i++ {
-		n.Send(1, 2, i)
-	}
-	if err := s.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	sawJitter := false
-	for _, m := range rec.got {
-		if m.at < 10*time.Millisecond || m.at >= 15*time.Millisecond {
-			t.Fatalf("jittered delivery at %v outside [10ms,15ms)", m.at)
-		}
-		if m.at != 10*time.Millisecond {
-			sawJitter = true
-		}
-	}
-	if !sawJitter {
-		t.Fatal("jitter never applied")
-	}
-}
-
 func TestNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(nil, fixedLatency(0), nil); err == nil {
 		t.Error("nil scheduler should error")
@@ -330,7 +273,6 @@ func TestNetworkDeterminism(t *testing.T) {
 		var rec recorder
 		n.Register(2, rec.handler(s))
 		n.SetDropRate(0.3)
-		n.SetJitter(2 * time.Millisecond)
 		for i := 0; i < 200; i++ {
 			n.Send(1, 2, i)
 		}

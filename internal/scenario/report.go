@@ -116,7 +116,7 @@ func comparison(id, title, notes string, cfg sim.Config, series ...int) (*Report
 }
 
 // fig2PriceConvergence reproduces Fig. 2: a representative peer's unit
-// bandwidth price λ_u over time, under the message-level DES engine. The
+// bandwidth price λ_u over time, under the message-level auction. The
 // price resets to 0 at each slot boundary, climbs during the interleaved
 // auctions and flattens once converged.
 func fig2PriceConvergence(scale Scale) (*Report, error) {
@@ -128,23 +128,24 @@ func fig2PriceConvergence(scale Scale) (*Report, error) {
 	// bidding cycle per slot, prices evolving within it.
 	cfg.BidRoundsPerSlot = 1
 	if scale == ScaleFull {
-		// The message-level engine is heavier; the paper's plot spans 10
+		// The message-level auction is heavier; the paper's plot spans 10
 		// slots (150–250 s), so a 10-slot window suffices at full scale.
 		cfg.Slots = 10
 		cfg.StaticPeers = 300
 	}
-	res, err := sim.RunDES(cfg, sim.DESOptions{TracePeer: -1})
+	runs, err := runWorld("fig2", cfg, SolverAuctionDES)
 	if err != nil {
 		return nil, err
 	}
-	if res.PriceTrace == nil || res.PriceTrace.Len() == 0 {
+	trace := runs[0].res.PriceTrace
+	if trace.Len() == 0 {
 		return nil, fmt.Errorf("scenario: fig2 produced no price trace")
 	}
-	sum := res.PriceTrace.Summarize()
+	sum := trace.Summarize()
 	return &Report{
 		ID:     "fig2",
 		Title:  "Fig. 2 — evolution of a representative peer's price λ_u",
-		Series: []*metrics.Series{res.PriceTrace},
+		Series: []*metrics.Series{trace},
 		Table: &Table{
 			Columns: []string{"metric", "value"},
 			Rows: [][]string{
@@ -219,9 +220,9 @@ func fig6PeerDynamics(scale Scale) (*Report, error) {
 		cfg, seriesWelfare, seriesInterISP, seriesMissRate)
 }
 
-// enginesAgree validates Theorem 1 in practice: the fast (centralized
-// primal-dual) engine and the DES (message-level distributed auctions)
-// engine schedule the same world with near-equal welfare.
+// enginesAgree validates Theorem 1 in practice: the centralized primal-dual
+// solver and the message-level distributed auctions schedule the same world
+// with near-equal welfare.
 func enginesAgree(scale Scale) (*Report, error) {
 	cfg, err := At(scale)
 	if err != nil {
@@ -233,16 +234,12 @@ func enginesAgree(scale Scale) (*Report, error) {
 		cfg.StaticPeers = 200
 		cfg.Slots = 10
 	}
-	runs, err := runWorld("engines", cfg, SolverAuction)
+	runs, err := runWorld("engines", cfg, SolverAuction, SolverAuctionDES)
 	if err != nil {
 		return nil, err
 	}
-	fast := runs[0].res
-	des, err := sim.RunDES(cfg, sim.DESOptions{TracePeer: -1})
-	if err != nil {
-		return nil, err
-	}
-	fw, dw := fast.Metrics["welfare_per_slot"], des.Welfare.Summarize().Mean
+	fast, des := runs[0].res, runs[1].res
+	fw, dw := fast.Metrics["welfare_per_slot"], des.Metrics["welfare_per_slot"]
 	gap := 0.0
 	if fw != 0 {
 		gap = 100 * math.Abs(fw-dw) / math.Abs(fw)
@@ -250,12 +247,12 @@ func enginesAgree(scale Scale) (*Report, error) {
 	return &Report{
 		ID:     "engines",
 		Title:  "Validation — centralized solver vs distributed auctions (Theorem 1)",
-		Series: []*metrics.Series{fast.Series[seriesWelfare], &des.Welfare},
+		Series: []*metrics.Series{fast.Series[seriesWelfare], des.Series[seriesWelfare]},
 		Table: &Table{
 			Columns: []string{"engine", "welfare/slot", "inter-isp", "miss-rate"},
 			Rows: [][]string{
 				{"fast (centralized)", f2(fw), f4(fast.Metrics["inter_isp"]), f4(fast.Metrics["miss_rate"])},
-				{"des (distributed)", f2(dw), f4(des.MeanInterISPFraction()), f4(des.MeanMissRate())},
+				{"des (distributed)", f2(dw), f4(des.Metrics["inter_isp"]), f4(des.Metrics["miss_rate"])},
 				{"welfare gap %", f4(gap), "", ""},
 			},
 		},
@@ -264,8 +261,8 @@ func enginesAgree(scale Scale) (*Report, error) {
 	}, nil
 }
 
-// robustnessLoss injects message loss into the distributed engine and
-// measures graceful degradation: the protocol has no retransmission (bidders
+// robustnessLoss injects message loss (Fault.DropProb) into the distributed
+// auction and measures graceful degradation: the protocol has no retransmission (bidders
 // re-bid only on explicit rejection, per the paper), so lost bids shrink the
 // allocation rather than wedging the auction. The report verifies
 // termination under loss and quantifies the cost.
@@ -289,16 +286,18 @@ func robustnessLoss(scale Scale) (*Report, error) {
 	table := &Table{Columns: []string{"drop rate", "welfare/slot", "grants", "miss-rate"}}
 	var baseline float64
 	for _, drop := range []float64{0, 0.05, 0.1, 0.2, 0.4} {
-		res, err := sim.RunDES(cfg, sim.DESOptions{TracePeer: -1, DropRate: drop})
+		cfg.Fault.DropProb = drop
+		runs, err := runWorld("robust-loss", cfg, SolverAuctionDES)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: loss %v: %w", drop, err)
 		}
-		welfare := res.Welfare.Summarize().Mean
+		m := runs[0].res.Metrics
+		welfare := m["welfare_per_slot"]
 		if drop == 0 {
 			baseline = welfare
 		}
 		table.Rows = append(table.Rows, []string{
-			f2(drop), f2(welfare), strconv.FormatInt(res.TotalGrants, 10), f4(res.MeanMissRate()),
+			f2(drop), f2(welfare), strconv.FormatFloat(m["grants"], 'f', -1, 64), f4(m["miss_rate"]),
 		})
 		// Sanity: losing messages must never *increase* welfare beyond noise.
 		if welfare > baseline*1.05+1 {

@@ -95,6 +95,11 @@ const (
 	// SolverAuctionJacobi is the auction with Jacobi rounds, parallelizable
 	// across Spec.SolverWorkers goroutines.
 	SolverAuctionJacobi Solver = "auction-jacobi"
+	// SolverAuctionDES plays the auction as the paper's distributed
+	// protocol, message by message over a latency-accurate network
+	// (sim.DES, sim only). It records the λ_u trace behind Fig. 2 and loses
+	// messages at Sim.Fault.DropProb.
+	SolverAuctionDES Solver = "auction-des"
 	// SolverExact is the exact min-cost-flow optimum (ground truth).
 	SolverExact Solver = "exact"
 	// SolverLocality is the paper's Simple Locality baseline (sim only).
@@ -106,7 +111,7 @@ const (
 // Solvers lists every solver usable in a KindSim spec.
 func Solvers() []Solver {
 	return []Solver{SolverAuction, SolverAuctionWarm, SolverAuctionSharded,
-		SolverAuctionJacobi, SolverExact, SolverLocality, SolverRandom}
+		SolverAuctionJacobi, SolverAuctionDES, SolverExact, SolverLocality, SolverRandom}
 }
 
 // Scheduler instantiates the spec's solver as a slot scheduler for cfg. Call
@@ -127,6 +132,8 @@ func (s Spec) Scheduler(cfg sim.Config) (sched.Scheduler, error) {
 		}, nil
 	case SolverAuctionJacobi:
 		return &sched.Auction{Epsilon: cfg.Epsilon, Mode: core.Jacobi, Workers: s.SolverWorkers}, nil
+	case SolverAuctionDES:
+		return &sim.DES{}, nil
 	case SolverExact:
 		return &sched.Exact{}, nil
 	case SolverLocality:
@@ -337,7 +344,10 @@ type Result struct {
 	// present for KindSim runs with Sim.CDN.Enabled.
 	Offload *economics.Offload `json:",omitempty"`
 	Series  []*metrics.Series  `json:"-"`
-	Elapsed time.Duration      `json:"-"`
+	// PriceTrace is a representative peer's λ_u over simulated time (Fig. 2;
+	// SolverAuctionDES runs only).
+	PriceTrace *metrics.Series `json:"-"`
+	Elapsed    time.Duration   `json:"-"`
 }
 
 // ParetoPoint reduces the run to its welfare-vs-transit coordinates for
@@ -434,6 +444,7 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 			"cross_isp_gb":     settlement.CrossGB,
 			"transit_usd":      settlement.TransitUSD,
 		},
+		PriceTrace:     r.PriceTrace,
 		Traffic:        r.TrafficMatrix,
 		PerISPMissRate: r.PerISPMissRate,
 		Settlement:     settlement,

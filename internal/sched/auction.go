@@ -9,7 +9,7 @@ import (
 
 // Auction schedules slots with the paper's primal-dual auction, via the
 // centralized solver in internal/core (Theorem 1 guarantees the distributed
-// auctions converge to the same optimum; the DES engine checks that).
+// auctions converge to the same optimum; sim.DES checks that).
 type Auction struct {
 	// Epsilon is the bid increment (0 = the paper's literal rule).
 	Epsilon float64

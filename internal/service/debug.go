@@ -86,15 +86,28 @@ func (d *Daemon) handleTraceCapture(w http.ResponseWriter, r *http.Request) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	obs.Uninstall()
-	// A tick that began before Uninstall may still be recording into the
-	// single-owner daemon track. Ticks hold d.mu throughout, so Slot (which
-	// takes it) returns only once that tick is done with the trace.
-	d.Slot()
+	d.endCapture()
 
 	w.Header().Set("Content-Type", "application/json")
 	if err := tr.WriteJSON(w); err != nil {
 		// Headers are gone; nothing to do but drop the connection.
 		return
+	}
+}
+
+// endCapture uninstalls the active trace and returns once nothing can still
+// record into it. A tick that began before Uninstall may still be recording
+// into the single-owner daemon track; ticks hold d.mu throughout, so taking
+// it waits that tick out. A solve that overran its deadline records its
+// spans off-lock after its tick returned, so the capture also waits for it
+// to return, without taking the lock ticks need and without claiming its
+// result: the deadline path is unchanged.
+func (d *Daemon) endCapture() {
+	obs.Uninstall()
+	d.mu.Lock()
+	inflight := d.inflight
+	d.mu.Unlock()
+	if inflight != nil {
+		<-inflight
 	}
 }

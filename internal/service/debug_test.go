@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/isp"
 	"repro/internal/obs"
 )
@@ -195,5 +197,48 @@ func TestDebugTraceConflict(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("concurrent capture: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestTraceCaptureAwaitsOverrunSolve: under a solve deadline, an overrunning
+// sharded solve records its cluster and shard spans off-lock, after its tick
+// has returned. Ending a capture must wait for that solve, or the export
+// reads tracks it is still writing — a data race under -race.
+func TestTraceCaptureAwaitsOverrunSolve(t *testing.T) {
+	obs.Uninstall()
+	t.Cleanup(func() { obs.Uninstall() })
+	d := manual(t, Options{
+		Epsilon:       0.01,
+		Sharded:       true,
+		ShardWorkers:  2,
+		SolveDeadline: 5 * time.Millisecond,
+		Fault:         fault.Spec{SolveDelay: 20 * time.Millisecond, SolveDelayEveryN: 2},
+	})
+	tr := obs.NewTrace("overrun", 1024)
+	if err := obs.Install(tr); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 1; tick <= 2; tick++ {
+		seedBooks(t, d)
+		res, err := d.Tick()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if res.Degraded != (tick == 2) {
+			t.Fatalf("tick %d degraded = %v; only the delayed solve #2 should overrun", tick, res.Degraded)
+		}
+	}
+	// Let the overrunning solve wake and record while the trace is still
+	// installed; its result stays unconsumed, as no tick follows. This sleeps
+	// rather than waits on the solve: any synchronization with it would order
+	// its span writes before the export and hide the race under test.
+	time.Sleep(200 * time.Millisecond)
+	d.endCapture()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"name":"merge"`)); n != 2 {
+		t.Fatalf("captured %d merge spans, want 2 (one per sharded solve)", n)
 	}
 }

@@ -175,11 +175,11 @@ type Daemon struct {
 	started   time.Time
 	draining  bool
 
-	// Degradation state (SolveDeadline > 0 only): inflight holds the result
-	// channel of a warm solve that overran its deadline and is still running
-	// off-lock; overruns counts consecutive degraded ticks and resets when a
-	// solve lands in time.
-	inflight chan solveOutcome
+	// Degradation state (SolveDeadline > 0 only): inflight closes when a warm
+	// solve that overran its deadline, still running off-lock, returns;
+	// overruns counts consecutive degraded ticks and resets when a solve
+	// lands in time.
+	inflight chan struct{}
 	overruns int
 
 	// ispOf mirrors peers' ISP assignments for the sharded solver's lookup.
@@ -740,10 +740,12 @@ func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, u
 	}
 	if d.inflight == nil {
 		ch := make(chan solveOutcome, 1)
+		done := make(chan struct{})
 		scheduler := d.sched
 		go func() {
 			r, e := scheduler.Schedule(in)
 			ch <- solveOutcome{res: r, err: e}
+			close(done)
 		}()
 		timer := time.NewTimer(d.opts.SolveDeadline)
 		select {
@@ -752,7 +754,7 @@ func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, u
 			d.overruns = 0
 			return out.res, false, false, out.err
 		case <-timer.C:
-			d.inflight = ch
+			d.inflight = done
 		}
 	}
 	// Degraded slot: the warm solver is busy (overran just now, or still

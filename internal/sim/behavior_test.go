@@ -54,7 +54,7 @@ func desBehaviorConfig() Config {
 // churn world, with the fast engine cross-checked on the static one.
 func TestHonestPathDESGolden(t *testing.T) {
 	staticCfg := desBehaviorConfig()
-	res, err := RunDES(staticCfg, DESOptions{TracePeer: -1})
+	res, err := runDES(staticCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHonestPathDESGolden(t *testing.T) {
 	churn.ArrivalPerSec = 0.5
 	churn.EarlyLeaveProb = 0.4
 	churn.StaticPeers = 0
-	res, err = RunDES(churn, DESOptions{TracePeer: -1})
+	res, err = runDES(churn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func TestRunEqualsRunRebuildUnderBehavior(t *testing.T) {
 func TestDESAppliesBehavior(t *testing.T) {
 	cfg := desBehaviorConfig()
 	cfg.Behavior = behavior.Spec{FreeRiderFrac: 0.6}
-	adv, err := RunDES(cfg, DESOptions{TracePeer: -1})
+	adv, err := runDES(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	honest := cfg
 	honest.Behavior = behavior.Spec{}
-	hon, err := RunDES(honest, DESOptions{TracePeer: -1})
+	hon, err := runDES(honest)
 	if err != nil {
 		t.Fatal(err)
 	}

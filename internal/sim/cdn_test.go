@@ -162,14 +162,6 @@ func TestCDNDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunDESRejectsCDN(t *testing.T) {
-	cfg := desConfig()
-	cfg.CDN = cdn.DefaultSpec()
-	if _, err := RunDES(cfg, DESOptions{TracePeer: -1}); err == nil {
-		t.Fatal("RunDES accepted a CDN-enabled config; the tier is fast-engine-only")
-	}
-}
-
 // TestBuildInstanceAllocs pins the allocations of one neighbor refresh plus
 // one instance build on a static world shaped like the cdn-assist preset
 // (60 watchers, 6 videos, 8 neighbors, one global seed per video, the CDN

@@ -5,15 +5,13 @@
 // deadline-based valuations, per-uplink serialized chunk transfers, and
 // deadline-miss accounting.
 //
-// Two engines run the same world:
-//
-//   - the fast engine (Run) solves each slot with a pluggable sched.Scheduler
-//     (auction, Simple Locality, random), exploiting Theorem 1's equivalence
-//     of the distributed auctions and the centralized primal-dual solve;
-//   - the DES engine (RunDES) actually plays the distributed auction protocol
-//     message-by-message over the netsim network, with latencies derived from
-//     the ISP cost model — used for the price-convergence figure and to
-//     validate the equivalence the fast engine assumes.
+// Run steps the world slot by slot and hands each bidding round's instance
+// to a pluggable sched.Scheduler: the centralized auction (Theorem 1 makes it
+// equivalent to the distributed auctions), Simple Locality, random — or DES,
+// which plays the distributed auction protocol message by message over the
+// netsim network, with latencies derived from the ISP cost model. DES
+// records the price-convergence trace (Fig. 2) and checks the equivalence
+// the centralized solvers assume.
 package sim
 
 import (
@@ -160,15 +158,15 @@ type Config struct {
 	// LocalityRounds caps the Simple Locality retry rounds per scheduling
 	// round.
 	LocalityRounds int
-	// CostLatencyUnit maps one network-cost unit to simulated latency in the
-	// DES engine (default 100 ms), calibrating Fig. 2's within-slot
+	// CostLatencyUnit maps one network-cost unit to simulated message
+	// latency under DES (default 100 ms), calibrating Fig. 2's within-slot
 	// convergence timeline.
 	CostLatencyUnit time.Duration
 	// Behavior selects the strategic-peer/ISP misbehavior axis: free-riders,
 	// bid shaders, colluding cliques, tit-for-tat choking and ISP
 	// cross-traffic throttles (internal/behavior). The zero value is the
-	// honest baseline and leaves the engines bit-identical to the
-	// pre-behavior pipeline (pinned by the no-op regression goldens).
+	// honest baseline and leaves runs bit-identical to the pre-behavior
+	// pipeline (pinned by the no-op regression goldens).
 	Behavior behavior.Spec
 	// CDN enables the hybrid CDN tier (internal/cdn): an origin server plus
 	// one edge server per ISP join every slot as always-on uploaders whose
@@ -176,17 +174,15 @@ type Config struct {
 	// fallback path P2P → edge → origin. CDN-served chunks bypass the
 	// ISP×ISP traffic matrix and accumulate in the per-tier counters behind
 	// the offload report (economics.ComputeOffload). The zero value leaves
-	// the engines bit-identical to the pre-CDN pipeline. Fast engine only:
-	// RunDES rejects CDN-enabled configs (the price-broadcast fan-out of
-	// cross-swarm servers is not plumbed through the protocol).
+	// runs bit-identical to the pre-CDN pipeline. Under DES a server
+	// broadcasts λ_u to the watchers whose requests list it that round.
 	CDN cdn.Spec
 	// Fault enables the deterministic fault-injection layer (internal/fault):
 	// per-slot crash-stop draws over live watchers (with optional rejoin as
-	// fresh arrivals) riding a dedicated derived random stream. The zero
-	// value leaves the engines bit-identical to the pre-fault pipeline
-	// (pinned by the no-op regression golden). Fast engine only: RunDES
-	// rejects fault-enabled configs (crash-stop is applied at the slot
-	// boundary, which the event-driven engine does not model).
+	// fresh arrivals) riding a dedicated derived random stream, and, under
+	// DES, per-message loss at DropProb. The zero value leaves runs
+	// bit-identical to the pre-fault pipeline (pinned by the no-op
+	// regression golden).
 	Fault fault.Spec
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/auction"
+	"repro/internal/cdn"
 	"repro/internal/isp"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -18,90 +19,107 @@ import (
 // desEventGuard caps events per bidding round as a runaway safety net.
 const desEventGuard = 50_000_000
 
-// DESOptions tunes the message-level engine.
-type DESOptions struct {
-	// TracePeer selects the peer whose λ_u is sampled for the Fig. 2 trace.
-	// Negative = pick automatically: every node is traced and the most
-	// contended one (highest peak λ, then most price changes) is reported —
-	// the paper plots "a representative peer", i.e. one that actually sees
-	// bidding competition.
-	TracePeer isp.PeerID
-	// DropRate injects message loss: each protocol message is independently
-	// lost with this probability. The protocol has no retransmission (the
-	// paper's bidders re-bid only on explicit rejection), so lost bids mean
-	// unresolved requests and lost win notices mean one-sided books — the
-	// auctioneer's book is authoritative for transfers, exactly as the
-	// uploading peer's allocator is in the paper. Used by the robust-loss
-	// report.
-	DropRate float64
+// DES is the auction-des slot scheduler: it solves each bidding round by
+// playing the paper's distributed auction (Algorithm 1) message by message —
+// bids, rejections, evictions, price broadcasts — over the discrete-event
+// network, with per-message latency = CostLatencyUnit × network cost.
+// Theorem 1 says it reaches the centralized auction's assignment.
+//
+// Its protocol nodes are the world's peers, not the instance's rows: they
+// persist across rounds, auctioneers broadcast λ_u to the world's neighbor
+// lists, seeds to their swarm's watchers, and CDN servers to the watchers
+// whose requests list them this round. Run binds it to the world before the
+// first slot (it schedules nothing elsewhere) and, after the last, reports a
+// representative peer's λ_u trace as Results.PriceTrace (Fig. 2). Each
+// message is lost with probability cfg.Fault.DropProb, without
+// retransmission. The zero value is ready; use one DES per run.
+type DES struct {
+	w        *world
+	netSched *netsim.Scheduler
+	network  *netsim.Network
+	nodes    map[isp.PeerID]*peer.Node
+	traces   map[isp.PeerID]*metrics.Series
+	// slot and round locate the round being scheduled: Run calls Schedule
+	// once per bidding round, so a changed w.slot marks a slot boundary.
+	slot, round int
 }
 
-// RunDES executes the message-level engine: the same world and slot pipeline
-// as Run, but each bidding round actually plays the distributed auction
-// protocol (bids, rejections, evictions, price broadcasts) over the
-// discrete-event network, with per-message latency = CostLatencyUnit ×
-// network cost. Only the auction strategy exists at message level — that is
-// the protocol the paper defines.
-func RunDES(cfg Config, opts DESOptions) (*Results, error) {
-	if cfg.CDN.Enabled {
-		// CDN servers are cross-swarm uploaders: their price broadcasts
-		// would have to fan out to every watcher of every video, a protocol
-		// path the message-level engine does not implement. The fast engine
-		// (Run) carries the hybrid tier.
-		return nil, fmt.Errorf("sim: the CDN tier is not plumbed through the DES engine; use Run")
-	}
-	if !cfg.Fault.IsZero() {
-		// Crash-stop is applied at the slot boundary by the fast engine's
-		// churn step; the event-driven engine has no equivalent hook yet.
-		return nil, fmt.Errorf("sim: fault injection is not plumbed through the DES engine; use Run")
-	}
-	w, err := newWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
+var _ sched.Scheduler = (*DES)(nil)
+
+// Name implements sched.Scheduler.
+func (d *DES) Name() string { return "auction-des" }
+
+// bind implements worldScheduler: a fresh network on the world's cost model
+// whose loss stream is derived from the run's seed.
+func (d *DES) bind(w *world) error {
 	netSched := netsim.NewScheduler()
 	latency := func(from, to netsim.NodeID) time.Duration {
-		return time.Duration(float64(cfg.CostLatencyUnit) *
+		return time.Duration(float64(w.cfg.CostLatencyUnit) *
 			w.topo.MustCost(isp.PeerID(from), isp.PeerID(to)))
 	}
-	network, err := netsim.NewNetwork(netSched, latency, randx.New(cfg.Seed).Derive(99))
+	network, err := netsim.NewNetwork(netSched, latency, randx.New(w.cfg.Seed).Derive(99))
+	if err != nil {
+		return err
+	}
+	network.SetDropRate(w.cfg.Fault.DropProb)
+	*d = DES{
+		w:        w,
+		netSched: netSched,
+		network:  network,
+		nodes:    make(map[isp.PeerID]*peer.Node),
+		traces:   make(map[isp.PeerID]*metrics.Series),
+		slot:     -1,
+	}
+	return nil
+}
+
+// finish implements worldScheduler.
+func (d *DES) finish(res *Results) {
+	horizon := float64(d.w.cfg.Slots) * d.w.cfg.SlotSeconds
+	res.PriceTrace = pickTrace(d.traces, horizon, d.w.cfg.SlotSeconds)
+}
+
+// Schedule implements sched.Scheduler: the round's distributed auction, run
+// to quiescence, with the auctioneers' books as the grants and every node's
+// closing λ_u as the prices.
+func (d *DES) Schedule(in *sched.Instance) (*sched.Result, error) {
+	w := d.w
+	if w == nil {
+		return nil, fmt.Errorf("sim: %s schedules only under sim.Run", d.Name())
+	}
+	if w.slot != d.slot {
+		// The world has refreshed its neighbor lists and applied the last
+		// slot's departures and arrivals.
+		d.slot, d.round = w.slot, 0
+		if err := d.syncNodes(); err != nil {
+			return nil, err
+		}
+	} else {
+		d.round++
+	}
+	if w.cfg.CDN.Enabled {
+		d.fanOutCDN(in)
+	}
+	grants, err := d.play(in)
 	if err != nil {
 		return nil, err
 	}
-	network.SetDropRate(opts.DropRate)
-
-	res := &Results{Strategy: "auction-des"}
-	res.nameSeries("auction-des")
-
-	traces := make(map[isp.PeerID]*metrics.Series)
-	nodes := make(map[isp.PeerID]*peer.Node)
-	for slot := 0; slot < cfg.Slots; slot++ {
-		w.slot = slot
-		if err := desSlot(w, netSched, network, nodes, opts, traces, res); err != nil {
-			return nil, fmt.Errorf("sim: DES slot %d: %w", slot, err)
-		}
+	prices := make(map[isp.PeerID]float64, len(d.nodes))
+	for id, node := range d.nodes {
+		prices[id] = node.Price()
 	}
-	horizon := float64(cfg.Slots) * cfg.SlotSeconds
-	res.PriceTrace = pickTrace(traces, opts.TracePeer, horizon, cfg.SlotSeconds)
-	res.finalizeFrom(w)
-	return res, nil
+	return &sched.Result{Grants: grants, Prices: prices}, nil
 }
 
-// pickTrace selects the reported λ_u series — the requested peer's, or the
-// most consistently contended node's — and expands it into a sample-and-hold
-// step function so the sawtooth of Fig. 2 renders faithfully. "Consistently
-// contended" means positive prices in the most distinct slots (the paper's
-// representative peer shows a sawtooth every slot, not one warm-up burst),
-// with ties broken by sample count then peak.
-func pickTrace(traces map[isp.PeerID]*metrics.Series, want isp.PeerID,
-	horizon, slotSeconds float64) *metrics.Series {
+// pickTrace selects the reported λ_u series — the most consistently contended
+// node's — and expands it into a sample-and-hold step function so the
+// sawtooth of Fig. 2 renders faithfully. The paper plots "a representative
+// peer", i.e. one that actually sees bidding competition: "consistently
+// contended" means positive prices in the most distinct slots (a sawtooth
+// every slot, not one warm-up burst), with ties broken by sample count then
+// peak.
+func pickTrace(traces map[isp.PeerID]*metrics.Series, horizon, slotSeconds float64) *metrics.Series {
 	step := slotSeconds / 20
-	if want >= 0 {
-		if s, ok := traces[want]; ok {
-			return stepExpand(s, horizon, step)
-		}
-		return &metrics.Series{Name: "lambda"}
-	}
 	var best *metrics.Series
 	bestSlots, bestSamples := -1, -1
 	bestPeak := -1.0
@@ -161,95 +179,53 @@ func stepExpand(s *metrics.Series, horizon, step float64) *metrics.Series {
 	return out
 }
 
-// desSlot plays one slot: per bidding round, build the same instance as the
-// fast engine, run the distributed auction to quiescence, then collect the
-// winners from the auctioneers' books and feed the shared transfer/playback
-// pipeline.
-func desSlot(w *world, netSched *netsim.Scheduler, network *netsim.Network,
-	nodes map[isp.PeerID]*peer.Node, opts DESOptions,
-	traces map[isp.PeerID]*metrics.Series, res *Results) error {
-	w.refreshNeighbors()
-	if err := syncNodes(w, netSched, network, nodes, opts.TracePeer, traces); err != nil {
-		return err
-	}
-
-	var out slotOutcome
-	out.departures = w.departScratch[:0]
-	for j := 0; j < w.cfg.BidRoundsPerSlot; j++ {
-		in, _, err := w.buildInstance(j) // the protocol nodes diff nothing
-		if err != nil {
-			return err
-		}
-		grants, err := desRound(w, j, in, netSched, nodes)
-		if err != nil {
-			return err
-		}
-		if err := w.applyGrants(j, in, grants, &out); err != nil {
-			return err
-		}
-		prices := make(map[isp.PeerID]float64, len(nodes))
-		for id, node := range nodes {
-			prices[id] = node.Price()
-		}
-		out.addPayments(grants, prices)
-	}
-	w.playback(&out)
-	w.clearDelivered()
-	if err := recordSlot(w, res, &out); err != nil {
-		return err
-	}
-	err := finishSlot(w, &out)
-	w.departScratch = out.departures[:0]
-	return err
-}
-
 // syncNodes reconciles the node set with the world's population and pushes
-// fresh neighbor lists.
-func syncNodes(w *world, netSched *netsim.Scheduler, network *netsim.Network,
-	nodes map[isp.PeerID]*peer.Node, tracePeer isp.PeerID,
-	traces map[isp.PeerID]*metrics.Series) error {
-	for id, node := range nodes {
+// fresh neighbor lists, once per slot.
+func (d *DES) syncNodes() error {
+	w := d.w
+	for id, node := range d.nodes {
 		if w.peers[id] == nil {
 			node.Shutdown()
-			delete(nodes, id)
+			delete(d.nodes, id)
 		}
 	}
 	for _, id := range w.order {
 		if id == noPeer {
 			continue
 		}
-		if _, ok := nodes[id]; ok {
+		if _, ok := d.nodes[id]; ok {
 			continue
 		}
-		node, err := peer.New(id, netSched, network, w.cfg.Epsilon)
+		node, err := peer.New(id, d.netSched, d.network, w.cfg.Epsilon)
 		if err != nil {
 			return err
 		}
-		if tracePeer < 0 || id == tracePeer {
-			series := &metrics.Series{Name: "lambda"}
-			traces[id] = series
-			node.SetPriceHook(func(at time.Duration, price float64) {
-				// Same-timestamp samples are fine; the series only requires
-				// non-decreasing time, which event order guarantees.
-				_ = series.Add(at.Seconds(), price)
-			})
-		}
-		nodes[id] = node
+		series := &metrics.Series{Name: "lambda"}
+		d.traces[id] = series
+		node.SetPriceHook(func(at time.Duration, price float64) {
+			// Same-timestamp samples are fine; the series only requires
+			// non-decreasing time, which event order guarantees.
+			_ = series.Add(at.Seconds(), price)
+		})
+		d.nodes[id] = node
 	}
 	for _, id := range w.order {
 		if id == noPeer {
 			continue
 		}
 		p := w.peers[id]
-		if p.seed {
+		switch {
+		case p.tier != cdn.TierP2P:
+			// CDN servers are in no swarm; fanOutCDN sets their lists per
+			// round.
+		case p.seed:
 			// Seeds never bid, but they broadcast price updates to the
-			// watchers they serve. Their neighbor set is every watcher on
-			// their video (the tracker knows them all); cap at NeighborCount
-			// times a generous factor to bound fan-out.
-			nodes[id].SetNeighbors(watchersOf(w, p.vid, id))
-			continue
+			// watchers they serve: every watcher on their video (the
+			// tracker knows them all).
+			d.nodes[id].SetNeighbors(watchersOf(w, p.vid, id))
+		default:
+			d.nodes[id].SetNeighbors(p.neighbors)
 		}
-		nodes[id].SetNeighbors(p.neighbors)
 	}
 	return nil
 }
@@ -266,10 +242,33 @@ func watchersOf(w *world, v video.ID, exclude isp.PeerID) []isp.PeerID {
 	return out
 }
 
-// desRound runs one bidding round's distributed auction to quiescence and
-// extracts the grants.
-func desRound(w *world, j int, in *sched.Instance,
-	netSched *netsim.Scheduler, nodes map[isp.PeerID]*peer.Node) ([]sched.Grant, error) {
+// fanOutCDN points each CDN server's price broadcasts at the watchers whose
+// requests list it this round. A watcher's requests are contiguous in the
+// instance, so comparing against the last entry deduplicates.
+func (d *DES) fanOutCDN(in *sched.Instance) {
+	fans := make(map[isp.PeerID][]isp.PeerID)
+	for i := range in.Requests {
+		r := &in.Requests[i]
+		for _, c := range r.Candidates {
+			if d.w.peers[c.Peer].tier == cdn.TierP2P {
+				continue
+			}
+			if f := fans[c.Peer]; len(f) == 0 || f[len(f)-1] != r.Peer {
+				fans[c.Peer] = append(f, r.Peer)
+			}
+		}
+	}
+	for _, id := range d.w.order {
+		if id != noPeer && d.w.peers[id].tier != cdn.TierP2P {
+			d.nodes[id].SetNeighbors(fans[id])
+		}
+	}
+}
+
+// play runs the round's distributed auction to quiescence and reads the
+// grants off the auctioneers' books.
+func (d *DES) play(in *sched.Instance) ([]sched.Grant, error) {
+	w, j := d.w, d.round
 	// Index requests by (peer, chunk) to translate auction wins to grants.
 	type reqKey struct {
 		peer  isp.PeerID
@@ -298,8 +297,8 @@ func desRound(w *world, j int, in *sched.Instance,
 	// round's auction overran its sub-slot, time simply continues.
 	roundStart := time.Duration((float64(w.slot)*w.cfg.SlotSeconds + w.tauOf(j)) *
 		float64(time.Second))
-	if netSched.Now() < roundStart {
-		if err := netSched.RunUntil(roundStart, desEventGuard); err != nil {
+	if d.netSched.Now() < roundStart {
+		if err := d.netSched.RunUntil(roundStart, desEventGuard); err != nil {
 			return nil, err
 		}
 	}
@@ -309,24 +308,22 @@ func desRound(w *world, j int, in *sched.Instance,
 		if id == noPeer {
 			continue
 		}
-		node := nodes[id]
 		capacity := roundCapacity(w.peers[id].capacity, j, w.cfg.BidRoundsPerSlot)
-		if err := node.StartSlot(perPeer[id], capacity); err != nil {
+		if err := d.nodes[id].StartSlot(perPeer[id], capacity); err != nil {
 			return nil, err
 		}
 	}
 	// Let the auction play out to quiescence (the paper's convergence within
 	// the slot; Fig. 2 shows it takes a few seconds of message exchange).
-	if err := netSched.Drain(desEventGuard); err != nil {
+	if err := d.netSched.Drain(desEventGuard); err != nil {
 		return nil, err
 	}
-	// Read the books.
 	var grants []sched.Grant
 	for _, id := range w.order {
 		if id == noPeer {
 			continue
 		}
-		for _, win := range nodes[id].Winners() {
+		for _, win := range d.nodes[id].Winners() {
 			ri, ok := reqIdx[reqKey{peer: isp.PeerID(win.Bidder), chunk: win.Chunk}]
 			if !ok {
 				return nil, fmt.Errorf("sim: auctioneer %d sold to unknown request (%d,%v)",

@@ -7,6 +7,9 @@ import (
 	"repro/internal/sched"
 )
 
+// runDES runs cfg under the message-level auction.
+func runDES(cfg Config) (*Results, error) { return Run(cfg, &DES{}) }
+
 func desConfig() Config {
 	cfg := testConfig()
 	cfg.StaticPeers = 15
@@ -15,9 +18,9 @@ func desConfig() Config {
 	return cfg
 }
 
-func TestRunDESBasics(t *testing.T) {
+func TestDESBasics(t *testing.T) {
 	cfg := desConfig()
-	res, err := RunDES(cfg, DESOptions{TracePeer: -1})
+	res, err := runDES(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +69,13 @@ func TestRunDESBasics(t *testing.T) {
 	}
 }
 
-func TestRunDESDeterminism(t *testing.T) {
+func TestDESDeterminism(t *testing.T) {
 	cfg := desConfig()
-	a, err := RunDES(cfg, DESOptions{TracePeer: -1})
+	a, err := runDES(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDES(cfg, DESOptions{TracePeer: -1})
+	b, err := runDES(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := RunDES(cfg, DESOptions{TracePeer: -1})
+	des, err := runDES(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +117,10 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestRunDESInvalidConfig(t *testing.T) {
+func TestDESInvalidConfig(t *testing.T) {
 	cfg := desConfig()
 	cfg.Slots = 0
-	if _, err := RunDES(cfg, DESOptions{}); err == nil {
+	if _, err := runDES(cfg); err == nil {
 		t.Fatal("invalid config should error")
 	}
 }

@@ -116,14 +116,6 @@ func TestRejoinRefillsPopulation(t *testing.T) {
 	}
 }
 
-func TestDESRejectsFaultConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.Fault = fault.Spec{CrashProb: 0.1}
-	if _, err := RunDES(cfg, DESOptions{}); err == nil {
-		t.Fatal("RunDES must reject fault-enabled configs")
-	}
-}
-
 func TestConfigValidateRejectsBadFault(t *testing.T) {
 	cfg := testConfig()
 	cfg.Fault = fault.Spec{CrashProb: 2}

@@ -107,7 +107,7 @@ func TestRemovalSchemeGolden(t *testing.T) {
 				cfg.Slots = 3
 				cfg.NeighborCount = 6
 				cfg.WindowChunks = 20
-				return RunDES(cfg, DESOptions{TracePeer: -1})
+				return Run(cfg, &DES{})
 			},
 			want: goldenMetrics{grants: 2166, inter: 0, missed: 533, played: 2699,
 				joined: 58, departed: 16, welfare: 4716.7287789874181, payments: 0},

@@ -21,7 +21,7 @@ import (
 // incremental path removes. It is reference code — change it only to keep
 // it semantically in lock-step with the incremental pipeline.
 
-// RunRebuild executes the fast engine through the from-scratch reference
+// RunRebuild executes Run's slot loop through the from-scratch reference
 // pipeline: identical results to Run, paying the full per-round rebuild tax
 // the incremental pipeline avoids. Exported for the equivalence goldens and
 // the pipeline benchmarks; simulations should use Run.

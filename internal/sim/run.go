@@ -29,16 +29,17 @@ type Results struct {
 	Payments metrics.Series
 	// Shards is the per-slot shard count when the slot scheduler partitions
 	// the market (cluster.ShardedAuction). All-zero for monolithic
-	// strategies and the DES engine.
+	// schedulers, DES included.
 	Shards metrics.Series
 	// CrossISPBytes is the absolute cross-ISP traffic volume per slot in
 	// bytes (inter-ISP chunk transfers × chunk size) — unlike the InterISP
 	// *share*, it is additive, so per-shard or per-slot series recombine
-	// exactly via metrics.SumSeries, and the settlement layer
-	// (internal/economics) prices it directly.
+	// by pointwise sums, and the settlement layer (internal/economics)
+	// prices it directly.
 	CrossISPBytes metrics.Series
 	// PriceTrace samples a representative peer's λ_u over fine-grained
-	// simulated time (Fig. 2; DES engine only, nil otherwise).
+	// simulated time (Fig. 2). Only DES (auction-des) records one; nil
+	// under every other scheduler.
 	PriceTrace *metrics.Series
 
 	TotalGrants   int64
@@ -166,8 +167,16 @@ type ISPAware interface {
 	SetISPLookup(func(isp.PeerID) (isp.ID, bool))
 }
 
-// Run executes the fast engine: cfg's world stepped Slots times, each slot
-// solved by scheduler.
+// worldScheduler is a scheduler that solves rounds on the world's own peers
+// rather than on the instance alone (DES). Run binds it to the world before
+// the first slot and lets it add to the results after the last.
+type worldScheduler interface {
+	bind(w *world) error
+	finish(res *Results)
+}
+
+// Run executes cfg's world for Slots slots, each bidding round solved by
+// scheduler.
 func Run(cfg Config, scheduler sched.Scheduler) (*Results, error) {
 	if scheduler == nil {
 		return nil, fmt.Errorf("sim: nil scheduler")
@@ -179,6 +188,12 @@ func Run(cfg Config, scheduler sched.Scheduler) (*Results, error) {
 	if ia, ok := scheduler.(ISPAware); ok {
 		ia.SetISPLookup(w.ispOf)
 	}
+	ws, bound := scheduler.(worldScheduler)
+	if bound {
+		if err := ws.bind(w); err != nil {
+			return nil, err
+		}
+	}
 	res := &Results{Strategy: scheduler.Name()}
 	res.nameSeries(scheduler.Name())
 
@@ -187,6 +202,9 @@ func Run(cfg Config, scheduler sched.Scheduler) (*Results, error) {
 		if err := stepSlot(w, scheduler, res); err != nil {
 			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
+	}
+	if bound {
+		ws.finish(res)
 	}
 	res.finalizeFrom(w)
 	return res, nil

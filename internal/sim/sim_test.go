@@ -283,19 +283,3 @@ func TestPaymentsAccounting(t *testing.T) {
 		t.Fatalf("price-free strategy reported payments %v", locality.TotalPayments)
 	}
 }
-
-func TestRunDESWithLossAndJitter(t *testing.T) {
-	cfg := desConfig()
-	res, err := RunDES(cfg, DESOptions{TracePeer: -1, DropRate: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalGrants == 0 {
-		t.Fatal("auction collapsed under 15% loss")
-	}
-	for _, p := range res.MissRate.Points {
-		if p.V < 0 || p.V > 1 {
-			t.Fatalf("miss rate %v out of range under loss", p.V)
-		}
-	}
-}

@@ -77,7 +77,7 @@ func (p *peerRuntime) started(slot int) bool {
 // noPeer is the tombstone marker in world.order (peer ids are non-negative).
 const noPeer = isp.PeerID(-1)
 
-// world owns all mutable simulation state shared by both engines.
+// world owns all mutable simulation state.
 type world struct {
 	cfg     Config
 	topo    *isp.Topology
@@ -109,7 +109,7 @@ type world struct {
 	// traffic is the run-level ISP×ISP chunk-transfer ledger (diagonal =
 	// intra-ISP); slotTraffic is the current slot's ledger, snapshotted into
 	// Results.SlotTraffic and reset at each slot boundary. Both are fed one
-	// grant at a time by applyGrants, so the fast and DES engines record
+	// grant at a time by applyGrants, so every scheduler records
 	// identically.
 	traffic     *economics.Matrix
 	slotTraffic *economics.Matrix

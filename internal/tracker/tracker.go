@@ -158,8 +158,8 @@ func (t *Tracker) Watching(v video.ID) int { return len(t.byVideo[v]) }
 
 // SwarmPeers returns every online peer (seeds included) on video v, sorted
 // by peer id — the by-video shard index: the swarm a cluster shard is keyed
-// on, and the fan-out set the DES engine's seeds broadcast to. Returns nil
-// when nobody is on v.
+// on, and the fan-out set DES seeds broadcast to. Returns nil when nobody is
+// on v.
 func (t *Tracker) SwarmPeers(v video.ID) []isp.PeerID {
 	vm := t.byVideo[v]
 	if len(vm) == 0 {

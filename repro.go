@@ -11,8 +11,8 @@
 //     of feasibility, LP duality and ε-complementary slackness;
 //   - the full P2P VoD evaluation testbed: ISP topologies with inter/intra
 //     cost models, Zipf–Mandelbrot video catalogs, deadline valuations,
-//     tracker, churn, and two simulation engines (slot-level fast engine and
-//     a message-level discrete-event engine);
+//     tracker, churn, and one slot-level simulator whose rounds any
+//     scheduler solves, the message-level distributed auction included;
 //   - the paper's Simple Locality baseline and a network-agnostic random
 //     baseline;
 //   - a declarative scenario registry with named workload presets and a
@@ -97,12 +97,13 @@ func RunRandom(cfg Config) (*Results, error) {
 	return sim.Run(cfg, &baseline.Random{Seed: cfg.Seed, Rounds: cfg.LocalityRounds})
 }
 
-// RunDistributed simulates cfg with the message-level engine: the
+// RunDistributed simulates cfg under the message-level auction: the
 // distributed interleaving auctions actually exchange bids, rejections,
-// evictions and price updates over a latency-accurate network. Results
-// include the representative peer's λ_u price trace (paper Fig. 2).
+// evictions and price updates over a latency-accurate network (sim.DES, the
+// auction-des solver). Results include the representative peer's λ_u price
+// trace (paper Fig. 2).
 func RunDistributed(cfg Config) (*Results, error) {
-	return sim.RunDES(cfg, sim.DESOptions{TracePeer: -1})
+	return sim.Run(cfg, &sim.DES{})
 }
 
 // Inter-ISP traffic economics (see internal/economics for field docs).
@@ -179,6 +180,7 @@ const (
 	SolverAuctionWarm    = scenario.SolverAuctionWarm
 	SolverAuctionSharded = scenario.SolverAuctionSharded
 	SolverAuctionJacobi  = scenario.SolverAuctionJacobi
+	SolverAuctionDES     = scenario.SolverAuctionDES
 	SolverExact          = scenario.SolverExact
 	SolverLocality       = scenario.SolverLocality
 	SolverRandom         = scenario.SolverRandom
