@@ -162,6 +162,35 @@ func TestCDNDeterminism(t *testing.T) {
 	}
 }
 
+// TestDESRunsCDN: CDN servers are protocol nodes in no swarm, so a
+// CDN-enabled world runs under the message-level auction, reproducibly, with
+// every grant counted in exactly one tier and some served by the CDN.
+func TestDESRunsCDN(t *testing.T) {
+	cfg := desConfig()
+	cfg.CDN = cdn.DefaultSpec()
+	run := func() *Results {
+		res, err := runDES(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("CDN runs under auction-des with the same seed diverge")
+	}
+	if a.TotalGrants == 0 {
+		t.Fatal("distributed auction granted nothing on a CDN world")
+	}
+	if a.ServedP2P+a.ServedEdge+a.ServedOrigin != a.TotalGrants {
+		t.Fatalf("tier split %d+%d+%d != %d grants",
+			a.ServedP2P, a.ServedEdge, a.ServedOrigin, a.TotalGrants)
+	}
+	if a.ServedEdge+a.ServedOrigin == 0 {
+		t.Fatal("no chunk was served by the CDN tier")
+	}
+}
+
 // TestBuildInstanceAllocs pins the allocations of one neighbor refresh plus
 // one instance build on a static world shaped like the cdn-assist preset
 // (60 watchers, 6 videos, 8 neighbors, one global seed per video, the CDN

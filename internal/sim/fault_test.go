@@ -6,6 +6,7 @@ package sim
 // isolated), crash-stop shrinks a static population, and rejoin refills it.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -113,6 +114,30 @@ func TestRejoinRefillsPopulation(t *testing.T) {
 	lastWithout := base.Online.Points[len(base.Online.Points)-1].V
 	if lastWith < lastWithout {
 		t.Fatalf("rejoin run ended with %v online, below the crash-only run's %v", lastWith, lastWithout)
+	}
+}
+
+// TestDESRunsFaultConfig: crash-stop faults run under the message-level
+// auction. Crashed peers' nodes shut down with them, and since crashes are
+// drawn on their own stream the population follows the centralized
+// auction's slot for slot.
+func TestDESRunsFaultConfig(t *testing.T) {
+	cfg := desConfig()
+	cfg.Fault = fault.Spec{CrashProb: 0.1}
+	res, err := Run(cfg, &DES{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashes == 0 {
+		t.Fatal("expected crashes")
+	}
+	if res.TotalGrants == 0 {
+		t.Fatal("distributed auction granted nothing under crash faults")
+	}
+	central := runAuction(t, cfg)
+	if res.Crashes != central.Crashes || !reflect.DeepEqual(res.Online.Values(), central.Online.Values()) {
+		t.Fatalf("population diverged from the centralized auction's: des %d crashes %v, auction %d crashes %v",
+			res.Crashes, res.Online.Values(), central.Crashes, central.Online.Values())
 	}
 }
 

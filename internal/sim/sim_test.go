@@ -283,3 +283,22 @@ func TestPaymentsAccounting(t *testing.T) {
 		t.Fatalf("price-free strategy reported payments %v", locality.TotalPayments)
 	}
 }
+
+// TestDESWithLoss: the message-level auction degrades, not collapses, when
+// cfg.Fault.DropProb drops 15% of its messages.
+func TestDESWithLoss(t *testing.T) {
+	cfg := desConfig()
+	cfg.Fault.DropProb = 0.15
+	res, err := runDES(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalGrants == 0 {
+		t.Fatal("auction collapsed under 15% loss")
+	}
+	for _, p := range res.MissRate.Points {
+		if p.V < 0 || p.V > 1 {
+			t.Fatalf("miss rate %v out of range under loss", p.V)
+		}
+	}
+}
