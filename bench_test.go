@@ -639,10 +639,10 @@ func (l *lastRound) Schedule(in *sched.Instance) (*sched.Result, error) {
 }
 
 // BenchmarkAuctionScheduleCold times one cold per-round auction call —
-// instance → core.Problem → SolveAuction → grants — on a round of the
-// cdn-assist world at 400 static peers and one bidding round per slot,
-// captured after 10 slots: the round shape of perfbench's sim-cdn-cold
-// workload. B/op and allocs/op are the cold slot's allocation cost, which a
+// instance → core.Problem → a reloaded core.Solver → grants — on a round
+// of the cdn-assist world at 400 static peers and one bidding round per
+// slot, captured after 10 slots: the round shape of perfbench's
+// sim-cdn-cold workload. B/op and allocs/op are the cold slot's allocation cost, which a
 // presized problem keeps independent of the request count.
 func BenchmarkAuctionScheduleCold(b *testing.B) {
 	spec, ok := scenario.Get("cdn-assist")

@@ -1,34 +1,16 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// BidMode selects how bidding rounds are organized.
-type BidMode int
-
-const (
-	// GaussSeidel processes one unassigned request at a time against the
-	// freshest prices (the paper's interleaving auctions behave this way when
-	// message latencies serialize bids).
-	GaussSeidel BidMode = iota + 1
-	// Jacobi lets every unassigned request bid against the same price
-	// snapshot, then lets auctioneers resolve all bids at once (a synchronous
-	// distributed round).
-	Jacobi
-)
-
-// AuctionOptions configures the primal-dual auction solver.
+// AuctionOptions configures the primal-dual auction.
 //
-// SolveAuction itself never carries prices between calls: naively reusing a
-// price vector is unsound for this asymmetric problem — a carried positive
-// price on a sink that ends the next solve unsaturated violates
-// complementary slackness condition 1 and can exclude optimal assignments.
-// Each SolveAuction therefore starts from λ = 0, exactly like the paper's
-// per-slot auctions. Warm starts across solves (and ε-rescaling schedules)
-// are provided soundly by the incremental Solver (solver.go), which repairs
-// CS1 before terminating.
+// A solve from a freshly loaded problem starts from λ = 0, exactly like the
+// paper's per-slot auctions: naively reusing a price vector is unsound for
+// this asymmetric problem — a carried positive price on a sink that ends the
+// next solve unsaturated violates complementary slackness condition 1 and
+// can exclude optimal assignments. Warm starts across solves (and
+// ε-rescaling schedules) are provided soundly by the Solver's delta path
+// (solver.go), which repairs CS1 before terminating.
 type AuctionOptions struct {
 	// Epsilon is the bid increment. Epsilon = 0 reproduces the paper's
 	// literal bidding rule (bid exactly the second-best difference), which
@@ -36,43 +18,10 @@ type AuctionOptions struct {
 	// welfare within NumRequests*Epsilon of optimal. With integer weights
 	// and Epsilon < 1/(NumRequests+1) the result is exactly optimal.
 	Epsilon float64
-	// Mode selects Gauss–Seidel (default) or Jacobi rounds.
-	Mode BidMode
-	// Workers parallelizes the bid computation of each Jacobi round across
-	// this many goroutines (results are bit-identical to sequential; bids
-	// within a round are pure reads of the price snapshot). 0 or 1 runs
-	// sequentially; Workers > 1 requires Jacobi mode.
-	Workers int
-	// MaxIterations caps processed bids (Gauss–Seidel) or rounds (Jacobi) as
-	// a safety net against pathological parameters
-	// (default 1_000_000 + 100·NumRequests).
+	// MaxIterations caps processed bids per solve as a safety net against
+	// pathological parameters (0 selects the default
+	// 1_000_000 + 100·NumRequests; negative values are rejected).
 	MaxIterations int
-}
-
-// normalized fills in defaults and validates.
-func (o AuctionOptions) normalized(p *Problem) (AuctionOptions, error) {
-	if o.Epsilon < 0 {
-		return o, fmt.Errorf("core: negative epsilon %v", o.Epsilon)
-	}
-	if math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) {
-		return o, fmt.Errorf("core: epsilon %v is not finite", o.Epsilon)
-	}
-	if o.Mode == 0 {
-		o.Mode = GaussSeidel
-	}
-	if o.Mode != GaussSeidel && o.Mode != Jacobi {
-		return o, fmt.Errorf("core: unknown bid mode %d", o.Mode)
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("core: negative worker count %d", o.Workers)
-	}
-	if o.Workers > 1 && o.Mode != Jacobi {
-		return o, fmt.Errorf("core: parallel bidding requires Jacobi mode")
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 1_000_000 + 100*p.NumRequests()
-	}
-	return o, nil
 }
 
 // AuctionResult carries the solution and solver diagnostics.
@@ -81,8 +30,7 @@ type AuctionResult struct {
 	// Prices are the final unit-bandwidth prices λ_u (dual variables of the
 	// capacity constraints (2)).
 	Prices []float64
-	// Iterations counts processed bids (Gauss–Seidel) or bidding rounds
-	// (Jacobi).
+	// Iterations counts processed bids.
 	Iterations int
 	// Bids counts bids submitted to auctioneers.
 	Bids int
@@ -99,8 +47,8 @@ type AuctionResult struct {
 	// Restarted is true when a warm Solver.Solve abandoned its carried state
 	// and fell back to a cold solve (pathological warm start).
 	Restarted bool
-	// SweepPasses counts closing ε-CS sweep passes of a warm Solver.Solve
-	// (0 for SolveAuction, ≥1 for any completed warm solve).
+	// SweepPasses counts closing ε-CS sweep passes: one for a loaded cold
+	// solve, at least one for a warm solve, none after an ε = 0 stall.
 	SweepPasses int
 	// Surrenders counts reserve-surrender escalations: sweep stalls where
 	// the solver zeroed the still-dirty sinks' reserve prices before
@@ -261,219 +209,16 @@ func (h bidHeap) fix(i int) {
 	}
 }
 
-func (h bidHeap) peekMin() acceptedBid { return h[0] }
-
-// auctioneer is the per-sink state of Alg. 1's "Bandwidth Allocation at
-// Peer u": an assignment set of at most B(u) accepted bids and the price λ_u
-// (0 until the set fills, then the smallest accepted bid).
-type auctioneer struct {
-	capacity int
-	accepted bidHeap
-	price    float64
-}
-
-func (u *auctioneer) full() bool { return len(u.accepted) >= u.capacity }
-
-// offer processes bid b from request r, returning whether it was accepted and
-// which request was evicted to make room (evicted == -1 if none).
-func (u *auctioneer) offer(r RequestID, b float64) (accepted bool, evicted RequestID) {
-	evicted = RequestID(-1)
-	if u.capacity == 0 || b <= u.price {
-		return false, evicted
-	}
-	if u.full() {
-		evicted = u.accepted.popMin().req
-	}
-	u.accepted.push(acceptedBid{req: r, bid: b})
-	if u.full() {
-		u.price = u.accepted.peekMin().bid
-	}
-	return true, evicted
-}
-
-// SolveAuction runs the primal-dual auction on p and returns the assignment,
-// final prices and diagnostics. With opts.Epsilon > 0 it always terminates;
-// with integer weights and Epsilon < 1/(NumRequests+1) the assignment is
-// exactly optimal (Theorem 1 via Bertsekas' ε-CS argument).
+// SolveAuction runs the primal-dual auction on p from λ = 0 and returns the
+// assignment, final prices and diagnostics: a fresh Solver, loaded with p
+// and solved once. With opts.Epsilon > 0 it always terminates; with integer
+// weights and Epsilon < 1/(NumRequests+1) the assignment is exactly optimal
+// (Theorem 1 via Bertsekas' ε-CS argument).
 func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
-	opts, err := opts.normalized(p)
+	s, err := NewSolver(opts)
 	if err != nil {
 		return nil, err
 	}
-	nReq, nSink := p.NumRequests(), p.NumSinks()
-	sinks := make([]auctioneer, nSink)
-	indeg := make([]int, nSink)
-	for r := 0; r < nReq; r++ {
-		for _, e := range p.Edges(RequestID(r)) {
-			indeg[e.Sink]++
-		}
-	}
-	// Every sink's book is a capped window of one slab. A request bids only
-	// while unassigned, so it sits in at most one book, once: a book never
-	// holds more than min(B(u), indeg(u)) bids and never outgrows its window.
-	books := 0
-	for s := range sinks {
-		sinks[s].capacity = p.Capacity(SinkID(s))
-		books += min(sinks[s].capacity, indeg[s])
-	}
-	slab := make([]acceptedBid, books)
-	for s := range sinks {
-		n := min(sinks[s].capacity, indeg[s])
-		sinks[s].accepted = slab[:0:n]
-		slab = slab[n:]
-	}
-	assignment := NewAssignment(nReq)
-	res := &AuctionResult{Assignment: assignment}
-
-	// FIFO queue of unassigned requests, as a ring over queue[head:] and
-	// its wrap; inQueue guards against double enqueueing, so at most nReq
-	// requests are ever queued and the ring never grows.
-	queue := make([]RequestID, nReq)
-	inQueue := make([]bool, nReq)
-	head, queued := 0, 0
-	enqueue := func(r RequestID) {
-		if !inQueue[r] {
-			queue[(head+queued)%nReq] = r
-			queued++
-			inQueue[r] = true
-		}
-	}
-	for r := 0; r < nReq; r++ {
-		enqueue(RequestID(r))
-	}
-
-	// computeBid implements Alg. 1's bidder: find best and second-best net
-	// utility, where the second-best floor is 0 — the value of staying
-	// unassigned. Returns ok=false when the request should drop out (its
-	// best option is negative, so η = 0 and CS3 holds unassigned).
-	// Zero-capacity sinks can never sell a unit and are skipped entirely
-	// (a peer with no upload bandwidth is not a usable neighbor).
-	computeBid := func(r RequestID) (target SinkID, bid float64, ok bool) {
-		best, second := math.Inf(-1), 0.0
-		target = Unassigned
-		for _, e := range p.Edges(r) {
-			if sinks[e.Sink].capacity == 0 {
-				continue
-			}
-			u := e.Weight - sinks[e.Sink].price
-			switch {
-			case u > best:
-				if best > second {
-					second = best
-				}
-				best, target = u, e.Sink
-			case u > second:
-				second = u
-			}
-		}
-		if target == Unassigned || best < 0 {
-			return Unassigned, 0, false
-		}
-		// b = λ + (best − second) + ε  (the paper's rule when ε = 0).
-		return target, sinks[target].price + (best - second) + opts.Epsilon, true
-	}
-
-	switch opts.Mode {
-	case GaussSeidel:
-		// Rejections spanning the whole queue with no price movement in
-		// between ⇒ ε=0 stall (every bidder "waits" per the paper). Prices
-		// move only on accepted bids, so counting rejects since the last
-		// accept is sound.
-		consecutiveRejects := 0
-		for queued > 0 {
-			if res.Iterations >= opts.MaxIterations {
-				return nil, fmt.Errorf("core: auction exceeded %d iterations (ε=%v)",
-					opts.MaxIterations, opts.Epsilon)
-			}
-			res.Iterations++
-			r := queue[head]
-			head = (head + 1) % nReq
-			queued--
-			inQueue[r] = false
-
-			target, bid, ok := computeBid(r)
-			if !ok {
-				continue // drops out: no non-negative option left
-			}
-			res.Bids++
-			accepted, evicted := sinks[target].offer(r, bid)
-			if !accepted {
-				enqueue(r)
-				consecutiveRejects++
-				if consecutiveRejects >= queued {
-					res.Stalled = true
-					for i := range queued {
-						inQueue[queue[(head+i)%nReq]] = false
-					}
-					queued = 0
-				}
-				continue
-			}
-			consecutiveRejects = 0
-			assignment.SinkOf[r] = target
-			if evicted >= 0 {
-				res.Evictions++
-				assignment.SinkOf[evicted] = Unassigned
-				enqueue(evicted)
-			}
-		}
-	case Jacobi:
-		// Every round drains the whole queue, so the ring stays linear:
-		// head is 0 and the round's bidders are queue[:queued].
-		for queued > 0 {
-			if res.Iterations >= opts.MaxIterations {
-				return nil, fmt.Errorf("core: auction exceeded %d rounds (ε=%v)",
-					opts.MaxIterations, opts.Epsilon)
-			}
-			res.Iterations++
-			// All unassigned requests bid against the same price snapshot;
-			// within a round bid computation is pure (prices move only when
-			// offers are processed afterwards), so it parallelizes with
-			// bit-identical results.
-			round := computeRound(queue[:queued], computeBid, opts.Workers)
-			for _, r := range queue[:queued] {
-				inQueue[r] = false
-			}
-			queued = 0
-			if len(round) == 0 {
-				break
-			}
-			res.Bids += len(round)
-			progress := false
-			for _, pb := range round {
-				accepted, evicted := sinks[pb.target].offer(pb.req, pb.bid)
-				if !accepted {
-					enqueue(pb.req)
-					continue
-				}
-				progress = true
-				assignment.SinkOf[pb.req] = pb.target
-				if evicted >= 0 {
-					res.Evictions++
-					assignment.SinkOf[evicted] = Unassigned
-					enqueue(evicted)
-				}
-			}
-			if !progress {
-				res.Stalled = true
-				break
-			}
-		}
-	}
-
-	res.Prices = make([]float64, nSink)
-	maxW := p.MaxWeight()
-	for s := range sinks {
-		if sinks[s].capacity == 0 {
-			// A zero-capacity sink contributes λ·0 to the dual objective, so
-			// λ can be raised for free to dominate every incident weight.
-			// Emitting that choice makes (assignment, prices) a complete
-			// dual certificate: DualObjective and VerifyEpsilonCS hold
-			// without special-casing unsellable sinks.
-			res.Prices[s] = maxW
-			continue
-		}
-		res.Prices[s] = sinks[s].price
-	}
-	return res, nil
+	s.Load(p)
+	return s.solveDetached()
 }

@@ -40,6 +40,27 @@ func randomProblem(rng *randx.Source, maxReq, maxSink int, integerWeights bool) 
 	return p
 }
 
+// randomProblemLarge builds a big instance without the small-instance caps of
+// randomProblem.
+func randomProblemLarge(rng *randx.Source, requests, sinks int) *Problem {
+	p := NewProblem()
+	for s := 0; s < sinks; s++ {
+		if _, err := p.AddSink(1 + rng.Intn(8)); err != nil {
+			panic(err)
+		}
+	}
+	for r := 0; r < requests; r++ {
+		req := p.AddRequest()
+		degree := 2 + rng.Intn(12)
+		for k := 0; k < degree; k++ {
+			s := SinkID(rng.Intn(sinks))
+			// Ignore duplicate-edge errors from repeated sink draws.
+			_ = p.AddEdge(req, s, rng.Range(-1, 8))
+		}
+	}
+	return p
+}
+
 func solveOrFatal(t *testing.T, p *Problem, opts AuctionOptions) *AuctionResult {
 	t.Helper()
 	res, err := SolveAuction(p, opts)
@@ -128,8 +149,8 @@ func TestAuctionRejectsBadOptions(t *testing.T) {
 	if _, err := SolveAuction(p, AuctionOptions{Epsilon: math.NaN()}); err == nil {
 		t.Error("NaN epsilon should error")
 	}
-	if _, err := SolveAuction(p, AuctionOptions{Mode: BidMode(99)}); err == nil {
-		t.Error("unknown mode should error")
+	if _, err := SolveAuction(p, AuctionOptions{MaxIterations: -5}); err == nil {
+		t.Error("negative iteration cap should error")
 	}
 }
 
@@ -143,20 +164,18 @@ func TestAuctionMatchesBruteForce(t *testing.T) {
 		}
 		want := bf.Welfare(p)
 		eps := 1.0 / float64(p.NumRequests()+2)
-		for _, mode := range []BidMode{GaussSeidel, Jacobi} {
-			res, err := SolveAuction(p, AuctionOptions{Epsilon: eps, Mode: mode})
-			if err != nil {
-				t.Fatalf("trial %d mode %v: %v", trial, mode, err)
-			}
-			if err := res.Assignment.Verify(p); err != nil {
-				t.Fatalf("trial %d mode %v: infeasible: %v", trial, mode, err)
-			}
-			got := res.Assignment.Welfare(p)
-			// Integer weights + ε < 1/(n+1) ⇒ exactly optimal.
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("trial %d mode %v: auction welfare %v != optimal %v\nassignment=%v",
-					trial, mode, got, want, res.Assignment.SinkOf)
-			}
+		res, err := SolveAuction(p, AuctionOptions{Epsilon: eps})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := res.Assignment.Verify(p); err != nil {
+			t.Fatalf("trial %d: infeasible: %v", trial, err)
+		}
+		got := res.Assignment.Welfare(p)
+		// Integer weights + ε < 1/(n+1) ⇒ exactly optimal.
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("trial %d: auction welfare %v != optimal %v\nassignment=%v",
+				trial, got, want, res.Assignment.SinkOf)
 		}
 	}
 }
@@ -238,7 +257,7 @@ func TestAuctionPricesNonNegativeProperty(t *testing.T) {
 	check := func(seed uint32) bool {
 		local := randx.New(uint64(seed) ^ rng.Uint64())
 		p := randomProblem(local, 10, 5, false)
-		res, err := SolveAuction(p, AuctionOptions{Epsilon: 0.1, Mode: Jacobi})
+		res, err := SolveAuction(p, AuctionOptions{Epsilon: 0.1})
 		if err != nil {
 			return false
 		}
@@ -395,10 +414,12 @@ func TestVerifyEpsilonCSRejectsBadCertificates(t *testing.T) {
 }
 
 // TestSolveAuctionAllocs pins the cold solve's allocation count: the
-// sinks' bid books are windows of one slab sized from the in-degrees and
-// the request queue is a fixed ring, so solving 10 sinks costs exactly as
-// many allocations as 1 000, however long either bidding war runs: 10
-// measured, with or without the race detector. The collector is paused
+// loaded Solver's per-sink and per-request arrays are windows of three
+// slabs, the sinks' bid books windows of one slab sized from the
+// in-degrees, the request queue never grows, and the result takes over the
+// solver's assignment and prices, so solving 10 sinks costs exactly as many
+// allocations as 1 000, however long either bidding war runs: 10 measured,
+// with or without the race detector. The collector is paused
 // while counting, so allocations the runtime makes during a GC cycle are
 // not charged to the solve.
 func TestSolveAuctionAllocs(t *testing.T) {

@@ -2,12 +2,14 @@
 // maximization problem for P2P chunk scheduling, modeled as a transportation
 // problem (paper §III–IV), together with
 //
-//   - the primal-dual auction solver (Bertsekas-style ε-auction, with the
-//     paper's literal ε=0 bidding as a mode, Gauss–Seidel and Jacobi rounds),
-//   - the incremental warm-starting Solver, which retains prices and partial
-//     assignments between solves and accepts ProblemDeltas — the amortized
-//     path for slowly-varying slot sequences (churn), with reverse-auction
-//     repair keeping the certificate identical to a cold solve's,
+//   - the primal-dual auction (Bertsekas-style ε-auction with Gauss–Seidel
+//     bidding, the paper's literal ε=0 rule as a setting) in one kernel, the
+//     Solver: Load starts it cold on a built Problem (SolveAuction is a
+//     fresh Solver loaded and solved once), and between solves it retains
+//     prices and partial assignments and accepts ProblemDeltas — the
+//     amortized path for slowly-varying slot sequences (churn), with
+//     reverse-auction repair keeping the certificate identical to a cold
+//     solve's,
 //   - an exact successive-shortest-path min-cost-flow solver used as the
 //     optimality ground truth,
 //   - a brute-force solver for tiny instances,

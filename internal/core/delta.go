@@ -66,14 +66,6 @@ type ProblemDelta struct {
 	AddRequests [][]Edge
 }
 
-// Empty reports whether the delta contains no operations.
-func (d *ProblemDelta) Empty() bool {
-	return len(d.RemoveRequests) == 0 && len(d.UpdateRequests) == 0 &&
-		len(d.ShiftValues) == 0 &&
-		len(d.RemoveSinks) == 0 && len(d.SetCapacities) == 0 &&
-		len(d.AddSinks) == 0 && len(d.AddRequests) == 0
-}
-
 // AppliedDelta reports the ids minted by one Solver.Apply call, in the order
 // the corresponding AddSinks / AddRequests entries appeared.
 type AppliedDelta struct {

@@ -3,20 +3,22 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Solver is the incremental (warm-starting) counterpart of SolveAuction: it
-// owns a mutable transportation problem, retains the price vector λ and the
-// partial assignment between Solve calls, and accepts ProblemDeltas instead
-// of freshly built Problems. Successive slots of a P2P schedule differ only
-// marginally, so re-optimizing from the previous near-equilibrium prices
-// converges in a fraction of the bids a cold solve needs (the re-optimization
-// observation of Bertsekas & Castañón; see docs/PERFORMANCE.md for measured
-// speedups).
+// Solver is the auction kernel: the one Gauss–Seidel bidding loop behind
+// both the cold and the warm solve. Load starts it cold on a built Problem
+// (SolveAuction is a fresh Solver, loaded and solved once). Between Solves
+// it retains the price vector λ and the partial assignment and accepts
+// ProblemDeltas instead of freshly built Problems. Successive slots of a P2P
+// schedule differ only marginally, so re-optimizing from the previous
+// near-equilibrium prices converges in a fraction of the bids a cold solve
+// needs (the re-optimization observation of Bertsekas & Castañón; see
+// docs/PERFORMANCE.md for measured speedups).
 //
 // Warm starts are sound — every Solve terminates with the same
-// ε-complementary-slackness certificate a cold SolveAuction emits — because
-// of three mechanisms stacked on the plain forward auction:
+// ε-complementary-slackness certificate a cold solve emits — because of
+// three mechanisms stacked on the plain forward auction:
 //
 //  1. Reserve prices. Carried prices act as reserves: a sink whose
 //     assignment set was drained by departures keeps its λ and only sells
@@ -48,12 +50,17 @@ type Solver struct {
 
 	// Problem state. Dead (removed) requests and sinks keep their slots —
 	// ids are never reused, so stale Edge.Sink references can never alias a
-	// later entity — until Compact reclaims them.
+	// later entity — until Compact reclaims them. A dead sink's capacity is
+	// 0, which alone keeps bidders off it.
 	caps      []int
 	adj       [][]Edge
 	sinkAlive []bool
 	reqAlive  []bool
 	numEdges  int
+	// shared marks caps and adj as the loaded Problem's own slices, read
+	// but never written: own copies them (and builds radj) before anything
+	// mutates the problem or reads the reverse adjacency.
+	shared bool
 	// radj is the reverse adjacency (sink → requests with an edge to it),
 	// maintained append-only with lazy filtering: entries for dead requests,
 	// dropped edges and update-duplicates are skipped (and pruned) when a
@@ -70,7 +77,8 @@ type Solver struct {
 	wOf        []float64 // weight of the assigned edge (valid when assigned)
 
 	// queue is the FIFO bidding queue, consumed via qHead so the backing
-	// array is reused instead of sliding away (reset to 0 when drained).
+	// array is reused instead of sliding away (reset to 0 when drained,
+	// slid down by enqueue when the consumed half fills it).
 	queue   []RequestID
 	qHead   int
 	inQueue []bool
@@ -122,6 +130,16 @@ type Solver struct {
 	// maxW is the cached monotone ceiling on live edge weights (see
 	// weightCeiling).
 	maxW float64
+	// warm marks carried state from a completed Solve: only then can an
+	// exceeded iteration budget be the warm start's fault and worth a cold
+	// restart.
+	warm bool
+	// floatSlab, flagSlab, stampSlab and bookSlab back Load's per-request
+	// and per-sink arrays and bid books, so a reloaded solver reuses them.
+	floatSlab []float64
+	flagSlab  []bool
+	stampSlab []uint64
+	bookSlab  []acceptedBid
 
 	aliveReqs, aliveSinks int
 }
@@ -130,21 +148,119 @@ type Solver struct {
 // reuse (beyond it, the garbage collector takes them).
 const maxEdgePool = 8192
 
-// NewSolver returns an empty incremental solver. Only Gauss–Seidel bidding
-// is supported (warm bidding is inherently sequential); opts.Mode may be
-// zero or GaussSeidel, and opts.Workers must be 0 or 1.
+// NewSolver returns an empty solver.
 func NewSolver(opts AuctionOptions) (*Solver, error) {
-	if opts.Mode != 0 && opts.Mode != GaussSeidel {
-		return nil, fmt.Errorf("core: incremental solver supports Gauss–Seidel bidding only")
-	}
-	if opts.Workers > 1 {
-		return nil, fmt.Errorf("core: incremental solver is sequential; got %d workers", opts.Workers)
-	}
-	opts.Mode = GaussSeidel
 	if opts.Epsilon < 0 || math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) {
 		return nil, fmt.Errorf("core: invalid epsilon %v", opts.Epsilon)
 	}
+	if opts.MaxIterations < 0 {
+		return nil, fmt.Errorf("core: negative iteration cap %d", opts.MaxIterations)
+	}
 	return &Solver{opts: opts, fullSweep: true}, nil
+}
+
+// Load replaces the solver's problem with p and resets it cold: every price
+// λ = 0, nothing assigned, requests queued 0..n−1. That queue order makes a
+// loaded Solve the standalone cold auction, bid for bid. The solver adopts
+// p's capacities and edge slab instead of copying them and never writes to
+// them (Problem's own API never rewrites them either), so loading costs a
+// few reused arrays. Each sink's bid book is a capped window of one slab
+// sized min(B(u), indeg(u)): a request bids only while unassigned, so it
+// sits in at most one book, once, and a cold drain never outgrows a window.
+func (s *Solver) Load(p *Problem) {
+	n, m := p.NumRequests(), p.NumSinks()
+	s.caps, s.adj, s.shared = p.capacities[:m:m], p.adj[:n:n], true
+	s.numEdges, s.aliveReqs, s.aliveSinks = p.numEdges, n, m
+
+	f := zeroed(&s.floatSlab, m+2*n)
+	s.lambda, s.bidOf, s.wOf = cut(&f, m), cut(&f, n), cut(&f, n)
+	b := zeroed(&s.flagSlab, 3*m+2*n)
+	s.sinkAlive, s.inWork, s.inDropped = cut(&b, m), cut(&b, m), cut(&b, m)
+	s.reqAlive, s.inQueue = cut(&b, n), cut(&b, n)
+	u := zeroed(&s.stampSlab, m+n)
+	s.dupStamp, s.reqStamp = cut(&u, m), cut(&u, n)
+
+	// Count in-degrees in the (zeroed) sink stamps, carve the books, and
+	// zero the stamps again.
+	s.maxW = 0
+	for _, edges := range s.adj {
+		for _, e := range edges {
+			s.dupStamp[e.Sink]++
+			s.noteWeight(e.Weight)
+		}
+	}
+	books := 0
+	for t, c := range s.caps {
+		books += min(c, int(s.dupStamp[t]))
+	}
+	s.bookSlab = resize(s.bookSlab, books)
+	slab := s.bookSlab
+	s.accepted = resize(s.accepted, m)
+	for t, c := range s.caps {
+		s.accepted[t] = cut(&slab, min(c, int(s.dupStamp[t])))[:0]
+		s.sinkAlive[t] = true
+	}
+	clear(s.dupStamp)
+
+	s.assignment = resize(s.assignment, n)
+	// Twice n: enqueue slides the queue down once its consumed half fills
+	// the array, so a cold drain never grows it.
+	s.queue, s.qHead = resize(s.queue, 2*n)[:n], 0
+	for r := range n {
+		s.assignment[r] = Unassigned
+		s.reqAlive[r], s.inQueue[r] = true, true
+		s.queue[r] = RequestID(r)
+	}
+	s.work, s.dropped, s.recheck = s.work[:0], s.dropped[:0], s.recheck[:0]
+	s.radjSize = 0
+	s.warm, s.surrendered = false, false
+	// A cold drain certifies itself — prices only rise and every bid is
+	// ε-CS when placed — so the closing sweep needs only its CS1 scan.
+	s.fullSweep = false
+}
+
+// own ends a Load's sharing: it copies the adopted capacities and edge
+// lists into solver-owned storage, so deltas and compaction may rewrite
+// them, and builds the reverse adjacency a cold drain does without.
+func (s *Solver) own() {
+	if !s.shared {
+		return
+	}
+	s.shared = false
+	s.caps = slices.Clone(s.caps)
+	edges := make([]Edge, 0, s.numEdges)
+	adj := make([][]Edge, len(s.adj))
+	for r, es := range s.adj {
+		edges = append(edges, es...)
+		adj[r] = edges[len(edges)-len(es) : len(edges) : len(edges)]
+	}
+	s.adj = adj
+	s.radj = resize(s.radj, len(s.caps))
+	s.rebuildRadj()
+}
+
+// resize returns buf with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed resizes *slab to n zeroed elements and returns it.
+func zeroed[T any](slab *[]T, n int) []T {
+	*slab = resize(*slab, n)
+	clear(*slab)
+	return *slab
+}
+
+// cut slices the next n elements off the front of *slab as a capped window,
+// so an append to the window copies instead of overrunning its neighbour.
+func cut[T any](slab *[]T, n int) []T {
+	w := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return w
 }
 
 // Epsilon returns the current bid increment.
@@ -183,6 +299,7 @@ func (s *Solver) Dead() (requests, sinks int) {
 // called any number of times between Solves; see ProblemDelta for the
 // phase order and the two-phase idiom for edges to freshly minted sinks.
 func (s *Solver) Apply(d ProblemDelta) (*AppliedDelta, error) {
+	s.own()
 	if err := s.validate(&d); err != nil {
 		return nil, err
 	}
@@ -197,6 +314,7 @@ func (s *Solver) Apply(d ProblemDelta) (*AppliedDelta, error) {
 // aliases a solver-owned buffer, valid until the next Apply of either
 // flavor.
 func (s *Solver) ApplyUnchecked(d ProblemDelta) *AppliedDelta {
+	s.own()
 	s.appliedBuf.Sinks = s.appliedBuf.Sinks[:0]
 	s.appliedBuf.Requests = s.appliedBuf.Requests[:0]
 	return s.applyOps(&d, &s.appliedBuf)
@@ -498,12 +616,19 @@ func (s *Solver) Welfare() float64 {
 	return total
 }
 
-// enqueue pushes r onto the bidding queue once.
+// enqueue pushes r onto the bidding queue once. A full queue whose
+// consumed prefix is at least half of it slides its live tail down instead
+// of growing, so a queue with room for twice the requests never grows.
 func (s *Solver) enqueue(r RequestID) {
-	if !s.inQueue[r] {
-		s.queue = append(s.queue, r)
-		s.inQueue[r] = true
+	if s.inQueue[r] {
+		return
 	}
+	if len(s.queue) == cap(s.queue) && 2*s.qHead >= len(s.queue) {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.qHead:])]
+		s.qHead = 0
+	}
+	s.queue = append(s.queue, r)
+	s.inQueue[r] = true
 }
 
 // unassign withdraws r's accepted bid from its sink, leaving the sink's
@@ -588,8 +713,8 @@ func (s *Solver) computeBid(r RequestID) (target SinkID, bid, weight float64, ok
 	best, second := math.Inf(-1), 0.0
 	target = Unassigned
 	for _, e := range s.adj[r] {
-		if !s.sinkAlive[e.Sink] || s.caps[e.Sink] == 0 {
-			continue
+		if s.caps[e.Sink] == 0 {
+			continue // unsellable, or dead
 		}
 		u := e.Weight - s.lambda[e.Sink]
 		switch {
@@ -609,9 +734,10 @@ func (s *Solver) computeBid(r RequestID) (target SinkID, bid, weight float64, ok
 	return target, s.lambda[target] + (best - second) + s.opts.Epsilon, weight, true
 }
 
-// offer sells one unit of sink t to request r at the given bid if it beats
-// the reserve, evicting the lowest accepted bid when full (the auctioneer of
-// auction.go, against persistent state).
+// offer is Alg. 1's "Bandwidth Allocation at Peer u": it sells one unit of
+// sink t to request r at the given bid if it beats the price λ_t (0 until
+// the assignment set fills, then its smallest accepted bid — a reserve when
+// carried), evicting the lowest accepted bid when full.
 func (s *Solver) offer(t SinkID, r RequestID, bid float64) (accepted bool, evicted RequestID) {
 	evicted = RequestID(-1)
 	if s.caps[t] == 0 || bid <= s.lambda[t] {
@@ -628,12 +754,12 @@ func (s *Solver) offer(t SinkID, r RequestID, bid float64) (accepted bool, evict
 	return true, evicted
 }
 
-// runOrRestart runs the auction; on an exceeded iteration budget (a
-// pathological warm start can thrash where a cold solve would not) it
-// restarts once from scratch with a fresh budget before giving up.
+// runOrRestart runs the auction; on an exceeded iteration budget of a warm
+// solve (a pathological warm start can thrash where a cold solve would not)
+// it restarts once from scratch with a fresh budget before giving up.
 func (s *Solver) runOrRestart(res *AuctionResult, maxIterations int) error {
 	err := s.runAuction(res, res.Iterations+maxIterations)
-	if err == nil || res.Restarted {
+	if err == nil || res.Restarted || !s.warm {
 		return err
 	}
 	res.Restarted = true
@@ -650,9 +776,12 @@ func (s *Solver) dirty(t SinkID) bool {
 
 // runAuction interleaves Gauss–Seidel bidding with vacancy repair until both
 // the bid queue and the vacancy worklist are empty. Bidders always go first:
-// a vacancy that sells before its event fires needs no repair. Same stall
-// semantics as SolveAuction at ε = 0 (a stall abandons pending repairs —
-// the paper's literal mode waits rather than re-prices).
+// a vacancy that sells before its event fires needs no repair. Rejections
+// spanning the whole queue with no price movement in between are an ε = 0
+// stall (every bidder "waits" per the paper; prices move only on accepted
+// bids, so counting rejects since the last accept is sound). A stall
+// abandons pending repairs — the paper's literal mode waits rather than
+// re-prices.
 func (s *Solver) runAuction(res *AuctionResult, maxIterations int) error {
 	consecutiveRejects := 0
 	for {
@@ -673,7 +802,7 @@ func (s *Solver) runAuction(res *AuctionResult, maxIterations int) error {
 			continue
 		}
 		if res.Iterations >= maxIterations {
-			return fmt.Errorf("core: incremental auction exceeded %d iterations (ε=%v)",
+			return fmt.Errorf("core: auction exceeded %d iterations (ε=%v)",
 				maxIterations, s.opts.Epsilon)
 		}
 		res.Iterations++
@@ -741,6 +870,7 @@ func (s *Solver) runAuction(res *AuctionResult, maxIterations int) error {
 // each dirty sink saturated or priced at 0, and prunes its stale
 // reverse-adjacency entries in place.
 func (s *Solver) batchRepair(cands []SinkID, res *AuctionResult) {
+	s.own()
 	s.waveSinks = s.waveSinks[:0]
 	total := 0
 	for _, t := range cands {
@@ -934,6 +1064,9 @@ func (s *Solver) sweepEpsilonCS() (clean bool) {
 			clean = false
 		}
 	}
+	if len(s.dropped) > 0 {
+		s.own()
+	}
 	s.reqRound++ // dedup marker across the dropped sinks' adjacency lists
 	for _, t := range s.dropped {
 		if !s.sinkAlive[t] {
@@ -972,7 +1105,7 @@ func (s *Solver) checkRequestCS(r RequestID) (clean bool) {
 		return false
 	}
 	for _, e := range s.adj[r] {
-		if e.Sink == own || !s.sinkAlive[e.Sink] || s.caps[e.Sink] == 0 {
+		if e.Sink == own || s.caps[e.Sink] == 0 {
 			continue
 		}
 		// The slack mirrors VerifyEpsilonCS's float tolerance: the
@@ -1036,11 +1169,11 @@ func (s *Solver) coldReset() {
 	s.fullSweep = true
 }
 
-// Solve re-optimizes after the deltas applied since the previous Solve and
-// returns the assignment, prices and diagnostics with the same
-// ε-complementary-slackness guarantee as a cold SolveAuction (welfare within
-// NumRequests·ε of optimal for ε > 0; Stalled semantics at ε = 0). The
-// first Solve is a cold solve.
+// Solve re-optimizes after the Load or the deltas applied since the
+// previous Solve and returns the assignment, prices and diagnostics with the
+// ε-complementary-slackness certificate (welfare within NumRequests·ε of
+// optimal for ε > 0; Stalled semantics at ε = 0). The first Solve after
+// NewSolver or Load is a cold solve.
 func (s *Solver) Solve() (*AuctionResult, error) {
 	res := &AuctionResult{}
 	maxW, err := s.solveCore(res)
@@ -1124,20 +1257,37 @@ func (s *Solver) solveCore(res *AuctionResult) (maxW float64, err error) {
 		}
 	}
 	s.surrendered = false
+	s.warm = true
 	return maxW, nil
 }
 
-// certifiedPrices fills dst (len == len(s.caps)) with the complete dual
-// certificate: live sinks' λ, with zero-capacity sinks priced out at the
-// weight ceiling exactly as SolveAuction emits them.
+// solveDetached is Solve for a solver about to be dropped: the result takes
+// over the solver's assignment and price arrays instead of copying them.
+func (s *Solver) solveDetached() (*AuctionResult, error) {
+	res := &AuctionResult{}
+	maxW, err := s.solveCore(res)
+	if err != nil {
+		return nil, err
+	}
+	res.Assignment = &Assignment{SinkOf: s.assignment}
+	res.Prices = s.certifiedPrices(s.lambda, maxW)
+	return res, nil
+}
+
+// certifiedPrices fills dst (len == len(s.caps); it may be s.lambda) with
+// the complete dual certificate: live sinks' λ, with zero-capacity sinks
+// priced out at the weight ceiling.
 func (s *Solver) certifiedPrices(dst []float64, maxW float64) []float64 {
 	for t := range s.caps {
 		switch {
 		case !s.sinkAlive[t]:
 			dst[t] = 0
 		case s.caps[t] == 0:
-			// Same complete-certificate convention as SolveAuction: an
-			// unsellable sink prices itself out of every edge for free.
+			// A zero-capacity sink contributes λ·0 to the dual objective,
+			// so λ can be raised for free to dominate every incident
+			// weight. Emitting that choice makes (assignment, prices) a
+			// complete dual certificate: DualObjective and VerifyEpsilonCS
+			// hold without special-casing unsellable sinks.
 			dst[t] = maxW
 		default:
 			dst[t] = s.lambda[t]
@@ -1148,9 +1298,10 @@ func (s *Solver) certifiedPrices(dst []float64, maxW float64) []float64 {
 
 // SolveShared is Solve with solver-owned result storage: the returned
 // AuctionResult (and its Assignment and Prices) alias reused buffers that
-// are valid only until the next Apply or Solve of either flavor — the
+// are valid only until the next Load, Apply or Solve of any flavor — the
 // allocation-free variant for callers that consume the result before
-// touching the solver again (sched.WarmAuction's per-round loop).
+// touching the solver again (the per-round loops of sched.Auction and
+// sched.WarmAuction).
 func (s *Solver) SolveShared() (*AuctionResult, error) {
 	res := &s.resultBuf
 	*res = AuctionResult{}
@@ -1250,6 +1401,7 @@ func (s *Solver) VerifyState(tol float64) error {
 // handles. Edges to dead sinks are pruned. Carried prices, assignments and
 // the queue survive compaction, so it is transparent to warm-start quality.
 func (s *Solver) Compact() (requests map[RequestID]RequestID, sinks map[SinkID]SinkID) {
+	s.own()
 	sinks = make(map[SinkID]SinkID, s.aliveSinks)
 	for t := range s.caps {
 		if s.sinkAlive[t] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/randx"
@@ -199,44 +200,6 @@ func (m *solverModel) seed(rng *randx.Source, nReq, nSink int, integerWeights bo
 		reqD.AddRequests = append(reqD.AddRequests, randomEdges(rng, m.liveSinks(), integerWeights))
 	}
 	m.apply(reqD)
-}
-
-func TestSolverColdMatchesSolveAuction(t *testing.T) {
-	// The first Solve of an incremental solver is bit-identical to the
-	// one-shot Gauss–Seidel auction: same enqueue order, same bidding rule.
-	rng := randx.New(7)
-	for trial := 0; trial < 30; trial++ {
-		m := newSolverModel(t, 0.01)
-		m.seed(rng.Derive(uint64(trial)), 1+rng.Intn(25), 1+rng.Intn(8), false)
-		p, reqIDs, sinkIdx := m.densify()
-		warm, err := m.solver.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := SolveAuction(p, AuctionOptions{Epsilon: 0.01})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for dense, r := range reqIDs {
-			got := warm.Assignment.SinkOf[r]
-			want := cold.Assignment.SinkOf[dense]
-			if got == Unassigned && want == Unassigned {
-				continue
-			}
-			if got == Unassigned || want == Unassigned || sinkIdx[got] != want {
-				t.Fatalf("trial %d: request %d assigned to %v, cold picks %v",
-					trial, r, got, want)
-			}
-		}
-		if warm.Bids != cold.Bids || warm.Evictions != cold.Evictions {
-			t.Fatalf("trial %d: warm stats (%d bids, %d evictions) != cold (%d, %d)",
-				trial, warm.Bids, warm.Evictions, cold.Bids, cold.Evictions)
-		}
-		if warm.RepairRounds != 0 || warm.Restarted {
-			t.Fatalf("trial %d: cold first solve needed repair (%d rounds, restarted=%v)",
-				trial, warm.RepairRounds, warm.Restarted)
-		}
-	}
 }
 
 func TestSolverWarmCertificateUnderChurn(t *testing.T) {
@@ -482,14 +445,87 @@ func TestSolverValidationErrors(t *testing.T) {
 	}
 }
 
-func TestNewSolverRejectsUnsupportedModes(t *testing.T) {
-	if _, err := NewSolver(AuctionOptions{Mode: Jacobi}); err == nil {
-		t.Error("Jacobi mode should be rejected")
+func TestNewSolverRejectsBadOptions(t *testing.T) {
+	for _, opts := range []AuctionOptions{
+		{Epsilon: -1},
+		{Epsilon: math.Inf(1)},
+		{Epsilon: 0.01, MaxIterations: -5},
+	} {
+		if _, err := NewSolver(opts); err == nil {
+			t.Errorf("NewSolver(%+v) accepted", opts)
+		}
 	}
-	if _, err := NewSolver(AuctionOptions{Workers: 4}); err == nil {
-		t.Error("parallel bidding should be rejected")
+	// A zero cap selects the default; a positive one is honored.
+	for _, opts := range []AuctionOptions{{Epsilon: 0.01}, {Epsilon: 0.01, MaxIterations: 5}} {
+		if _, err := NewSolver(opts); err != nil {
+			t.Errorf("NewSolver(%+v): %v", opts, err)
+		}
 	}
-	if _, err := NewSolver(AuctionOptions{Epsilon: -1}); err == nil {
-		t.Error("negative epsilon should be rejected")
+}
+
+// TestSolverLoadNeverWritesProblem: a loaded solver adopts the problem's
+// capacities and edge slab. Deltas that remove requests (their edge arrays
+// enter the recycling pool), add requests (which take those arrays back),
+// update and shift edges and change capacities, and a Compact, must all
+// leave the problem as it was — a reload still solves it identically.
+func TestSolverLoadNeverWritesProblem(t *testing.T) {
+	p := randomProblemLarge(randx.New(11), 200, 20)
+	n := p.NumRequests()
+	edges := make([][]Edge, n)
+	for r := range edges {
+		edges[r] = slices.Clone(p.Edges(RequestID(r)))
+	}
+	caps := slices.Clone(p.capacities)
+	want, err := SolveAuction(p, AuctionOptions{Epsilon: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewSolver(AuctionOptions{Epsilon: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Load(p)
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	var d ProblemDelta
+	for r := 0; r < n; r += 2 {
+		d.RemoveRequests = append(d.RemoveRequests, RequestID(r))
+		d.AddRequests = append(d.AddRequests, []Edge{{Sink: SinkID(r % 20), Weight: 99}})
+	}
+	d.UpdateRequests = []RequestEdges{{Request: 1, Edges: []Edge{{Sink: 0, Weight: 98}}}}
+	d.ShiftValues = []ValueShift{{Request: 3, Delta: 5}}
+	d.SetCapacities = []SinkCapacity{{Sink: 0, Capacity: 97}}
+	if _, err := s.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyState(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	s.Compact()
+	if _, err := s.Apply(ProblemDelta{ShiftValues: []ValueShift{{Request: 0, Delta: -1}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	for r, es := range edges {
+		if got := p.Edges(RequestID(r)); !slices.Equal(got, es) {
+			t.Fatalf("request %d edges = %v after deltas, want %v", r, got, es)
+		}
+	}
+	if !slices.Equal(p.capacities, caps) {
+		t.Fatalf("capacities = %v after deltas, want %v", p.capacities, caps)
+	}
+	s.Load(p)
+	got, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Assignment.SinkOf, want.Assignment.SinkOf) || !slices.Equal(got.Prices, want.Prices) ||
+		got.Bids != want.Bids || got.Iterations != want.Iterations {
+		t.Fatal("reloaded solve differs from a fresh SolveAuction")
 	}
 }

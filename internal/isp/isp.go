@@ -165,40 +165,3 @@ func (t *Topology) IsInter(u, d PeerID) (bool, error) {
 	}
 	return !same, nil
 }
-
-// TrafficLedger tallies chunk transfers split into intra- and inter-ISP
-// traffic, the statistic behind the paper's Fig. 4/6(b). The zero value is
-// ready to use.
-type TrafficLedger struct {
-	intra, inter int64
-}
-
-// Record adds one chunk transfer crossing (or not) an ISP boundary.
-func (l *TrafficLedger) Record(inter bool) {
-	if inter {
-		l.inter++
-	} else {
-		l.intra++
-	}
-}
-
-// Intra returns the number of intra-ISP chunk transfers recorded.
-func (l *TrafficLedger) Intra() int64 { return l.intra }
-
-// Inter returns the number of inter-ISP chunk transfers recorded.
-func (l *TrafficLedger) Inter() int64 { return l.inter }
-
-// Total returns all transfers recorded.
-func (l *TrafficLedger) Total() int64 { return l.intra + l.inter }
-
-// InterFraction returns inter/(intra+inter), or 0 when no traffic was seen.
-func (l *TrafficLedger) InterFraction() float64 {
-	total := l.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(l.inter) / float64(total)
-}
-
-// Reset clears the ledger (used at slot boundaries).
-func (l *TrafficLedger) Reset() { l.intra, l.inter = 0, 0 }

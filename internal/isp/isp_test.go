@@ -177,26 +177,6 @@ func TestCostSeedSensitivity(t *testing.T) {
 	}
 }
 
-func TestTrafficLedger(t *testing.T) {
-	var l TrafficLedger
-	if l.InterFraction() != 0 {
-		t.Error("empty ledger fraction should be 0")
-	}
-	l.Record(true)
-	l.Record(true)
-	l.Record(false)
-	if l.Inter() != 2 || l.Intra() != 1 || l.Total() != 3 {
-		t.Fatalf("ledger counts wrong: inter=%d intra=%d", l.Inter(), l.Intra())
-	}
-	if f := l.InterFraction(); math.Abs(f-2.0/3.0) > 1e-12 {
-		t.Fatalf("fraction = %v", f)
-	}
-	l.Reset()
-	if l.Total() != 0 {
-		t.Error("reset should clear counts")
-	}
-}
-
 func TestSameISP(t *testing.T) {
 	topo := mustTopology(t, 2, 5)
 	a, _ := topo.AddPeer(0)

@@ -160,9 +160,9 @@ func init() {
 		Sim:      asym,
 	})
 
-	// large-scale — a ~10k-peer swarm scheduled by the parallel Jacobi
-	// auction: the scale stress test (single-seed smoke in tests; use the
-	// batch runner for sweeps).
+	// large-scale — a ~10k-peer swarm scheduled by the cold auction: the
+	// scale stress test (single-seed smoke in tests; use the batch runner
+	// for sweeps).
 	large := smallSim()
 	large.StaticPeers = 10000
 	large.Slots = 4
@@ -176,14 +176,13 @@ func init() {
 	large.Catalog.Count = 100
 	large.Catalog.SizeMB = 8
 	MustRegister(Spec{
-		Name:          "large-scale",
-		Summary:       "10k-peer swarm under the parallel Jacobi auction",
-		Workload:      "vod",
-		Kind:          KindSim,
-		Solver:        SolverAuctionJacobi,
-		SolverWorkers: 8,
-		Heavy:         true,
-		Sim:           large,
+		Name:     "large-scale",
+		Summary:  "10k-peer swarm under the cold auction",
+		Workload: "vod",
+		Kind:     KindSim,
+		Solver:   SolverAuction,
+		Heavy:    true,
+		Sim:      large,
 	})
 
 	// mega-swarm — the 100k-peer scale target: ~500 parallel swarms, each an
@@ -428,25 +427,6 @@ func init() {
 				MinWeight: -1, MaxWeight: 8,
 			},
 			Trials: 3, Epsilon: 0.01,
-		},
-	})
-
-	// solver-parallel — the Jacobi auction with parallel bid computation on
-	// larger instances (Bertsekas' original parallel-relaxation motivation).
-	MustRegister(Spec{
-		Name:          "solver-parallel",
-		Summary:       "parallel Jacobi auction on larger solver instances",
-		Workload:      "solver",
-		Kind:          KindTransport,
-		Solver:        SolverAuctionJacobi,
-		SolverWorkers: 4,
-		Transport: TransportParams{
-			TransportShape: TransportShape{
-				Requests: 300, Sinks: 60, MaxDegree: 6,
-				MinCapacity: 1, MaxCapacity: 6,
-				MinWeight: -1, MaxWeight: 8,
-			},
-			Trials: 2, Epsilon: 0.01,
 		},
 	})
 

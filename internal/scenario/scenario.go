@@ -92,9 +92,6 @@ const (
 	// equals the monolithic solve's within the ε-CS band — exactly, when no
 	// edges are cut (see docs/ARCHITECTURE.md §10).
 	SolverAuctionSharded Solver = "auction-sharded"
-	// SolverAuctionJacobi is the auction with Jacobi rounds, parallelizable
-	// across Spec.SolverWorkers goroutines.
-	SolverAuctionJacobi Solver = "auction-jacobi"
 	// SolverAuctionDES plays the auction as the paper's distributed
 	// protocol, message by message over a latency-accurate network
 	// (sim.DES, sim only). It records the λ_u trace behind Fig. 2 and loses
@@ -111,7 +108,7 @@ const (
 // Solvers lists every solver usable in a KindSim spec.
 func Solvers() []Solver {
 	return []Solver{SolverAuction, SolverAuctionWarm, SolverAuctionSharded,
-		SolverAuctionJacobi, SolverAuctionDES, SolverExact, SolverLocality, SolverRandom}
+		SolverAuctionDES, SolverExact, SolverLocality, SolverRandom}
 }
 
 // Scheduler instantiates the spec's solver as a slot scheduler for cfg. Call
@@ -130,8 +127,6 @@ func (s Spec) Scheduler(cfg sim.Config) (sched.Scheduler, error) {
 			MaxShardPeers: s.Sharding.MaxShardPeers,
 			Seed:          cfg.Seed,
 		}, nil
-	case SolverAuctionJacobi:
-		return &sched.Auction{Epsilon: cfg.Epsilon, Mode: core.Jacobi, Workers: s.SolverWorkers}, nil
 	case SolverAuctionDES:
 		return &sim.DES{}, nil
 	case SolverExact:
@@ -202,9 +197,6 @@ type Spec struct {
 	// for KindLive, which only plays the distributed auction — is
 	// SolverAuction.
 	Solver Solver
-	// SolverWorkers parallelizes SolverAuctionJacobi's bid computation
-	// (0 or 1 = sequential).
-	SolverWorkers int
 	// Sharding sizes SolverAuctionSharded's worker pool and shard
 	// refinement; other solvers ignore it.
 	Sharding Sharding
@@ -274,7 +266,7 @@ func (s Spec) Validate() error {
 		}
 	case KindTransport:
 		switch s.Solver {
-		case SolverAuction, SolverAuctionJacobi, SolverExact:
+		case SolverAuction, SolverExact:
 		default:
 			return fmt.Errorf("scenario %s: solver %q cannot solve bare transportation instances",
 				s.Name, s.Solver)
@@ -544,15 +536,7 @@ func (s Spec) runTransport(seed uint64) (*Result, error) {
 			got = opt
 			assigned += float64(exact.Assigned())
 		} else {
-			mode := core.GaussSeidel
-			workers := 0 // parallel bidding is a Jacobi-only option in core
-			if s.Solver == SolverAuctionJacobi {
-				mode = core.Jacobi
-				workers = s.SolverWorkers
-			}
-			res, err := core.SolveAuction(p, core.AuctionOptions{
-				Epsilon: t.Epsilon, Mode: mode, Workers: workers,
-			})
+			res, err := core.SolveAuction(p, core.AuctionOptions{Epsilon: t.Epsilon})
 			if err != nil {
 				return nil, err
 			}

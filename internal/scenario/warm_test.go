@@ -171,7 +171,7 @@ func testVariantSweepKey(t *testing.T, key string, variant, other Solver) {
 		{other, 0, other, false},
 		{other, 1, other, true},
 		{SolverLocality, 1, SolverLocality, true},
-		{SolverAuctionJacobi, 1, SolverAuctionJacobi, true},
+		{SolverAuctionDES, 1, SolverAuctionDES, true},
 	} {
 		spec := mustGet(t, "churn").WithSolver(c.from)
 		err := ApplyParam(&spec, key, c.v)

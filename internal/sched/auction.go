@@ -9,18 +9,21 @@ import (
 
 // Auction schedules slots with the paper's primal-dual auction, via the
 // centralized solver in internal/core (Theorem 1 guarantees the distributed
-// auctions converge to the same optimum; sim.DES checks that).
+// auctions converge to the same optimum; sim.DES checks that). Every round
+// is a cold solve: the Auction keeps one core.Solver and reloads it, which
+// resets it to λ = 0, so only its arrays carry over. Use one per run, not
+// for concurrent use.
 type Auction struct {
 	// Epsilon is the bid increment (0 = the paper's literal rule).
 	Epsilon float64
-	// Mode selects Gauss–Seidel (default) or Jacobi bidding rounds.
-	Mode core.BidMode
-	// Workers parallelizes Jacobi bid computation (0 or 1 = sequential;
-	// requires Jacobi mode, as in core.AuctionOptions).
-	Workers int
+
+	solver *core.Solver
 }
 
 var _ Scheduler = (*Auction)(nil)
+
+// noProblem is the empty problem an Auction's solver holds between rounds.
+var noProblem = core.NewProblem()
 
 // Name implements Scheduler.
 func (a *Auction) Name() string { return "auction" }
@@ -71,13 +74,22 @@ func grantsOf(in *Instance, a *core.Assignment) []Grant {
 }
 
 // Schedule implements Scheduler by translating the instance to a
-// transportation problem and running the auction solver.
+// transportation problem and solving it cold.
 func (a *Auction) Schedule(in *Instance) (*Result, error) {
 	p, err := buildProblem(in)
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
-	res, err := core.SolveAuction(p, core.AuctionOptions{Epsilon: a.Epsilon, Mode: a.Mode, Workers: a.Workers})
+	if a.solver == nil {
+		a.solver, err = core.NewSolver(core.AuctionOptions{Epsilon: a.Epsilon})
+	} else {
+		err = a.solver.SetEpsilon(a.Epsilon)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("auction schedule: %w", err)
+	}
+	a.solver.Load(p)
+	res, err := a.solver.SolveShared()
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
@@ -93,5 +105,9 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 	for i, u := range in.Uploaders {
 		out.Prices[u.Peer] = res.Prices[i]
 	}
+	// Let go of the round's problem, keeping the solver's buffers: held to
+	// the next Load, its edge slab would still be live while the next
+	// round's is built.
+	a.solver.Load(noProblem)
 	return out, nil
 }

@@ -2,9 +2,12 @@ package sched
 
 import (
 	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/isp"
 	"repro/internal/video"
 )
@@ -204,5 +207,48 @@ func TestBuildProblemAllocs(t *testing.T) {
 	if counts[0] != counts[1] || counts[1] > bound {
 		t.Fatalf("buildProblem allocs at 1k / 10k requests = %v / %v, want equal and <= %d",
 			counts[0], counts[1], bound)
+	}
+}
+
+// TestAuctionScheduleAllocs pins the cold slot's steady-state cost: an
+// Auction reloads the one core.Solver it keeps, so after the first round a
+// Schedule allocates the same count at 1k and 10k requests — the problem
+// build, the grants and the price map, nothing of the solve: 18 measured.
+// Its bytes stay within 10% of the problem's edge slab and request headers,
+// the build's floor; a solve that allocated per round again (a fresh
+// solver is ~50 B a request) breaks the budget. The race detector's build
+// allocates the presized slabs twice over (it does not fuse slices.Grow's
+// append-of-make), so only the count is pinned there. The collector is
+// paused while counting.
+func TestAuctionScheduleAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var counts []float64
+	for _, n := range []int{1000, 10000} {
+		in := allocsInstance(t, n)
+		a := &Auction{Epsilon: 0.01}
+		if _, err := a.Schedule(in); err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := a.Schedule(in); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := a.Schedule(in); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		floor := 0
+		for i := range in.Requests {
+			floor += len(in.Requests[i].Candidates)*int(unsafe.Sizeof(core.Edge{})) + int(unsafe.Sizeof([]core.Edge{}))
+		}
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(1.1*float64(floor)); got > budget && !raceEnabled {
+			t.Errorf("Schedule of %d requests allocated %d B, budget %d B", n, got, budget)
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("Schedule allocs at 1k / 10k requests = %v / %v, want equal", counts[0], counts[1])
 	}
 }

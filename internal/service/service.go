@@ -887,13 +887,6 @@ type SnapPrice struct {
 	Price float64 `json:"price"`
 }
 
-// SnapshotState captures the current state image.
-func (d *Daemon) SnapshotState() Snapshot {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.snapshotLocked()
-}
-
 func (d *Daemon) snapshotLocked() Snapshot {
 	s := Snapshot{Taken: time.Now(), Slot: d.slot, Totals: d.totals}
 	for p, info := range d.peers {

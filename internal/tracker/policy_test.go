@@ -214,19 +214,3 @@ func TestNeighborsLocalSeedsExemptAndErrors(t *testing.T) {
 		t.Error("unresolvable watcher ISP should error")
 	}
 }
-
-func TestConcurrentNeighborsLocal(t *testing.T) {
-	tr, ispOf := localityWorld(t)
-	c := Wrap(tr)
-	want, err := tr.NeighborsLocal(4, 6, Policy{Kind: PolicyCrossCap, MaxCross: 1}, ispOf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.NeighborsLocal(4, 6, Policy{Kind: PolicyCrossCap, MaxCross: 1}, ispOf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("facade list %v != direct %v", got, want)
-	}
-}

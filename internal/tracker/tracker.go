@@ -22,8 +22,7 @@ type Entry struct {
 }
 
 // Tracker is the registry. It is not safe for concurrent use; the simulation
-// control loop owns it. Callers that touch the registry from multiple
-// goroutines (sharded orchestration, protocol servers) wrap it in Concurrent.
+// control loop owns it.
 type Tracker struct {
 	entries map[isp.PeerID]*Entry
 	byVideo map[video.ID]map[isp.PeerID]*Entry

@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isp"
@@ -144,5 +145,31 @@ func TestWatching(t *testing.T) {
 	tr.Leave(2)
 	if tr.Watching(0) != 0 {
 		t.Fatal("video map not cleaned up")
+	}
+}
+
+// TestSwarmPeersIndex pins the by-video index: sorted ids, seeds included,
+// empty swarms nil, and Leave maintenance.
+func TestSwarmPeersIndex(t *testing.T) {
+	tr := New()
+	for _, e := range []Entry{
+		{Peer: 5, Video: 1},
+		{Peer: 2, Video: 1, Seed: true},
+		{Peer: 9, Video: 1},
+		{Peer: 3, Video: 2},
+	} {
+		if err := tr.Join(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tr.SwarmPeers(1), []isp.PeerID{2, 5, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("SwarmPeers(1) = %v, want %v", got, want)
+	}
+	if got := tr.SwarmPeers(42); got != nil {
+		t.Errorf("empty swarm = %v, want nil", got)
+	}
+	tr.Leave(5)
+	if got, want := tr.SwarmPeers(1), []isp.PeerID{2, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after Leave: %v, want %v", got, want)
 	}
 }

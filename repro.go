@@ -179,7 +179,6 @@ const (
 	SolverAuction        = scenario.SolverAuction
 	SolverAuctionWarm    = scenario.SolverAuctionWarm
 	SolverAuctionSharded = scenario.SolverAuctionSharded
-	SolverAuctionJacobi  = scenario.SolverAuctionJacobi
 	SolverAuctionDES     = scenario.SolverAuctionDES
 	SolverExact          = scenario.SolverExact
 	SolverLocality       = scenario.SolverLocality
