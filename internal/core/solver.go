@@ -171,6 +171,7 @@ func (s *Solver) Load(p *Problem) {
 	n, m := p.NumRequests(), p.NumSinks()
 	s.caps, s.adj, s.shared = p.capacities[:m:m], p.adj[:n:n], true
 	s.numEdges, s.aliveReqs, s.aliveSinks = p.numEdges, n, m
+	s.maxW = p.MaxWeight()
 
 	f := zeroed(&s.floatSlab, m+2*n)
 	s.lambda, s.bidOf, s.wOf = cut(&f, m), cut(&f, n), cut(&f, n)
@@ -182,11 +183,9 @@ func (s *Solver) Load(p *Problem) {
 
 	// Count in-degrees in the (zeroed) sink stamps, carve the books, and
 	// zero the stamps again.
-	s.maxW = 0
 	for _, edges := range s.adj {
 		for _, e := range edges {
 			s.dupStamp[e.Sink]++
-			s.noteWeight(e.Weight)
 		}
 	}
 	books := 0
