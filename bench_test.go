@@ -431,7 +431,7 @@ func BenchmarkWarmStartSimChurnWarm(b *testing.B) {
 // churn each, at three problem sizes. The monolithic baselines pay one
 // global solve per slot — cold (rebuild + λ=0 auction, the pre-warm-start
 // baseline) or warm (one global incremental solver, the PR-2 baseline); the
-// sharded runs pay partition + per-shard warm solves on 1/2/4/8 workers.
+// sharded runs pay partition + per-shard cold solves on 1/2/4/8 workers.
 // Results are recorded in BENCH_shard.json and discussed in
 // docs/PERFORMANCE.md ("The sharding headline").
 

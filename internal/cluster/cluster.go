@@ -1,7 +1,6 @@
 // Package cluster is the sharded swarm orchestrator: it partitions one
 // slot's scheduling problem into its independent components and solves them
-// as separate markets, concurrently, each with its own persistent
-// warm-started auction.
+// as separate markets, concurrently, each with its own cold auction.
 //
 // The decomposition is exact, not heuristic: a downloader only bids at
 // uploaders in its neighbor list, so the slot problem (paper §III, problem
@@ -10,13 +9,15 @@
 // lists never cross videos. Solving the components separately and merging
 // the results yields the same ε-complementary-slackness certificate as one
 // monolithic solve: prices and assignments never interact across components
-// because no edge crosses them. The golden referee (VerifySharded) asserts
-// exactly that.
+// because no edge crosses them. With the cold auction it is the same
+// solution bit for bit: the auction's FIFO bid queue, restricted to one
+// component, is that component's own queue. The golden referee
+// (VerifySharded) asserts the certificate.
 //
 // Components are grouped under a stable swarm key (the smallest video id of
 // the component's requests), so a shard keeps its identity — and its
-// warm-started core.Solver, via sched.WarmAuction — across slots even as
-// churn reshapes the component. Oversized components can additionally be
+// solver's reusable buffers — across slots even as churn reshapes the
+// component. Oversized components can additionally be
 // split by ISP affinity (the locality literature's observation that swarm
 // traffic decomposes per ISP once locality bias is in force); that
 // refinement cuts the few cross-ISP edges and is therefore no longer exact —

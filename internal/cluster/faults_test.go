@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,15 +12,15 @@ import (
 
 // TestShardedSlowSolverInjection: the fault layer's slow-solver wrapper
 // composes with the per-shard solver factory — a drill can make individual
-// shards lag without touching the orchestrator — and the grants are the same
-// as with clean solvers (the wrapper only adds latency).
+// shards lag without touching the orchestrator — and the grants are exactly
+// those of the default solvers (the wrapper only adds latency).
 func TestShardedSlowSolverInjection(t *testing.T) {
 	const eps = 0.01
 	slots := buildSlots(3, 4, 3, 20, 6, 0.1, false)
 	spec := fault.Spec{SolveDelay: time.Millisecond}
 	slow := &ShardedAuction{Epsilon: eps, Workers: 2,
 		NewSolver: func(key Key, rng *randx.Source) sched.Scheduler {
-			return fault.Slow(&sched.WarmAuction{Epsilon: eps}, spec)
+			return fault.Slow(&sched.Auction{Epsilon: eps}, spec)
 		}}
 	clean := &ShardedAuction{Epsilon: eps, Workers: 2}
 	for i, in := range slots {
@@ -35,9 +36,11 @@ func TestShardedSlowSolverInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sres.Grants) != len(cres.Grants) {
-			t.Fatalf("slot %d: slow solvers changed the outcome: %d vs %d grants",
-				i, len(sres.Grants), len(cres.Grants))
+		if len(cres.Grants) == 0 {
+			t.Fatalf("slot %d: nothing granted; the fixture is vacuous", i)
+		}
+		if !reflect.DeepEqual(sres.Grants, cres.Grants) {
+			t.Fatalf("slot %d: slow solvers changed the grants", i)
 		}
 	}
 }

@@ -16,9 +16,7 @@ import (
 // linear pass), and only the dirty shards' subgraph is re-run through
 // union-find. The output is defined to be identical to a from-scratch
 // PartitionInstance(in, 0, nil) — pinned by TestIncrementalPartitionEqualsFull
-// — so which path produced a partition is unobservable downstream. After a
-// carried update, project maps the producer's delta onto the rows of each
-// shard that kept its key, so its solver need not re-derive it.
+// — so which path produced a partition is unobservable downstream.
 //
 // Dirtiness closure: a removed row dirties its shard (the component may
 // split); a new or edge-rewritten request dirties its previous shard and
@@ -40,25 +38,17 @@ type incrementalPartitioner struct {
 	// Lifecycle counters (surfaced through ShardedAuction.Stats).
 	incremental, rebuilds int64
 
-	// prevOf maps each shard of the current partition to the index of the
-	// same-key shard in the previous one (-1: a new key). It is filled only
-	// by a carried update, the one case in which project can map the
-	// producer's delta onto a shard; it is empty otherwise.
-	prevOf []int32
-
 	// Scratch reused across slots.
 	p2cUp, p2cReq []int32
 	dirtyShard    []bool
 	inSetUp       []bool
 	inSetReq      []bool
 	ufParent      []int32
-	cleanFlags    []bool
 	rootComp      []int32 // union-find root row → index in comps (-1: none)
 	comps         []component
 	groups        []refoundGroup
 	groupOf       map[video.ID]int32
 	usedKey       map[video.ID]int
-	pendingBuf    []pendingShard
 }
 
 // component is one re-found connected component: its swarm key (the
@@ -77,21 +67,11 @@ type refoundGroup struct {
 	reqs, ups []int
 }
 
-// pendingShard stages one output shard (carried or re-found) before the
-// final key sort.
-type pendingShard struct {
-	shard Shard
-	clean bool
-}
-
 // partitionState is one retained slot's partition plus its row→shard maps
-// (shard indices refer to part.Shards; -1 = idle uploader / orphan request)
-// and each member row's position in its shard's list — its row in that
-// shard's sub-instance.
+// (shard indices refer to part.Shards; -1 = idle uploader / orphan request).
 type partitionState struct {
 	part                  Partition
 	shardOfUp, shardOfReq []int32
-	localOfUp, localOfReq []int32
 	rowArena              []int // backing storage for the shards' member lists
 }
 
@@ -104,40 +84,26 @@ func (s *partitionState) reset() {
 	s.part.Refined = 0
 	s.shardOfUp = s.shardOfUp[:0]
 	s.shardOfReq = s.shardOfReq[:0]
-	s.localOfUp = s.localOfUp[:0]
-	s.localOfReq = s.localOfReq[:0]
 	s.rowArena = s.rowArena[:0]
 }
 
 // invalidate drops the carried state (the next update rebuilds).
-func (ip *incrementalPartitioner) invalidate() {
-	ip.valid = false
-	ip.prevOf = ip.prevOf[:0]
-}
+func (ip *incrementalPartitioner) invalidate() { ip.valid = false }
 
-// update returns the slot's partition and, when membership was carried, a
-// per-shard clean flag (clean = identical membership and candidate lists as
-// the previous slot — only values/capacities may differ — so the shard's
-// solver can take an identity delta). The returned partition and flags are
-// valid until the next update.
-func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDelta) (*Partition, []bool) {
-	ip.prevOf = ip.prevOf[:0]
+// update returns the slot's partition, valid until the next update.
+func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDelta) *Partition {
 	if d != nil && ip.valid &&
 		len(d.PrevUp) == len(in.Uploaders) && len(d.PrevReq) == len(in.Requests) &&
 		len(d.SameCands) == len(in.Requests) {
 		if d.Identity {
 			// Same rows, same edges: the partition is exactly last slot's.
 			ip.incremental++
-			ip.cleanFlags = resizeBool(ip.cleanFlags, len(ip.cur.part.Shards))
-			for i := range ip.cleanFlags {
-				ip.cleanFlags[i] = true
-			}
-			return &ip.cur.part, ip.cleanFlags
+			return &ip.cur.part
 		}
-		part, clean, err := ip.updateIncremental(in, d)
+		part, err := ip.updateIncremental(in, d)
 		if err == nil {
 			ip.incremental++
-			return part, clean
+			return part
 		}
 		// Inconsistent delta: fall through to the full rebuild (never
 		// wrong, only slower). The error is intentionally not surfaced —
@@ -148,7 +114,7 @@ func (ip *incrementalPartitioner) update(in *sched.Instance, d *sched.InstanceDe
 
 // rebuild runs the full partition and captures its row→shard maps as the
 // next slot's baseline.
-func (ip *incrementalPartitioner) rebuild(in *sched.Instance) (*Partition, []bool) {
+func (ip *incrementalPartitioner) rebuild(in *sched.Instance) *Partition {
 	part := PartitionInstance(in, 0, nil)
 	ip.rebuilds++
 	st := &ip.cur
@@ -156,29 +122,27 @@ func (ip *incrementalPartitioner) rebuild(in *sched.Instance) (*Partition, []boo
 	st.part = *part
 	ip.captureMaps(st, len(in.Uploaders), len(in.Requests))
 	ip.valid = true
-	return &st.part, nil
+	return &st.part
 }
 
-// captureMaps derives the row→shard and row→position maps from st.part.
+// captureMaps derives the row→shard maps from st.part.
 func (ip *incrementalPartitioner) captureMaps(st *partitionState, nUp, nReq int) {
 	st.shardOfUp = resizeInt32(st.shardOfUp, nUp, -1)
 	st.shardOfReq = resizeInt32(st.shardOfReq, nReq, -1)
-	st.localOfUp = resizeInt32(st.localOfUp, nUp, -1)
-	st.localOfReq = resizeInt32(st.localOfReq, nReq, -1)
 	for si := range st.part.Shards {
 		sh := &st.part.Shards[si]
-		for j, ui := range sh.Uploaders {
-			st.shardOfUp[ui], st.localOfUp[ui] = int32(si), int32(j)
+		for _, ui := range sh.Uploaders {
+			st.shardOfUp[ui] = int32(si)
 		}
-		for j, ri := range sh.Requests {
-			st.shardOfReq[ri], st.localOfReq[ri] = int32(si), int32(j)
+		for _, ri := range sh.Requests {
+			st.shardOfReq[ri] = int32(si)
 		}
 	}
 }
 
 // updateIncremental is the carried-membership path; an error means the
 // delta contradicts the carried state and the caller must rebuild.
-func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched.InstanceDelta) (*Partition, []bool, error) {
+func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched.InstanceDelta) (*Partition, error) {
 	nUp, nReq := len(in.Uploaders), len(in.Requests)
 	prev := &ip.cur
 	prevUps, prevReqs := len(prev.shardOfUp), len(prev.shardOfReq)
@@ -191,7 +155,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 	for i, p := range d.PrevUp {
 		if p >= 0 {
 			if int(p) >= prevUps {
-				return nil, nil, fmt.Errorf("cluster: delta uploader row %d out of range", p)
+				return nil, fmt.Errorf("cluster: delta uploader row %d out of range", p)
 			}
 			p2cUp[p] = int32(i)
 		}
@@ -201,7 +165,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 	for i, p := range d.PrevReq {
 		if p >= 0 {
 			if int(p) >= prevReqs {
-				return nil, nil, fmt.Errorf("cluster: delta request row %d out of range", p)
+				return nil, fmt.Errorf("cluster: delta request row %d out of range", p)
 			}
 			p2cReq[p] = int32(i)
 		}
@@ -217,7 +181,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 	dirty, inSetUp, inSetReq := ip.dirtyShard, ip.inSetUp, ip.inSetReq
 	for _, r := range d.RemovedUps {
 		if int(r) >= prevUps {
-			return nil, nil, fmt.Errorf("cluster: delta removes uploader row %d out of range", r)
+			return nil, fmt.Errorf("cluster: delta removes uploader row %d out of range", r)
 		}
 		if s := prev.shardOfUp[r]; s >= 0 {
 			dirty[s] = true
@@ -225,7 +189,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 	}
 	for _, r := range d.RemovedReqs {
 		if int(r) >= prevReqs {
-			return nil, nil, fmt.Errorf("cluster: delta removes request row %d out of range", r)
+			return nil, fmt.Errorf("cluster: delta removes request row %d out of range", r)
 		}
 		if s := prev.shardOfReq[r]; s >= 0 {
 			dirty[s] = true
@@ -383,7 +347,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 	// their keys collide (a component's key migrated onto a clean shard's).
 	next := &ip.spare
 	next.reset()
-	out := ip.pendingBuf[:0]
+	out := next.part.Shards
 	usedKey := ip.usedKey // key → index in out, for collision merges
 	for si := 0; si < nShards; si++ {
 		if dirty[si] {
@@ -394,7 +358,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		for _, ui := range src.Uploaders {
 			c := p2cUp[ui]
 			if c < 0 {
-				return nil, nil, fmt.Errorf("cluster: clean shard %v lost uploader row %d", src.Key, ui)
+				return nil, fmt.Errorf("cluster: clean shard %v lost uploader row %d", src.Key, ui)
 			}
 			next.rowArena = append(next.rowArena, int(c))
 		}
@@ -403,13 +367,13 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		for _, ri := range src.Requests {
 			c := p2cReq[ri]
 			if c < 0 {
-				return nil, nil, fmt.Errorf("cluster: clean shard %v lost request row %d", src.Key, ri)
+				return nil, fmt.Errorf("cluster: clean shard %v lost request row %d", src.Key, ri)
 			}
 			next.rowArena = append(next.rowArena, int(c))
 		}
 		reqs := next.rowArena[start:len(next.rowArena):len(next.rowArena)]
 		usedKey[src.Key.Video] = len(out)
-		out = append(out, pendingShard{shard: Shard{Key: src.Key, Requests: reqs, Uploaders: ups}, clean: true})
+		out = append(out, Shard{Key: src.Key, Requests: reqs, Uploaders: ups})
 	}
 	// Carve the re-found groups' member lists from the arena (one
 	// reservation, so no carved list moves), then fill them in parent row
@@ -445,29 +409,21 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 	for g := range groups {
 		gr := &groups[g]
 		if oi, collision := usedKey[gr.key]; collision {
-			// Merge into the carried shard, keeping parent order; the shard
-			// is no longer identical to last slot's.
-			out[oi].shard.Requests = mergeSortedRows(out[oi].shard.Requests, gr.reqs)
-			out[oi].shard.Uploaders = mergeSortedRows(out[oi].shard.Uploaders, gr.ups)
-			out[oi].clean = false
+			// Merge into the carried shard, keeping parent order.
+			out[oi].Requests = mergeSortedRows(out[oi].Requests, gr.reqs)
+			out[oi].Uploaders = mergeSortedRows(out[oi].Uploaders, gr.ups)
 			continue
 		}
 		usedKey[gr.key] = len(out)
-		out = append(out, pendingShard{shard: Shard{Key: Key{Video: gr.key, ISP: NoISP}, Requests: gr.reqs, Uploaders: gr.ups}})
+		out = append(out, Shard{Key: Key{Video: gr.key, ISP: NoISP}, Requests: gr.reqs, Uploaders: gr.ups})
 	}
-	slices.SortFunc(out, func(a, b pendingShard) int {
-		if a.shard.Key.less(b.shard.Key) {
+	slices.SortFunc(out, func(a, b Shard) int {
+		if a.Key.less(b.Key) {
 			return -1
 		}
 		return 1
 	})
-
-	ip.cleanFlags = resizeBool(ip.cleanFlags, len(out))
-	for i := range out {
-		next.part.Shards = append(next.part.Shards, out[i].shard)
-		ip.cleanFlags[i] = out[i].clean
-	}
-	ip.pendingBuf = out[:0]
+	next.part.Shards = out
 	ip.captureMaps(next, nUp, nReq)
 	for i := 0; i < nUp; i++ {
 		if next.shardOfUp[i] < 0 {
@@ -480,77 +436,7 @@ func (ip *incrementalPartitioner) updateIncremental(in *sched.Instance, d *sched
 		}
 	}
 	ip.cur, ip.spare = ip.spare, ip.cur
-	ip.linkPrevious()
-	return &ip.cur.part, ip.cleanFlags, nil
-}
-
-// linkPrevious fills prevOf after a carried update: both partitions are
-// sorted by key, so one merge pass pairs the same-key shards.
-func (ip *incrementalPartitioner) linkPrevious() {
-	cur, prev := ip.cur.part.Shards, ip.spare.part.Shards
-	ip.prevOf = slices.Grow(ip.prevOf[:0], len(cur))
-	j := 0
-	for i := range cur {
-		for j < len(prev) && prev[j].Key.less(cur[i].Key) {
-			j++
-		}
-		link := int32(-1)
-		if j < len(prev) && prev[j].Key == cur[i].Key {
-			link = int32(j)
-		}
-		ip.prevOf = append(ip.prevOf, link)
-	}
-}
-
-// project fills dst with shard i's slot-to-slot delta in shard-local rows —
-// the rows of its Subset sub-instance — mapped from the producer's delta d,
-// and reports whether it could. It can only after a carried update, and
-// only for a shard whose key was in the previous partition: that shard's
-// solver last saw exactly the previous same-key shard's rows. Local rows
-// are positions in the member lists; a row carried from another shard (or
-// from nowhere) is new to this one, and a previous member that left the
-// shard is removed from it, exactly as a by-key match would find. The
-// result is marked Projected. Safe to call concurrently for distinct shards.
-func (ip *incrementalPartitioner) project(i int, d, dst *sched.InstanceDelta) bool {
-	if i >= len(ip.prevOf) || ip.prevOf[i] < 0 {
-		return false
-	}
-	ps := ip.prevOf[i]
-	cur, prev := &ip.cur, &ip.spare
-	sh, psh := &cur.part.Shards[i], &prev.part.Shards[ps]
-	dst.Identity, dst.Projected = false, true
-
-	dst.PrevUp = dst.PrevUp[:0]
-	for _, ui := range sh.Uploaders {
-		local := int32(-1)
-		if p := d.PrevUp[ui]; p >= 0 && prev.shardOfUp[p] == ps {
-			local = prev.localOfUp[p]
-		}
-		dst.PrevUp = append(dst.PrevUp, local)
-	}
-	dst.RemovedUps = dst.RemovedUps[:0]
-	for j, p := range psh.Uploaders {
-		if c := ip.p2cUp[p]; c < 0 || cur.shardOfUp[c] != int32(i) {
-			dst.RemovedUps = append(dst.RemovedUps, int32(j))
-		}
-	}
-
-	dst.PrevReq, dst.SameCands = dst.PrevReq[:0], dst.SameCands[:0]
-	for _, ri := range sh.Requests {
-		local := int32(-1)
-		if p := d.PrevReq[ri]; p >= 0 && prev.shardOfReq[p] == ps {
-			local = prev.localOfReq[p]
-		}
-		dst.PrevReq = append(dst.PrevReq, local)
-		dst.SameCands = append(dst.SameCands, local >= 0 && d.SameCands[ri])
-	}
-	dst.RemovedReqs = dst.RemovedReqs[:0]
-	for j, p := range psh.Requests {
-		if c := ip.p2cReq[p]; c < 0 || cur.shardOfReq[c] != int32(i) {
-			dst.RemovedReqs = append(dst.RemovedReqs, int32(j))
-		}
-	}
-	return true
+	return &ip.cur.part, nil
 }
 
 // mergeSortedRows merges two ascending row lists into a fresh ascending

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"cmp"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -178,34 +179,31 @@ func samePartition(t *testing.T, slot int, got, want *Partition) {
 // TestIncrementalPartitionEqualsFull is the membership golden: across a
 // churning multi-swarm trace, the carried partition must equal a
 // from-scratch PartitionInstance on every slot — and the incremental path
-// must actually run (not silently fall back to rebuilds).
+// must actually run (not silently fall back to rebuilds) and carry some
+// shard over without re-finding it.
 func TestIncrementalPartitionEqualsFull(t *testing.T) {
 	m := newSwarmModel(13, 6, 8, 30)
 	b := sched.NewBuilder()
 	var ip incrementalPartitioner
-	cleanSeen := false
+	carriedSeen := false
 	for slot := 0; slot < 20; slot++ {
 		if slot > 0 {
 			m.churn()
 		}
 		in, d := m.build(t, b)
-		got, clean := ip.update(in, d)
+		before := ip.incremental
+		got := ip.update(in, d)
 		want := PartitionInstance(in, 0, nil)
 		samePartition(t, slot, got, want)
-		if clean != nil {
-			if len(clean) != len(got.Shards) {
-				t.Fatalf("slot %d: %d clean flags for %d shards", slot, len(clean), len(got.Shards))
-			}
-			for _, c := range clean {
-				cleanSeen = cleanSeen || c
-			}
+		if ip.incremental > before && !d.Identity && slices.Contains(ip.dirtyShard, false) {
+			carriedSeen = true
 		}
 	}
 	if ip.incremental == 0 {
 		t.Fatal("the incremental path never ran — every slot fell back to a rebuild")
 	}
-	if !cleanSeen {
-		t.Fatal("no shard was ever carried clean — identity deltas are unreachable")
+	if !carriedSeen {
+		t.Fatal("no shard was ever carried — every incremental update re-found them all")
 	}
 	t.Logf("%d incremental updates, %d rebuilds", ip.incremental, ip.rebuilds)
 }
@@ -284,7 +282,7 @@ func TestIncrementalPartitionKeyMigration(t *testing.T) {
 		return in, d
 	}
 	in, d := build(true)
-	got, _ := ip.update(in, d)
+	got := ip.update(in, d)
 	if len(got.Shards) != 2 {
 		t.Fatalf("round 1: %d shards, want 2 (keys 1 and 2)", len(got.Shards))
 	}
@@ -294,14 +292,11 @@ func TestIncrementalPartitionKeyMigration(t *testing.T) {
 	if d == nil {
 		t.Fatal("no delta for the migration round")
 	}
-	got, clean := ip.update(in, d)
+	got = ip.update(in, d)
 	want := PartitionInstance(in, 0, nil)
 	samePartition(t, 1, got, want)
 	if len(got.Shards) != 1 || got.Shards[0].Key.Video != 2 {
 		t.Fatalf("migration round: shards %+v, want one shard keyed video 2", got.Shards)
-	}
-	if clean == nil || clean[0] {
-		t.Fatalf("the merged shard must not be clean (clean=%v)", clean)
 	}
 	// Round 1 had no delta baseline (first build), so only round 2 could be
 	// incremental — and must have been.
@@ -345,58 +340,82 @@ func replay(t testing.TB, b *sched.Builder, in *sched.Instance) (*sched.Instance
 	return out, d
 }
 
-// TestShardedProjectedDeltasEqualDerived is the differential test of the
-// per-shard delta projection: the same Builder-produced churn sequence fed
-// through ScheduleDelta (dirty shards take the producer's delta projected
-// onto their rows) and through a second orchestrator's Schedule (every
-// shard derives its delta by key) must yield bit-equal grants, prices and
-// stats on every slot.
-func TestShardedProjectedDeltasEqualDerived(t *testing.T) {
+// TestShardedColdEqualsMonolithic is the differential test of the cold
+// shards: the same Builder-produced churn sequence, fed through
+// ScheduleDelta (the carried partition) and through a second orchestrator's
+// Schedule (a full partition every slot), must grant exactly what one
+// monolithic sched.Auction grants, at exactly its prices, on every slot and
+// at every worker count. The cold auction's FIFO bid queue, restricted to
+// an independent component, is that component's own queue, so each shard
+// replays its part of the monolithic solve bid for bid.
+func TestShardedColdEqualsMonolithic(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		slots   []*sched.Instance
-		workers int
+		name  string
+		slots []*sched.Instance
 	}{
-		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false), 2},
-		{"integral", buildSlots(31, 14, 5, 60, 12, 0.3, true), 8},
-		{"heavy-churn", buildSlots(37, 10, 12, 25, 6, 0.6, false), 1},
-		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12), 2},
+		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false)},
+		{"integral", buildSlots(31, 14, 5, 60, 12, 0.3, true)},
+		{"heavy-churn", buildSlots(37, 10, 12, 25, 6, 0.6, false)},
+		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := sched.NewBuilder()
-			viaDelta := &ShardedAuction{Epsilon: 0.01, Workers: tc.workers, Seed: 5}
-			viaKey := &ShardedAuction{Epsilon: 0.01, Workers: tc.workers, Seed: 5}
-			for slot, raw := range tc.slots {
-				in, d := replay(t, b, raw)
-				got, err := viaDelta.ScheduleDelta(in, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := viaKey.Schedule(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Grants, want.Grants) {
-					t.Fatalf("slot %d: grants diverge", slot)
-				}
-				if !reflect.DeepEqual(got.Prices, want.Prices) {
-					t.Fatalf("slot %d: prices diverge", slot)
-				}
-				if !reflect.DeepEqual(got.Stats, want.Stats) {
-					t.Fatalf("slot %d: stats diverge:\n got %v\nwant %v", slot, got.Stats, want.Stats)
-				}
-			}
-			if !reflect.DeepEqual(viaDelta.WelfareSeries(), viaKey.WelfareSeries()) {
-				t.Fatal("welfare series diverge")
-			}
-			if viaDelta.Stats().ProjectedDeltas == 0 {
-				t.Fatal("no shard ever took a projected delta")
-			}
-			if viaKey.Stats().ProjectedDeltas != 0 {
-				t.Fatal("the by-key twin projected a delta")
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					coldEqualsMonolithic(t, tc.slots, workers)
+				})
 			}
 		})
 	}
+}
+
+// coldEqualsMonolithic replays slots through a Builder and checks both
+// sharded entry points against one sched.Auction on every slot.
+func coldEqualsMonolithic(t *testing.T, slots []*sched.Instance, workers int) {
+	b := sched.NewBuilder()
+	viaDelta := &ShardedAuction{Epsilon: 0.01, Workers: workers, Seed: 5}
+	viaFull := &ShardedAuction{Epsilon: 0.01, Workers: workers, Seed: 5}
+	mono := &sched.Auction{Epsilon: 0.01}
+	for slot, raw := range slots {
+		in, d := replay(t, b, raw)
+		want, err := mono.Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := viaDelta.ScheduleDelta(in, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutcome(t, fmt.Sprintf("slot %d via ScheduleDelta", slot), got, want)
+		if got, err = viaFull.Schedule(in); err != nil {
+			t.Fatal(err)
+		}
+		sameOutcome(t, fmt.Sprintf("slot %d via Schedule", slot), got, want)
+	}
+	if viaDelta.Stats().PartitionIncremental == 0 {
+		t.Fatal("the delta-fed orchestrator never carried its partition")
+	}
+}
+
+// sameOutcome fails unless got grants exactly want's grants (the sharded
+// merge lists them in shard-key order, the monolithic solve in request
+// order) at bit-equal prices.
+func sameOutcome(t *testing.T, label string, got, want *sched.Result) {
+	t.Helper()
+	g := sortedGrants(got.Grants)
+	if !slices.Equal(g, want.Grants) {
+		t.Fatalf("%s: grants diverge from the monolithic auction's (%d vs %d)", label, len(g), len(want.Grants))
+	}
+	if !reflect.DeepEqual(got.Prices, want.Prices) {
+		t.Fatalf("%s: prices diverge from the monolithic auction's", label)
+	}
+}
+
+// sortedGrants returns grants in request order, the order a monolithic
+// solve lists them in.
+func sortedGrants(grants []sched.Grant) []sched.Grant {
+	return slices.SortedFunc(slices.Values(grants), func(x, y sched.Grant) int {
+		return cmp.Compare(x.Request, y.Request)
+	})
 }
 
 // crossSwarmSlots generates a churn trace whose components merge, split

@@ -101,7 +101,7 @@ func (u *unionFind) union(a, b int32) {
 // set together). Phase 2 groups components under their stable swarm key —
 // the smallest video id among a component's requests — merging components
 // that share a key (they stay independent inside one solver, and a stable
-// key is what lets the orchestrator reuse a warm solver across slots).
+// key is what lets the orchestrator keep a shard's solver across slots).
 // Phase 3, only when maxPeers > 0 and ispOf is provided, splits groups
 // larger than maxPeers into per-ISP slices: uploaders go to their own ISP's
 // slice, each request follows its cheapest candidate, and the request's

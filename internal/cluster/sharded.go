@@ -17,10 +17,9 @@ import (
 )
 
 // defaultTTL is how many consecutive slots a shard may sit unused (its swarm
-// drained or merged away) before its solver is reclaimed. Reclamation is the
-// cluster-level counterpart of core.Solver.Compact: a retired shard's warm
-// state is worthless once its peers are gone, and a returning swarm simply
-// gets a fresh solver.
+// drained or merged away) before its solver is reclaimed. A retired shard's
+// buffers (and a stateful factory solver's warm state) are worthless once
+// its peers are gone, and a returning swarm simply gets a fresh solver.
 const defaultTTL = 8
 
 // shardState is the orchestrator's persistent view of one shard.
@@ -29,9 +28,6 @@ type shardState struct {
 	rng    *randx.Source
 	// idle counts consecutive slots the shard was absent from the partition.
 	idle int
-	// delta is the shard's projected-delta scratch (see
-	// incrementalPartitioner.project), reused across slots.
-	delta sched.InstanceDelta
 }
 
 // solved is one shard's outcome in a slot.
@@ -54,9 +50,6 @@ type Stats struct {
 	// shards re-found) versus re-partitioned the whole graph (first slot,
 	// no delta, refinement active, or an inconsistent delta).
 	PartitionIncremental, PartitionRebuilds int64
-	// ProjectedDeltas counts shard solves fed a delta projected from the
-	// producer's (the rest take an identity delta or derive theirs by key).
-	ProjectedDeltas int64
 	// CutEdges totals candidate edges dropped by ISP-affinity refinement.
 	CutEdges int64
 	// MaxShardRequests is the largest per-shard request count seen.
@@ -65,16 +58,20 @@ type Stats struct {
 
 // ShardedAuction is a sched.Scheduler that solves each slot as a set of
 // independent per-swarm markets: PartitionInstance splits the instance,
-// every shard keeps a persistent warm-started auction (sched.WarmAuction by
-// default) across slots, and a bounded worker pool solves the shards
-// concurrently. Results are identical regardless of Workers: shards share no
-// state, and grants, prices and stats merge in deterministic shard-key
-// order.
+// every shard keeps its own solver across slots (a cold sched.Auction by
+// default, whose problem and solver buffers it reuses), and a bounded
+// worker pool solves the shards concurrently. Results are identical
+// regardless of Workers: shards share no state, and grants, prices and
+// stats merge in deterministic shard-key order. With the default solver and
+// no refinement they are also bit-equal to one sched.Auction on the whole
+// instance: the cold auction's FIFO bid queue, restricted to an independent
+// component, is that component's own queue, so every shard replays its
+// part of the monolithic solve exactly.
 //
-// Like WarmAuction, a ShardedAuction carries state across Schedule calls and
-// is bound to one simulation run: create a fresh value per run and do not
-// call Schedule from multiple goroutines (the internal pool is the
-// parallelism).
+// A ShardedAuction carries shard membership and solvers across Schedule
+// calls and is bound to one simulation run: create a fresh value per run
+// and do not call Schedule from multiple goroutines (the internal pool is
+// the parallelism).
 type ShardedAuction struct {
 	// Epsilon is the bid increment handed to every per-shard solver.
 	Epsilon float64
@@ -92,8 +89,8 @@ type ShardedAuction struct {
 	// TTLSlots overrides the idle-reclamation horizon (0 = defaultTTL).
 	TTLSlots int
 	// NewSolver overrides the per-shard solver factory (default: a
-	// sched.WarmAuction with Epsilon). The shard's private random stream is
-	// for factories whose solvers randomize; WarmAuction ignores it.
+	// sched.Auction with Epsilon). The shard's private random stream is for
+	// factories whose solvers randomize; sched.Auction ignores it.
 	NewSolver func(key Key, rng *randx.Source) sched.Scheduler
 	// SelfCheck runs the golden referee (VerifySharded) after every slot —
 	// a monolithic re-solve per Schedule, so tests only.
@@ -160,16 +157,12 @@ func (a *ShardedAuction) Schedule(in *sched.Instance) (*sched.Result, error) {
 
 // ScheduleDelta implements sched.DeltaScheduler: with a producer-supplied
 // slot-to-slot delta, shard membership is maintained incrementally (only
-// components the churn touched are re-found) and shards whose membership
-// and edges did not move at all hand their solvers an identity delta — the
-// steady-state slot then costs O(churn), not O(graph). A nil delta behaves
+// components the churn touched are re-found), so the partition costs
+// O(churn), not O(graph). The shards still solve cold. A nil delta behaves
 // exactly like Schedule.
 func (a *ShardedAuction) ScheduleDelta(in *sched.Instance, d *sched.InstanceDelta) (*sched.Result, error) {
 	return a.schedule(in, d)
 }
-
-// identityDelta is the shared marker handed to clean shards' solvers.
-var identityDelta = &sched.InstanceDelta{Identity: true}
 
 func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*sched.Result, error) {
 	if a.shards == nil {
@@ -185,7 +178,6 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	ctk := obs.TrackFor("cluster")
 	psp := ctk.Begin("partition")
 	var part *Partition
-	var clean []bool
 	if a.MaxShardPeers > 0 && a.ispOf != nil {
 		// ISP-affinity refinement re-slices oversized shards by a global
 		// cost heuristic; membership is not locally maintainable, so this
@@ -194,7 +186,7 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		a.inc.rebuilds++
 		part = PartitionInstance(in, a.MaxShardPeers, a.ispOf)
 	} else {
-		part, clean = a.inc.update(in, d)
+		part = a.inc.update(in, d)
 	}
 	a.stats.PartitionIncremental = a.inc.incremental
 	a.stats.PartitionRebuilds = a.inc.rebuilds
@@ -217,7 +209,7 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 			if a.NewSolver != nil {
 				solver = a.NewSolver(sh.Key, rng)
 			} else {
-				solver = &sched.WarmAuction{Epsilon: a.Epsilon}
+				solver = &sched.Auction{Epsilon: a.Epsilon}
 			}
 			st = &shardState{solver: solver, rng: rng}
 			a.shards[sh.Key] = st
@@ -237,19 +229,14 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	if tracing {
 		readyAt = time.Now()
 	}
-	var projected atomic.Int64
 	solveOne := func(tk *obs.Track, i int) {
 		sh := &part.Shards[i]
-		identity := clean != nil && clean[i]
 		sp := tk.Begin("shard-solve")
 		if tk != nil {
 			sp.Arg("shard", float64(i)).
 				Arg("requests", float64(len(sh.Requests))).
 				Arg("uploaders", float64(len(sh.Uploaders))).
 				Arg("queue_wait_us", float64(time.Since(readyAt).Microseconds()))
-			if identity {
-				sp.Arg("identity", 1)
-			}
 		}
 		defer sp.End()
 		sub, err := in.Subset(sh.Requests, sh.Uploaders)
@@ -257,25 +244,7 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 			results[i] = solved{err: err}
 			return
 		}
-		var res *sched.Result
-		if ds, ok := states[i].solver.(sched.DeltaScheduler); ok {
-			// A clean shard saw the identical membership and edges last
-			// slot — its solver diffs values and capacities only. A shard
-			// whose key was in last slot's carried partition takes the
-			// producer's delta projected onto its rows; every other shard
-			// re-diffs its sub-instance by key (nil delta).
-			var sd *sched.InstanceDelta
-			switch {
-			case identity:
-				sd = identityDelta
-			case d != nil && a.inc.project(i, d, &states[i].delta):
-				sd = &states[i].delta
-				projected.Add(1)
-			}
-			res, err = ds.ScheduleDelta(sub, sd)
-		} else {
-			res, err = states[i].solver.Schedule(sub)
-		}
+		res, err := states[i].solver.Schedule(sub)
 		if err != nil {
 			results[i] = solved{err: err}
 			return
@@ -326,7 +295,6 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	}
 	work(0)
 	wg.Wait()
-	a.stats.ProjectedDeltas += projected.Load()
 
 	msp := ctk.Begin("merge")
 	out := &sched.Result{
@@ -353,9 +321,6 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	for i := range part.Shards {
 		sh := &part.Shards[i]
 		if err := results[i].err; err != nil {
-			// Shards that failed did not move their solvers to this slot's
-			// rows: the next slot must not project deltas onto them.
-			a.inc.invalidate()
 			return nil, fmt.Errorf("sharded auction: shard %v: %w", sh.Key, err)
 		}
 		res := results[i].res

@@ -36,6 +36,16 @@ func NewProblem() *Problem {
 	return &Problem{}
 }
 
+// Reset empties the problem for a rebuild, keeping its storage: a problem
+// rebuilt to the same size reallocates nothing. Edge lists returned before
+// the Reset are overwritten by the rebuild.
+func (p *Problem) Reset() {
+	p.capacities = p.capacities[:0]
+	p.edges = p.edges[:0]
+	p.adj = p.adj[:0]
+	p.numEdges = 0
+}
+
 // AddSink registers an uploading peer with the given capacity (B(u) chunks
 // per slot) and returns its SinkID. Capacity must be non-negative.
 func (p *Problem) AddSink(capacity int) (SinkID, error) {

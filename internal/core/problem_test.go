@@ -341,3 +341,58 @@ func TestProblemOlderRequestAppendsKeepNeighbours(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 6", p.NumEdges())
 	}
 }
+
+// TestProblemResetRebuilds: a problem Reset and rebuilt reads back exactly
+// like a fresh build, whatever was built into it before — bigger, smaller,
+// or with edge lists copied out of the slab — and a same-size rebuild
+// allocates nothing.
+func TestProblemResetRebuilds(t *testing.T) {
+	rng := randx.New(78)
+	p := NewProblem()
+	for trial := range 300 {
+		sp := randomSpec(rng)
+		p.Reset()
+		sp.sinks(t, p)
+		for r, es := range sp.edges {
+			p.AddRequest()
+			for _, e := range es {
+				mustAddEdge(t, p, RequestID(r), e)
+			}
+		}
+		if p.NumSinks() != len(sp.caps) || p.NumRequests() != len(sp.edges) || p.NumEdges() != sp.numEdges() {
+			t.Fatalf("trial %d: %d sinks %d requests %d edges, want %d, %d and %d", trial,
+				p.NumSinks(), p.NumRequests(), p.NumEdges(), len(sp.caps), len(sp.edges), sp.numEdges())
+		}
+		for s, c := range sp.caps {
+			if p.Capacity(SinkID(s)) != c {
+				t.Fatalf("trial %d: sink %d capacity %d, want %d", trial, s, p.Capacity(SinkID(s)), c)
+			}
+		}
+		for r, want := range sp.edges {
+			if got := p.Edges(RequestID(r)); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: Edges(%d) = %v, want %v", trial, r, got, want)
+			}
+		}
+		if trial%2 == 1 {
+			// Hand the next trial's Reset an interleaved build, whose
+			// older requests' lists were copied out of the slab.
+			p = sp.buildInterleaved(t, rng)
+		}
+	}
+	sp := randomSpec(rng)
+	rebuild := func() {
+		p.Reset()
+		sp.sinks(t, p)
+		p.Grow(len(sp.edges), sp.numEdges())
+		for r, es := range sp.edges {
+			p.AddRequest()
+			for _, e := range es {
+				mustAddEdge(t, p, RequestID(r), e)
+			}
+		}
+	}
+	rebuild()
+	if allocs := testing.AllocsPerRun(20, rebuild); allocs != 0 {
+		t.Fatalf("a same-size rebuild allocates %v, want 0", allocs)
+	}
+}

@@ -221,7 +221,7 @@ func init() {
 	// sharded-churn — swarm churn at scale: a dynamic network ramping toward
 	// ~100k cumulative arrivals with 60% early departures, scheduled sharded.
 	// Exercises the orchestrator's whole lifecycle — shard birth as swarms
-	// form, per-shard warm deltas as peers come and go, idle reclamation as
+	// form, the carried partition as peers come and go, idle reclamation as
 	// swarms drain — under the paper's Fig. 6 dynamics.
 	shardedChurn := smallSim()
 	shardedChurn.Scenario = sim.ScenarioDynamic

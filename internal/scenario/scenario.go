@@ -87,10 +87,11 @@ const (
 	SolverAuctionWarm Solver = "auction-warm"
 	// SolverAuctionSharded is the sharded swarm orchestrator
 	// (cluster.ShardedAuction, sim only): the slot problem is partitioned into
-	// its independent swarm components, each owned by a persistent
-	// warm-started solver, solved concurrently per Spec.Sharding. Welfare
-	// equals the monolithic solve's within the ε-CS band — exactly, when no
-	// edges are cut (see docs/ARCHITECTURE.md §10).
+	// its independent swarm components, each solved cold by its own
+	// sched.Auction, concurrently per Spec.Sharding. When no edges are cut
+	// the grants and prices equal SolverAuction's bit for bit; with ISP
+	// refinement each shard keeps its own ε-CS certificate (see
+	// docs/ARCHITECTURE.md §10).
 	SolverAuctionSharded Solver = "auction-sharded"
 	// SolverAuctionDES plays the auction as the paper's distributed
 	// protocol, message by message over a latency-accurate network

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,20 +15,14 @@ import (
 )
 
 // TestShardedEqualsMonolithicWelfarePerScenario is the sharding golden: for
-// every registered sim scenario, replay the monolithic cold run's exact
-// slot-instance sequence through the sharded orchestrator and demand equal
-// welfare on every single solve, pinned at the same two levels as the
-// warm-start golden (warm_test.go):
-//
-//   - the n·ε certificate band — with no ISP refinement the partition is
-//     exact (no admissible edge crosses shards), so the union of per-shard
-//     ε-CS certificates certifies the full problem and the two solves
-//     bracket the same optimum;
-//   - a 10⁻³ relative regression band, which catches real sharding defects
-//     long before they dent the certificate.
-//
-// Bit-exact equality is a theorem only for integral weights with ε small
-// enough; cluster's TestShardedBitEqualOnIntegralWeights pins that case.
+// every registered sim scenario, run the seed-42 simulation through the
+// sharded orchestrator and solve every slot instance a second time with one
+// monolithic cold auction; the two must grant exactly the same requests to
+// the same uploaders at bit-equal prices on every single solve. With no ISP
+// refinement the partition is exact (no admissible edge crosses shards),
+// and the cold auction's FIFO bid queue restricted to an independent
+// component is that component's own queue, so each shard replays its part
+// of the monolithic solve bid for bid.
 func TestShardedEqualsMonolithicWelfarePerScenario(t *testing.T) {
 	const seed = 42
 	for _, spec := range All() {
@@ -38,46 +35,75 @@ func TestShardedEqualsMonolithicWelfarePerScenario(t *testing.T) {
 			t.Parallel()
 			cfg := spec.Sim
 			cfg.Seed = seed
-			rec := &recordingScheduler{inner: &sched.Auction{Epsilon: cfg.Epsilon}}
-			if _, err := sim.Run(cfg, rec); err != nil {
+			twin := &coldTwin{
+				sharded: &cluster.ShardedAuction{Epsilon: cfg.Epsilon, Workers: 4},
+				mono:    sched.Auction{Epsilon: cfg.Epsilon},
+			}
+			if _, err := sim.Run(cfg, twin); err != nil {
 				t.Fatal(err)
 			}
-			if len(rec.instances) == 0 {
+			if twin.solves == 0 {
 				t.Fatal("run produced no slot instances")
 			}
-			sharded := &cluster.ShardedAuction{Epsilon: cfg.Epsilon, Workers: 4}
-			solved, shardPeak := 0, 0.0
-			for i, in := range rec.instances {
-				res, err := sharded.Schedule(in)
-				if err != nil {
-					t.Fatalf("solve %d: %v", i, err)
-				}
-				if err := in.Validate(res.Grants); err != nil {
-					t.Fatalf("solve %d: sharded grants infeasible: %v", i, err)
-				}
-				got, err := in.Welfare(res.Grants)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := rec.welfare[i]
-				certBand := cfg.Epsilon*float64(len(in.Requests)) + 1e-9
-				if diff := math.Abs(got - want); diff > certBand {
-					t.Fatalf("solve %d (%d requests, %v shards): sharded welfare %v vs monolithic %v — Δ=%g exceeds the n·ε certificate band %g",
-						i, len(in.Requests), res.Stats["shards"], got, want, diff, certBand)
-				}
-				if diff := math.Abs(got - want); diff > 1e-3*math.Max(1, math.Abs(want)) {
-					t.Fatalf("solve %d (%d requests): sharded welfare %v drifted %g from monolithic %v (> 10⁻³ relative)",
-						i, len(in.Requests), got, got-want, want)
-				}
-				if res.Stats["shards"] > shardPeak {
-					shardPeak = res.Stats["shards"]
-				}
-				solved++
-			}
-			t.Logf("%d solves (peak %v shards), sharded welfare equals monolithic within the certificate band on every one",
-				solved, shardPeak)
+			t.Logf("%d solves (peak %v shards), sharded grants and prices equal monolithic on every one",
+				twin.solves, twin.shardPeak)
 		})
 	}
+}
+
+// coldTwin hands the simulator the sharded orchestrator's result for every
+// slot instance after solving it a second time with one monolithic
+// sched.Auction, and fails the run at the first solve whose grants or
+// prices differ. On its own it hides sched.DeltaScheduler, so the simulator
+// calls Schedule; deltaTwin passes the producer's deltas through.
+type coldTwin struct {
+	sharded   *cluster.ShardedAuction
+	mono      sched.Auction
+	solves    int
+	shardPeak float64
+}
+
+func (c *coldTwin) Name() string { return c.sharded.Name() }
+
+func (c *coldTwin) SetISPLookup(f func(isp.PeerID) (isp.ID, bool)) { c.sharded.SetISPLookup(f) }
+
+func (c *coldTwin) Schedule(in *sched.Instance) (*sched.Result, error) {
+	res, err := c.sharded.Schedule(in)
+	return c.check(in, res, err)
+}
+
+func (c *coldTwin) check(in *sched.Instance, got *sched.Result, err error) (*sched.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	want, err := c.mono.Schedule(in)
+	if err != nil {
+		return nil, err
+	}
+	if err := in.Validate(got.Grants); err != nil {
+		return nil, fmt.Errorf("solve %d: sharded grants infeasible: %w", c.solves, err)
+	}
+	grants := slices.SortedFunc(slices.Values(got.Grants), func(x, y sched.Grant) int {
+		return cmp.Compare(x.Request, y.Request)
+	})
+	if !slices.Equal(grants, want.Grants) {
+		return nil, fmt.Errorf("solve %d (%d requests, %v shards): %d sharded grants diverge from the monolithic auction's %d",
+			c.solves, len(in.Requests), got.Stats["shards"], len(grants), len(want.Grants))
+	}
+	if !reflect.DeepEqual(got.Prices, want.Prices) {
+		return nil, fmt.Errorf("solve %d (%d requests, %v shards): sharded prices diverge from the monolithic auction's",
+			c.solves, len(in.Requests), got.Stats["shards"])
+	}
+	c.solves++
+	c.shardPeak = max(c.shardPeak, got.Stats["shards"])
+	return got, nil
+}
+
+type deltaTwin struct{ coldTwin }
+
+func (c *deltaTwin) ScheduleDelta(in *sched.Instance, d *sched.InstanceDelta) (*sched.Result, error) {
+	res, err := c.sharded.ScheduleDelta(in, d)
+	return c.check(in, res, err)
 }
 
 // TestShardedPresetMatchesMonolithicMetrics pins the registered sharded
@@ -143,46 +169,13 @@ func TestShardingValidation(t *testing.T) {
 	testVariantSweepKey(t, "sharding", SolverAuctionSharded, SolverAuctionWarm)
 }
 
-// shardRecorder forwards to a ShardedAuction and keeps every result. On its
-// own it hides sched.DeltaScheduler, so the simulator calls Schedule and
-// every shard derives its delta by key; deltaRecorder exposes the delta path.
-type shardRecorder struct {
-	inner   *cluster.ShardedAuction
-	results []*sched.Result
-}
-
-func (r *shardRecorder) Name() string { return r.inner.Name() }
-
-func (r *shardRecorder) SetISPLookup(f func(isp.PeerID) (isp.ID, bool)) { r.inner.SetISPLookup(f) }
-
-func (r *shardRecorder) Schedule(in *sched.Instance) (*sched.Result, error) {
-	return r.keep(r.inner.Schedule(in))
-}
-
-func (r *shardRecorder) keep(res *sched.Result, err error) (*sched.Result, error) {
-	if err == nil {
-		r.results = append(r.results, res)
-	}
-	return res, err
-}
-
-type deltaRecorder struct{ shardRecorder }
-
-func (r *deltaRecorder) ScheduleDelta(in *sched.Instance, d *sched.InstanceDelta) (*sched.Result, error) {
-	return r.keep(r.inner.ScheduleDelta(in, d))
-}
-
-// TestShardedProjectedDeltasEqualDerivedPerPreset is the preset-level
-// differential test of the per-shard delta projection: the sharded presets'
-// Builder-produced churn, fed through ScheduleDelta (dirty shards take the
-// producer's delta projected onto their rows) and through Schedule on a
-// second orchestrator (every shard derives its delta by key), must give
-// bit-equal grants, prices and stats on every solve, and equal runs. These
-// presets grant nearly every request in the round it is issued, so their
-// projections carry uploaders but hardly any request; the cluster
-// package's TestShardedProjectedDeltasEqualDerived covers carried,
-// rewritten and migrating requests.
-func TestShardedProjectedDeltasEqualDerivedPerPreset(t *testing.T) {
+// TestShardedColdEqualsMonolithicPerPreset runs the sharded presets as they
+// ship — the orchestrator the preset builds, fed the simulator's producer
+// deltas, so the partition is carried slot to slot — and demands the same
+// bit-equality with one monolithic sched.Auction on every solve as the
+// per-scenario golden. The cluster package's TestShardedColdEqualsMonolithic
+// covers carried, rewritten and migrating requests on synthetic churn.
+func TestShardedColdEqualsMonolithicPerPreset(t *testing.T) {
 	for _, name := range []string{"sharded-churn", "mega-swarm"} {
 		spec := mustGet(t, name)
 		boundHeavy(t, &spec, 400, 8)
@@ -191,46 +184,26 @@ func TestShardedProjectedDeltasEqualDerivedPerPreset(t *testing.T) {
 			cfg := spec.Sim
 			cfg.Seed = 3
 			cfg.Slots = 30 // the presets' own runs are 2–10 slots: too few deltas
-			newSharded := func() *cluster.ShardedAuction {
-				s, err := spec.Scheduler(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s.(*cluster.ShardedAuction)
-			}
-			viaDelta := &deltaRecorder{shardRecorder{inner: newSharded()}}
-			viaKey := &shardRecorder{inner: newSharded()}
-			gotRun, err := sim.Run(cfg, viaDelta)
+			s, err := spec.Scheduler(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRun, err := sim.Run(cfg, viaKey)
-			if err != nil {
+			twin := &deltaTwin{coldTwin{
+				sharded: s.(*cluster.ShardedAuction),
+				mono:    sched.Auction{Epsilon: cfg.Epsilon},
+			}}
+			if _, err := sim.Run(cfg, twin); err != nil {
 				t.Fatal(err)
 			}
-			if len(viaDelta.results) != len(viaKey.results) || len(viaDelta.results) == 0 {
-				t.Fatalf("%d solves via deltas, %d by key", len(viaDelta.results), len(viaKey.results))
+			st := twin.sharded.Stats()
+			if st.PartitionIncremental == 0 {
+				t.Fatal("the partition was never carried: the producer deltas did not reach it")
 			}
-			for i, got := range viaDelta.results {
-				want := viaKey.results[i]
-				if !reflect.DeepEqual(got.Grants, want.Grants) {
-					t.Fatalf("solve %d: grants diverge", i)
-				}
-				if !reflect.DeepEqual(got.Prices, want.Prices) {
-					t.Fatalf("solve %d: prices diverge", i)
-				}
-				if !reflect.DeepEqual(got.Stats, want.Stats) {
-					t.Fatalf("solve %d: stats diverge:\n got %v\nwant %v", i, got.Stats, want.Stats)
-				}
+			if twin.shardPeak <= 1 {
+				t.Fatalf("peak %v shards: the workload never sharded", twin.shardPeak)
 			}
-			if !reflect.DeepEqual(gotRun, wantRun) {
-				t.Fatal("run results diverge")
-			}
-			projected := viaDelta.inner.Stats().ProjectedDeltas
-			if projected == 0 {
-				t.Fatal("no shard ever took a projected delta")
-			}
-			t.Logf("%d solves, %d projected shard deltas", len(viaDelta.results), projected)
+			t.Logf("%d solves (%d with a carried partition), grants and prices equal monolithic on every one",
+				twin.solves, st.PartitionIncremental)
 		})
 	}
 }

@@ -10,14 +10,15 @@ import (
 // Auction schedules slots with the paper's primal-dual auction, via the
 // centralized solver in internal/core (Theorem 1 guarantees the distributed
 // auctions converge to the same optimum; sim.DES checks that). Every round
-// is a cold solve: the Auction keeps one core.Solver and reloads it, which
-// resets it to λ = 0, so only its arrays carry over. Use one per run, not
-// for concurrent use.
+// is a cold solve: the Auction keeps one core.Problem, which it rebuilds,
+// and one core.Solver, which it reloads and so resets to λ = 0; only their
+// arrays carry over. Use one per run, not for concurrent use.
 type Auction struct {
 	// Epsilon is the bid increment (0 = the paper's literal rule).
 	Epsilon float64
 
-	solver *core.Solver
+	problem core.Problem
+	solver  *core.Solver
 }
 
 var _ Scheduler = (*Auction)(nil)
@@ -30,12 +31,17 @@ func (a *Auction) Name() string { return "auction" }
 
 // buildProblem translates a slot instance into the transportation problem of
 // (1): one sink per uploader with capacity B(u), one request per wish, edge
-// weights v_c(d) − w_{u→d}. Shared by the auction and exact schedulers. Sinks
-// are minted in uploader order, so SinkID i is in.Uploaders[i] and each
-// edge's sink is its row; the problem is presized from the instance, so the
-// build appends every edge in place.
+// weights v_c(d) − w_{u→d}.
 func buildProblem(in *Instance) (*core.Problem, error) {
 	p := core.NewProblem()
+	return p, fillProblem(p, in)
+}
+
+// fillProblem builds in's problem into the empty p. Shared by the auction
+// and exact schedulers. Sinks are minted in uploader order, so SinkID i is
+// in.Uploaders[i] and each edge's sink is its row; the problem is presized
+// from the instance, so the build appends every edge in place.
+func fillProblem(p *core.Problem, in *Instance) error {
 	edges := 0
 	for i := range in.Requests {
 		edges += len(in.Requests[i].Candidates)
@@ -43,7 +49,7 @@ func buildProblem(in *Instance) (*core.Problem, error) {
 	p.Grow(len(in.Requests), edges)
 	for _, u := range in.Uploaders {
 		if _, err := p.AddSink(u.Capacity); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := range in.Requests {
@@ -51,11 +57,11 @@ func buildProblem(in *Instance) (*core.Problem, error) {
 		r := p.AddRequest()
 		for k, ui := range in.Rows(i) {
 			if err := p.AddEdge(r, core.SinkID(ui), req.Value-req.Candidates[k].Cost); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // grantsOf turns a solved assignment back into grants, in request order.
@@ -73,10 +79,11 @@ func grantsOf(in *Instance, a *core.Assignment) []Grant {
 	return grants
 }
 
-// Schedule implements Scheduler by translating the instance to a
-// transportation problem and solving it cold.
+// Schedule implements Scheduler by rebuilding the kept problem from the
+// instance and solving it cold.
 func (a *Auction) Schedule(in *Instance) (*Result, error) {
-	p, err := buildProblem(in)
+	a.problem.Reset()
+	err := fillProblem(&a.problem, in)
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
@@ -88,9 +95,10 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
-	a.solver.Load(p)
+	a.solver.Load(&a.problem)
 	res, err := a.solver.SolveShared()
 	if err != nil {
+		a.solver.Load(noProblem)
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
 	out := &Result{
@@ -105,9 +113,8 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 	for i, u := range in.Uploaders {
 		out.Prices[u.Peer] = res.Prices[i]
 	}
-	// Let go of the round's problem, keeping the solver's buffers: held to
-	// the next Load, its edge slab would still be live while the next
-	// round's is built.
+	// Let go of the round's problem, keeping the solver's buffers: the
+	// solver must not alias the edge slab while the next round rebuilds it.
 	a.solver.Load(noProblem)
 	return out, nil
 }

@@ -2,10 +2,10 @@
 // the online counterpart of the batch simulators. Peers register, submit
 // bandwidth offers and chunk bids over an HTTP/JSON API (http.go); slots tick
 // on a wall clock (or on demand); every tick drains the current bid book into
-// one sched.Instance and solves it with the persistent warm solver stack
-// (sched.WarmAuction, or cluster.ShardedAuction when sharding is enabled), so
-// prices and partial assignments carry across rounds exactly as they do in
-// the simulators. Grants are held for polling until the next tick overwrites
+// one sched.Instance and solves it with the persistent solver stack: the
+// warm sched.WarmAuction, whose prices and partial assignments carry across
+// rounds exactly as they do in the simulators, or, when sharding is
+// enabled, cluster.ShardedAuction's cold per-shard auctions. Grants are held for polling until the next tick overwrites
 // them; /metrics exports Prometheus-format counters, gauges and solve-latency
 // histograms (metrics.go); Drain stops the clock, solves the outstanding book
 // and writes a JSON state snapshot for the next process.
