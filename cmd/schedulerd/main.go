@@ -1,7 +1,7 @@
-// Command schedulerd runs the live scheduler daemon: the persistent warm
-// auction (or the sharded orchestrator) behind an HTTP/JSON API. Peers
-// register, post bandwidth offers and chunk bids, and poll their grants;
-// slots tick on a wall clock; warm solver state carries across rounds.
+// Command schedulerd runs the live scheduler daemon: a kept cold auction
+// (or the sharded orchestrator's cold shards) behind an HTTP/JSON API.
+// Peers register, post bandwidth offers and chunk bids, and poll their
+// grants; slots tick on a wall clock, each solving its drained books cold.
 //
 //	schedulerd                                    # 1s slots on 127.0.0.1:8844
 //	schedulerd -addr :9000 -slot 500ms            # faster clock, all interfaces
@@ -20,7 +20,7 @@
 // Degradation under overload is a ladder, not a cliff: a slot whose solve
 // overruns -solve-deadline carries the previous grants forward; after
 // -greedy-after consecutive overruns the daemon escalates to the bounded
-// greedy fallback until the warm solver catches up. -max-pending-bids /
+// greedy fallback until the overrunning solve returns. -max-pending-bids /
 // -max-pending-offers bound the books, shedding excess submissions as
 // 429 + Retry-After. -kill-after-ticks arms the fault-injection kill point
 // for crash-recovery drills: the process exits WITHOUT draining, and the

@@ -1,0 +1,365 @@
+package service
+
+// cold_test.go: every tick is one cold auction over its own book, and the
+// book keeps bid candidates in one arena. TestDaemonTickEqualsColdAuction
+// replays a contended trace against a model of the book and a fresh
+// sched.Auction; the arena tests pin re-bid window reuse and the isolation
+// of an overrunning solve's instance from the next tick's bids.
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/isp"
+	"repro/internal/sched"
+	"repro/internal/video"
+)
+
+// bookModel mirrors the daemon's book semantics in the plainest form: rows
+// in submission order, a re-bid or re-offer replaces its row in place, and a
+// leave tombstones the peer's rows.
+type bookModel struct {
+	ups  []sched.Uploader // Capacity -1 = the peer left
+	reqs []sched.Request  // Peer -1 = the bidder left
+}
+
+func (m *bookModel) offer(p isp.PeerID, capacity int) {
+	for i := range m.ups {
+		if m.ups[i].Peer == p && m.ups[i].Capacity > 0 {
+			m.ups[i].Capacity = capacity
+			return
+		}
+	}
+	m.ups = append(m.ups, sched.Uploader{Peer: p, Capacity: capacity})
+}
+
+func (m *bookModel) bid(p isp.PeerID, r BidRequest) {
+	req := sched.Request{Peer: p, Chunk: r.Chunk, Value: r.Value, Deadline: r.Deadline,
+		Candidates: slices.Clone(r.Candidates)}
+	for i := range m.reqs {
+		if m.reqs[i].Peer == p && m.reqs[i].Chunk == r.Chunk {
+			m.reqs[i] = req
+			return
+		}
+	}
+	m.reqs = append(m.reqs, req)
+}
+
+func (m *bookModel) leave(p isp.PeerID) {
+	for i := range m.ups {
+		if m.ups[i].Peer == p {
+			m.ups[i].Capacity = -1
+		}
+	}
+	for i := range m.reqs {
+		if m.reqs[i].Peer == p {
+			m.reqs[i].Peer = -1
+		}
+	}
+}
+
+// drain returns the tick's instance and rejected count, and empties the book.
+func (m *bookModel) drain(t *testing.T) (*sched.Instance, int) {
+	t.Helper()
+	var ups []sched.Uploader
+	offered := map[isp.PeerID]bool{}
+	for _, u := range m.ups {
+		if u.Capacity > 0 {
+			ups = append(ups, u)
+			offered[u.Peer] = true
+		}
+	}
+	var reqs []sched.Request
+	rejected := 0
+	for _, r := range m.reqs {
+		if r.Peer < 0 {
+			continue
+		}
+		var keep []sched.Candidate
+		for _, c := range r.Candidates {
+			if offered[c.Peer] {
+				keep = append(keep, c)
+			}
+		}
+		if len(keep) == 0 {
+			rejected++
+			continue
+		}
+		r.Candidates = keep
+		reqs = append(reqs, r)
+	}
+	m.ups, m.reqs = nil, nil
+	in, err := sched.NewInstance(reqs, ups)
+	if err != nil {
+		t.Fatalf("model instance: %v", err)
+	}
+	return in, rejected
+}
+
+// TestDaemonTickEqualsColdAuction drives a contended trace (demand about six
+// times capacity, re-bids that grow and shrink candidate lists, leaves of
+// uploaders and bidders) through Tick. Every tick's grants and published
+// prices must be bit-equal to a fresh sched.Auction on the same instance: a
+// solver that carried λ across ticks would publish different prices.
+func TestDaemonTickEqualsColdAuction(t *testing.T) {
+	d := manual(t, Options{Epsilon: 0.01})
+	rng := rand.New(rand.NewSource(30))
+	const (
+		uploaders = 6  // peers 1..6
+		bidders   = 30 // peers 11..40
+		ticks     = 8
+	)
+	for p := isp.PeerID(1); p <= uploaders; p++ {
+		if err := d.Join(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := isp.PeerID(11); p < 11+bidders; p++ {
+		if err := d.Join(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	randomBid := func(c video.ChunkID) BidRequest {
+		n := 1 + rng.Intn(uploaders)
+		r := BidRequest{Chunk: c, Value: 0.5 + 2*rng.Float64(), Deadline: float64(rng.Intn(4))}
+		for _, u := range rng.Perm(uploaders)[:n] {
+			r.Candidates = append(r.Candidates, sched.Candidate{Peer: isp.PeerID(1 + u), Cost: 0.5 * rng.Float64()})
+		}
+		return r
+	}
+	var m bookModel
+	var left []isp.PeerID
+	totalGrants := 0
+	for tick := 0; tick < ticks; tick++ {
+		for _, p := range left {
+			if err := d.Join(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		left = left[:0]
+		capacity := 0
+		for p := isp.PeerID(1); p <= uploaders; p++ {
+			c := 1 + rng.Intn(2)
+			capacity += c
+			if err := d.Offer(p, c); err != nil {
+				t.Fatal(err)
+			}
+			m.offer(p, c)
+		}
+		booked := map[isp.PeerID][]video.ChunkID{}
+		demand := 0
+		for p := isp.PeerID(11); p < 11+bidders; p++ {
+			var batch []BidRequest
+			for _, i := range rng.Perm(8)[:2] {
+				batch = append(batch, randomBid(chunk(rng.Intn(3), i)))
+			}
+			if batch[0].Chunk == batch[1].Chunk {
+				batch = batch[:1]
+			}
+			if err := d.Bid(p, batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range batch {
+				m.bid(p, r)
+				booked[p] = append(booked[p], r.Chunk)
+			}
+			demand += len(batch)
+		}
+		if demand < 5*capacity {
+			t.Fatalf("tick %d: demand %d is not contended against capacity %d", tick, demand, capacity)
+		}
+		// Re-bids for booked keys, with fresh values and list lengths.
+		for range 10 {
+			p := isp.PeerID(11 + rng.Intn(bidders))
+			r := randomBid(booked[p][rng.Intn(len(booked[p]))])
+			if err := d.Bid(p, []BidRequest{r}); err != nil {
+				t.Fatal(err)
+			}
+			m.bid(p, r)
+		}
+		// One uploader re-offers, one uploader and two bidders leave.
+		if err := d.Offer(isp.PeerID(1+tick%uploaders), 3); err != nil {
+			t.Fatal(err)
+		}
+		m.offer(isp.PeerID(1+tick%uploaders), 3)
+		left = append(left, isp.PeerID(1+(tick+3)%uploaders), isp.PeerID(11+rng.Intn(bidders/2)),
+			isp.PeerID(11+bidders/2+rng.Intn(bidders/2)))
+		for _, p := range left {
+			if err := d.Leave(p); err != nil {
+				t.Fatal(err)
+			}
+			m.leave(p)
+		}
+
+		in, rejected := m.drain(t)
+		want, err := (&sched.Auction{Epsilon: 0.01}).Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		welfare, err := in.Welfare(want.Grants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := d.Tick()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if tr.Requests != len(in.Requests) || tr.Uploaders != len(in.Uploaders) ||
+			tr.Rejected != rejected || tr.Grants != len(want.Grants) || tr.Welfare != welfare {
+			t.Fatalf("tick %d: daemon %+v; cold auction %d requests, %d uploaders, %d rejected, %d grants, welfare %v",
+				tick, tr, len(in.Requests), len(in.Uploaders), rejected, len(want.Grants), welfare)
+		}
+		wantGrants := map[isp.PeerID][]Grant{}
+		for _, g := range want.Grants {
+			r := &in.Requests[g.Request]
+			wantGrants[r.Peer] = append(wantGrants[r.Peer],
+				Grant{Chunk: r.Chunk, Uploader: g.Uploader, Price: want.Prices[g.Uploader]})
+		}
+		for p := isp.PeerID(11); p < 11+bidders; p++ {
+			if _, got := d.Grants(p); !slices.Equal(got, wantGrants[p]) {
+				t.Fatalf("tick %d: peer %d granted %+v, cold auction %+v", tick, p, got, wantGrants[p])
+			}
+		}
+		totalGrants += tr.Grants
+	}
+	if totalGrants == 0 {
+		t.Fatal("trivial trace: no grants")
+	}
+}
+
+// TestRebidReusesKeyWindow books one key again and again between ticks with
+// candidate lists that grow and shrink: the arena stays at the key's longest
+// list, and the tick solves the last bid only.
+func TestRebidReusesKeyWindow(t *testing.T) {
+	d := manual(t, Options{Epsilon: 0.01})
+	for p := isp.PeerID(1); p <= 7; p++ {
+		if err := d.Join(p, 0); err != nil {
+			t.Fatal(err)
+		}
+		if p <= 6 {
+			if err := d.Offer(p, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Uploader 1 is the cheapest in every list but the last, so a grant
+	// from it would mean a stale candidate survived the re-bids.
+	list := func(n int, first isp.PeerID) []sched.Candidate {
+		var cs []sched.Candidate
+		for p := first; len(cs) < n; p++ {
+			cs = append(cs, sched.Candidate{Peer: p, Cost: 0.1 * float64(p)})
+		}
+		return cs
+	}
+	longest := 0
+	for i, n := range []int{3, 5, 2, 6, 4, 1, 6, 2} {
+		first := isp.PeerID(1)
+		if i == 7 {
+			first = 4
+		}
+		if err := d.Bid(7, []BidRequest{{Chunk: chunk(0, 0), Value: 2, Candidates: list(n, first)}}); err != nil {
+			t.Fatal(err)
+		}
+		longest = max(longest, n)
+		if len(d.cands) != longest {
+			t.Fatalf("re-bid %d (%d candidates): arena holds %d, want the longest list %d", i, n, len(d.cands), longest)
+		}
+	}
+	if st := d.Stats(); st.PendingBids != 1 {
+		t.Fatalf("%d bids booked, want 1", st.PendingBids)
+	}
+	tr, err := d.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := list(2, 4)
+	if _, gs := d.Grants(7); tr.Grants != 1 || len(gs) != 1 || gs[0].Uploader != 4 || tr.Welfare != 2-last[0].Cost {
+		t.Fatalf("tick solved a stale bid: %+v, grants %+v", tr, gs)
+	}
+	if len(d.cands) != 0 {
+		t.Fatalf("drain left %d candidates in the arena", len(d.cands))
+	}
+}
+
+// candidateProbe records each instance's candidate lists as its solve
+// begins and as it returns.
+type candidateProbe struct {
+	inner         sched.Scheduler
+	mu            sync.Mutex
+	before, after [][]sched.Candidate
+}
+
+func (c *candidateProbe) Name() string { return c.inner.Name() }
+
+func (c *candidateProbe) Schedule(in *sched.Instance) (*sched.Result, error) {
+	copyCands := func() [][]sched.Candidate {
+		out := make([][]sched.Candidate, len(in.Requests))
+		for i := range in.Requests {
+			out[i] = slices.Clone(in.Requests[i].Candidates)
+		}
+		return out
+	}
+	before := copyCands()
+	res, err := c.inner.Schedule(in)
+	c.mu.Lock()
+	c.before, c.after = before, copyCands()
+	c.mu.Unlock()
+	return res, err
+}
+
+// TestOverrunSolveKeepsItsCandidates: a slow solve overruns the deadline and
+// keeps running while the next tick books new bids. The overrunning solve's
+// instance must still hold its own candidates when it returns, so the next
+// tick must not book into the arena that instance reads.
+func TestOverrunSolveKeepsItsCandidates(t *testing.T) {
+	d := manual(t, Options{
+		Epsilon:       0.01,
+		SolveDeadline: 20 * time.Millisecond,
+		Fault:         fault.Spec{SolveDelay: 300 * time.Millisecond},
+	})
+	probe := &candidateProbe{inner: d.sched}
+	d.sched = probe
+	for p := isp.PeerID(1); p <= 4; p++ {
+		if err := d.Join(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	book := func(up isp.PeerID, cost float64) {
+		t.Helper()
+		if err := d.Offer(up, 2); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 3; c++ {
+			err := d.Bid(4, []BidRequest{{Chunk: chunk(0, c), Value: 1,
+				Candidates: []sched.Candidate{{Peer: up, Cost: cost}}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	book(1, 0.1)
+	if tr, err := d.Tick(); err != nil || !tr.Degraded {
+		t.Fatalf("tick 1 should overrun: %+v, %v", tr, err)
+	}
+	book(2, 0.7) // lands while the first solve still sleeps
+	if tr, err := d.Tick(); err != nil || !tr.Degraded {
+		t.Fatalf("tick 2 should degrade behind the running solve: %+v, %v", tr, err)
+	}
+	d.Close() // waits for the overrunning solve
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	want := []sched.Candidate{{Peer: 1, Cost: 0.1}}
+	if len(probe.before) != 3 {
+		t.Fatalf("probe saw %d requests, want tick 1's 3", len(probe.before))
+	}
+	for i := range probe.before {
+		if !slices.Equal(probe.before[i], want) || !slices.Equal(probe.after[i], want) {
+			t.Fatalf("request %d: overrunning solve began with %+v and returned with %+v, want %+v",
+				i, probe.before[i], probe.after[i], want)
+		}
+	}
+}

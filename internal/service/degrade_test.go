@@ -1,8 +1,8 @@
 package service
 
 // degrade_test.go: the degradation policy under injected faults — deadline
-// overruns that carry grants, escalation to the greedy fallback, warm
-// re-convergence, admission-control shedding (API + HTTP 429), and the
+// overruns that carry grants, escalation to the greedy fallback, clean
+// solves after an overrun, admission-control shedding (API + HTTP 429), and the
 // kill-point / periodic-snapshot plumbing the crash-recovery drill uses.
 
 import (
@@ -43,7 +43,7 @@ func seedBooks(t *testing.T, d *Daemon) {
 
 // TestSolveDeadlineCarryAndReconverge: a slow solve on the second tick misses
 // the deadline, so the slot degrades and carries the first tick's grants;
-// once the overrunning solve drains, the warm solver serves again cleanly.
+// once the overrunning solve drains, the solver serves again cleanly.
 func TestSolveDeadlineCarryAndReconverge(t *testing.T) {
 	d := manual(t, Options{
 		Epsilon:       0.01,
@@ -93,7 +93,7 @@ func TestSolveDeadlineCarryAndReconverge(t *testing.T) {
 		t.Fatalf("tick 3: %v", err)
 	}
 	if tr3.Degraded || tr3.Grants != 1 || tr3.Welfare <= 0 {
-		t.Fatalf("tick 3 should re-converge warm: %+v", tr3)
+		t.Fatalf("tick 3 should solve cleanly again: %+v", tr3)
 	}
 	if got := d.Stats().ConsecutiveOverruns; got != 0 {
 		t.Fatalf("overrun streak should reset, got %d", got)

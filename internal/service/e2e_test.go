@@ -1,18 +1,17 @@
 package service_test
 
 // End-to-end golden: a short simulator trace served through the live daemon
-// is welfare-equal to the equivalent internal/sim run.
+// grants and earns exactly what the equivalent internal/sim run does.
 //
-// A recording scheduler wraps the same sched.WarmAuction the daemon uses and
+// A recording scheduler wraps the same cold sched.Auction the daemon uses and
 // runs a small paper-config simulation, capturing every instance the sim
-// solves (cloned — the builder reuses backing arrays) plus the welfare of the
-// grants on it. The captured trace then replays against a manual-tick daemon
-// over real HTTP through internal/loadtest's client — join/offer/bid in
-// instance order, one tick per captured solve — and each tick's welfare must
-// match the simulator's within the ε-complementary-slackness certificate
-// band (ε · #requests): both sides solve the same market with the same
-// warm solver, and JSON carries float64 exactly, so any drift beyond the
-// certificate is a wire-contract or book-keeping bug.
+// solves (cloned — the builder reuses backing arrays) plus the welfare and
+// grant count on it. The captured trace then replays against a manual-tick
+// daemon over real HTTP through internal/loadtest's client — join/offer/bid
+// in instance order, one tick per captured solve — and each tick's welfare
+// and grant count must equal the simulator's exactly: both sides solve the
+// same market cold with the same solver, and JSON carries float64 exactly,
+// so any difference is a wire-contract or book-keeping bug.
 
 import (
 	"math"
@@ -29,14 +28,16 @@ import (
 type capturedTick struct {
 	in      *sched.Instance
 	welfare float64
+	grants  int
 }
 
-// recordingScheduler wraps a WarmAuction, recording instances and welfare.
+// recordingScheduler wraps an Auction, recording instances, welfare and
+// grant counts.
 // It deliberately does NOT implement sched.DeltaScheduler, so the sim feeds
 // it self-contained instances through the classic Schedule path (golden-
 // pinned identical to the delta path elsewhere in the suite).
 type recordingScheduler struct {
-	inner *sched.WarmAuction
+	inner *sched.Auction
 	ticks []capturedTick
 }
 
@@ -51,7 +52,7 @@ func (r *recordingScheduler) Schedule(in *sched.Instance) (*sched.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	r.ticks = append(r.ticks, capturedTick{in: in.Clone(), welfare: w})
+	r.ticks = append(r.ticks, capturedTick{in: in.Clone(), welfare: w, grants: len(res.Grants)})
 	return res, nil
 }
 
@@ -67,7 +68,7 @@ func e2eConfig() sim.Config {
 
 func TestDaemonTraceWelfareEqualsSim(t *testing.T) {
 	cfg := e2eConfig()
-	rec := &recordingScheduler{inner: &sched.WarmAuction{Epsilon: cfg.Epsilon}}
+	rec := &recordingScheduler{inner: &sched.Auction{Epsilon: cfg.Epsilon}}
 	res, err := sim.Run(cfg, rec)
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
@@ -165,10 +166,9 @@ func TestDaemonTraceWelfareEqualsSim(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: %v", k, err)
 		}
-		band := cfg.Epsilon*float64(len(in.Requests)) + 1e-9
-		if diff := math.Abs(tr.Welfare - tick.welfare); diff > band {
-			t.Fatalf("tick %d: daemon welfare %v vs sim %v — diff %v exceeds certificate band %v",
-				k, tr.Welfare, tick.welfare, diff, band)
+		if tr.Welfare != tick.welfare || tr.Grants != tick.grants {
+			t.Fatalf("tick %d: daemon welfare %v with %d grants, sim %v with %d",
+				k, tr.Welfare, tr.Grants, tick.welfare, tick.grants)
 		}
 		totalSim += tick.welfare
 		totalDaemon += tr.Welfare

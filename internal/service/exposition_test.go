@@ -205,26 +205,21 @@ func TestMetricsExpositionLint(t *testing.T) {
 
 	// Every family the daemon declares must survive the round trip, typed.
 	wantKinds := map[string]string{
-		"schedulerd_ticks_total":                     "counter",
-		"schedulerd_bids_total":                      "counter",
-		"schedulerd_grants_total":                    "counter",
-		"schedulerd_http_requests_total":             "counter",
-		"schedulerd_welfare_total":                   "counter",
-		"schedulerd_slot":                            "gauge",
-		"schedulerd_peers":                           "gauge",
-		"schedulerd_shards":                          "gauge",
-		"schedulerd_solve_seconds":                   "histogram",
-		"schedulerd_http_request_seconds":            "histogram",
-		"schedulerd_solver_bids_total":               "counter",
-		"schedulerd_solver_iterations_total":         "counter",
-		"schedulerd_solver_sweep_passes_total":       "counter",
-		"schedulerd_solver_cold_restarts_total":      "counter",
-		"schedulerd_solver_reserve_surrenders_total": "counter",
-		"schedulerd_solver_delta_ops_total":          "counter",
-		"schedulerd_solver_carried_requests":         "gauge",
-		"schedulerd_solver_epsilon":                  "gauge",
-		"schedulerd_partition_cut_edges":             "gauge",
-		"schedulerd_partition_migrations_total":      "counter",
+		"schedulerd_ticks_total":                "counter",
+		"schedulerd_bids_total":                 "counter",
+		"schedulerd_grants_total":               "counter",
+		"schedulerd_http_requests_total":        "counter",
+		"schedulerd_welfare_total":              "counter",
+		"schedulerd_slot":                       "gauge",
+		"schedulerd_peers":                      "gauge",
+		"schedulerd_shards":                     "gauge",
+		"schedulerd_solve_seconds":              "histogram",
+		"schedulerd_http_request_seconds":       "histogram",
+		"schedulerd_solver_bids_total":          "counter",
+		"schedulerd_solver_iterations_total":    "counter",
+		"schedulerd_solver_epsilon":             "gauge",
+		"schedulerd_partition_cut_edges":        "gauge",
+		"schedulerd_partition_migrations_total": "counter",
 	}
 	for name, kind := range wantKinds {
 		fam := families[name]

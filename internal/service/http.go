@@ -87,7 +87,7 @@ type TickResponse struct {
 	Welfare   float64 `json:"welfare"`
 	Shards    int     `json:"shards"`
 	SolveMs   float64 `json:"solve_ms"`
-	// Degraded marks a slot whose warm solve missed its deadline; Greedy
+	// Degraded marks a slot whose solve missed its deadline; Greedy
 	// additionally marks escalation to the fallback scheduler.
 	Degraded bool `json:"degraded,omitempty"`
 	Greedy   bool `json:"greedy,omitempty"`

@@ -49,12 +49,6 @@ type daemonMetrics struct {
 	solverBids          *obs.Counter
 	solverIterations    *obs.Counter
 	solverEvictions     *obs.Counter
-	solverRepairRounds  *obs.Counter
-	solverSweepPasses   *obs.Counter
-	solverColdRestarts  *obs.Counter
-	solverSurrenders    *obs.Counter
-	solverDeltaOps      *obs.Counter
-	solverCarried       *obs.Gauge
 	solverEpsilon       *obs.Gauge
 	partitionCutEdges   *obs.Gauge
 	partitionMigrations *obs.Counter
@@ -83,7 +77,7 @@ func newDaemonMetrics() *daemonMetrics {
 		welfareTotal:  r.FloatCounter("schedulerd_welfare_total", "Cumulative social welfare over all slots."),
 		httpRequests:  r.Counter("schedulerd_http_requests_total", "HTTP API requests served."),
 		httpErrors:    r.Counter("schedulerd_http_errors_total", "HTTP API requests answered with an error status."),
-		solveOverruns: r.Counter("schedulerd_solve_overruns_total", "Warm solves that missed the tick deadline."),
+		solveOverruns: r.Counter("schedulerd_solve_overruns_total", "Solves that missed the tick deadline."),
 		degradedSlots: r.Counter("schedulerd_degraded_slots_total", "Slots served degraded (carried grants or greedy fallback)."),
 		greedyTicks:   r.Counter("schedulerd_greedy_ticks_total", "Degraded slots that escalated to the greedy fallback scheduler."),
 		shedRequests:  r.Counter("schedulerd_shed_requests_total", "Bid/offer submissions refused with 429 (book bound reached)."),
@@ -98,12 +92,6 @@ func newDaemonMetrics() *daemonMetrics {
 		solverBids:          r.Counter("schedulerd_solver_bids_total", "Bids the auction solver processed across all slots."),
 		solverIterations:    r.Counter("schedulerd_solver_iterations_total", "Solver bidding iterations across all slots."),
 		solverEvictions:     r.Counter("schedulerd_solver_evictions_total", "Accepted bids later displaced by higher ones."),
-		solverRepairRounds:  r.Counter("schedulerd_solver_repair_rounds_total", "CS1-repair reverse-auction rounds of warm solves."),
-		solverSweepPasses:   r.Counter("schedulerd_solver_sweep_passes_total", "Closing epsilon-CS sweep passes of warm solves."),
-		solverColdRestarts:  r.Counter("schedulerd_solver_cold_restarts_total", "Warm solves that fell back to a full cold restart."),
-		solverSurrenders:    r.Counter("schedulerd_solver_reserve_surrenders_total", "Reserve-surrender escalations during closing sweeps."),
-		solverDeltaOps:      r.Counter("schedulerd_solver_delta_ops_total", "Solver-delta operations applied (request/sink churn, value shifts, capacity sets)."),
-		solverCarried:       r.Gauge("schedulerd_solver_carried_requests", "Requests carried unchanged into the last slot's warm solve."),
 		solverEpsilon:       r.Gauge("schedulerd_solver_epsilon", "Bid increment epsilon of the configured solver."),
 		partitionCutEdges:   r.Gauge("schedulerd_partition_cut_edges", "Candidate edges dropped by ISP-affinity refinement in the last slot."),
 		partitionMigrations: r.Counter("schedulerd_partition_migrations_total", "Uploader peers observed under a different shard than the slot before."),
@@ -119,12 +107,6 @@ func (m *daemonMetrics) observeSolve(stats map[string]float64) {
 	m.solverBids.Add(uint64(stats["bids"]))
 	m.solverIterations.Add(uint64(stats["iterations"]))
 	m.solverEvictions.Add(uint64(stats["evictions"]))
-	m.solverRepairRounds.Add(uint64(stats["repair_rounds"]))
-	m.solverSweepPasses.Add(uint64(stats["sweep_passes"]))
-	m.solverColdRestarts.Add(uint64(stats["cold_restarts"]))
-	m.solverSurrenders.Add(uint64(stats["reserve_surrenders"]))
-	m.solverDeltaOps.Add(uint64(stats["delta_ops"]))
-	m.solverCarried.Set(stats["carried"])
 	m.partitionCutEdges.Set(stats["cut_edges"])
 	m.partitionMigrations.Add(uint64(stats["migrations"]))
 }

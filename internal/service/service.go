@@ -2,19 +2,19 @@
 // the online counterpart of the batch simulators. Peers register, submit
 // bandwidth offers and chunk bids over an HTTP/JSON API (http.go); slots tick
 // on a wall clock (or on demand); every tick drains the current bid book into
-// one sched.Instance and solves it with the persistent solver stack: the
-// warm sched.WarmAuction, whose prices and partial assignments carry across
-// rounds exactly as they do in the simulators, or, when sharding is
-// enabled, cluster.ShardedAuction's cold per-shard auctions. Grants are held for polling until the next tick overwrites
-// them; /metrics exports Prometheus-format counters, gauges and solve-latency
-// histograms (metrics.go); Drain stops the clock, solves the outstanding book
-// and writes a JSON state snapshot for the next process.
+// one sched.Instance and solves it cold, as the paper's bidding cycle does:
+// every downloader re-bids and λ is re-cleared from zero, by one kept
+// sched.Auction or, when sharding is enabled, by cluster.ShardedAuction's
+// cold per-shard auctions. Grants are held for polling until the next tick
+// overwrites them; /metrics exports Prometheus-format counters, gauges and
+// solve-latency histograms (metrics.go); Drain stops the clock, solves the
+// outstanding book and writes a JSON state snapshot for the next process.
 //
 // The daemon deliberately reuses the exact scheduler implementations the
 // simulators run: a trace of ticks fed the same instances produces the same
-// grants, which is what the end-to-end golden test pins (welfare of a
-// daemon-served trace equals the equivalent internal/sim run within the
-// ε-certificate band).
+// grants, which is what the end-to-end golden test pins (each tick of a
+// daemon-served trace grants and earns exactly what the equivalent
+// internal/sim round does).
 package service
 
 import (
@@ -46,7 +46,7 @@ type Options struct {
 	// clock: slots advance only on explicit Tick calls (POST /v1/tick) —
 	// the mode tests and trace replays use.
 	SlotInterval time.Duration
-	// Sharded switches the slot scheduler from the monolithic warm auction
+	// Sharded switches the slot scheduler from the monolithic cold auction
 	// to the sharded swarm orchestrator (cluster.ShardedAuction).
 	Sharded bool
 	// ShardWorkers bounds concurrent shard solves (0 or 1 = sequential).
@@ -64,11 +64,11 @@ type Options struct {
 
 	// SolveDeadline bounds each tick's solve wall-clock time. 0 disables the
 	// deadline (every solve runs to completion under the tick lock). With a
-	// deadline, an overrunning warm solve keeps running in the background
-	// while the tick degrades gracefully: previous grants are carried and the
-	// slot is marked degraded; after GreedyAfter consecutive overruns the
-	// tick escalates to the bounded sched.Greedy fallback; once the warm
-	// solve returns, the next tick re-converges warm.
+	// deadline, an overrunning solve keeps running in the background while
+	// the tick degrades gracefully: previous grants are carried and the slot
+	// is marked degraded; after GreedyAfter consecutive overruns the tick
+	// escalates to the bounded sched.Greedy fallback; once the overrunning
+	// solve returns, the next tick solves its own book cold again.
 	SolveDeadline time.Duration
 	// GreedyAfter is K, the consecutive-overrun count at which degraded
 	// ticks escalate from carrying grants to the greedy fallback scheduler.
@@ -91,7 +91,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the daemon defaults: the paper's ε, a 1-second
-// slot clock, monolithic warm solver.
+// slot clock, monolithic cold auction.
 func DefaultOptions() Options {
 	return Options{Epsilon: 0.01, SlotInterval: time.Second}
 }
@@ -145,14 +145,14 @@ type TickResult struct {
 	Welfare   float64
 	Shards    int
 	Solve     time.Duration
-	// Degraded marks a slot whose warm solve missed the deadline; Greedy
+	// Degraded marks a slot whose solve missed the deadline; Greedy
 	// additionally marks that the slot escalated to the fallback scheduler
 	// (otherwise a degraded slot carried the previous grants).
 	Degraded bool
 	Greedy   bool
 }
 
-// Daemon is the live scheduler: one persistent warm solver behind a
+// Daemon is the live scheduler: one kept cold solver behind a
 // registration/bid/grant state machine. All methods are safe for concurrent
 // use. Create with New, stop with Drain (or Close to skip the final solve).
 type Daemon struct {
@@ -165,6 +165,11 @@ type Daemon struct {
 	offerIdx map[isp.PeerID]int
 	bids     []sched.Request
 	bidIdx   map[bidKey]int
+	// cands is the bid book's candidate arena: each booked request's
+	// Candidates is a capped window of it, which a re-bid for the same key
+	// reuses when the new list fits. The tick's drain truncates it, or
+	// abandons it while an overrunning solve still reads the instance.
+	cands []sched.Candidate
 	// grants holds the last solved slot's per-peer grants; grantSlot is the
 	// slot they belong to.
 	grants    map[isp.PeerID][]Grant
@@ -175,7 +180,7 @@ type Daemon struct {
 	started   time.Time
 	draining  bool
 
-	// Degradation state (SolveDeadline > 0 only): inflight closes when a warm
+	// Degradation state (SolveDeadline > 0 only): inflight closes when a
 	// solve that overran its deadline, still running off-lock, returns;
 	// overruns counts consecutive degraded ticks and resets when a solve
 	// lands in time.
@@ -260,7 +265,7 @@ func New(opts Options) (*Daemon, error) {
 		})
 		d.sched = sa
 	} else {
-		d.sched = &sched.WarmAuction{Epsilon: opts.Epsilon}
+		d.sched = &sched.Auction{Epsilon: opts.Epsilon}
 	}
 	// The slow-solver drill wraps whatever stack was chosen (no-op when the
 	// fault spec injects no delay).
@@ -432,23 +437,34 @@ func (d *Daemon) Bid(p isp.PeerID, reqs []BidRequest) error {
 	}
 	for _, r := range reqs {
 		k := bidKey{peer: p, chunk: r.Chunk}
-		req := sched.Request{
-			Peer:       p,
-			Chunk:      r.Chunk,
-			Value:      r.Value,
-			Deadline:   r.Deadline,
-			Candidates: append([]sched.Candidate(nil), r.Candidates...),
+		i, ok := d.bidIdx[k]
+		if !ok {
+			i = len(d.bids)
+			d.bidIdx[k] = i
+			d.bids = append(d.bids, sched.Request{})
 		}
-		if i, ok := d.bidIdx[k]; ok {
-			d.bids[i] = req
-		} else {
-			d.bidIdx[k] = len(d.bids)
-			d.bids = append(d.bids, req)
-		}
+		d.bids[i] = sched.Request{Peer: p, Chunk: r.Chunk, Value: r.Value, Deadline: r.Deadline,
+			Candidates: d.bookCandidates(d.bids[i].Candidates, r.Candidates)}
 		d.totals.Bids++
 	}
 	d.metrics.bids.Add(uint64(len(reqs)))
 	return nil
+}
+
+// bookCandidates copies cs into the candidate arena and returns its window.
+// old is the key's current window (empty for a fresh key): a list that fits
+// its capacity overwrites it in place, and a longer one replaces it, growing
+// in place when old is the newest window in the arena.
+func (d *Daemon) bookCandidates(old, cs []sched.Candidate) []sched.Candidate {
+	if len(cs) <= cap(old) {
+		return append(old[:0], cs...)
+	}
+	if n := len(d.cands) - cap(old); cap(old) > 0 && n >= 0 && &d.cands[n] == &old[:1][0] {
+		d.cands = d.cands[:n]
+	}
+	lo := len(d.cands)
+	d.cands = append(d.cands, cs...)
+	return d.cands[lo:len(d.cands):len(d.cands)]
 }
 
 // checkBid rejects a bid the slot solver would refuse. It allocates only to
@@ -522,7 +538,7 @@ type StatsSnapshot struct {
 	LastGrants    int     `json:"last_grants"`
 	LastShards    int     `json:"last_shards"`
 	LastSolveMs   float64 `json:"last_solve_ms"`
-	// ConsecutiveOverruns is the live degraded streak (0 = warm solves are
+	// ConsecutiveOverruns is the live degraded streak (0 = solves are
 	// landing within their deadline); the alarm input the runbook names.
 	ConsecutiveOverruns int     `json:"consecutive_overruns"`
 	UptimeSec           float64 `json:"uptime_sec"`
@@ -587,8 +603,7 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	}
 	if tk != nil && res != nil && res.Stats != nil {
 		ssp.Arg("bids", res.Stats["bids"]).
-			Arg("iterations", res.Stats["iterations"]).
-			Arg("sweep_passes", res.Stats["sweep_passes"])
+			Arg("iterations", res.Stats["iterations"])
 	}
 	ssp.End()
 
@@ -663,6 +678,10 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	for k := range d.bidIdx {
 		delete(d.bidIdx, k)
 	}
+	d.cands = d.cands[:0]
+	if d.inflight != nil { // an overrunning solve still reads the arena
+		d.cands = nil
+	}
 
 	m := d.metrics
 	m.ticks.Add(1)
@@ -715,15 +734,14 @@ type solveOutcome struct {
 }
 
 // solveLocked runs the slot solve under the degradation policy. Without a
-// deadline it is a plain synchronous Schedule. With one, the warm solve runs
-// on a goroutine: if it lands within SolveDeadline the tick proceeds normally
+// deadline it is a plain synchronous Schedule. With one, the solve runs on a
+// goroutine: if it lands within SolveDeadline the tick proceeds normally
 // and the overrun streak resets; if not, the solve keeps running off-lock
 // (recorded in d.inflight) and the tick degrades — carry the previous grants
 // (res == nil), or after GreedyAfter consecutive overruns solve this tick's
 // instance with the bounded greedy fallback. A finished overrun solve is
-// discarded at the next tick (its instance is stale) and the warm solver is
-// used again — re-convergence costs nothing because the solver kept its
-// prices.
+// discarded at the next tick (its instance is stale) and the solver serves
+// the new book cold.
 func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, usedGreedy bool, err error) {
 	if d.opts.SolveDeadline <= 0 {
 		res, err = d.sched.Schedule(in)
@@ -733,7 +751,7 @@ func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, u
 		select {
 		case <-d.inflight:
 			// The overrunning solve finished between ticks. Its result is for
-			// a drained book — discard it; the warm solver is free again.
+			// a drained book — discard it; the solver is free again.
 			d.inflight = nil
 		default:
 		}
@@ -757,7 +775,7 @@ func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, u
 			d.inflight = done
 		}
 	}
-	// Degraded slot: the warm solver is busy (overran just now, or still
+	// Degraded slot: the solver is busy (overran just now, or still
 	// catching up from an earlier overrun).
 	d.overruns++
 	d.metrics.solveOverruns.Add(1)
@@ -804,7 +822,7 @@ func (d *Daemon) buildInstance() (*sched.Instance, int, error) {
 			rejected++
 			continue
 		}
-		r.Candidates = keep
+		r.Candidates = keep[:len(keep):len(keep)]
 		requests = append(requests, r)
 	}
 	in, err := sched.NewInstance(requests, uploaders)
@@ -828,7 +846,7 @@ func (d *Daemon) Drain() error {
 	}
 	d.draining = true
 	// Let any overrunning solve land first, so the final drain tick gets the
-	// warm solver and shutdown leaves no goroutine behind.
+	// solver and shutdown leaves no goroutine behind.
 	d.awaitInflightLocked()
 	var err error
 	if len(d.bidIdx) > 0 || len(d.offerIdx) > 0 {
@@ -862,9 +880,8 @@ func (d *Daemon) Close() {
 }
 
 // Snapshot is the JSON state image Drain writes and New restores: the
-// registration set and cumulative counters. Solver price state deliberately
-// stays out — the warm solver re-converges from λ = 0 within a tick, and the
-// ε-CS certificate makes the result equivalent; what must survive a restart
+// registration set and cumulative counters. Every tick solves cold from
+// λ = 0, so there is no solver state to keep; what must survive a restart
 // is the identity of the swarm and the continuity of the slot counter.
 type Snapshot struct {
 	Taken  time.Time   `json:"taken"`

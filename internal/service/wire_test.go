@@ -170,10 +170,11 @@ func (w *discardWriter) WriteHeader(s int)           { w.status = s }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // maxBidHandlerAllocs pins one 4-bid × 6-candidate POST /v1/bid through
-// Handler(): the body limiter and Daemon.Bid's copy of each candidate list.
-// Decoding with encoding/json took 46; a fresh Content-Type slice per
+// Handler(): the body limiter. A re-bid books into its key's window of the
+// candidate arena; a fresh slice per candidate list took four more,
+// decoding with encoding/json took 46, and a fresh Content-Type slice per
 // answer took one more.
-const maxBidHandlerAllocs = 5
+const maxBidHandlerAllocs = 1
 
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
