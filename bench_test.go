@@ -12,9 +12,6 @@
 //	BenchmarkRobustnessLoss        — welfare under message loss
 //	BenchmarkStrategicBidding      — grants won by exaggerated bids
 //	BenchmarkSolver*               — raw solver throughput
-//	BenchmarkWarmStart*            — cold vs warm-started incremental auction
-//	                                 under churn (see docs/PERFORMANCE.md and
-//	                                 BENCH_warmstart.json)
 //
 // Figures at the paper's scale are produced by `p2psim -scale full`;
 // benches use the small scale so the suite stays fast. The ablations (ε,
@@ -204,234 +201,14 @@ func BenchmarkStrategicBidding(b *testing.B) {
 	b.ReportMetric(exaggerated, "grants-exaggerated")
 }
 
-// --- Warm-start benchmarks -------------------------------------------------
-//
-// BenchmarkWarmStart* measure the incremental solving layer (core.Solver /
-// sched.WarmAuction) against cold per-slot re-solves on churn workloads:
-// each "slot" removes ~4% of the requests, re-values ~2% (uniform weight
-// shifts), rewrites the edges of ~2%, adds replacements and jitters a few
-// capacities — the slot-to-slot shape of a swarm under churn, exercising
-// both the cheap ValueShift path and the full update path. Cold pays
-// problem rebuild + a from-λ=0 auction per slot; warm pays delta
-// application + re-optimization from carried prices. Results are recorded
-// in BENCH_warmstart.json and discussed in docs/PERFORMANCE.md.
-
-// benchChurnSlots/benchChurnFrac shape the churn trace: 16 slots (between
-// the registered scenarios' 10–12 and the paper's full-scale 25) at 8%
-// request churn per slot — over the run, ~70% of the initial population is
-// replaced. Sink capacities are drawn scarce (supply ≈ 40% of demand), so
-// slots are genuinely contested and the cold baseline pays real bidding
-// wars — the regime the warm start targets; docs/PERFORMANCE.md quantifies
-// how the speedup varies with market tightness and churn rate.
-const (
-	benchChurnSlots = 16
-	benchChurnFrac  = 0.08
-)
-
-// churnSlotData is one precomputed slot of a churn trace: the dense problem
-// for the cold rebuild and the equivalent deltas for the warm solver.
-type churnSlotData struct {
-	caps   []int
-	reqs   [][]core.Edge
-	deltas []core.ProblemDelta
-}
-
-// churnSlots precomputes a deterministic churn trace. Request ids in the
-// deltas are the ones a fresh core.Solver mints (sequential, never reused).
-func churnSlots(seed uint64, nReq, nSink, nSlots int, frac float64) []churnSlotData {
-	rng := randx.New(seed)
-	caps := make([]int, nSink)
-	for i := range caps {
-		caps[i] = 1 + rng.Intn(3)
-	}
-	edgesFor := func() []core.Edge {
-		perm := rng.Perm(nSink)
-		degree := 1 + rng.Intn(8)
-		if degree > len(perm) {
-			degree = len(perm)
-		}
-		edges := make([]core.Edge, 0, degree)
-		for k := 0; k < degree; k++ {
-			edges = append(edges, core.Edge{Sink: core.SinkID(perm[k]), Weight: rng.Range(-1, 8)})
-		}
-		return edges
-	}
-	type liveReq struct {
-		id    core.RequestID
-		edges []core.Edge
-	}
-	snapshot := func(deltas ...core.ProblemDelta) churnSlotData {
-		return churnSlotData{caps: append([]int(nil), caps...), deltas: deltas}
-	}
-	var live []liveReq
-	sinkDelta := core.ProblemDelta{AddSinks: append([]int(nil), caps...)}
-	reqDelta := core.ProblemDelta{}
-	for i := 0; i < nReq; i++ {
-		e := edgesFor()
-		reqDelta.AddRequests = append(reqDelta.AddRequests, e)
-		live = append(live, liveReq{id: core.RequestID(i), edges: e})
-	}
-	nextID := core.RequestID(nReq)
-	slots := []churnSlotData{snapshot(sinkDelta, reqDelta)}
-	for s := 1; s < nSlots; s++ {
-		var d core.ProblemDelta
-		kept := make([]liveReq, 0, len(live))
-		for _, lr := range live {
-			switch x := rng.Float64(); {
-			case x < frac/2:
-				d.RemoveRequests = append(d.RemoveRequests, lr.id)
-			case x < frac*3/4:
-				// Deadline-style re-valuation: every weight shifts together.
-				d.ShiftValues = append(d.ShiftValues,
-					core.ValueShift{Request: lr.id, Delta: rng.Range(-0.5, 0.5)})
-				kept = append(kept, lr)
-			case x < frac:
-				// Neighbor-set change: the full edge rewrite.
-				lr.edges = edgesFor()
-				d.UpdateRequests = append(d.UpdateRequests,
-					core.RequestEdges{Request: lr.id, Edges: lr.edges})
-				kept = append(kept, lr)
-			default:
-				kept = append(kept, lr)
-			}
-		}
-		for i := 0; i < len(d.RemoveRequests); i++ {
-			e := edgesFor()
-			d.AddRequests = append(d.AddRequests, e)
-			kept = append(kept, liveReq{id: nextID, edges: e})
-			nextID++
-		}
-		for t := range caps {
-			if rng.Float64() < 0.05 {
-				caps[t] = 1 + rng.Intn(6)
-				d.SetCapacities = append(d.SetCapacities,
-					core.SinkCapacity{Sink: core.SinkID(t), Capacity: caps[t]})
-			}
-		}
-		live = kept
-		slots = append(slots, snapshot(d))
-	}
-	// Rebuild the dense per-slot views by replaying the deltas on a shadow
-	// model (edges are shared, read-only from here on).
-	shadow := make(map[core.RequestID][]core.Edge)
-	next := core.RequestID(0)
-	for i := range slots {
-		for _, d := range slots[i].deltas {
-			for _, r := range d.RemoveRequests {
-				delete(shadow, r)
-			}
-			for _, u := range d.UpdateRequests {
-				shadow[u.Request] = u.Edges
-			}
-			for _, v := range d.ShiftValues {
-				shifted := append([]core.Edge(nil), shadow[v.Request]...)
-				for j := range shifted {
-					shifted[j].Weight += v.Delta
-				}
-				shadow[v.Request] = shifted
-			}
-			for _, e := range d.AddRequests {
-				shadow[next] = e
-				next++
-			}
-		}
-		dense := make([][]core.Edge, 0, len(shadow))
-		for r := core.RequestID(0); r < next; r++ {
-			if e, ok := shadow[r]; ok {
-				dense = append(dense, e)
-			}
-		}
-		slots[i].reqs = dense
-	}
-	return slots
-}
-
-func benchmarkWarmStartCold(b *testing.B, nReq, nSink int) {
-	slots := churnSlots(42, nReq, nSink, benchChurnSlots, benchChurnFrac)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sl := range slots {
-			p := repro.NewProblem()
-			for _, c := range sl.caps {
-				if _, err := p.AddSink(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, edges := range sl.reqs {
-				r := p.AddRequest()
-				for _, e := range edges {
-					if err := p.AddEdge(r, e.Sink, e.Weight); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if _, err := repro.SolveAuction(p, repro.AuctionOptions{Epsilon: 0.01}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func benchmarkWarmStartWarm(b *testing.B, nReq, nSink int) {
-	slots := churnSlots(42, nReq, nSink, benchChurnSlots, benchChurnFrac)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solver, err := repro.NewIncrementalSolver(repro.AuctionOptions{Epsilon: 0.01})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sl := range slots {
-			for _, d := range sl.deltas {
-				if _, err := solver.Apply(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := solver.Solve(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkWarmStartColdChurn200x40(b *testing.B)   { benchmarkWarmStartCold(b, 200, 40) }
-func BenchmarkWarmStartWarmChurn200x40(b *testing.B)   { benchmarkWarmStartWarm(b, 200, 40) }
-func BenchmarkWarmStartColdChurn1000x200(b *testing.B) { benchmarkWarmStartCold(b, 1000, 200) }
-func BenchmarkWarmStartWarmChurn1000x200(b *testing.B) { benchmarkWarmStartWarm(b, 1000, 200) }
-func BenchmarkWarmStartColdChurn5000x500(b *testing.B) { benchmarkWarmStartCold(b, 5000, 500) }
-func BenchmarkWarmStartWarmChurn5000x500(b *testing.B) { benchmarkWarmStartWarm(b, 5000, 500) }
-
-// BenchmarkWarmStartSimChurn* run the registered churn scenario end to end —
-// world stepping, instance building and transfer accounting included — so
-// they bound how much of the slot pipeline the solver actually is.
-func BenchmarkWarmStartSimChurnCold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunScenario("churn", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWarmStartSimChurnWarm(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunScenario("churn-warm", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Sharding benchmarks ----------------------------------------------------
 //
 // BenchmarkShard* measure the sharded swarm orchestrator (internal/cluster)
 // against monolithic solves on multi-swarm churn traces: S independent
 // swarms (the slot problem's connected components), 16 slots of ~8% request
-// churn each, at three problem sizes. The monolithic baselines pay one
-// global solve per slot — cold (rebuild + λ=0 auction, the pre-warm-start
-// baseline) or warm (one global incremental solver, the PR-2 baseline); the
-// sharded runs pay partition + per-shard cold solves on 1/2/4/8 workers.
+// churn each, at three problem sizes. The monolithic baseline pays one
+// global cold solve per slot (rebuild + λ=0 auction); the sharded runs pay
+// partition + per-shard cold solves on 1/2/4/8 workers.
 // Results are recorded in BENCH_shard.json and discussed in
 // docs/PERFORMANCE.md ("The sharding headline").
 
@@ -466,20 +243,6 @@ func benchmarkShardMonolithicCold(b *testing.B, swarms, reqPer, upPer int) {
 	}
 }
 
-func benchmarkShardMonolithicWarm(b *testing.B, swarms, reqPer, upPer int) {
-	slots := shardBenchTrace(b, swarms, reqPer, upPer)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &sched.WarmAuction{Epsilon: 0.01}
-		for _, in := range slots {
-			if _, err := s.Schedule(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func benchmarkShardSharded(b *testing.B, swarms, reqPer, upPer, workers int) {
 	slots := shardBenchTrace(b, swarms, reqPer, upPer)
 	b.ReportAllocs()
@@ -495,19 +258,16 @@ func benchmarkShardSharded(b *testing.B, swarms, reqPer, upPer, workers int) {
 }
 
 func BenchmarkShardMonolithicColdSmall(b *testing.B)  { benchmarkShardMonolithicCold(b, 8, 200, 40) }
-func BenchmarkShardMonolithicWarmSmall(b *testing.B)  { benchmarkShardMonolithicWarm(b, 8, 200, 40) }
 func BenchmarkShardShardedSmall1(b *testing.B)        { benchmarkShardSharded(b, 8, 200, 40, 1) }
 func BenchmarkShardShardedSmall2(b *testing.B)        { benchmarkShardSharded(b, 8, 200, 40, 2) }
 func BenchmarkShardShardedSmall4(b *testing.B)        { benchmarkShardSharded(b, 8, 200, 40, 4) }
 func BenchmarkShardShardedSmall8(b *testing.B)        { benchmarkShardSharded(b, 8, 200, 40, 8) }
 func BenchmarkShardMonolithicColdMedium(b *testing.B) { benchmarkShardMonolithicCold(b, 32, 200, 40) }
-func BenchmarkShardMonolithicWarmMedium(b *testing.B) { benchmarkShardMonolithicWarm(b, 32, 200, 40) }
 func BenchmarkShardShardedMedium1(b *testing.B)       { benchmarkShardSharded(b, 32, 200, 40, 1) }
 func BenchmarkShardShardedMedium2(b *testing.B)       { benchmarkShardSharded(b, 32, 200, 40, 2) }
 func BenchmarkShardShardedMedium4(b *testing.B)       { benchmarkShardSharded(b, 32, 200, 40, 4) }
 func BenchmarkShardShardedMedium8(b *testing.B)       { benchmarkShardSharded(b, 32, 200, 40, 8) }
 func BenchmarkShardMonolithicColdLarge(b *testing.B)  { benchmarkShardMonolithicCold(b, 96, 200, 40) }
-func BenchmarkShardMonolithicWarmLarge(b *testing.B)  { benchmarkShardMonolithicWarm(b, 96, 200, 40) }
 func BenchmarkShardShardedLarge1(b *testing.B)        { benchmarkShardSharded(b, 96, 200, 40, 1) }
 func BenchmarkShardShardedLarge2(b *testing.B)        { benchmarkShardSharded(b, 96, 200, 40, 2) }
 func BenchmarkShardShardedLarge4(b *testing.B)        { benchmarkShardSharded(b, 96, 200, 40, 4) }

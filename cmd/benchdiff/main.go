@@ -6,8 +6,8 @@
 // the table is for humans (and the nightly artifacts) to spot trends, not
 // a gate. See docs/PERFORMANCE.md ("Recorded baselines").
 //
-//	go test -run '^$' -bench 'BenchmarkWarmStart' -benchtime 10x . | tee bench.txt
-//	go run ./cmd/benchdiff -bench bench.txt BENCH_warmstart.json BENCH_pipeline.json
+//	go test -run '^$' -bench 'BenchmarkShard|BenchmarkPipeline' -benchtime 10x -benchmem . | tee bench.txt
+//	go run ./cmd/benchdiff -bench bench.txt BENCH_shard.json BENCH_pipeline.json
 package main
 
 import (

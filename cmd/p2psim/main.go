@@ -7,13 +7,12 @@
 //	p2psim -list                                    # catalog of registered scenarios
 //	p2psim -scenario quickstart -seed 7             # one run, metric table + chart
 //	p2psim -scenario churn -solver locality         # same world, baseline solver
-//	p2psim -scenario churn -solver auction-warm     # warm-started incremental auction
+//	p2psim -scenario churn -solver auction-des      # message-level distributed auction
 //	p2psim -scenario mega-swarm                     # 100k peers, sharded orchestrator
 //	p2psim -scenario churn -solver auction-sharded -set shard-workers=4
 //	p2psim -scenario quickstart -trace out.json     # Perfetto span capture of one run
 //	p2psim -scenario vodstreaming -seeds 10 -workers 4 -csv out.csv
 //	p2psim -scenario vodstreaming -seeds 5 -sweep "neighbors=5,15,30" -json out.json
-//	p2psim -scenario churn -seeds 5 -sweep "warmstart=0,1" -csv warm.csv
 //	p2psim -scenario mega-swarm -seeds 3 -sweep "shard-workers=1,2,4,8" -csv scale.csv
 //
 // -set overrides any sweep parameter (scenario.ApplyParam) with one value,

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func TestParseScale(t *testing.T) {
@@ -217,12 +219,26 @@ func TestRunScenarioSetOverrides(t *testing.T) {
 	if err := run([]string{"-scenario", "assignment", "-sweep", "requests=40.5,40"}); err == nil {
 		t.Error("a fractional integer sweep should error")
 	}
-	if err := run([]string{"-scenario", "assignment", "-solver", "auction-warm"}); err == nil {
-		t.Error("the warm auction on transport instances should error")
-	}
 	if err := run([]string{"-scenario", "quickstart", "-solver", "locality",
 		"-set", "sharding=1"}); err == nil {
 		t.Error("sharding a price-free baseline should error")
+	}
+}
+
+// TestRunUnknownSolverNamesSolvers: the deleted warm solver's name is now
+// an unknown solver, and the error lists every solver that exists.
+func TestRunUnknownSolverNamesSolvers(t *testing.T) {
+	err := run([]string{"-scenario", "churn", "-solver", "auction-warm", "-nochart"})
+	if err == nil {
+		t.Fatal("-solver auction-warm should error")
+	}
+	if !strings.Contains(err.Error(), `unknown solver "auction-warm"`) {
+		t.Errorf("error %q does not call the solver unknown", err)
+	}
+	for _, sv := range scenario.Solvers() {
+		if !strings.Contains(err.Error(), string(sv)) {
+			t.Errorf("error %q does not name solver %q", err, sv)
+		}
 	}
 }
 

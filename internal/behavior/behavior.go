@@ -15,10 +15,10 @@
 //
 // Because both engines (the fast slot engine and the message-level DES)
 // build instances and apply grants through the same world code, every
-// policy perturbs the market identically under warm-start, sharding and
-// the incremental zero-rebuild pipeline. With the zero-value Spec no
-// Runtime is created at all and the honest path is bit-identical to the
-// pre-behavior engine (pinned by the no-op regression goldens).
+// policy perturbs the market identically under sharding and the
+// incremental zero-rebuild pipeline. With the zero-value Spec no Runtime is
+// created at all and the honest path is bit-identical to the pre-behavior
+// engine (pinned by the no-op regression goldens).
 //
 // The degradation these policies cause — welfare lost, transit dollars
 // shifted, per-ISP settlement deltas versus the honest run at the same

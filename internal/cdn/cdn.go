@@ -83,7 +83,7 @@ type Spec struct {
 	// local peers beat the edge and the edge beats remote peers.
 	//
 	// Deliberately constant (cache-state-independent): candidate lists stay
-	// fixed within a slot, so the incremental builder's carried lists, warm
+	// fixed within a slot, so the incremental builder's carried lists, its
 	// deltas and shard partitions remain sound; the cache decides the
 	// backhaul *bill*, never the auction's view.
 	EdgeEgressCost float64

@@ -4,17 +4,17 @@
 // place so the goldens and the recorded benchmarks (BENCH_shard.json)
 // always measure the same trace shape.
 //
-// The shape mirrors the warm-start benchmark trace (bench_test.go's
-// churnSlots, docs/PERFORMANCE.md): per slot, a frac fraction of the live
-// requests churns — half removals (replaced by fresh chunks), a quarter
-// pure re-valuations (the ValueShift path), a quarter candidate-set
-// rewrites (the full-update path) — plus ~5% capacity jitter per uploader.
+// Per slot, a frac fraction of the live requests churns — half removals
+// (replaced by fresh chunks), a quarter pure re-valuations, a quarter
+// candidate-set rewrites — plus ~5% capacity jitter per uploader.
 // Swarms are independent by construction (candidates never cross swarms),
 // so the component partition is exact and sharded welfare provably matches
 // a monolithic solve's.
 package clustertest
 
 import (
+	"slices"
+
 	"repro/internal/isp"
 	"repro/internal/randx"
 	"repro/internal/sched"
@@ -41,8 +41,9 @@ type synReq struct {
 // uploaders, churning frac of the requests per slot as described in the
 // package comment. integral draws integer values/costs so welfare sums are
 // exactly representable (the bit-equality goldens); otherwise values and
-// costs are uniform floats. Request identity — the (peer, chunk) key warm
-// solvers diff on — is stable for surviving requests across slots.
+// costs are uniform floats. Request identity — the (peer, chunk) key the
+// Builder's deltas match on — is stable for surviving requests across
+// slots.
 func BuildSlots(seed uint64, slots, swarms, reqPer, upPer int, frac float64, integral bool) []*sched.Instance {
 	rng := randx.New(seed)
 	value := func() float64 {
@@ -149,4 +150,54 @@ func BuildSlots(seed uint64, slots, swarms, reqPer, upPer int, frac float64, int
 		out = append(out, in)
 	}
 	return out
+}
+
+// KeyDelta relates cur to prev by key, the way a sched.Builder's ordered
+// replay does: uploaders by peer, requests by (peer, chunk). A carried
+// request's SameCands is set when its candidate list is unchanged. Identity
+// is left false.
+func KeyDelta(prev, cur *sched.Instance) *sched.InstanceDelta {
+	d := &sched.InstanceDelta{}
+	upRow := map[isp.PeerID]int32{}
+	for i, u := range prev.Uploaders {
+		upRow[u.Peer] = int32(i)
+	}
+	carriedUp := map[int32]bool{}
+	for _, u := range cur.Uploaders {
+		p, ok := upRow[u.Peer]
+		if !ok {
+			p = -1
+		}
+		carriedUp[p] = true
+		d.PrevUp = append(d.PrevUp, p)
+	}
+	for i := range prev.Uploaders {
+		if !carriedUp[int32(i)] {
+			d.RemovedUps = append(d.RemovedUps, int32(i))
+		}
+	}
+	type key struct {
+		peer  isp.PeerID
+		chunk video.ChunkID
+	}
+	reqRow := map[key]int32{}
+	for i, r := range prev.Requests {
+		reqRow[key{r.Peer, r.Chunk}] = int32(i)
+	}
+	carriedReq := map[int32]bool{}
+	for _, r := range cur.Requests {
+		p, ok := reqRow[key{r.Peer, r.Chunk}]
+		if !ok {
+			p = -1
+		}
+		carriedReq[p] = true
+		d.PrevReq = append(d.PrevReq, p)
+		d.SameCands = append(d.SameCands, ok && slices.Equal(prev.Requests[p].Candidates, r.Candidates))
+	}
+	for i := range prev.Requests {
+		if !carriedReq[int32(i)] {
+			d.RemovedReqs = append(d.RemovedReqs, int32(i))
+		}
+	}
+	return d
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster/clustertest"
 	"repro/internal/isp"
 	"repro/internal/randx"
 	"repro/internal/sched"
@@ -519,7 +520,7 @@ func TestIncrementalPartitionAllocs(t *testing.T) {
 	for _, swarms := range []int{6, 60} {
 		slots := buildSlots(41, 2, swarms, 30, 8, 0.3, false)
 		a, b := slots[0], slots[1]
-		ab, ba := keyDelta(a, b), keyDelta(b, a)
+		ab, ba := clustertest.KeyDelta(a, b), clustertest.KeyDelta(b, a)
 		var ip incrementalPartitioner
 		ip.update(a, nil)
 		step := func() {
@@ -536,52 +537,4 @@ func TestIncrementalPartitionAllocs(t *testing.T) {
 			t.Fatalf("%d swarms: a steady-state incremental update allocates %.1f, want 0", swarms, allocs/2)
 		}
 	}
-}
-
-// keyDelta relates cur to prev the way a Builder (or WarmAuction's by-key
-// match) would: uploaders by peer, requests by (peer, chunk).
-func keyDelta(prev, cur *sched.Instance) *sched.InstanceDelta {
-	d := &sched.InstanceDelta{}
-	upRow := map[isp.PeerID]int32{}
-	for i, u := range prev.Uploaders {
-		upRow[u.Peer] = int32(i)
-	}
-	carriedUp := map[int32]bool{}
-	for _, u := range cur.Uploaders {
-		p, ok := upRow[u.Peer]
-		if !ok {
-			p = -1
-		}
-		carriedUp[p] = true
-		d.PrevUp = append(d.PrevUp, p)
-	}
-	for i := range prev.Uploaders {
-		if !carriedUp[int32(i)] {
-			d.RemovedUps = append(d.RemovedUps, int32(i))
-		}
-	}
-	type key struct {
-		peer  isp.PeerID
-		chunk video.ChunkID
-	}
-	reqRow := map[key]int32{}
-	for i, r := range prev.Requests {
-		reqRow[key{r.Peer, r.Chunk}] = int32(i)
-	}
-	carriedReq := map[int32]bool{}
-	for _, r := range cur.Requests {
-		p, ok := reqRow[key{r.Peer, r.Chunk}]
-		if !ok {
-			p = -1
-		}
-		carriedReq[p] = true
-		d.PrevReq = append(d.PrevReq, p)
-		d.SameCands = append(d.SameCands, ok && slices.Equal(prev.Requests[p].Candidates, r.Candidates))
-	}
-	for i := range prev.Requests {
-		if !carriedReq[int32(i)] {
-			d.RemovedReqs = append(d.RemovedReqs, int32(i))
-		}
-	}
-	return d
 }

@@ -86,7 +86,7 @@ func TestPartitionOrphansAndIdleUploaders(t *testing.T) {
 
 // TestPartitionMergesSameVideoComponents pins the stable-key rule: two
 // disconnected components of the same swarm fold into one shard, so the
-// shard keeps one warm solver no matter how the neighbor graph fragments.
+// shard keeps one solver no matter how the neighbor graph fragments.
 func TestPartitionMergesSameVideoComponents(t *testing.T) {
 	ups := []sched.Uploader{{Peer: 1, Capacity: 1}, {Peer: 2, Capacity: 1}}
 	reqs := []sched.Request{

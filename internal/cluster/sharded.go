@@ -18,7 +18,7 @@ import (
 
 // defaultTTL is how many consecutive slots a shard may sit unused (its swarm
 // drained or merged away) before its solver is reclaimed. A retired shard's
-// buffers (and a stateful factory solver's warm state) are worthless once
+// buffers (and a stateful factory solver's carried state) are worthless once
 // its peers are gone, and a returning swarm simply gets a fresh solver.
 const defaultTTL = 8
 

@@ -4,13 +4,11 @@ import "fmt"
 
 // AuctionOptions configures the primal-dual auction.
 //
-// A solve from a freshly loaded problem starts from λ = 0, exactly like the
-// paper's per-slot auctions: naively reusing a price vector is unsound for
-// this asymmetric problem — a carried positive price on a sink that ends the
-// next solve unsaturated violates complementary slackness condition 1 and
-// can exclude optimal assignments. Warm starts across solves (and
-// ε-rescaling schedules) are provided soundly by the Solver's delta path
-// (solver.go), which repairs CS1 before terminating.
+// Every solve starts from λ = 0, exactly like the paper's per-slot
+// auctions: naively reusing a price vector is unsound for this asymmetric
+// problem — a carried positive price on a sink that ends the next solve
+// unsaturated violates complementary slackness condition 1 and can exclude
+// optimal assignments.
 type AuctionOptions struct {
 	// Epsilon is the bid increment. Epsilon = 0 reproduces the paper's
 	// literal bidding rule (bid exactly the second-best difference), which
@@ -41,19 +39,6 @@ type AuctionResult struct {
 	// situation the paper's bidders "wait" in). The assignment is feasible
 	// but may be slightly suboptimal.
 	Stalled bool
-	// RepairRounds counts CS1-repair rounds of a warm Solver.Solve (0 for
-	// cold solves: a cold drain leaves no unsold reserves to repair).
-	RepairRounds int
-	// Restarted is true when a warm Solver.Solve abandoned its carried state
-	// and fell back to a cold solve (pathological warm start).
-	Restarted bool
-	// SweepPasses counts closing ε-CS sweep passes: one for a loaded cold
-	// solve, at least one for a warm solve, none after an ε = 0 stall.
-	SweepPasses int
-	// Surrenders counts reserve-surrender escalations: sweep stalls where
-	// the solver zeroed the still-dirty sinks' reserve prices before
-	// resorting to a cold restart.
-	Surrenders int
 }
 
 // DualObjective evaluates the dual objective (5): Σ λ_u·B(u) + Σ η, with
@@ -165,8 +150,7 @@ func (h bidHeap) up(j int) {
 	}
 }
 
-func (h bidHeap) down(i0, n int) bool {
-	i := i0
+func (h bidHeap) down(i, n int) {
 	for {
 		j1 := 2*i + 1
 		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
@@ -182,7 +166,6 @@ func (h bidHeap) down(i0, n int) bool {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	return i > i0
 }
 
 // push inserts one accepted bid (heap.Push without the interface boxing).
@@ -200,13 +183,6 @@ func (h *bidHeap) popMin() acceptedBid {
 	v := old[n]
 	*h = old[:n]
 	return v
-}
-
-// fix re-establishes the heap order after element i changed (heap.Fix).
-func (h bidHeap) fix(i int) {
-	if !h.down(i, len(h)) {
-		h.up(i)
-	}
 }
 
 // SolveAuction runs the primal-dual auction on p from λ = 0 and returns the

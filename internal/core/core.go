@@ -4,12 +4,8 @@
 //
 //   - the primal-dual auction (Bertsekas-style ε-auction with Gauss–Seidel
 //     bidding, the paper's literal ε=0 rule as a setting) in one kernel, the
-//     Solver: Load starts it cold on a built Problem (SolveAuction is a
-//     fresh Solver loaded and solved once), and between solves it retains
-//     prices and partial assignments and accepts ProblemDeltas — the
-//     amortized path for slowly-varying slot sequences (churn), with
-//     reverse-auction repair keeping the certificate identical to a cold
-//     solve's,
+//     Solver: Load resets it cold on a built Problem and Solve runs one
+//     fresh auction (SolveAuction is a fresh Solver loaded and solved once),
 //   - an exact successive-shortest-path min-cost-flow solver used as the
 //     optimality ground truth,
 //   - a brute-force solver for tiny instances,

@@ -42,9 +42,7 @@ func TestSolveAuctionFingerprint(t *testing.T) {
 	rng := randx.New(7)
 	h := fnv.New64a()
 	for trial := 0; trial < 30; trial++ {
-		m := newSolverModel(t, 0.01)
-		m.seed(rng.Derive(uint64(trial)), 1+rng.Intn(25), 1+rng.Intn(8), false)
-		p, _, _ := m.densify()
+		p := seededProblem(t, rng.Derive(uint64(trial)), 1+rng.Intn(25), 1+rng.Intn(8), false)
 		res, err := SolveAuction(p, AuctionOptions{Epsilon: 0.01})
 		if err != nil {
 			t.Fatal(err)

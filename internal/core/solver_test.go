@@ -8,108 +8,7 @@ import (
 	"repro/internal/randx"
 )
 
-// solverModel mirrors a Solver's live subproblem so tests can cross-check it
-// against the one-shot solvers: it tracks live solver ids and can densify
-// them into a plain Problem.
-type solverModel struct {
-	t      *testing.T
-	solver *Solver
-	reqs   map[RequestID][]Edge
-	sinks  map[SinkID]int
-}
-
-func newSolverModel(t *testing.T, eps float64) *solverModel {
-	t.Helper()
-	s, err := NewSolver(AuctionOptions{Epsilon: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &solverModel{t: t, solver: s,
-		reqs: make(map[RequestID][]Edge), sinks: make(map[SinkID]int)}
-}
-
-func (m *solverModel) apply(d ProblemDelta) *AppliedDelta {
-	m.t.Helper()
-	applied, err := m.solver.Apply(d)
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	for _, r := range d.RemoveRequests {
-		delete(m.reqs, r)
-	}
-	for _, u := range d.UpdateRequests {
-		m.reqs[u.Request] = u.Edges
-	}
-	for _, t := range d.RemoveSinks {
-		delete(m.sinks, t)
-		for r, edges := range m.reqs {
-			kept := edges[:0]
-			for _, e := range edges {
-				if e.Sink != t {
-					kept = append(kept, e)
-				}
-			}
-			m.reqs[r] = kept
-		}
-	}
-	for _, c := range d.SetCapacities {
-		m.sinks[c.Sink] = c.Capacity
-	}
-	for i, t := range applied.Sinks {
-		m.sinks[t] = d.AddSinks[i]
-	}
-	for i, r := range applied.Requests {
-		m.reqs[r] = d.AddRequests[i]
-	}
-	return applied
-}
-
-// densify builds the equivalent plain Problem plus the live-id orderings used
-// to map between them (sorted for determinism).
-func (m *solverModel) densify() (p *Problem, reqIDs []RequestID, sinkIdx map[SinkID]SinkID) {
-	m.t.Helper()
-	p = NewProblem()
-	sinkIdx = make(map[SinkID]SinkID, len(m.sinks))
-	for t := SinkID(0); int(t) < len(m.solver.caps); t++ {
-		if capacity, live := m.sinks[t]; live {
-			dense, err := p.AddSink(capacity)
-			if err != nil {
-				m.t.Fatal(err)
-			}
-			sinkIdx[t] = dense
-		}
-	}
-	for r := RequestID(0); int(r) < len(m.solver.adj); r++ {
-		edges, live := m.reqs[r]
-		if !live {
-			continue
-		}
-		dense := p.AddRequest()
-		reqIDs = append(reqIDs, r)
-		for _, e := range edges {
-			if _, ok := sinkIdx[e.Sink]; !ok {
-				continue // edge to a sink removed after the request was added
-			}
-			if err := p.AddEdge(dense, sinkIdx[e.Sink], e.Weight); err != nil {
-				m.t.Fatal(err)
-			}
-		}
-	}
-	return p, reqIDs, sinkIdx
-}
-
-// exactWelfare solves the dense equivalent problem to optimality.
-func (m *solverModel) exactWelfare() float64 {
-	m.t.Helper()
-	p, _, _ := m.densify()
-	opt, err := SolveExact(p)
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	return opt.Welfare(p)
-}
-
-// randomEdges draws a random admissible edge set over the live sinks.
+// randomEdges draws a random admissible edge set over the given sinks.
 func randomEdges(rng *randx.Source, sinks []SinkID, integerWeights bool) []Edge {
 	var edges []Edge
 	for _, t := range sinks {
@@ -126,322 +25,141 @@ func randomEdges(rng *randx.Source, sinks []SinkID, integerWeights bool) []Edge 
 	return edges
 }
 
-func (m *solverModel) liveSinks() []SinkID {
-	var out []SinkID
-	for t := SinkID(0); int(t) < len(m.solver.caps); t++ {
-		if _, live := m.sinks[t]; live {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func (m *solverModel) liveReqs() []RequestID {
-	var out []RequestID
-	for r := RequestID(0); int(r) < len(m.solver.adj); r++ {
-		if _, live := m.reqs[r]; live {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// churnStep mutates ~frac of the model: requests removed/updated/added, one
-// sink removed/added, a few capacity changes — the slot-to-slot shape of a
-// P2P swarm under churn.
-func (m *solverModel) churnStep(rng *randx.Source, frac float64, integerWeights bool) {
-	m.t.Helper()
-	var d ProblemDelta
-	for _, r := range m.liveReqs() {
-		switch {
-		case rng.Float64() < frac/2:
-			d.RemoveRequests = append(d.RemoveRequests, r)
-		case rng.Float64() < frac:
-			d.UpdateRequests = append(d.UpdateRequests,
-				RequestEdges{Request: r, Edges: randomEdges(rng, m.liveSinks(), integerWeights)})
-		}
-	}
-	sinks := m.liveSinks()
-	if len(sinks) > 2 && rng.Float64() < frac {
-		d.RemoveSinks = append(d.RemoveSinks, sinks[rng.Intn(len(sinks))])
-	}
-	for _, t := range sinks {
-		if len(d.RemoveSinks) == 1 && t == d.RemoveSinks[0] {
-			continue
-		}
-		if rng.Float64() < frac/2 {
-			d.SetCapacities = append(d.SetCapacities, SinkCapacity{Sink: t, Capacity: rng.Intn(4)})
-		}
-	}
-	if rng.Float64() < frac {
-		d.AddSinks = append(d.AddSinks, 1+rng.Intn(3))
-	}
-	m.apply(d)
-	// New requests reference post-removal sinks: second phase, as WarmAuction
-	// does.
-	var d2 ProblemDelta
-	n := rng.Intn(1 + int(frac*float64(len(m.reqs)+4)))
-	for i := 0; i < n; i++ {
-		d2.AddRequests = append(d2.AddRequests, randomEdges(rng, m.liveSinks(), integerWeights))
-	}
-	m.apply(d2)
-}
-
-// seedModel populates an empty model with a random instance.
-func (m *solverModel) seed(rng *randx.Source, nReq, nSink int, integerWeights bool) {
-	m.t.Helper()
-	var sinksD ProblemDelta
-	for i := 0; i < nSink; i++ {
-		sinksD.AddSinks = append(sinksD.AddSinks, rng.Intn(4))
-	}
-	m.apply(sinksD)
-	var reqD ProblemDelta
-	for i := 0; i < nReq; i++ {
-		reqD.AddRequests = append(reqD.AddRequests, randomEdges(rng, m.liveSinks(), integerWeights))
-	}
-	m.apply(reqD)
-}
-
-func TestSolverWarmCertificateUnderChurn(t *testing.T) {
-	// Across a churn sequence, every warm Solve must end with a clean ε-CS
-	// certificate and welfare within n·ε of the exact optimum — the same
-	// guarantee a cold solve gives.
-	const eps = 0.01
-	rng := randx.New(11)
-	m := newSolverModel(t, eps)
-	m.seed(rng, 40, 8, false)
-	for slot := 0; slot < 12; slot++ {
-		if slot > 0 {
-			m.churnStep(rng, 0.3, false)
-		}
-		if _, err := m.solver.Solve(); err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		if err := m.solver.VerifyState(1e-9); err != nil {
-			t.Fatalf("slot %d: certificate rejected: %v", slot, err)
-		}
-		got := m.solver.Welfare()
-		opt := m.exactWelfare()
-		bound := eps*float64(m.solver.NumRequests()) + 1e-9
-		if got < opt-bound || got > opt+1e-9 {
-			t.Fatalf("slot %d: warm welfare %v outside [opt−nε, opt] = [%v, %v]",
-				slot, got, opt-bound, opt)
-		}
-	}
-}
-
-func TestSolverWarmEqualsColdWelfareIntegerWeights(t *testing.T) {
-	// With integer weights and ε < 1/(n+1), both warm and cold solves are
-	// exactly optimal (Theorem 1 via Bertsekas' ε-CS argument), so their
-	// welfare is identical — the strongest warm == cold golden at this
-	// level.
-	rng := randx.New(23)
-	m := newSolverModel(t, 1e-3)
-	m.seed(rng, 30, 6, true)
-	for slot := 0; slot < 10; slot++ {
-		if slot > 0 {
-			m.churnStep(rng, 0.35, true)
-		}
-		if _, err := m.solver.Solve(); err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		p, _, _ := m.densify()
-		cold, err := SolveAuction(p, AuctionOptions{Epsilon: 1e-3})
+// seededProblem builds a random instance of nSink sinks with capacities in
+// 0..3 and nReq requests, each with an edge to about 60 % of the sinks.
+func seededProblem(t *testing.T, rng *randx.Source, nReq, nSink int, integerWeights bool) *Problem {
+	t.Helper()
+	p := NewProblem()
+	sinks := make([]SinkID, nSink)
+	for i := range sinks {
+		s, err := p.AddSink(rng.Intn(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmW, coldW := m.solver.Welfare(), cold.Assignment.Welfare(p)
-		if math.Abs(warmW-coldW) > 1e-9 {
-			t.Fatalf("slot %d: warm welfare %v != cold welfare %v", slot, warmW, coldW)
-		}
-		if optW := m.exactWelfare(); math.Abs(warmW-optW) > 1e-9 {
-			t.Fatalf("slot %d: warm welfare %v != exact optimum %v", slot, warmW, optW)
+		sinks[i] = s
+	}
+	for range nReq {
+		r := p.AddRequest()
+		for _, e := range randomEdges(rng, sinks, integerWeights) {
+			if err := p.AddEdge(r, e.Sink, e.Weight); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	return p
 }
 
-func TestSolverRepairResellsStaleReserve(t *testing.T) {
-	// r1 takes the single unit of sink B with a bid that prices λ_B above
-	// r2's valuation, so r2 drops out. When r1 departs, the naive warm start
-	// would leave B priced out of the market forever (λ_B ≈ 9, unsold — CS1
-	// violated); the repair loop must reset the reserve and resell to r2.
-	m := newSolverModel(t, 0.01)
-	applied := m.apply(ProblemDelta{AddSinks: []int{1}})
-	sinkB := applied.Sinks[0]
-	reqs := m.apply(ProblemDelta{AddRequests: [][]Edge{
-		{{Sink: sinkB, Weight: 9}},
-		{{Sink: sinkB, Weight: 8}},
-	}})
-	r1, r2 := reqs.Requests[0], reqs.Requests[1]
-	if _, err := m.solver.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.solver.SinkOf(r1); got != sinkB {
-		t.Fatalf("r1 at %v, want sink B (%v)", got, sinkB)
-	}
-	if m.solver.SinkOf(r2) != Unassigned {
-		t.Fatalf("r2 at %v, want priced out", m.solver.SinkOf(r2))
-	}
-	if lb := m.solver.Price(sinkB); lb < 8.5 {
-		t.Fatalf("λ_B = %v after the bidding war, want ≈ 9", lb)
-	}
-	m.apply(ProblemDelta{RemoveRequests: []RequestID{r1}})
-	res, err := m.solver.Solve()
+// sameSolve reports whether two solves are bit-equal on everything a caller
+// can observe: assignment, price bits and the bidding diagnostics.
+func sameSolve(a, b *AuctionResult) bool {
+	return slices.Equal(a.Assignment.SinkOf, b.Assignment.SinkOf) && slices.Equal(a.Prices, b.Prices) &&
+		a.Bids == b.Bids && a.Iterations == b.Iterations && a.Evictions == b.Evictions &&
+		a.Stalled == b.Stalled
+}
+
+// TestSolverReloadMatchesSolveAuction: one Solver, reloaded across a
+// sequence of random problems that grow and shrink (so its kept buffers are
+// both reused and outgrown), must solve each exactly as a fresh
+// SolveAuction does, with a valid ε-CS certificate; with integer weights
+// and ε < 1/(n+1) the welfare is the exact optimum.
+func TestSolverReloadMatchesSolveAuction(t *testing.T) {
+	rng := randx.New(11)
+	s, err := NewSolver(AuctionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RepairRounds == 0 {
-		t.Fatal("expected a CS1 repair round for the stale reserve")
-	}
-	if got := m.solver.SinkOf(r2); got != sinkB {
-		t.Fatalf("r2 at %v after repair, want sink B (%v)", got, sinkB)
-	}
-	if err := m.solver.VerifyState(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.solver.Welfare(); math.Abs(got-8) > 1e-9 {
-		t.Fatalf("welfare %v, want 8", got)
+	for trial := range 40 {
+		integer := trial%2 == 1
+		p := seededProblem(t, rng, rng.Intn(60), 1+rng.Intn(12), integer)
+		eps := 0.01
+		if integer {
+			eps = 1.0 / float64(p.NumRequests()+2)
+		}
+		if err := s.SetEpsilon(eps); err != nil {
+			t.Fatal(err)
+		}
+		s.Load(p)
+		got, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveAuction(p, AuctionOptions{Epsilon: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSolve(got, want) {
+			t.Fatalf("trial %d: reloaded solve differs from a fresh SolveAuction", trial)
+		}
+		if err := VerifyEpsilonCS(p, got.Assignment, got.Prices, eps, 1e-9); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if integer {
+			opt, err := SolveExact(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gw, ow := got.Assignment.Welfare(p), opt.Welfare(p); math.Abs(gw-ow) > 1e-9 {
+				t.Fatalf("trial %d: welfare %v, exact optimum %v", trial, gw, ow)
+			}
+		}
 	}
 }
 
+// TestSolverEpsilonRescaling: SetEpsilon between Loads takes effect on the
+// next solve — a solver that solved coarse and is then tightened and
+// reloaded meets the tight n·ε bound, bit-equal to a fresh solve at that ε.
 func TestSolverEpsilonRescaling(t *testing.T) {
-	// Coarse-to-fine ε across warm Solves: the carried state must be
-	// revalidated so the final welfare meets the *tight* bound.
 	rng := randx.New(31)
-	m := newSolverModel(t, 2)
-	m.seed(rng, 30, 6, false)
-	if _, err := m.solver.Solve(); err != nil {
+	p := seededProblem(t, rng, 30, 6, false)
+	s, err := NewSolver(AuctionOptions{Epsilon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Load(p)
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := SolveExact(p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{0.5, 0.05, 0.005} {
-		if err := m.solver.SetEpsilon(eps); err != nil {
+		if err := s.SetEpsilon(eps); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.solver.Solve(); err != nil {
+		s.Load(p)
+		got, err := s.Solve()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.solver.VerifyState(1e-9); err != nil {
-			t.Fatalf("ε=%v: %v", eps, err)
+		want, err := SolveAuction(p, AuctionOptions{Epsilon: eps})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	got, opt := m.solver.Welfare(), m.exactWelfare()
-	bound := 0.005*float64(m.solver.NumRequests()) + 1e-9
-	if got < opt-bound {
-		t.Fatalf("rescaled welfare %v below opt−nε = %v", got, opt-bound)
+		if !sameSolve(got, want) {
+			t.Fatalf("ε=%v: rescaled solve differs from a fresh SolveAuction", eps)
+		}
+		bound := eps*float64(p.NumRequests()) + 1e-9
+		if w := got.Assignment.Welfare(p); w < opt.Welfare(p)-bound {
+			t.Fatalf("ε=%v: welfare %v below opt−nε = %v", eps, w, opt.Welfare(p)-bound)
+		}
 	}
 }
 
-func TestSolverCapacityShrinkEvicts(t *testing.T) {
-	m := newSolverModel(t, 0.01)
-	applied := m.apply(ProblemDelta{AddSinks: []int{3}})
-	sink := applied.Sinks[0]
-	m.apply(ProblemDelta{AddRequests: [][]Edge{
-		{{Sink: sink, Weight: 5}},
-		{{Sink: sink, Weight: 7}},
-		{{Sink: sink, Weight: 9}},
-	}})
-	if _, err := m.solver.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	m.apply(ProblemDelta{SetCapacities: []SinkCapacity{{Sink: sink, Capacity: 1}}})
-	if _, err := m.solver.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.solver.VerifyState(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	// Only the highest-value request keeps the unit.
-	if got := m.solver.Welfare(); math.Abs(got-9) > 1e-9 {
-		t.Fatalf("welfare after shrink = %v, want 9", got)
-	}
-	// Growing it back resells to everyone.
-	m.apply(ProblemDelta{SetCapacities: []SinkCapacity{{Sink: sink, Capacity: 3}}})
-	if _, err := m.solver.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.solver.Welfare(); math.Abs(got-21) > 1e-9 {
-		t.Fatalf("welfare after regrow = %v, want 21", got)
-	}
-}
-
-func TestSolverCompactPreservesState(t *testing.T) {
-	rng := randx.New(43)
-	m := newSolverModel(t, 0.01)
-	m.seed(rng, 40, 8, false)
-	for slot := 0; slot < 6; slot++ {
-		m.churnStep(rng, 0.4, false)
-		if _, err := m.solver.Solve(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := m.solver.Welfare()
-	deadReqs, deadSinks := m.solver.Dead()
-	if deadReqs == 0 {
-		t.Fatal("churn left no dead requests; test is vacuous")
-	}
-	reqMap, sinkMap := m.solver.Compact()
-	if gotR, gotS := m.solver.Dead(); gotR != 0 || gotS != 0 {
-		t.Fatalf("Dead() = (%d, %d) after Compact", gotR, gotS)
-	}
-	t.Logf("compacted away %d requests, %d sinks", deadReqs, deadSinks)
-	// Rewrite the model's handles and confirm nothing observable changed.
-	newReqs := make(map[RequestID][]Edge, len(m.reqs))
-	for r, edges := range m.reqs {
-		kept := edges[:0]
-		for _, e := range edges {
-			if nt, live := sinkMap[e.Sink]; live {
-				kept = append(kept, Edge{Sink: nt, Weight: e.Weight})
-			}
-		}
-		newReqs[reqMap[r]] = kept
-	}
-	newSinks := make(map[SinkID]int, len(m.sinks))
-	for s, c := range m.sinks {
-		newSinks[sinkMap[s]] = c
-	}
-	m.reqs, m.sinks = newReqs, newSinks
-	if err := m.solver.VerifyState(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	if after := m.solver.Welfare(); math.Abs(after-before) > 1e-9 {
-		t.Fatalf("welfare changed across Compact: %v → %v", before, after)
-	}
-	// And the solver keeps working incrementally.
-	m.churnStep(rng, 0.3, false)
-	if _, err := m.solver.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.solver.VerifyState(1e-9); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestSolverValidationErrors: SetEpsilon rejects what NewSolver rejects and
+// leaves the bid increment in force unchanged.
 func TestSolverValidationErrors(t *testing.T) {
-	m := newSolverModel(t, 0.01)
-	applied := m.apply(ProblemDelta{AddSinks: []int{1}})
-	sink := applied.Sinks[0]
-	reqs := m.apply(ProblemDelta{AddRequests: [][]Edge{{{Sink: sink, Weight: 1}}}})
-	cases := []ProblemDelta{
-		{RemoveRequests: []RequestID{99}},
-		{RemoveRequests: []RequestID{reqs.Requests[0], reqs.Requests[0]}},
-		{RemoveSinks: []SinkID{99}},
-		{SetCapacities: []SinkCapacity{{Sink: sink, Capacity: -1}}},
-		{AddSinks: []int{-2}},
-		{AddRequests: [][]Edge{{{Sink: 99, Weight: 1}}}},
-		{AddRequests: [][]Edge{{{Sink: sink, Weight: math.NaN()}}}},
-		{AddRequests: [][]Edge{{{Sink: sink, Weight: 1}, {Sink: sink, Weight: 2}}}},
-		{UpdateRequests: []RequestEdges{{Request: 99}}},
-		{RemoveSinks: []SinkID{sink}, AddRequests: [][]Edge{{{Sink: sink, Weight: 1}}}},
+	s, err := NewSolver(AuctionOptions{Epsilon: 0.01})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, d := range cases {
-		if _, err := m.solver.Apply(d); err == nil {
-			t.Errorf("case %d: invalid delta accepted", i)
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.SetEpsilon(eps); err == nil {
+			t.Errorf("SetEpsilon(%v) accepted", eps)
 		}
 	}
-	// The failed applies must not have mutated anything.
-	if m.solver.NumRequests() != 1 || m.solver.NumSinks() != 1 {
-		t.Fatalf("failed applies mutated state: %d requests, %d sinks",
-			m.solver.NumRequests(), m.solver.NumSinks())
+	if s.opts.Epsilon != 0.01 {
+		t.Fatalf("rejected SetEpsilon calls changed ε to %v", s.opts.Epsilon)
 	}
 }
 
@@ -464,10 +182,9 @@ func TestNewSolverRejectsBadOptions(t *testing.T) {
 }
 
 // TestSolverLoadNeverWritesProblem: a loaded solver adopts the problem's
-// capacities and edge slab. Deltas that remove requests (their edge arrays
-// enter the recycling pool), add requests (which take those arrays back),
-// update and shift edges and change capacities, and a Compact, must all
-// leave the problem as it was — a reload still solves it identically.
+// capacities and edge slab. Solving it, with every shared-buffer flavor,
+// and then loading and solving a different problem into the same solver
+// must leave the problem as it was — a reload still solves it identically.
 func TestSolverLoadNeverWritesProblem(t *testing.T) {
 	p := randomProblemLarge(randx.New(11), 200, 20)
 	n := p.NumRequests()
@@ -489,43 +206,29 @@ func TestSolverLoadNeverWritesProblem(t *testing.T) {
 	if _, err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	var d ProblemDelta
-	for r := 0; r < n; r += 2 {
-		d.RemoveRequests = append(d.RemoveRequests, RequestID(r))
-		d.AddRequests = append(d.AddRequests, []Edge{{Sink: SinkID(r % 20), Weight: 99}})
-	}
-	d.UpdateRequests = []RequestEdges{{Request: 1, Edges: []Edge{{Sink: 0, Weight: 98}}}}
-	d.ShiftValues = []ValueShift{{Request: 3, Delta: 5}}
-	d.SetCapacities = []SinkCapacity{{Sink: 0, Capacity: 97}}
-	if _, err := s.Apply(d); err != nil {
+	s.Load(p)
+	if _, err := s.SolveShared(); err != nil {
 		t.Fatal(err)
 	}
+	s.Load(randomProblemLarge(randx.New(12), 300, 30))
 	if _, err := s.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.VerifyState(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	s.Compact()
-	if _, err := s.Apply(ProblemDelta{ShiftValues: []ValueShift{{Request: 0, Delta: -1}}}); err != nil {
 		t.Fatal(err)
 	}
 
 	for r, es := range edges {
 		if got := p.Edges(RequestID(r)); !slices.Equal(got, es) {
-			t.Fatalf("request %d edges = %v after deltas, want %v", r, got, es)
+			t.Fatalf("request %d edges = %v after solves, want %v", r, got, es)
 		}
 	}
 	if !slices.Equal(p.capacities, caps) {
-		t.Fatalf("capacities = %v after deltas, want %v", p.capacities, caps)
+		t.Fatalf("capacities = %v after solves, want %v", p.capacities, caps)
 	}
 	s.Load(p)
 	got, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got.Assignment.SinkOf, want.Assignment.SinkOf) || !slices.Equal(got.Prices, want.Prices) ||
-		got.Bids != want.Bids || got.Iterations != want.Iterations {
+	if !sameSolve(got, want) {
 		t.Fatal("reloaded solve differs from a fresh SolveAuction")
 	}
 }

@@ -7,8 +7,8 @@ package isp
 // cross-boundary uploader→downloader edge whose uploader sits in a
 // throttling ISP is admitted with probability Cap and silently dropped
 // otherwise. Admission is a pure function of (seed, edge), the same
-// stateless-draw idiom as Topology.Cost, so both sim engines, the warm
-// solvers and the from-scratch reference pipeline see the identical
+// stateless-draw idiom as Topology.Cost, so both sim engines, every
+// scheduler and the from-scratch reference pipeline see the identical
 // perturbed instance.
 
 import (

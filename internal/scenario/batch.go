@@ -33,7 +33,7 @@ var intParams = map[string]bool{
 // ApplyParam mutates the spec by one named parameter — the vocabulary of
 // batch sweeps and of p2psim's -set. Keys: peers, slots, neighbors, epsilon,
 // arrival, early-leave, cost-scale, seeds-per-video, videos, window,
-// requests, sinks, warmstart, sharding, shard-workers, shard-max, locality,
+// requests, sinks, sharding, shard-workers, shard-max, locality,
 // cross-cap, transit-cost, free-rider-frac, shade-factor, clique-size,
 // throttle-cap, edge-capacity, edge-cache, origin-capacity, cdn-only,
 // crash-prob, rejoin-after. Integer keys reject fractional values.
@@ -71,8 +71,6 @@ func ApplyParam(s *Spec, key string, v float64) error {
 			s.Behavior.Throttle.ISPs = []int{0}
 		}
 		s.Behavior.Throttle.Cap = v
-	case "warmstart":
-		return toggleVariant(s, SolverAuctionWarm, v != 0)
 	case "locality":
 		// ISP-biased neighbor selection with bias probability v; 0 restores
 		// the uniform (ISP-blind) policy.
@@ -110,7 +108,20 @@ func ApplyParam(s *Spec, key string, v float64) error {
 			s.Transit.Kind = "flat"
 		}
 	case "sharding":
-		return toggleVariant(s, SolverAuctionSharded, v != 0)
+		// Toggles the auction's sharded variant: on turns SolverAuction into
+		// SolverAuctionSharded, off turns it back. Turning it on from any
+		// other solver is an error; turning it off leaves them alone.
+		switch {
+		case v == 0:
+			if s.Solver == SolverAuctionSharded {
+				s.Solver = SolverAuction
+			}
+		case s.Solver == SolverAuction:
+			s.Solver = SolverAuctionSharded
+		case s.Solver != SolverAuctionSharded:
+			return fmt.Errorf("scenario: %q requires the %q solver, got %q",
+				SolverAuctionSharded, SolverAuction, s.Solver)
+		}
 	case "shard-workers":
 		s.Sharding.Workers = int(v)
 	case "shard-max":
@@ -179,32 +190,10 @@ func ApplyParam(s *Spec, key string, v float64) error {
 	default:
 		return fmt.Errorf("scenario: unknown sweep parameter %q (want peers, slots, "+
 			"neighbors, epsilon, arrival, early-leave, cost-scale, seeds-per-video, "+
-			"videos, window, requests, sinks, warmstart, sharding, shard-workers, "+
+			"videos, window, requests, sinks, sharding, shard-workers, "+
 			"shard-max, locality, cross-cap, transit-cost, free-rider-frac, "+
 			"shade-factor, clique-size, throttle-cap, edge-capacity, edge-cache, "+
 			"origin-capacity, cdn-only, crash-prob or rejoin-after)", key)
-	}
-	return nil
-}
-
-// toggleVariant maps the warmstart and sharding sweep keys onto the solver
-// name: on turns SolverAuction into the variant, off turns the variant back
-// into SolverAuction. Turning a variant on from any other solver is an error;
-// turning it off leaves other solvers alone.
-func toggleVariant(s *Spec, variant Solver, on bool) error {
-	switch {
-	case s.Solver == variant:
-		if !on {
-			s.Solver = SolverAuction
-		}
-	case !on:
-	case s.Solver == SolverAuction:
-		s.Solver = variant
-	case s.Solver == SolverAuctionWarm || s.Solver == SolverAuctionSharded:
-		return fmt.Errorf("scenario: cannot turn %q into %q: sharding already warm-starts per shard",
-			s.Solver, variant)
-	default:
-		return fmt.Errorf("scenario: %q requires the %q solver, got %q", variant, SolverAuction, s.Solver)
 	}
 	return nil
 }

@@ -15,9 +15,8 @@ import (
 // them, the live scenario excluded as timing-dependent). With Behavior
 // unset no runtime is compiled and no extra randomness is drawn, so the
 // axis must be a bit-identical no-op on the honest path — across the fast
-// engine, warm-start (churn-warm) and the sharded orchestrator
-// (mega-swarm, sharded-churn). Exact float equality is deliberate. The
-// large-scale row is that preset under SolverAuction, its solver since
+// engine and the sharded orchestrator (mega-swarm, sharded-churn). Exact
+// float equality is deliberate. The large-scale row is that preset under SolverAuction, its solver since
 // Jacobi rounds were deleted, captured with the deleted bidding loop. The
 // mega-swarm row is the monolithic SolverAuction's run since the shards
 // solve cold: the sharded grants and prices equal it bit for bit, and
@@ -61,21 +60,6 @@ var honestPathGolden = map[string]map[string]float64{
 		"welfare_final":    4327.649032246071,
 		"welfare_per_slot": 2721.064259405863,
 		"welfare_total":    27210.642594058627,
-	},
-	"churn-warm": {
-		"cross_isp_chunks": 16228,
-		"cross_isp_gb":     0.13293977599999998,
-		"departed":         26,
-		"fairness":         0.9999968442439822,
-		"grants":           42368,
-		"inter_isp":        0.3830249244712991,
-		"joined":           111,
-		"miss_rate":        0.0038421052631578945,
-		"payments":         1797.7914978907143,
-		"transit_usd":      0.13293977599999998,
-		"welfare_final":    4332.619452455009,
-		"welfare_per_slot": 2722.1735090023294,
-		"welfare_total":    27221.735090023292,
 	},
 	"diurnal": {
 		"cross_isp_chunks": 17139,

@@ -70,21 +70,6 @@ func init() {
 		Sim:      churn,
 	})
 
-	// churn-warm — the same Fig. 6 churn workload scheduled by the
-	// warm-started incremental auction (sched.WarmAuction): prices and
-	// partial assignments carry across slots, so each slot re-converges from
-	// the previous market instead of from λ = 0. Welfare matches the cold
-	// auction (golden-tested in warm_test.go); docs/PERFORMANCE.md records
-	// the speedup. Sweep `warmstart=0,1` on any auction sim scenario to compare.
-	MustRegister(Spec{
-		Name:     "churn-warm",
-		Summary:  "the churn workload under the warm-started incremental auction",
-		Workload: "churn",
-		Kind:     KindSim,
-		Solver:   SolverAuctionWarm,
-		Sim:      churn,
-	})
-
 	// chaos-churn — the churn workload under fault injection: on top of the
 	// Fig. 6 dynamics, 5% of live watchers crash-stop each slot (mid-download
 	// state lost, no graceful departure) and respawn as fresh arrivals two
@@ -371,8 +356,8 @@ func init() {
 	assist.Placement = sim.SeedsGlobal
 	assist.CDN = cdn.DefaultSpec()
 	// Uniform egress fees make large ε-band tie classes (every request sees
-	// the same edge/origin costs); a tighter increment keeps warm/cold and
-	// sharded/monolithic tie-break drift inside the equality goldens.
+	// the same edge/origin costs); a tighter increment keeps sharded/monolithic
+	// tie-break drift inside the equality goldens.
 	assist.Epsilon = 0.002
 	MustRegister(Spec{
 		Name:     "cdn-assist",

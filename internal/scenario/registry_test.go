@@ -187,7 +187,7 @@ func TestTransportSolverRestrictions(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("locality on a bare transportation instance should be rejected")
 	}
-	for _, sv := range []Solver{SolverAuctionWarm, SolverAuctionSharded} {
+	for _, sv := range []Solver{SolverAuctionSharded, SolverAuctionDES} {
 		if err := spec.WithSolver(sv).Validate(); err == nil {
 			t.Errorf("%s on independent transportation instances should be rejected", sv)
 		}
@@ -204,7 +204,7 @@ func TestTransportSolverRestrictions(t *testing.T) {
 
 func TestLiveRejectsSolverOverride(t *testing.T) {
 	spec, _ := Get("livenet")
-	for _, sv := range []Solver{SolverLocality, SolverAuctionWarm, SolverAuctionSharded, ""} {
+	for _, sv := range []Solver{SolverLocality, SolverAuctionSharded, SolverAuctionDES, ""} {
 		if err := spec.WithSolver(sv).Validate(); err == nil {
 			t.Errorf("live scenarios should reject solver %q", sv)
 		}

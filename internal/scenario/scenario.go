@@ -70,21 +70,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Solver names a scheduling/solving strategy. The auction's warm-started and
-// sharded variants are solvers of their own, so a spec names exactly the
-// scheduler that runs.
+// Solver names a scheduling/solving strategy. The auction's sharded and
+// message-level variants are solvers of their own, so a spec names exactly
+// the scheduler that runs.
 type Solver string
 
 // Registered solvers.
 const (
 	// SolverAuction is the paper's primal-dual auction, Gauss–Seidel rounds.
 	SolverAuction Solver = "auction"
-	// SolverAuctionWarm is the incremental warm-started auction
-	// (sched.WarmAuction, sim only): prices and partial assignments carry
-	// across the run's slots instead of re-converging from λ = 0. Welfare
-	// guarantees are identical to the cold auction (see docs/PERFORMANCE.md
-	// for the speedups it buys under churn).
-	SolverAuctionWarm Solver = "auction-warm"
 	// SolverAuctionSharded is the sharded swarm orchestrator
 	// (cluster.ShardedAuction, sim only): the slot problem is partitioned into
 	// its independent swarm components, each solved cold by its own
@@ -108,19 +102,17 @@ const (
 
 // Solvers lists every solver usable in a KindSim spec.
 func Solvers() []Solver {
-	return []Solver{SolverAuction, SolverAuctionWarm, SolverAuctionSharded,
+	return []Solver{SolverAuction, SolverAuctionSharded,
 		SolverAuctionDES, SolverExact, SolverLocality, SolverRandom}
 }
 
 // Scheduler instantiates the spec's solver as a slot scheduler for cfg. Call
-// it once per run: warm-started and sharded schedulers carry state across a
-// run's slots and must not leak across runs.
+// it once per run: the sharded scheduler carries state across a run's slots
+// and must not leak across runs.
 func (s Spec) Scheduler(cfg sim.Config) (sched.Scheduler, error) {
 	switch s.Solver {
 	case SolverAuction:
 		return &sched.Auction{Epsilon: cfg.Epsilon}, nil
-	case SolverAuctionWarm:
-		return &sched.WarmAuction{Epsilon: cfg.Epsilon}, nil
 	case SolverAuctionSharded:
 		return &cluster.ShardedAuction{
 			Epsilon:       cfg.Epsilon,

@@ -107,9 +107,9 @@ func (c *deltaTwin) ScheduleDelta(in *sched.Instance, d *sched.InstanceDelta) (*
 }
 
 // TestShardedPresetMatchesMonolithicMetrics pins the registered sharded
-// presets to their monolithic twins at the whole-run level, the same
-// contract as the churn-warm preset test: per-slot tie-breaks may route
-// chunks differently, but run-level welfare must agree closely.
+// presets to their monolithic twins at the whole-run level: per-slot
+// tie-breaks may route chunks differently, but run-level welfare must
+// agree closely.
 func TestShardedPresetMatchesMonolithicMetrics(t *testing.T) {
 	for _, name := range []string{"mega-swarm", "sharded-churn"} {
 		shardedSpec, ok := Get(name)
@@ -166,7 +166,34 @@ func TestShardingValidation(t *testing.T) {
 	if !ok || sa.Workers != 4 || sa.MaxShardPeers != 2000 {
 		t.Fatalf("auction-sharded built %T %+v, want a 4-worker ShardedAuction refining above 2000 peers", s, s)
 	}
-	testVariantSweepKey(t, "sharding", SolverAuctionSharded, SolverAuctionWarm)
+	// The sharding key: 1 turns the auction into the sharded variant and 0
+	// turns it back; 1 on any other solver is an error, and 0 leaves other
+	// solvers alone.
+	for _, c := range []struct {
+		from    Solver
+		v       float64
+		want    Solver
+		wantErr bool
+	}{
+		{SolverAuction, 1, SolverAuctionSharded, false},
+		{SolverAuctionSharded, 1, SolverAuctionSharded, false},
+		{SolverAuctionSharded, 0, SolverAuction, false},
+		{SolverAuction, 0, SolverAuction, false},
+		{SolverLocality, 0, SolverLocality, false},
+		{SolverExact, 0, SolverExact, false},
+		{SolverExact, 1, SolverExact, true},
+		{SolverLocality, 1, SolverLocality, true},
+		{SolverAuctionDES, 1, SolverAuctionDES, true},
+	} {
+		spec := mustGet(t, "churn").WithSolver(c.from)
+		err := ApplyParam(&spec, "sharding", c.v)
+		if (err != nil) != c.wantErr {
+			t.Errorf("sharding=%v on %s: err = %v, want error %v", c.v, c.from, err, c.wantErr)
+		}
+		if spec.Solver != c.want {
+			t.Errorf("sharding=%v on %s: solver = %s, want %s", c.v, c.from, spec.Solver, c.want)
+		}
+	}
 }
 
 // TestShardedColdEqualsMonolithicPerPreset runs the sharded presets as they

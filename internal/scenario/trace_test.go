@@ -52,12 +52,10 @@ func TestTraceDeterminismGolden(t *testing.T) {
 // for every registered determinism-relevant scenario shape (one per kind
 // axis kept small enough for routine runs).
 func TestTracingDoesNotPerturbScheduling(t *testing.T) {
-	for _, name := range []string{"quickstart", "churn-warm", "sharded-churn"} {
+	for _, name := range []string{"quickstart", "churn", "sharded-churn"} {
 		spec, ok := Get(name)
 		if !ok {
-			// Preset names evolve; skip rather than pin the catalog here.
-			t.Logf("scenario %q not registered, skipping", name)
-			continue
+			t.Fatalf("scenario %q not registered", name)
 		}
 		boundHeavy(t, &spec, 200, 8)
 		plain, err := spec.Run(42)

@@ -9,11 +9,11 @@ import (
 )
 
 // InstanceDelta describes how a slot instance evolved from the previous one
-// the same producer built — the slot-to-slot churn a warm consumer
-// (WarmAuction, cluster.ShardedAuction) can apply in O(churn) instead of
-// re-diffing two full instances by key. Deltas are produced by Builder
-// (every Build that follows an ordered Build returns one) and are trusted:
-// consumers bounds-check the row maps but do not re-derive them.
+// the same producer built — the slot-to-slot churn a consumer
+// (cluster.ShardedAuction's incremental partitioner) can apply in O(churn)
+// instead of re-diffing two full instances by key. Deltas are produced by
+// Builder (every Build that follows an ordered Build returns one) and are
+// trusted: consumers bounds-check the row maps but do not re-derive them.
 //
 // All row references are dense indices: PrevReq[i] is the previous
 // instance's row of the new instance's request i (-1 when the request is
@@ -126,6 +126,14 @@ func NewBuilder() *Builder {
 	b.stores[1].inst.slotOf = b.slotOf
 	b.cur, b.prev = &b.stores[0], &b.stores[1]
 	return b
+}
+
+// reqKey identifies a request across slots: the same peer wanting the same
+// chunk is the same economic actor, whatever its row in this slot's
+// Instance.
+type reqKey struct {
+	peer  isp.PeerID
+	chunk video.ChunkID
 }
 
 func keyOf(p isp.PeerID, c video.ChunkID) reqKey { return reqKey{peer: p, chunk: c} }

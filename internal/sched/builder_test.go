@@ -2,8 +2,11 @@ package sched_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/isp"
 	"repro/internal/randx"
 	"repro/internal/sched"
@@ -221,26 +224,102 @@ func TestBuilderMatchesNewInstance(t *testing.T) {
 	}
 }
 
-// TestScheduleDeltaMatchesSchedule is the delta path's equivalence golden:
-// one WarmAuction consumes builder deltas, a twin re-diffs the same
-// instances by key-matching; the two must emit identical grants, prices and
-// diagnostics every round — the delta path is unobservable in the schedule.
+// unmoved reports whether a by-key delta moves no row: every previous
+// request and uploader survives in its own row, candidates unchanged.
+func unmoved(d *sched.InstanceDelta) bool {
+	if len(d.RemovedReqs) > 0 || len(d.RemovedUps) > 0 {
+		return false
+	}
+	for i, p := range d.PrevReq {
+		if p != int32(i) || !d.SameCands[i] {
+			return false
+		}
+	}
+	for i, p := range d.PrevUp {
+		if p != int32(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBuilderDeltaMatchesKeyDiff referees the Builder's delta on its own:
+// over the churn model's rounds, each Build's InstanceDelta must equal a
+// by-key diff of the previous and current reference instances, and
+// Identity must be set exactly on the rounds where no row moved.
+func TestBuilderDeltaMatchesKeyDiff(t *testing.T) {
+	m := newChurnModel(11, 10, 50)
+	b := sched.NewBuilder()
+	var prev *sched.Instance
+	identities, moved := 0, 0
+	for round := 0; round < 25; round++ {
+		if round > 0 {
+			m.churn(round%4 == 2)
+		}
+		_, d := m.buildRound(t, b)
+		ref := m.reference(t)
+		if round == 0 {
+			if d != nil {
+				t.Fatal("first round should have no delta baseline")
+			}
+			prev = ref
+			continue
+		}
+		if d == nil {
+			t.Fatalf("round %d: ordered rounds must yield a delta", round)
+		}
+		want := clustertest.KeyDelta(prev, ref)
+		for _, f := range []struct {
+			name      string
+			got, want []int32
+		}{
+			{"PrevReq", d.PrevReq, want.PrevReq},
+			{"RemovedReqs", d.RemovedReqs, want.RemovedReqs},
+			{"PrevUp", d.PrevUp, want.PrevUp},
+			{"RemovedUps", d.RemovedUps, want.RemovedUps},
+		} {
+			if !slices.Equal(f.got, f.want) {
+				t.Fatalf("round %d: %s = %v, by-key diff %v", round, f.name, f.got, f.want)
+			}
+		}
+		if !slices.Equal(d.SameCands, want.SameCands) {
+			t.Fatalf("round %d: SameCands = %v, by-key diff %v", round, d.SameCands, want.SameCands)
+		}
+		if d.Identity != unmoved(want) {
+			t.Fatalf("round %d: Identity = %v, but rows moved = %v", round, d.Identity, !unmoved(want))
+		}
+		if d.Identity {
+			identities++
+		} else {
+			moved++
+		}
+		prev = ref
+	}
+	if identities == 0 || moved == 0 {
+		t.Fatalf("%d identity and %d moving rounds; the trace must have both", identities, moved)
+	}
+}
+
+// TestScheduleDeltaMatchesSchedule is the delta path's equivalence golden
+// for the one DeltaScheduler, cluster.ShardedAuction: one orchestrator
+// consumes the Builder's deltas, a twin re-partitions each reference
+// instance through Schedule; the two must emit bit-equal grants and prices
+// every round — the delta path is unobservable in the schedule.
 func TestScheduleDeltaMatchesSchedule(t *testing.T) {
 	m := newChurnModel(11, 10, 50)
 	b := sched.NewBuilder()
-	viaDelta := &sched.WarmAuction{Epsilon: 0.01}
-	viaDiff := &sched.WarmAuction{Epsilon: 0.01}
+	viaDelta := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
+	viaFull := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
 	for round := 0; round < 25; round++ {
 		if round > 0 {
 			m.churn(round%4 == 2)
 		}
 		in, d := m.buildRound(t, b)
-		ref := m.reference(t)
 		got, err := viaDelta.ScheduleDelta(in, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := viaDiff.Schedule(ref)
+		want, err := viaFull.Schedule(m.reference(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,24 +329,23 @@ func TestScheduleDeltaMatchesSchedule(t *testing.T) {
 		if !reflect.DeepEqual(got.Prices, want.Prices) {
 			t.Fatalf("round %d: prices diverge", round)
 		}
-		if !reflect.DeepEqual(got.Stats, want.Stats) {
-			t.Fatalf("round %d: stats diverge:\n got %v\nwant %v", round, got.Stats, want.Stats)
-		}
+	}
+	if viaDelta.Stats().PartitionIncremental == 0 {
+		t.Fatal("the delta twin never took the incremental partition path")
 	}
 }
 
-// TestScheduleDeltaNilFallsBack pins the DeltaScheduler contract: a nil
-// delta behaves exactly like Schedule.
+// TestScheduleDeltaNilFallsBack pins the DeltaScheduler contract on
+// cluster.ShardedAuction: a nil delta behaves exactly like Schedule.
 func TestScheduleDeltaNilFallsBack(t *testing.T) {
 	m := newChurnModel(3, 6, 20)
-	a := &sched.WarmAuction{Epsilon: 0.01}
-	twin := &sched.WarmAuction{Epsilon: 0.01}
+	a := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
+	twin := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
 	for round := 0; round < 6; round++ {
 		if round > 0 {
 			m.churn(false)
 		}
-		in := m.reference(t)
-		got, err := a.ScheduleDelta(in, nil)
+		got, err := a.ScheduleDelta(m.reference(t), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +353,7 @@ func TestScheduleDeltaNilFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Grants, want.Grants) {
+		if !reflect.DeepEqual(got.Grants, want.Grants) || !reflect.DeepEqual(got.Prices, want.Prices) {
 			t.Fatalf("round %d: nil-delta path diverges from Schedule", round)
 		}
 	}

@@ -5,8 +5,8 @@ import "sort"
 // Greedy is the bounded degradation fallback: one value-ordered pass where
 // each request takes its best-margin candidate with remaining capacity. No
 // prices, no ε-CS certificate — it trades the auction's optimality for a hard
-// O(R log R + R·deg) bound, which is what the daemon needs when warm solves
-// keep overrunning their wall-clock deadline. Deterministic: ties break on
+// O(R log R + R·deg) bound, which is what the daemon needs when auction
+// solves keep overrunning their wall-clock deadline. Deterministic: ties break on
 // request index, then on candidate list order.
 type Greedy struct{}
 

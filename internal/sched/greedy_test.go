@@ -69,14 +69,14 @@ func TestGreedyDeterministic(t *testing.T) {
 }
 
 // TestGreedyWithinAuctionWelfare: the fallback is bounded but not wildly off —
-// on this instance it reaches at least half the warm auction's welfare.
+// on this instance it reaches at least half the auction's welfare.
 func TestGreedyWithinAuctionWelfare(t *testing.T) {
 	in := greedyInstance(t)
 	gr, err := Greedy{}.Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, err := (&WarmAuction{Epsilon: 0.01}).Schedule(in.Clone())
+	wa, err := (&Auction{Epsilon: 0.01}).Schedule(in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

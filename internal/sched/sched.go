@@ -1,9 +1,8 @@
 // Package sched defines the slot-level chunk-scheduling interface shared by
-// every strategy in the evaluation: the auction (the paper's algorithm, in
-// cold per-slot form as Auction and warm-started incremental form as
-// WarmAuction), the exact min-cost-flow optimum (Exact), the Simple
-// Locality baseline, the network-agnostic random baseline (both in
-// internal/baseline), and the sharded orchestrator (internal/cluster's
+// every strategy in the evaluation: the auction (the paper's algorithm, one
+// fresh auction per slot, as Auction), the exact min-cost-flow optimum
+// (Exact), the Simple Locality baseline, the network-agnostic random
+// baseline (both in internal/baseline), and the sharded orchestrator (internal/cluster's
 // ShardedAuction, which partitions a slot into independent swarm components
 // and solves them concurrently via Instance.Subset). A strategy receives one
 // slot's Instance — requests with valuations and deadlines, candidate
@@ -47,7 +46,7 @@ type Uploader struct {
 // Besides the public requests and uploaders, every instance carries a row
 // table: for each candidate edge, the dense index of its uploader in
 // Uploaders, read through Rows. Every per-edge consumer (the problem build,
-// the warm applier, the partitioners, the greedy and baseline passes, grant
+// the partitioners, the greedy and baseline passes, grant
 // validation) reads rows and never resolves a PeerID. Instances come from
 // three producers that all fill the table: NewInstance resolves each
 // candidate once in the validation pass it makes anyway (the general path:

@@ -8,8 +8,56 @@ import (
 	"testing"
 
 	"repro/internal/isp"
+	"repro/internal/randx"
 	"repro/internal/video"
 )
+
+// randomInstance draws one slot of a swarm: peers peers with capacities
+// 1..3, each wanting one to three chunks from random neighbours at integer
+// values and costs. Chunk indices repeat about half the time, and a
+// (peer, chunk) key drawn twice keeps its first request.
+func randomInstance(t *testing.T, seed uint64, peers int) *Instance {
+	t.Helper()
+	rng := randx.New(seed)
+	uploaders := make([]Uploader, peers)
+	for i := range uploaders {
+		uploaders[i] = Uploader{Peer: isp.PeerID(100 + i), Capacity: 1 + rng.Intn(3)}
+	}
+	var reqs []Request
+	seen := make(map[reqKey]bool)
+	nextChunk := 0
+	for _, p := range uploaders {
+		wants := 1 + rng.Intn(3)
+		for c := 0; c < wants; c++ {
+			var cands []Candidate
+			for _, u := range uploaders {
+				if u.Peer != p.Peer && rng.Float64() < 0.5 {
+					cands = append(cands, Candidate{Peer: u.Peer, Cost: float64(rng.Intn(5))})
+				}
+			}
+			if len(cands) == 0 {
+				continue
+			}
+			idx := nextChunk
+			if nextChunk > 0 && rng.Float64() < 0.5 {
+				idx = rng.Intn(nextChunk)
+			} else {
+				nextChunk++
+			}
+			chunk := video.ChunkID{Video: 0, Index: video.ChunkIndex(idx)}
+			value := float64(2 + rng.Intn(8))
+			if k := keyOf(p.Peer, chunk); !seen[k] {
+				seen[k] = true
+				reqs = append(reqs, Request{Peer: p.Peer, Chunk: chunk, Value: value, Candidates: cands})
+			}
+		}
+	}
+	in, err := NewInstance(reqs, uploaders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
 
 func smallInstance(t *testing.T) *Instance {
 	t.Helper()
@@ -216,11 +264,11 @@ func TestBuildProblemAllocs(t *testing.T) {
 // survives into a later one.
 func TestAuctionReusedProblemMatchesFresh(t *testing.T) {
 	instances := []*Instance{
-		churnInstances(t, 5, 1, 30)[0],
+		randomInstance(t, 5, 30),
 		allocsInstance(t, 2000),
-		churnInstances(t, 6, 1, 4)[0],
+		randomInstance(t, 6, 4),
 		allocsInstance(t, 60),
-		churnInstances(t, 7, 1, 60)[0],
+		randomInstance(t, 7, 60),
 		allocsInstance(t, 3000),
 	}
 	reused := &Auction{Epsilon: 0.01}

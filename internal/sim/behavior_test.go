@@ -163,7 +163,7 @@ func TestFreeRidersNeverUpload(t *testing.T) {
 // golden across the misbehavior matrix: the incremental builder and the
 // from-scratch reference must stay deep-equal when behavior policies
 // perturb values, candidate edges, and capacities — on static and churn
-// worlds, cold and warm-started.
+// worlds.
 func TestRunEqualsRunRebuildUnderBehavior(t *testing.T) {
 	worlds := map[string]Config{
 		"static": testConfig(),
@@ -186,18 +186,6 @@ func TestRunEqualsRunRebuildUnderBehavior(t *testing.T) {
 				if !reflect.DeepEqual(inc, ref) {
 					t.Fatalf("pipelines diverge under %s:\n inc %+v\n ref %+v",
 						bname, fingerprint(inc), fingerprint(ref))
-				}
-				warm, err := Run(cfg, &sched.WarmAuction{Epsilon: cfg.Epsilon})
-				if err != nil {
-					t.Fatal(err)
-				}
-				warmRef, err := RunRebuild(cfg, &sched.WarmAuction{Epsilon: cfg.Epsilon})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(warm, warmRef) {
-					t.Fatalf("warm pipelines diverge under %s:\n inc %+v\n ref %+v",
-						bname, fingerprint(warm), fingerprint(warmRef))
 				}
 			})
 		}

@@ -32,12 +32,11 @@ func TestConfigValidateCDN(t *testing.T) {
 // TestCDNRunEqualsRunRebuild extends the pipeline-equivalence golden to
 // CDN-enabled worlds: the incremental builder's carried candidate lists must
 // stay bit-identical to a from-scratch rebuild with CDN bidders present, for
-// the cold, warm and sharded auction paths.
+// the monolithic and sharded auction paths.
 func TestCDNRunEqualsRunRebuild(t *testing.T) {
 	type mk func(cfg Config) sched.Scheduler
 	schedulers := map[string]mk{
 		"auction": func(cfg Config) sched.Scheduler { return &sched.Auction{Epsilon: cfg.Epsilon} },
-		"warm":    func(cfg Config) sched.Scheduler { return &sched.WarmAuction{Epsilon: cfg.Epsilon} },
 		"sharded": func(cfg Config) sched.Scheduler {
 			return &cluster.ShardedAuction{Epsilon: cfg.Epsilon, Workers: 2, Seed: cfg.Seed}
 		},

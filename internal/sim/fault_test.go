@@ -25,7 +25,7 @@ func faultTestConfig() Config {
 
 func runAuction(t *testing.T, cfg Config) *Results {
 	t.Helper()
-	res, err := Run(cfg, &sched.WarmAuction{Epsilon: cfg.Epsilon})
+	res, err := Run(cfg, &sched.Auction{Epsilon: cfg.Epsilon})
 	if err != nil {
 		t.Fatal(err)
 	}

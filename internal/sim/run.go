@@ -258,9 +258,7 @@ func stepSlot(w *world, scheduler sched.Scheduler, res *Results) error {
 			ssp.Arg("grants", float64(len(sr.Grants)))
 			if sr.Stats != nil {
 				ssp.Arg("bids", sr.Stats["bids"]).
-					Arg("iterations", sr.Stats["iterations"]).
-					Arg("sweep_passes", sr.Stats["sweep_passes"]).
-					Arg("carried", sr.Stats["carried"])
+					Arg("iterations", sr.Stats["iterations"])
 			}
 		}
 		ssp.End()

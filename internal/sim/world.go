@@ -683,8 +683,8 @@ func (w *world) chunkClean(v video.ID, idx video.ChunkIndex) bool {
 // round-j capacity share. In steady state nothing is reallocated — the
 // builder reuses its arrays, unchanged candidate lists are carried from the
 // previous round (dirty-chunk tracking proves them unchanged), and the
-// returned delta hands warm schedulers the slot-to-slot churn for free. The
-// instance content is byte-identical to the from-scratch reference build
+// returned delta hands the sharded scheduler the slot-to-slot churn for
+// free. The instance content is byte-identical to the from-scratch reference build
 // (rebuild.go; pinned per scenario by TestIncrementalInstanceEqualsRebuilt).
 func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, error) {
 	rounds := w.cfg.BidRoundsPerSlot

@@ -78,15 +78,6 @@ func RunAuction(cfg Config) (*Results, error) {
 	return sim.Run(cfg, &sched.Auction{Epsilon: cfg.Epsilon})
 }
 
-// RunAuctionWarm simulates cfg under the warm-started incremental auction:
-// prices and partial assignments carry across the run's slots
-// (sched.WarmAuction over core.Solver), with the same per-slot welfare
-// guarantee as RunAuction at a fraction of the solve cost under churn (see
-// docs/PERFORMANCE.md).
-func RunAuctionWarm(cfg Config) (*Results, error) {
-	return sim.Run(cfg, &sched.WarmAuction{Epsilon: cfg.Epsilon})
-}
-
 // RunLocality simulates cfg under the Simple Locality baseline.
 func RunLocality(cfg Config) (*Results, error) {
 	return sim.Run(cfg, &baseline.Locality{Rounds: cfg.LocalityRounds})
@@ -174,10 +165,9 @@ type (
 )
 
 // Scenario solvers (Scenario.WithSolver derives a re-solved variant). The
-// warm-started and sharded auctions are solvers of their own.
+// sharded and message-level auctions are solvers of their own.
 const (
 	SolverAuction        = scenario.SolverAuction
-	SolverAuctionWarm    = scenario.SolverAuctionWarm
 	SolverAuctionSharded = scenario.SolverAuctionSharded
 	SolverAuctionDES     = scenario.SolverAuctionDES
 	SolverExact          = scenario.SolverExact
@@ -215,26 +205,12 @@ type (
 	AuctionOptions = core.AuctionOptions
 	// AuctionResult carries the solution, prices and solver diagnostics.
 	AuctionResult = core.AuctionResult
-	// IncrementalSolver retains prices and partial assignments between
-	// Solves and accepts ProblemDeltas — the warm-start layer.
-	IncrementalSolver = core.Solver
-	// ProblemDelta is one slot-to-slot change set for an IncrementalSolver.
-	ProblemDelta = core.ProblemDelta
-	// AppliedDelta reports the ids an IncrementalSolver minted for a delta.
-	AppliedDelta = core.AppliedDelta
 	// Edge is one admissible (request, sink) pair with its welfare weight.
 	Edge = core.Edge
 	// RequestID identifies a request; SinkID identifies a sink (uploader).
 	RequestID = core.RequestID
-	// SinkID identifies a sink in a Problem or IncrementalSolver.
+	// SinkID identifies a sink in a Problem.
 	SinkID = core.SinkID
-	// SinkCapacity is a delta capacity change; RequestEdges a delta edge
-	// rewrite; ValueShift a delta uniform re-valuation.
-	SinkCapacity = core.SinkCapacity
-	// RequestEdges replaces one request's edge set in a ProblemDelta.
-	RequestEdges = core.RequestEdges
-	// ValueShift shifts all of one request's weights in a ProblemDelta.
-	ValueShift = core.ValueShift
 )
 
 // Unassigned marks a request that receives no bandwidth.
@@ -242,12 +218,6 @@ const Unassigned = core.Unassigned
 
 // NewProblem returns an empty transportation instance.
 func NewProblem() *Problem { return core.NewProblem() }
-
-// NewIncrementalSolver returns an empty warm-starting solver; feed it
-// ProblemDeltas and call Solve after each batch of changes.
-func NewIncrementalSolver(opts AuctionOptions) (*IncrementalSolver, error) {
-	return core.NewSolver(opts)
-}
 
 // SolveAuction runs the primal-dual auction solver.
 func SolveAuction(p *Problem, opts AuctionOptions) (*AuctionResult, error) {
