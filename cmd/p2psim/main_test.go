@@ -225,19 +225,38 @@ func TestRunScenarioSetOverrides(t *testing.T) {
 	}
 }
 
-// TestRunUnknownSolverNamesSolvers: the deleted warm solver's name is now
-// an unknown solver, and the error lists every solver that exists.
+// TestRunUnknownSolverNamesSolvers: the deleted warm solver's name is an
+// unknown solver on every preset kind (sim, transport, live), and the error
+// lists every solver that exists.
 func TestRunUnknownSolverNamesSolvers(t *testing.T) {
-	err := run([]string{"-scenario", "churn", "-solver", "auction-warm", "-nochart"})
-	if err == nil {
-		t.Fatal("-solver auction-warm should error")
+	for _, preset := range []string{"churn", "assignment", "livenet"} {
+		t.Run(preset, func(t *testing.T) {
+			err := run([]string{"-scenario", preset, "-solver", "auction-warm", "-nochart"})
+			if err == nil {
+				t.Fatal("-solver auction-warm should error")
+			}
+			if !strings.Contains(err.Error(), `unknown solver "auction-warm"`) {
+				t.Errorf("error %q does not call the solver unknown", err)
+			}
+			for _, sv := range scenario.Solvers() {
+				if !strings.Contains(err.Error(), string(sv)) {
+					t.Errorf("error %q does not name solver %q", err, sv)
+				}
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), `unknown solver "auction-warm"`) {
-		t.Errorf("error %q does not call the solver unknown", err)
-	}
-	for _, sv := range scenario.Solvers() {
-		if !strings.Contains(err.Error(), string(sv)) {
-			t.Errorf("error %q does not name solver %q", err, sv)
+}
+
+// TestRunKnownSolverCapabilityErrors: a known solver that a preset kind
+// cannot run is refused as a capability limit, not as an unknown name.
+func TestRunKnownSolverCapabilityErrors(t *testing.T) {
+	for _, c := range []struct{ preset, want string }{
+		{"assignment", "cannot solve bare transportation instances"},
+		{"livenet", "live scenarios always run the distributed auction"},
+	} {
+		err := run([]string{"-scenario", c.preset, "-solver", "locality", "-nochart"})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-scenario %s -solver locality: error %v, want %q", c.preset, err, c.want)
 		}
 	}
 }

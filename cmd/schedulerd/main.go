@@ -9,7 +9,7 @@
 //	schedulerd -sharded -shard-workers 4          # sharded swarm orchestrator
 //	schedulerd -snapshot /var/lib/schedulerd.json # drain/restore state image
 //	schedulerd -debug-addr 127.0.0.1:8845         # pprof + /debug/trace listener
-//	schedulerd -solve-deadline 100ms -greedy-after 3   # degradation ladder
+//	schedulerd -solve-deadline 100ms              # stop late solves, with a gap
 //	schedulerd -max-pending-bids 4096             # shed excess load as 429s
 //	schedulerd -snapshot-every 10                 # periodic crash-safe snapshots
 //
@@ -17,14 +17,14 @@
 // bids solve in one final slot, the state snapshot is written (when
 // configured), and in-flight HTTP requests finish within -drain-timeout.
 //
-// Degradation under overload is a ladder, not a cliff: a slot whose solve
-// overruns -solve-deadline carries the previous grants forward; after
-// -greedy-after consecutive overruns the daemon escalates to the bounded
-// greedy fallback until the overrunning solve returns. -max-pending-bids /
-// -max-pending-offers bound the books, shedding excess submissions as
-// 429 + Retry-After. -kill-after-ticks arms the fault-injection kill point
-// for crash-recovery drills: the process exits WITHOUT draining, and the
-// next start restores from the last -snapshot-every periodic snapshot.
+// Degradation under overload keeps its certificate: a slot whose solve is
+// still bidding at -solve-deadline stops there, fills spare capacity and
+// serves that assignment with its duality gap, marked degraded; nothing of
+// the solve outlives its tick. -max-pending-bids / -max-pending-offers
+// bound the books, shedding excess submissions as 429 + Retry-After.
+// -kill-after-ticks arms the fault-injection kill point for crash-recovery
+// drills: the process exits WITHOUT draining, and the next start restores
+// from the last -snapshot-every periodic snapshot.
 //
 // Observability: GET /metrics (Prometheus text format), /v1/stats (JSON),
 // /healthz; with -debug-addr, a private listener adds net/http/pprof and
@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/service"
 )
 
@@ -55,52 +54,50 @@ func main() {
 	}
 }
 
+// options is schedulerd's parsed command line: the daemon's options plus
+// the process-level listeners and shutdown grace.
+type options struct {
+	service.Options
+	addr, debugAddr string
+	drainTimeout    time.Duration
+}
+
+// newFlagSet declares schedulerd's flags over o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("schedulerd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8844", "listen address")
+	fs.DurationVar(&o.SlotInterval, "slot", time.Second, "slot clock period (0 = manual ticks via POST /v1/tick)")
+	fs.Float64Var(&o.Epsilon, "epsilon", 0.01, "auction bid increment (epsilon)")
+	fs.BoolVar(&o.Sharded, "sharded", false, "use the sharded swarm orchestrator")
+	fs.IntVar(&o.ShardWorkers, "shard-workers", 0, "concurrent shard solves (0 = sequential)")
+	fs.IntVar(&o.MaxShardPeers, "max-shard-peers", 0, "refine shards above this peer count (0 = exact partition)")
+	fs.StringVar(&o.SnapshotPath, "snapshot", "", "state snapshot path (drain writes, start restores)")
+	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 0, "also write the snapshot every N ticks (0 = only on drain)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug listen address for pprof and /debug/trace (empty = disabled; keep off the public port)")
+
+	fs.DurationVar(&o.SolveDeadline, "solve-deadline", 0, "per-slot budget; a solve still bidding at it stops and serves its assignment with a certified gap (0 = wait forever)")
+	fs.IntVar(&o.MaxPendingBids, "max-pending-bids", 0, "shed bid batches once this many bids are queued for the slot (0 = unbounded)")
+	fs.IntVar(&o.MaxPendingOffers, "max-pending-offers", 0, "shed offers once this many are queued for the slot (0 = unbounded)")
+	fs.IntVar(&o.Fault.KillAfterTicks, "kill-after-ticks", 0, "fault injection: exit without draining after N ticks (crash-recovery drills; 0 = off)")
+	return fs
+}
+
 // run starts the daemon and blocks until the context is cancelled by a
 // signal (or by the test harness through stop). ready, when non-nil,
 // receives the bound address once the listener is up.
 func run(args []string, ready chan<- string) error {
-	fs := flag.NewFlagSet("schedulerd", flag.ContinueOnError)
-	var (
-		addr          = fs.String("addr", "127.0.0.1:8844", "listen address")
-		slot          = fs.Duration("slot", time.Second, "slot clock period (0 = manual ticks via POST /v1/tick)")
-		epsilon       = fs.Float64("epsilon", 0.01, "auction bid increment (epsilon)")
-		sharded       = fs.Bool("sharded", false, "use the sharded swarm orchestrator")
-		shardWorkers  = fs.Int("shard-workers", 0, "concurrent shard solves (0 = sequential)")
-		maxShardPeers = fs.Int("max-shard-peers", 0, "refine shards above this peer count (0 = exact partition)")
-		snapshot      = fs.String("snapshot", "", "state snapshot path (drain writes, start restores)")
-		snapshotEvery = fs.Int("snapshot-every", 0, "also write the snapshot every N ticks (0 = only on drain)")
-		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
-		debugAddr     = fs.String("debug-addr", "", "debug listen address for pprof and /debug/trace (empty = disabled; keep off the public port)")
-
-		solveDeadline   = fs.Duration("solve-deadline", 0, "per-slot solve budget; an overrunning slot carries the previous grants (0 = wait forever)")
-		greedyAfter     = fs.Int("greedy-after", 0, "escalate to the greedy fallback after this many consecutive overruns (0 = carry only)")
-		maxPendingBids  = fs.Int("max-pending-bids", 0, "shed bid batches once this many bids are queued for the slot (0 = unbounded)")
-		maxPendingOffer = fs.Int("max-pending-offers", 0, "shed offers once this many are queued for the slot (0 = unbounded)")
-		killAfterTicks  = fs.Int("kill-after-ticks", 0, "fault injection: exit without draining after N ticks (crash-recovery drills; 0 = off)")
-	)
-	if err := fs.Parse(args); err != nil {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
 		return err
 	}
 
-	d, err := service.New(service.Options{
-		Epsilon:          *epsilon,
-		SlotInterval:     *slot,
-		Sharded:          *sharded,
-		ShardWorkers:     *shardWorkers,
-		MaxShardPeers:    *maxShardPeers,
-		SnapshotPath:     *snapshot,
-		SnapshotEvery:    *snapshotEvery,
-		SolveDeadline:    *solveDeadline,
-		GreedyAfter:      *greedyAfter,
-		MaxPendingBids:   *maxPendingBids,
-		MaxPendingOffers: *maxPendingOffer,
-		Fault:            fault.Spec{KillAfterTicks: *killAfterTicks},
-	})
+	d, err := service.New(o.Options)
 	if err != nil {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		d.Close()
 		return err
@@ -110,8 +107,8 @@ func run(args []string, ready chan<- string) error {
 	// The debug surface (pprof + trace capture) binds its own listener so
 	// profiling never rides the public API port.
 	var debugSrv *http.Server
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if o.debugAddr != "" {
+		dln, err := net.Listen("tcp", o.debugAddr)
 		if err != nil {
 			ln.Close()
 			d.Close()
@@ -130,7 +127,7 @@ func run(args []string, ready chan<- string) error {
 	defer cancel()
 
 	fmt.Printf("schedulerd: %s solver, %v slots, listening on %s\n",
-		d.SchedulerName(), *slot, ln.Addr())
+		d.SchedulerName(), o.SlotInterval, ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -161,7 +158,7 @@ func run(args []string, ready chan<- string) error {
 	// once the clock is down), then let in-flight requests finish.
 	fmt.Println("schedulerd: draining")
 	drainErr := d.Drain()
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutCtx, shutCancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer shutCancel()
 	if debugSrv != nil {
 		_ = debugSrv.Shutdown(shutCtx)

@@ -25,7 +25,10 @@ const defaultTTL = 8
 // shardState is the orchestrator's persistent view of one shard.
 type shardState struct {
 	solver sched.Scheduler
-	rng    *randx.Source
+	// auction is solver when it is the default sched.Auction, which takes
+	// the orchestrator's deadline; nil under a NewSolver factory.
+	auction *sched.Auction
+	rng     *randx.Source
 	// idle counts consecutive slots the shard was absent from the partition.
 	idle int
 }
@@ -75,6 +78,10 @@ type Stats struct {
 type ShardedAuction struct {
 	// Epsilon is the bid increment handed to every per-shard solver.
 	Epsilon float64
+	// Deadline is handed to the default per-shard auctions at every
+	// Schedule: each shard, run or queued, stops bidding at that instant
+	// (sched.Auction.Deadline). The zero value never stops.
+	Deadline time.Time
 	// Workers bounds concurrent shard solves (0 or 1 = sequential).
 	Workers int
 	// MaxShardPeers enables ISP-affinity refinement: swarm groups with more
@@ -204,16 +211,18 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		sh := &part.Shards[i]
 		st, ok := a.shards[sh.Key]
 		if !ok {
-			rng := a.root.Derive(sh.Key.seedLabel())
-			var solver sched.Scheduler
+			st = &shardState{rng: a.root.Derive(sh.Key.seedLabel())}
 			if a.NewSolver != nil {
-				solver = a.NewSolver(sh.Key, rng)
+				st.solver = a.NewSolver(sh.Key, st.rng)
 			} else {
-				solver = &sched.Auction{Epsilon: a.Epsilon}
+				st.auction = &sched.Auction{Epsilon: a.Epsilon}
+				st.solver = st.auction
 			}
-			st = &shardState{solver: solver, rng: rng}
 			a.shards[sh.Key] = st
 			a.stats.Born++
+		}
+		if st.auction != nil {
+			st.auction.Deadline = a.Deadline
 		}
 		st.idle = -1 // seen this slot; bumped back to >= 0 below
 		states[i] = st
@@ -251,6 +260,9 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		}
 		if tk != nil && res.Stats != nil {
 			sp.Arg("bids", res.Stats["bids"]).Arg("iterations", res.Stats["iterations"])
+			if gap, ok := res.Stats["gap"]; ok {
+				sp.Arg("gap", gap)
+			}
 		}
 		w, err := sub.Welfare(res.Grants)
 		results[i] = solved{res: res, welfare: w, err: err}
@@ -349,6 +361,11 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 	a.lastShardOf, a.curShardOf = a.curShardOf, a.lastShardOf
 	a.stats.Migrations += int64(migrations)
 	a.stats.CutEdges += int64(part.CutEdges)
+	if part.CutEdges > 0 {
+		// Refinement solved the shards without their cut edges, so the
+		// summed shard gaps do not bound the whole instance: price it whole.
+		out.Stats["gap"] = dualGap(in, out, welfare)
+	}
 	out.Stats["shards"] = float64(len(part.Shards))
 	out.Stats["cut_edges"] = float64(part.CutEdges)
 	out.Stats["migrations"] = float64(migrations)
@@ -379,4 +396,24 @@ func (a *ShardedAuction) schedule(in *sched.Instance, d *sched.InstanceDelta) (*
 		}
 	}
 	return out, nil
+}
+
+// dualGap is the merged result's duality gap over the whole instance:
+// Σ λ_u·B(u) + Σ_r max(0, max_k(v − c_k − λ_{u_k})) − welfare.
+func dualGap(in *sched.Instance, res *sched.Result, welfare float64) float64 {
+	prices := make([]float64, len(in.Uploaders))
+	dual := 0.0
+	for i, u := range in.Uploaders {
+		prices[i] = res.Prices[u.Peer]
+		dual += prices[i] * float64(u.Capacity)
+	}
+	for i := range in.Requests {
+		r := &in.Requests[i]
+		eta := 0.0
+		for k, row := range in.Rows(i) {
+			eta = max(eta, r.Value-r.Candidates[k].Cost-prices[row])
+		}
+		dual += eta
+	}
+	return dual - welfare
 }

@@ -135,6 +135,52 @@ func TestShardedSelfCheckRefinement(t *testing.T) {
 	}
 }
 
+// TestShardedGapCoversWholeInstance: the merged Stats["gap"] must be the
+// whole instance's Dual(λ) − W, recomputed here from its candidates, both on
+// the exact partition (where it is the sum of the shard gaps and within
+// n·ε) and under ISP-affinity refinement, whose shards never see the cut
+// edges.
+func TestShardedGapCoversWholeInstance(t *testing.T) {
+	const eps = 0.01
+	slots := buildSlots(17, 5, 2, 60, 12, 0.15, false)
+	for _, maxPeers := range []int{0, 30} {
+		a := &ShardedAuction{Epsilon: eps, Workers: 2, MaxShardPeers: maxPeers}
+		a.SetISPLookup(func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true })
+		for i, in := range slots {
+			res, err := a.Schedule(in)
+			if err != nil {
+				t.Fatalf("slot %d: %v", i, err)
+			}
+			welfare, err := in.Welfare(res.Grants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dual := 0.0
+			for _, u := range in.Uploaders {
+				dual += res.Prices[u.Peer] * float64(u.Capacity)
+			}
+			for _, r := range in.Requests {
+				eta := 0.0
+				for _, c := range r.Candidates {
+					eta = max(eta, r.Value-c.Cost-res.Prices[c.Peer])
+				}
+				dual += eta
+			}
+			gap, tol := res.Stats["gap"], 1e-9*max(1, dual)
+			if math.Abs(gap-(dual-welfare)) > tol || gap < -tol {
+				t.Fatalf("max-shard-peers %d, slot %d: gap %v, whole-instance Dual − W = %v",
+					maxPeers, i, gap, dual-welfare)
+			}
+			if maxPeers == 0 && gap > eps*float64(len(in.Requests))+tol {
+				t.Fatalf("slot %d: exact-partition gap %v exceeds n·ε", i, gap)
+			}
+		}
+		if maxPeers > 0 && a.Stats().CutEdges == 0 {
+			t.Fatal("refinement never cut an edge")
+		}
+	}
+}
+
 // TestShardedLifecycle drives shard birth, idle reclamation and peer
 // migration: swarm 1 vanishes mid-run (its shard must retire after TTL
 // slots) and an uploader defects from swarm 0 to swarm 2 (a migration).

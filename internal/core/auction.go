@@ -39,6 +39,13 @@ type AuctionResult struct {
 	// situation the paper's bidders "wait" in). The assignment is feasible
 	// but may be slightly suboptimal.
 	Stalled bool
+	// Stopped is true when the solve hit its deadline (Solver.SetDeadline)
+	// before the bidding queue drained.
+	Stopped bool
+	// Gap is DualObjective(p, Prices) − Welfare: by weak duality the
+	// assignment is within Gap of the optimal welfare, stopped or not, and
+	// a finished solve's Gap is at most NumRequests·ε (Theorem 2).
+	Gap float64
 }
 
 // DualObjective evaluates the dual objective (5): Σ λ_u·B(u) + Σ η, with

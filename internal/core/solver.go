@@ -3,7 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 )
+
+// deadlineEvery is how many bidding iterations pass between two reads of
+// the clock when a deadline is set.
+const deadlineEvery = 1024
+
+// now reads the clock for deadline checks; tests stub it to cut a solve at
+// a chosen check.
+var now = time.Now
 
 // Solver is the auction kernel: the paper's Algorithm 1 run as one
 // centralized Gauss–Seidel bidding loop. Load resets it cold on a built
@@ -17,6 +26,8 @@ import (
 // call NewSolver.
 type Solver struct {
 	opts AuctionOptions
+	// deadline stops the bidding once the clock reaches it (zero: never).
+	deadline time.Time
 
 	// The loaded problem's capacities and edge lists, adopted from the
 	// Problem and read but never written.
@@ -140,6 +151,12 @@ func (s *Solver) SetEpsilon(eps float64) error {
 	return nil
 }
 
+// SetDeadline sets the instant at which the Solves that follow stop
+// bidding: a stopped solve fills spare capacity, reports Stopped and still
+// certifies its welfare through Gap. The zero time (the default) never
+// stops.
+func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
+
 // enqueue appends r to the bidding queue. A full queue whose consumed
 // prefix is at least half of it slides its live tail down instead of
 // growing, so a queue with room for twice the requests never grows.
@@ -202,7 +219,9 @@ func (s *Solver) offer(t SinkID, r RequestID, bid float64) (accepted bool, evict
 // price movement in between are an ε = 0 stall: every bidder "waits" per
 // the paper, and since prices move only on accepted bids, counting rejects
 // since the last accept is sound. A drain certifies itself: prices only
-// rise, and every bid is ε-CS when placed.
+// rise, and every bid is ε-CS when placed. A deadline is checked before the
+// first bid and every deadlineEvery iterations after; reaching it stops the
+// bidding and fills spare capacity.
 func (s *Solver) run(res *AuctionResult) error {
 	maxIterations := s.opts.MaxIterations
 	if maxIterations == 0 {
@@ -213,6 +232,11 @@ func (s *Solver) run(res *AuctionResult) error {
 		if res.Iterations >= maxIterations {
 			return fmt.Errorf("core: auction exceeded %d iterations (ε=%v)",
 				maxIterations, s.opts.Epsilon)
+		}
+		if !s.deadline.IsZero() && res.Iterations%deadlineEvery == 0 && !now().Before(s.deadline) {
+			res.Stopped = true
+			s.fill()
+			break
 		}
 		res.Iterations++
 		r := s.queue[s.qHead]
@@ -244,11 +268,56 @@ func (s *Solver) run(res *AuctionResult) error {
 	return nil
 }
 
+// fill hands out spare capacity once bidding has stopped: in request order,
+// each unassigned request takes its highest-weight edge with w > 0 to a sink
+// that still has room. A sink with room has λ = 0, so the prices stay a
+// valid dual and the welfare only rises.
+func (s *Solver) fill() {
+	for r, t := range s.assignment {
+		if t != Unassigned {
+			continue
+		}
+		best, bestW := Unassigned, 0.0
+		for _, e := range s.adj[r] {
+			if e.Weight > bestW && s.accepted[e.Sink].Len() < s.caps[e.Sink] {
+				best, bestW = e.Sink, e.Weight
+			}
+		}
+		if best != Unassigned {
+			s.assignment[r] = best
+			s.accepted[best].push(acceptedBid{req: RequestID(r), bid: s.lambda[best]})
+		}
+	}
+}
+
+// gap returns DualObjective(p, prices) − Welfare of the held assignment,
+// summed in the same order as those two, in one pass over the edge lists.
+func (s *Solver) gap(prices []float64) float64 {
+	dual, welfare := 0.0, 0.0
+	for t, c := range s.caps {
+		dual += prices[t] * float64(c)
+	}
+	for r, edges := range s.adj {
+		eta, at := 0.0, s.assignment[r]
+		for _, e := range edges {
+			if u := e.Weight - prices[e.Sink]; u > eta {
+				eta = u
+			}
+			if e.Sink == at {
+				welfare += e.Weight
+			}
+		}
+		dual += eta
+	}
+	return dual - welfare
+}
+
 // Solve runs the auction on the loaded problem and returns the assignment,
 // prices and diagnostics with the ε-complementary-slackness certificate
 // (welfare within NumRequests·ε of optimal for ε > 0; Stalled semantics at
-// ε = 0). A Solve consumes the Load's queue: solving again without a
-// reload returns the same assignment with no further bids.
+// ε = 0), or, when the deadline stopped it, the partial assignment whose
+// welfare Gap certifies. A Solve consumes the Load's queue: solving again
+// without a reload returns the same assignment with no further bids.
 func (s *Solver) Solve() (*AuctionResult, error) {
 	res := &AuctionResult{}
 	if err := s.run(res); err != nil {
@@ -256,6 +325,7 @@ func (s *Solver) Solve() (*AuctionResult, error) {
 	}
 	res.Assignment = &Assignment{SinkOf: append([]SinkID(nil), s.assignment...)}
 	res.Prices = s.certifiedPrices(make([]float64, len(s.caps)))
+	res.Gap = s.gap(res.Prices)
 	return res, nil
 }
 
@@ -268,6 +338,7 @@ func (s *Solver) solveDetached() (*AuctionResult, error) {
 	}
 	res.Assignment = &Assignment{SinkOf: s.assignment}
 	res.Prices = s.certifiedPrices(s.lambda)
+	res.Gap = s.gap(res.Prices)
 	return res, nil
 }
 
@@ -286,6 +357,7 @@ func (s *Solver) SolveShared() (*AuctionResult, error) {
 	res.Assignment = &s.assignBuf
 	s.priceBuf = resize(s.priceBuf, len(s.caps))
 	res.Prices = s.certifiedPrices(s.priceBuf)
+	res.Gap = s.gap(res.Prices)
 	return res, nil
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // SlowScheduler wraps any scheduler and sleeps before delegating, simulating
-// a solver that has fallen behind its wall-clock budget. The daemon's
-// deadline/degradation machinery reacts to the latency exactly as it would to
-// a genuinely hard instance, which is what makes this the overrun drill.
+// a solver that has fallen behind its wall-clock budget. The sleep eats the
+// daemon's solve deadline exactly as a genuinely hard instance would, so the
+// wrapped solve stops at its first deadline check: the overrun drill.
 type SlowScheduler struct {
 	Inner sched.Scheduler
 	// Delay is the injected pause before each (selected) solve.

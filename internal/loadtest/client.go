@@ -62,7 +62,6 @@ type TickResponse struct {
 	Shards    int     `json:"shards"`
 	SolveMs   float64 `json:"solve_ms"`
 	Degraded  bool    `json:"degraded,omitempty"`
-	Greedy    bool    `json:"greedy,omitempty"`
 }
 
 // StatsTotals are the daemon's cumulative counters.

@@ -26,6 +26,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -232,6 +233,9 @@ func (s Spec) WithSolver(sv Solver) Spec {
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
+	}
+	if !slices.Contains(Solvers(), s.Solver) {
+		return fmt.Errorf("scenario %s: unknown solver %q (want one of %v)", s.Name, s.Solver, Solvers())
 	}
 	switch s.Kind {
 	case KindSim:

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/isp"
@@ -13,9 +14,15 @@ import (
 // is a cold solve: the Auction keeps one core.Problem, which it rebuilds,
 // and one core.Solver, which it reloads and so resets to λ = 0; only their
 // arrays carry over. Use one per run, not for concurrent use.
+//
+// Every Result carries the solve's certified duality gap as Stats["gap"],
+// and Stats["stopped"] is 1 when the deadline cut the bidding short.
 type Auction struct {
 	// Epsilon is the bid increment (0 = the paper's literal rule).
 	Epsilon float64
+	// Deadline, when set, stops each Schedule's bidding at that instant
+	// (core.Solver.SetDeadline); the zero value never stops.
+	Deadline time.Time
 
 	problem core.Problem
 	solver  *core.Solver
@@ -95,6 +102,7 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}
+	a.solver.SetDeadline(a.Deadline)
 	a.solver.Load(&a.problem)
 	res, err := a.solver.SolveShared()
 	if err != nil {
@@ -108,7 +116,12 @@ func (a *Auction) Schedule(in *Instance) (*Result, error) {
 			"bids":       float64(res.Bids),
 			"iterations": float64(res.Iterations),
 			"evictions":  float64(res.Evictions),
+			"gap":        res.Gap,
+			"stopped":    0,
 		},
+	}
+	if res.Stopped {
+		out.Stats["stopped"] = 1
 	}
 	for i, u := range in.Uploaders {
 		out.Prices[u.Peer] = res.Prices[i]

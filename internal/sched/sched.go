@@ -46,17 +46,16 @@ type Uploader struct {
 // Besides the public requests and uploaders, every instance carries a row
 // table: for each candidate edge, the dense index of its uploader in
 // Uploaders, read through Rows. Every per-edge consumer (the problem build,
-// the partitioners, the greedy and baseline passes, grant
-// validation) reads rows and never resolves a PeerID. Instances come from
-// three producers that all fill the table: NewInstance resolves each
-// candidate once in the validation pass it makes anyway (the general path:
-// tests, Clone, the daemon); Subset maps its parent's rows through a
-// scratch table; Builder maintains one persistent instance across rounds,
-// takes each candidate's row from the producer and reuses every backing
-// array, so steady-state rounds allocate nothing (see builder.go). A
-// builder-produced instance is valid until the builder's next Build. The
-// table describes the candidate lists as built: an instance's Candidates
-// must not be edited afterwards.
+// the partitioners, the baseline passes, grant validation) reads rows and
+// never resolves a PeerID. Instances come from three producers that all fill
+// the table: NewInstance resolves each candidate once in the validation pass
+// it makes anyway (the general path: tests, Clone, the daemon); Subset maps
+// its parent's rows through a scratch table; Builder maintains one
+// persistent instance across rounds, takes each candidate's row from the
+// producer and reuses every backing array, so steady-state rounds allocate
+// nothing (see builder.go). A builder-produced instance is valid until the
+// builder's next Build. The table describes the candidate lists as built: an
+// instance's Candidates must not be edited afterwards.
 type Instance struct {
 	Requests  []Request
 	Uploaders []Uploader

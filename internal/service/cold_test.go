@@ -3,17 +3,13 @@ package service
 // cold_test.go: every tick is one cold auction over its own book, and the
 // book keeps bid candidates in one arena. TestDaemonTickEqualsColdAuction
 // replays a contended trace against a model of the book and a fresh
-// sched.Auction; the arena tests pin re-bid window reuse and the isolation
-// of an overrunning solve's instance from the next tick's bids.
+// sched.Auction; the arena test pins re-bid window reuse.
 
 import (
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/fault"
 	"repro/internal/isp"
 	"repro/internal/sched"
 	"repro/internal/video"
@@ -282,84 +278,5 @@ func TestRebidReusesKeyWindow(t *testing.T) {
 	}
 	if len(d.cands) != 0 {
 		t.Fatalf("drain left %d candidates in the arena", len(d.cands))
-	}
-}
-
-// candidateProbe records each instance's candidate lists as its solve
-// begins and as it returns.
-type candidateProbe struct {
-	inner         sched.Scheduler
-	mu            sync.Mutex
-	before, after [][]sched.Candidate
-}
-
-func (c *candidateProbe) Name() string { return c.inner.Name() }
-
-func (c *candidateProbe) Schedule(in *sched.Instance) (*sched.Result, error) {
-	copyCands := func() [][]sched.Candidate {
-		out := make([][]sched.Candidate, len(in.Requests))
-		for i := range in.Requests {
-			out[i] = slices.Clone(in.Requests[i].Candidates)
-		}
-		return out
-	}
-	before := copyCands()
-	res, err := c.inner.Schedule(in)
-	c.mu.Lock()
-	c.before, c.after = before, copyCands()
-	c.mu.Unlock()
-	return res, err
-}
-
-// TestOverrunSolveKeepsItsCandidates: a slow solve overruns the deadline and
-// keeps running while the next tick books new bids. The overrunning solve's
-// instance must still hold its own candidates when it returns, so the next
-// tick must not book into the arena that instance reads.
-func TestOverrunSolveKeepsItsCandidates(t *testing.T) {
-	d := manual(t, Options{
-		Epsilon:       0.01,
-		SolveDeadline: 20 * time.Millisecond,
-		Fault:         fault.Spec{SolveDelay: 300 * time.Millisecond},
-	})
-	probe := &candidateProbe{inner: d.sched}
-	d.sched = probe
-	for p := isp.PeerID(1); p <= 4; p++ {
-		if err := d.Join(p, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	book := func(up isp.PeerID, cost float64) {
-		t.Helper()
-		if err := d.Offer(up, 2); err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < 3; c++ {
-			err := d.Bid(4, []BidRequest{{Chunk: chunk(0, c), Value: 1,
-				Candidates: []sched.Candidate{{Peer: up, Cost: cost}}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	book(1, 0.1)
-	if tr, err := d.Tick(); err != nil || !tr.Degraded {
-		t.Fatalf("tick 1 should overrun: %+v, %v", tr, err)
-	}
-	book(2, 0.7) // lands while the first solve still sleeps
-	if tr, err := d.Tick(); err != nil || !tr.Degraded {
-		t.Fatalf("tick 2 should degrade behind the running solve: %+v, %v", tr, err)
-	}
-	d.Close() // waits for the overrunning solve
-	probe.mu.Lock()
-	defer probe.mu.Unlock()
-	want := []sched.Candidate{{Peer: 1, Cost: 0.1}}
-	if len(probe.before) != 3 {
-		t.Fatalf("probe saw %d requests, want tick 1's 3", len(probe.before))
-	}
-	for i := range probe.before {
-		if !slices.Equal(probe.before[i], want) || !slices.Equal(probe.after[i], want) {
-			t.Fatalf("request %d: overrunning solve began with %+v and returned with %+v, want %+v",
-				i, probe.before[i], probe.after[i], want)
-		}
 	}
 }

@@ -95,19 +95,12 @@ func (d *Daemon) handleTraceCapture(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// endCapture uninstalls the active trace and returns once nothing can still
-// record into it. A tick that began before Uninstall may still be recording
-// into the single-owner daemon track; ticks hold d.mu throughout, so taking
-// it waits that tick out. A solve that overran its deadline records its
-// spans off-lock after its tick returned, so the capture also waits for it
-// to return, without taking the lock ticks need and without claiming its
-// result: the deadline path is unchanged.
+// endCapture uninstalls the active trace once nothing can still record into
+// it. A tick records into the single-owner daemon track (and its solve into
+// the cluster and shard-worker tracks) only while it holds d.mu, and nothing
+// it starts outlives it, so uninstalling under d.mu leaves no writer behind.
 func (d *Daemon) endCapture() {
-	obs.Uninstall()
 	d.mu.Lock()
-	inflight := d.inflight
-	d.mu.Unlock()
-	if inflight != nil {
-		<-inflight
-	}
+	defer d.mu.Unlock()
+	obs.Uninstall()
 }

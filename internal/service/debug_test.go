@@ -200,11 +200,13 @@ func TestDebugTraceConflict(t *testing.T) {
 	}
 }
 
-// TestTraceCaptureAwaitsOverrunSolve: under a solve deadline, an overrunning
-// sharded solve records its cluster and shard spans off-lock, after its tick
-// has returned. Ending a capture must wait for that solve, or the export
-// reads tracks it is still writing — a data race under -race.
-func TestTraceCaptureAwaitsOverrunSolve(t *testing.T) {
+// TestTraceCaptureAcrossDegradedTicks: a capture across sharded ticks whose
+// every second solve the deadline stops must end with every span it began
+// closed: one tick, solve, partition and merge span per tick, and a gap
+// argument on every daemon solve and shard solve. Nothing of a stopped solve
+// outlives its tick, so under -race the export reads no track a solve is
+// still writing.
+func TestTraceCaptureAcrossDegradedTicks(t *testing.T) {
 	obs.Uninstall()
 	t.Cleanup(func() { obs.Uninstall() })
 	d := manual(t, Options{
@@ -214,31 +216,49 @@ func TestTraceCaptureAwaitsOverrunSolve(t *testing.T) {
 		SolveDeadline: 5 * time.Millisecond,
 		Fault:         fault.Spec{SolveDelay: 20 * time.Millisecond, SolveDelayEveryN: 2},
 	})
-	tr := obs.NewTrace("overrun", 1024)
+	tr := obs.NewTrace("degraded", 1024)
 	if err := obs.Install(tr); err != nil {
 		t.Fatal(err)
 	}
-	for tick := 1; tick <= 2; tick++ {
+	const ticks = 4
+	for tick := 0; tick < ticks; tick++ {
 		seedBooks(t, d)
 		res, err := d.Tick()
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		if res.Degraded != (tick == 2) {
-			t.Fatalf("tick %d degraded = %v; only the delayed solve #2 should overrun", tick, res.Degraded)
+		if res.Degraded != (tick%2 == 1) {
+			t.Fatalf("tick %d degraded = %v; only the delayed solves should stop", tick, res.Degraded)
 		}
 	}
-	// Let the overrunning solve wake and record while the trace is still
-	// installed; its result stays unconsumed, as no tick follows. This sleeps
-	// rather than waits on the solve: any synchronization with it would order
-	// its span writes before the export and hide the race under test.
-	time.Sleep(200 * time.Millisecond)
 	d.endCapture()
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(buf.Bytes(), []byte(`"name":"merge"`)); n != 2 {
-		t.Fatalf("captured %d merge spans, want 2 (one per sharded solve)", n)
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		spans[ev.Name]++
+		if _, ok := ev.Args["gap"]; (ev.Name == "solve" || ev.Name == "shard-solve") && !ok {
+			t.Errorf("%s span without a gap arg: %v", ev.Name, ev.Args)
+		}
+	}
+	for _, name := range []string{"tick", "solve", "partition", "merge", "shard-solve"} {
+		if spans[name] != ticks {
+			t.Errorf("captured %d %s spans, want %d (one per tick)", spans[name], name, ticks)
+		}
 	}
 }

@@ -1,17 +1,21 @@
 package service
 
-// degrade_test.go: the degradation policy under injected faults — deadline
-// overruns that carry grants, escalation to the greedy fallback, clean
-// solves after an overrun, admission-control shedding (API + HTTP 429), and the
+// degrade_test.go: the degradation policy under injected faults — ticks
+// whose solve the deadline stops and that publish a certified gap, clean
+// ticks between them, admission-control shedding (API + HTTP 429), and the
 // kill-point / periodic-snapshot plumbing the crash-recovery drill uses.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,124 +45,193 @@ func seedBooks(t *testing.T, d *Daemon) {
 	}
 }
 
-// TestSolveDeadlineCarryAndReconverge: a slow solve on the second tick misses
-// the deadline, so the slot degrades and carries the first tick's grants;
-// once the overrunning solve drains, the solver serves again cleanly.
-func TestSolveDeadlineCarryAndReconverge(t *testing.T) {
-	d := manual(t, Options{
-		Epsilon:       0.01,
-		SolveDeadline: 50 * time.Millisecond,
-		Fault:         fault.Spec{SolveDelay: 500 * time.Millisecond, SolveDelayEveryN: 2},
-	})
-	seedBooks(t, d)
-	tr1, err := d.Tick() // solve #1: fast
-	if err != nil {
-		t.Fatalf("tick 1: %v", err)
-	}
-	if tr1.Degraded || tr1.Grants != 1 {
-		t.Fatalf("tick 1 should be clean with one grant: %+v", tr1)
-	}
+// priceRecorder keeps the full price vector of the last solve it passes
+// through: the daemon publishes a price only beside a grant.
+type priceRecorder struct {
+	inner  sched.Scheduler
+	prices map[isp.PeerID]float64
+}
 
-	seedBooks(t, d)
-	tr2, err := d.Tick() // solve #2: slow, overruns the deadline
-	if err != nil {
-		t.Fatalf("tick 2: %v", err)
-	}
-	if !tr2.Degraded || tr2.Greedy {
-		t.Fatalf("tick 2 should degrade without greedy: %+v", tr2)
-	}
-	if tr2.Grants != 1 {
-		t.Fatalf("degraded tick should carry the previous slot's grant: %+v", tr2)
-	}
-	if tr2.Welfare != 0 {
-		t.Fatalf("carried slot must not claim new welfare: %+v", tr2)
-	}
-	if slot, gs := d.Grants(2); slot != tr2.Slot || len(gs) != 1 {
-		t.Fatalf("carried grants not republished at slot %d: got slot %d, %d grants",
-			tr2.Slot, slot, len(gs))
-	}
-	st := d.Stats()
-	if st.Totals.DegradedSlots != 1 || st.ConsecutiveOverruns != 1 {
-		t.Fatalf("stats after overrun: %+v", st)
-	}
-	// Carried grants must not inflate the lifetime grant total.
-	if st.Totals.Grants != 1 {
-		t.Fatalf("carried grants double-counted: %+v", st.Totals)
-	}
+func (r *priceRecorder) Name() string { return r.inner.Name() }
 
-	time.Sleep(600 * time.Millisecond) // let the overrunning solve finish
-	seedBooks(t, d)
-	tr3, err := d.Tick() // stale result discarded; solve #3: fast again
-	if err != nil {
-		t.Fatalf("tick 3: %v", err)
+func (r *priceRecorder) Schedule(in *sched.Instance) (*sched.Result, error) {
+	res, err := r.inner.Schedule(in)
+	if err == nil {
+		r.prices = res.Prices
 	}
-	if tr3.Degraded || tr3.Grants != 1 || tr3.Welfare <= 0 {
-		t.Fatalf("tick 3 should solve cleanly again: %+v", tr3)
-	}
-	if got := d.Stats().ConsecutiveOverruns; got != 0 {
-		t.Fatalf("overrun streak should reset, got %d", got)
+	return res, err
+}
+
+// TestDeadlineTicksPublishCertifiedGap replays a contended trace through a
+// daemon whose every second solve sleeps past the solve deadline, once on
+// the monolithic auction and once sharded, so drilled and clean ticks
+// alternate. On every tick the published gap must equal Σ λ_u·B(u) +
+// Σ_r max(0, max_k(v − c_k − λ_{u_k})) − W, recomputed from the booked
+// instance, the solve's prices and the published grants, which must be
+// feasible. A clean tick is not degraded, is within n·ε of optimal and
+// grants what a fresh sched.Auction grants. A drilled tick is degraded,
+// serves this tick's own bids, counts once in degraded_slots_total, and
+// leaves no goroutine behind.
+func TestDeadlineTicksPublishCertifiedGap(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		name := map[bool]string{false: "monolithic", true: "sharded"}[sharded]
+		t.Run(name, func(t *testing.T) { deadlineTrace(t, sharded) })
 	}
 }
 
-// TestGrantsMetricSkipsCarriedGrants: a degraded carry tick republishes the
-// previous slot's grants but issues none, so the scraped grants counter must
-// agree with the lifetime total /v1/stats reports.
-func TestGrantsMetricSkipsCarriedGrants(t *testing.T) {
+func deadlineTrace(t *testing.T, sharded bool) {
+	const (
+		eps      = 0.01
+		videos   = 3 // uploaders 3v+1..3v+3 serve video v: one swarm each
+		bidders  = 24
+		ticks    = 6
+		tolScale = 1e-9
+	)
 	d := manual(t, Options{
-		Epsilon:       0.01,
-		SolveDeadline: 50 * time.Millisecond,
-		Fault:         fault.Spec{SolveDelay: 500 * time.Millisecond, SolveDelayEveryN: 2},
+		Epsilon:       eps,
+		Sharded:       sharded,
+		SolveDeadline: 200 * time.Millisecond,
+		Fault:         fault.Spec{SolveDelay: 250 * time.Millisecond, SolveDelayEveryN: 2},
 	})
-	for tick := 1; tick <= 2; tick++ {
-		seedBooks(t, d)
-		if _, err := d.Tick(); err != nil {
-			t.Fatalf("tick %d: %v", tick, err)
+	rec := &priceRecorder{inner: d.sched}
+	d.sched = rec
+	for p := isp.PeerID(1); p <= 3*videos; p++ {
+		if err := d.Join(p, isp.ID(p%2)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := d.Stats()
-	if st.Totals.DegradedSlots != 1 || st.LastGrants != 1 {
-		t.Fatalf("tick 2 should carry one grant: %+v", st)
+	for p := isp.PeerID(101); p < 101+bidders; p++ {
+		if err := d.Join(p, isp.ID(p%2)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fam := parseExposition(t, scrapeMetrics(t, d))["schedulerd_grants_total"]
-	if got := fam.samples["schedulerd_grants_total"]; got != float64(st.Totals.Grants) {
-		t.Fatalf("schedulerd_grants_total = %v, /v1/stats grants = %d", got, st.Totals.Grants)
+	rng := rand.New(rand.NewSource(32))
+	drilled := 0
+	for tick := 0; tick < ticks; tick++ {
+		var m bookModel
+		for p := isp.PeerID(1); p <= 3*videos; p++ {
+			c := 1 + rng.Intn(2)
+			if err := d.Offer(p, c); err != nil {
+				t.Fatal(err)
+			}
+			m.offer(p, c)
+		}
+		for p := isp.PeerID(101); p < 101+bidders; p++ {
+			v := rng.Intn(videos)
+			var batch []BidRequest
+			for _, i := range rng.Perm(6)[:2] {
+				r := BidRequest{Chunk: chunk(v, i), Value: 0.5 + 2*rng.Float64()}
+				for _, u := range rng.Perm(3)[:1+rng.Intn(3)] {
+					r.Candidates = append(r.Candidates,
+						sched.Candidate{Peer: isp.PeerID(3*v + 1 + u), Cost: 0.4 * rng.Float64()})
+				}
+				batch = append(batch, r)
+			}
+			if err := d.Bid(p, batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range batch {
+				m.bid(p, r)
+			}
+		}
+		in, _ := m.drain(t)
+
+		goroutines := runtime.NumGoroutine()
+		tr, err := d.Tick()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Fatalf("tick %d left %d goroutines running past its return", tick, n-goroutines)
+		}
+
+		// The published grants, as grants over the booked instance.
+		index := map[bidKey]int{}
+		for i, r := range in.Requests {
+			index[bidKey{peer: r.Peer, chunk: r.Chunk}] = i
+		}
+		var grants []sched.Grant
+		for p := isp.PeerID(101); p < 101+bidders; p++ {
+			_, gs := d.Grants(p)
+			for _, g := range gs {
+				i, ok := index[bidKey{peer: p, chunk: g.Chunk}]
+				if !ok {
+					t.Fatalf("tick %d: peer %d granted unbooked chunk %v", tick, p, g.Chunk)
+				}
+				if g.Price != rec.prices[g.Uploader] {
+					t.Fatalf("tick %d: grant priced %v, uploader %d's λ is %v", tick, g.Price, g.Uploader, rec.prices[g.Uploader])
+				}
+				grants = append(grants, sched.Grant{Request: i, Uploader: g.Uploader})
+			}
+		}
+		if err := in.Validate(grants); err != nil {
+			t.Fatalf("tick %d: published grants infeasible: %v", tick, err)
+		}
+		welfare, err := in.Welfare(grants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dual := 0.0
+		for _, u := range in.Uploaders {
+			dual += rec.prices[u.Peer] * float64(u.Capacity)
+		}
+		for _, r := range in.Requests {
+			eta := 0.0
+			for _, c := range r.Candidates {
+				eta = max(eta, r.Value-c.Cost-rec.prices[c.Peer])
+			}
+			dual += eta
+		}
+		tol := tolScale * max(1, dual)
+		if math.Abs(tr.Welfare-welfare) > tol || math.Abs(tr.Gap-(dual-welfare)) > tol {
+			t.Fatalf("tick %d: published welfare %v gap %v; recomputed welfare %v gap %v",
+				tick, tr.Welfare, tr.Gap, welfare, dual-welfare)
+		}
+		gauge := parseExposition(t, scrapeMetrics(t, d))["schedulerd_slot_duality_gap"]
+		if got := gauge.samples["schedulerd_slot_duality_gap"]; got != tr.Gap {
+			t.Fatalf("tick %d: gap gauge %v, tick published %v", tick, got, tr.Gap)
+		}
+		if sharded && tr.Shards < 2 {
+			t.Fatalf("tick %d: %d shards; the trace should split by video", tick, tr.Shards)
+		}
+
+		st := d.Stats()
+		if tick%2 == 1 { // fault.Slow fires on every second solve
+			drilled++
+			if !tr.Degraded || tr.Grants == 0 {
+				t.Fatalf("drilled tick %d should be degraded and serve its own bids: %+v", tick, tr)
+			}
+		} else {
+			if tr.Degraded || tr.Gap > float64(len(in.Requests))*eps+tol {
+				t.Fatalf("clean tick %d: degraded %v, gap %v > n·ε = %v",
+					tick, tr.Degraded, tr.Gap, float64(len(in.Requests))*eps)
+			}
+			want, err := (&sched.Auction{Epsilon: eps}).Schedule(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(grantMap(in, grants), grantMap(in, want.Grants)) {
+				t.Fatalf("clean tick %d: daemon grants differ from a fresh auction's", tick)
+			}
+		}
+		degraded := parseExposition(t, scrapeMetrics(t, d))["schedulerd_degraded_slots_total"]
+		if st.Totals.DegradedSlots != int64(drilled) ||
+			degraded.samples["schedulerd_degraded_slots_total"] != float64(drilled) {
+			t.Fatalf("tick %d: %d degraded slots, %v on /metrics; want %d",
+				tick, st.Totals.DegradedSlots, degraded.samples["schedulerd_degraded_slots_total"], drilled)
+		}
 	}
 }
 
-// TestGreedyEscalation: with every solve slow, the second consecutive overrun
-// escalates to the greedy fallback, which serves this tick's own bids.
-func TestGreedyEscalation(t *testing.T) {
-	d := manual(t, Options{
-		Epsilon:       0.01,
-		SolveDeadline: 20 * time.Millisecond,
-		GreedyAfter:   2,
-		Fault:         fault.Spec{SolveDelay: time.Second},
-	})
-	seedBooks(t, d)
-	tr1, err := d.Tick()
-	if err != nil {
-		t.Fatalf("tick 1: %v", err)
+// grantMap keys grants by (peer, chunk), so grant sets compare regardless
+// of their order.
+func grantMap(in *sched.Instance, grants []sched.Grant) map[bidKey]isp.PeerID {
+	out := make(map[bidKey]isp.PeerID, len(grants))
+	for _, g := range grants {
+		r := &in.Requests[g.Request]
+		out[bidKey{peer: r.Peer, chunk: r.Chunk}] = g.Uploader
 	}
-	// No previous grants to carry: the first overrun serves nothing.
-	if !tr1.Degraded || tr1.Greedy || tr1.Grants != 0 {
-		t.Fatalf("tick 1 should carry (empty): %+v", tr1)
-	}
-
-	seedBooks(t, d)
-	tr2, err := d.Tick()
-	if err != nil {
-		t.Fatalf("tick 2: %v", err)
-	}
-	if !tr2.Degraded || !tr2.Greedy {
-		t.Fatalf("tick 2 should escalate to greedy: %+v", tr2)
-	}
-	if tr2.Grants != 1 || tr2.Welfare <= 0 {
-		t.Fatalf("greedy fallback should serve this tick's bid: %+v", tr2)
-	}
-	st := d.Stats()
-	if st.Totals.DegradedSlots != 2 || st.ConsecutiveOverruns != 2 {
-		t.Fatalf("stats after escalation: %+v", st)
-	}
+	return out
 }
 
 // TestAdmissionControl: bounded books shed fresh submissions with
@@ -278,7 +351,6 @@ func TestKillPointAndPeriodicSnapshot(t *testing.T) {
 func TestDegradationOptionValidation(t *testing.T) {
 	bad := []Options{
 		{Epsilon: 0.01, SolveDeadline: -time.Second},
-		{Epsilon: 0.01, GreedyAfter: -1},
 		{Epsilon: 0.01, MaxPendingBids: -1},
 		{Epsilon: 0.01, MaxPendingOffers: -1},
 		{Epsilon: 0.01, SnapshotEvery: -1},

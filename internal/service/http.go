@@ -87,10 +87,10 @@ type TickResponse struct {
 	Welfare   float64 `json:"welfare"`
 	Shards    int     `json:"shards"`
 	SolveMs   float64 `json:"solve_ms"`
-	// Degraded marks a slot whose solve missed its deadline; Greedy
-	// additionally marks escalation to the fallback scheduler.
+	// Gap is the slot's certified duality gap (TickResult.Gap).
+	Gap float64 `json:"gap"`
+	// Degraded marks a slot whose solve the deadline stopped.
 	Degraded bool `json:"degraded,omitempty"`
-	Greedy   bool `json:"greedy,omitempty"`
 }
 
 // errorResponse is the uniform error body.
@@ -265,8 +265,8 @@ func (d *Daemon) handleTick(w http.ResponseWriter, r *http.Request) int {
 		Welfare:   tr.Welfare,
 		Shards:    tr.Shards,
 		SolveMs:   float64(tr.Solve) / float64(time.Millisecond),
+		Gap:       tr.Gap,
 		Degraded:  tr.Degraded,
-		Greedy:    tr.Greedy,
 	})
 }
 

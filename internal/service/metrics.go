@@ -29,16 +29,14 @@ type daemonMetrics struct {
 	httpErrors   *obs.Counter
 
 	// Degradation and load-shedding families (the robustness layer):
-	// overruns fire per missed deadline, degraded slots per fallback tick,
-	// greedy ticks per escalation, shed requests per 429.
-	solveOverruns *obs.Counter
+	// degraded slots fire per deadline-stopped solve, shed requests per 429.
 	degradedSlots *obs.Counter
-	greedyTicks   *obs.Counter
 	shedRequests  *obs.Counter
 
 	slot          *obs.Gauge
 	peers         *obs.Gauge
 	lastWelfare   *obs.Gauge
+	lastGap       *obs.Gauge
 	shards        *obs.Gauge
 	overrunStreak *obs.Gauge
 
@@ -77,15 +75,14 @@ func newDaemonMetrics() *daemonMetrics {
 		welfareTotal:  r.FloatCounter("schedulerd_welfare_total", "Cumulative social welfare over all slots."),
 		httpRequests:  r.Counter("schedulerd_http_requests_total", "HTTP API requests served."),
 		httpErrors:    r.Counter("schedulerd_http_errors_total", "HTTP API requests answered with an error status."),
-		solveOverruns: r.Counter("schedulerd_solve_overruns_total", "Solves that missed the tick deadline."),
-		degradedSlots: r.Counter("schedulerd_degraded_slots_total", "Slots served degraded (carried grants or greedy fallback)."),
-		greedyTicks:   r.Counter("schedulerd_greedy_ticks_total", "Degraded slots that escalated to the greedy fallback scheduler."),
+		degradedSlots: r.Counter("schedulerd_degraded_slots_total", "Slots whose solve the deadline stopped (served with their certified gap)."),
 		shedRequests:  r.Counter("schedulerd_shed_requests_total", "Bid/offer submissions refused with 429 (book bound reached)."),
 		slot:          r.Gauge("schedulerd_slot", "Current slot number."),
 		peers:         r.Gauge("schedulerd_peers", "Registered peer population."),
 		lastWelfare:   r.Gauge("schedulerd_slot_welfare", "Social welfare of the last solved slot."),
+		lastGap:       r.Gauge("schedulerd_slot_duality_gap", "Certified duality gap of the last solved slot: dual bound minus welfare."),
 		shards:        r.Gauge("schedulerd_shards", "Shard count of the last solved slot (0 for the monolithic solver)."),
-		overrunStreak: r.Gauge("schedulerd_consecutive_overruns", "Current consecutive solve-deadline overrun streak (alarm input)."),
+		overrunStreak: r.Gauge("schedulerd_consecutive_overruns", "Current streak of consecutive deadline-stopped solves (alarm input)."),
 		solveSeconds:  r.Histogram("schedulerd_solve_seconds", "Per-slot solve latency.", solveBuckets),
 		httpSeconds:   r.Histogram("schedulerd_http_request_seconds", "HTTP API request latency.", httpBuckets),
 

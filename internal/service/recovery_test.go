@@ -27,9 +27,9 @@ import (
 )
 
 // TestDrainDuringBidStorm: SIGTERM-equivalent in the middle of a bid storm.
-// Drain must stop the slot clock, absorb any overrunning solve, run one final
-// tick, and write exactly one consistent snapshot — while HTTP writers keep
-// hammering and reads keep answering.
+// Drain must stop the slot clock, run one final tick (its solve held to the
+// same deadline as every tick), and write exactly one consistent snapshot —
+// while HTTP writers keep hammering and reads keep answering.
 func TestDrainDuringBidStorm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.json")
 	d, err := New(Options{
@@ -37,7 +37,6 @@ func TestDrainDuringBidStorm(t *testing.T) {
 		SlotInterval:   2 * time.Millisecond,
 		SnapshotPath:   path,
 		SolveDeadline:  5 * time.Millisecond,
-		GreedyAfter:    2,
 		MaxPendingBids: 256,
 	})
 	if err != nil {

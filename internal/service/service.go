@@ -62,18 +62,12 @@ type Options struct {
 	// at most N ticks of counter drift — the crash-recovery golden runs at 1.
 	SnapshotEvery int
 
-	// SolveDeadline bounds each tick's solve wall-clock time. 0 disables the
-	// deadline (every solve runs to completion under the tick lock). With a
-	// deadline, an overrunning solve keeps running in the background while
-	// the tick degrades gracefully: previous grants are carried and the slot
-	// is marked degraded; after GreedyAfter consecutive overruns the tick
-	// escalates to the bounded sched.Greedy fallback; once the overrunning
-	// solve returns, the next tick solves its own book cold again.
+	// SolveDeadline is each tick's solve budget, counted from the tick's
+	// start. 0 disables the deadline. A solve still bidding when the
+	// deadline passes stops, fills spare capacity and serves that
+	// assignment with its certified duality gap; the slot is marked
+	// degraded. Every solve runs inside its tick either way.
 	SolveDeadline time.Duration
-	// GreedyAfter is K, the consecutive-overrun count at which degraded
-	// ticks escalate from carrying grants to the greedy fallback scheduler.
-	// 0 = never escalate (carry only).
-	GreedyAfter int
 
 	// MaxPendingBids/MaxPendingOffers bound the books between ticks:
 	// submissions past the bound fail with ErrOverloaded, which the HTTP
@@ -82,9 +76,10 @@ type Options struct {
 	MaxPendingOffers int
 
 	// Fault wires the deterministic fault layer into the daemon for staging
-	// drills: SolveDelay/SolveDelayEveryN wrap the solver (forcing deadline
-	// overruns on demand) and KillAfterTicks trips the kill point — a signal
-	// the operator (cmd/schedulerd) answers by exiting without draining, the
+	// drills: SolveDelay/SolveDelayEveryN wrap the solver (its sleep eats
+	// the solve deadline, forcing degraded ticks on demand) and
+	// KillAfterTicks trips the kill point — a signal the operator
+	// (cmd/schedulerd) answers by exiting without draining, the
 	// SIGKILL-equivalent the recovery golden restores from. The zero value
 	// changes nothing.
 	Fault fault.Spec
@@ -127,10 +122,9 @@ type Totals struct {
 	Joins        int64   `json:"joins"`
 	Leaves       int64   `json:"leaves"`
 	Welfare      float64 `json:"welfare"`
-	// DegradedSlots counts ticks that missed the solve deadline and fell
-	// back (carried grants or greedy); ShedRequests counts Bid/Offer calls
-	// refused with ErrOverloaded. Both zero unless the corresponding
-	// Options bounds are set.
+	// DegradedSlots counts ticks whose solve the deadline stopped;
+	// ShedRequests counts Bid/Offer calls refused with ErrOverloaded. Both
+	// zero unless the corresponding Options bounds are set.
 	DegradedSlots int64 `json:"degraded_slots"`
 	ShedRequests  int64 `json:"shed_requests"`
 }
@@ -145,11 +139,11 @@ type TickResult struct {
 	Welfare   float64
 	Shards    int
 	Solve     time.Duration
-	// Degraded marks a slot whose solve missed the deadline; Greedy
-	// additionally marks that the slot escalated to the fallback scheduler
-	// (otherwise a degraded slot carried the previous grants).
+	// Gap is the slot's certified duality gap, Dual(λ) − Welfare: the
+	// published grants are within Gap of the slot's optimal welfare.
+	Gap float64
+	// Degraded marks a slot whose solve the deadline stopped.
 	Degraded bool
-	Greedy   bool
 }
 
 // Daemon is the live scheduler: one kept cold solver behind a
@@ -158,6 +152,9 @@ type TickResult struct {
 type Daemon struct {
 	opts  Options
 	sched sched.Scheduler
+	// deadline is the kept solver's Deadline field, which each tick sets
+	// when it starts (SolveDeadline > 0 only).
+	deadline *time.Time
 
 	mu       sync.Mutex
 	peers    map[isp.PeerID]peerInfo
@@ -167,8 +164,7 @@ type Daemon struct {
 	bidIdx   map[bidKey]int
 	// cands is the bid book's candidate arena: each booked request's
 	// Candidates is a capped window of it, which a re-bid for the same key
-	// reuses when the new list fits. The tick's drain truncates it, or
-	// abandons it while an overrunning solve still reads the instance.
+	// reuses when the new list fits. The tick's drain truncates it.
 	cands []sched.Candidate
 	// grants holds the last solved slot's per-peer grants; grantSlot is the
 	// slot they belong to.
@@ -180,19 +176,9 @@ type Daemon struct {
 	started   time.Time
 	draining  bool
 
-	// Degradation state (SolveDeadline > 0 only): inflight closes when a
-	// solve that overran its deadline, still running off-lock, returns;
 	// overruns counts consecutive degraded ticks and resets when a solve
-	// lands in time.
-	inflight chan struct{}
+	// finishes within its deadline.
 	overruns int
-
-	// ispOf mirrors peers' ISP assignments for the sharded solver's lookup.
-	// An overrunning solve outlives the tick's critical section, so the
-	// lookup cannot read d.peers lock-free; the mirror has its own lock.
-	// Nil unless Sharded.
-	ispMu sync.RWMutex
-	ispOf map[isp.PeerID]isp.ID
 
 	metrics *daemonMetrics
 
@@ -222,9 +208,6 @@ func New(opts Options) (*Daemon, error) {
 	if opts.SolveDeadline < 0 {
 		return nil, fmt.Errorf("service: negative solve deadline %v", opts.SolveDeadline)
 	}
-	if opts.GreedyAfter < 0 {
-		return nil, fmt.Errorf("service: negative greedy-after %d", opts.GreedyAfter)
-	}
 	if opts.MaxPendingBids < 0 || opts.MaxPendingOffers < 0 {
 		return nil, fmt.Errorf("service: negative book bound (%d bids, %d offers)",
 			opts.MaxPendingBids, opts.MaxPendingOffers)
@@ -248,24 +231,21 @@ func New(opts Options) (*Daemon, error) {
 		metrics:  newDaemonMetrics(),
 	}
 	if opts.Sharded {
-		d.ispOf = make(map[isp.PeerID]isp.ID)
 		sa := &cluster.ShardedAuction{
 			Epsilon:       opts.Epsilon,
 			Workers:       opts.ShardWorkers,
 			MaxShardPeers: opts.MaxShardPeers,
 		}
-		// With a solve deadline an overrunning Schedule outlives the tick's
-		// critical section, so the lookup reads the dedicated ISP mirror
-		// under its own lock instead of d.peers.
+		// The solve runs inside the tick, under d.mu, so the lookup reads
+		// d.peers directly.
 		sa.SetISPLookup(func(p isp.PeerID) (isp.ID, bool) {
-			d.ispMu.RLock()
-			id, ok := d.ispOf[p]
-			d.ispMu.RUnlock()
-			return id, ok
+			info, ok := d.peers[p]
+			return info.ISP, ok
 		})
-		d.sched = sa
+		d.sched, d.deadline = sa, &sa.Deadline
 	} else {
-		d.sched = &sched.Auction{Epsilon: opts.Epsilon}
+		a := &sched.Auction{Epsilon: opts.Epsilon}
+		d.sched, d.deadline = a, &a.Deadline
 	}
 	// The slow-solver drill wraps whatever stack was chosen (no-op when the
 	// fault spec injects no delay).
@@ -319,11 +299,6 @@ func (d *Daemon) Join(p isp.PeerID, ispID isp.ID) error {
 		d.metrics.joins.Add(1)
 	}
 	d.peers[p] = peerInfo{ISP: ispID}
-	if d.ispOf != nil {
-		d.ispMu.Lock()
-		d.ispOf[p] = ispID
-		d.ispMu.Unlock()
-	}
 	d.metrics.peers.Set(float64(len(d.peers)))
 	return nil
 }
@@ -337,11 +312,6 @@ func (d *Daemon) Leave(p isp.PeerID) error {
 	}
 	delete(d.peers, p)
 	delete(d.grants, p)
-	if d.ispOf != nil {
-		d.ispMu.Lock()
-		delete(d.ispOf, p)
-		d.ispMu.Unlock()
-	}
 	if i, ok := d.offerIdx[p]; ok {
 		// Keep book order stable for determinism: mark the slot dead by
 		// zeroing capacity; buildInstance compacts it away.
@@ -588,6 +558,9 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	tk := obs.TrackFor("daemon")
 	tsp := tk.Begin("tick")
 	defer func() { d.tickSeq.Add(1) }()
+	if d.opts.SolveDeadline > 0 {
+		*d.deadline = time.Now().Add(d.opts.SolveDeadline)
+	}
 	in, rejected, err := d.buildInstance()
 	if err != nil {
 		tsp.End()
@@ -595,47 +568,33 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	}
 	start := time.Now()
 	ssp := tk.Begin("solve")
-	res, degraded, usedGreedy, err := d.solveLocked(in)
+	res, err := d.sched.Schedule(in)
 	solve := time.Since(start)
 	if err != nil {
 		tsp.End()
 		return TickResult{}, fmt.Errorf("service: slot %d solve: %w", d.slot, err)
 	}
-	if tk != nil && res != nil && res.Stats != nil {
+	gap, degraded := res.Stats["gap"], res.Stats["stopped"] > 0
+	if tk != nil {
 		ssp.Arg("bids", res.Stats["bids"]).
-			Arg("iterations", res.Stats["iterations"])
+			Arg("iterations", res.Stats["iterations"]).
+			Arg("gap", gap)
 	}
 	ssp.End()
 
-	var welfare float64
-	grantCount := 0
-	if res != nil {
-		welfare, err = in.Welfare(res.Grants)
-		if err != nil {
-			tsp.End()
-			return TickResult{}, fmt.Errorf("service: slot %d welfare: %w", d.slot, err)
-		}
-		// Publish per-peer grants.
-		for p := range d.grants {
-			delete(d.grants, p)
-		}
-		for _, g := range res.Grants {
-			req := &in.Requests[g.Request]
-			price := 0.0
-			if res.Prices != nil {
-				price = res.Prices[g.Uploader]
-			}
-			d.grants[req.Peer] = append(d.grants[req.Peer],
-				Grant{Chunk: req.Chunk, Uploader: g.Uploader, Price: price})
-		}
-		grantCount = len(res.Grants)
-	} else {
-		// Degraded carry: the previous slot's grants stay published for this
-		// slot (welfare 0 — nothing new was scheduled), and this tick's bids
-		// drain unserved below. Clients re-bid next round anyway.
-		for _, gs := range d.grants {
-			grantCount += len(gs)
-		}
+	welfare, err := in.Welfare(res.Grants)
+	if err != nil {
+		tsp.End()
+		return TickResult{}, fmt.Errorf("service: slot %d welfare: %w", d.slot, err)
+	}
+	// Publish per-peer grants.
+	for p := range d.grants {
+		delete(d.grants, p)
+	}
+	for _, g := range res.Grants {
+		req := &in.Requests[g.Request]
+		d.grants[req.Peer] = append(d.grants[req.Peer],
+			Grant{Chunk: req.Chunk, Uploader: g.Uploader, Price: res.Prices[g.Uploader]})
 	}
 	d.grantSlot = d.slot
 
@@ -643,29 +602,25 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 		Slot:      d.slot,
 		Requests:  len(in.Requests),
 		Uploaders: len(in.Uploaders),
-		Grants:    grantCount,
+		Grants:    len(res.Grants),
 		Rejected:  rejected,
 		Welfare:   welfare,
+		Shards:    int(res.Stats["shards"]),
 		Solve:     solve,
+		Gap:       gap,
 		Degraded:  degraded,
-		Greedy:    usedGreedy,
-	}
-	if res != nil {
-		if v, ok := res.Stats["shards"]; ok {
-			tr.Shards = int(v)
-		}
 	}
 	d.slot++
 	d.last = tr
 	d.totals.Ticks++
-	if res != nil {
-		// Carried grants were already counted the slot they were solved.
-		d.totals.Grants += int64(grantCount)
-	}
+	d.totals.Grants += int64(tr.Grants)
 	d.totals.BidsRejected += int64(rejected)
 	d.totals.Welfare += welfare
 	if degraded {
 		d.totals.DegradedSlots++
+		d.overruns++
+	} else {
+		d.overruns = 0
 	}
 
 	// Drain the books: every tick is one auction round; peers re-offer and
@@ -679,28 +634,20 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 		delete(d.bidIdx, k)
 	}
 	d.cands = d.cands[:0]
-	if d.inflight != nil { // an overrunning solve still reads the arena
-		d.cands = nil
-	}
 
 	m := d.metrics
 	m.ticks.Add(1)
 	m.slot.Set(float64(d.slot))
 	m.rejectsTotal.Add(uint64(rejected))
 	m.lastWelfare.Set(welfare)
+	m.lastGap.Set(gap)
 	m.welfareTotal.Add(welfare)
 	m.shards.Set(float64(tr.Shards))
 	m.solveSeconds.Observe(solve.Seconds())
-	if res != nil {
-		// Like d.totals.Grants: a carried slot issues no new grants.
-		m.grantsTotal.Add(uint64(grantCount))
-		m.observeSolve(res.Stats)
-	}
+	m.grantsTotal.Add(uint64(tr.Grants))
+	m.observeSolve(res.Stats)
 	if degraded {
 		m.degradedSlots.Add(1)
-	}
-	if usedGreedy {
-		m.greedyTicks.Add(1)
 	}
 	m.overrunStreak.Set(float64(d.overruns))
 	if tk != nil {
@@ -725,65 +672,6 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 	}
 	tsp.End()
 	return tr, nil
-}
-
-// solveOutcome carries an asynchronous solve's result.
-type solveOutcome struct {
-	res *sched.Result
-	err error
-}
-
-// solveLocked runs the slot solve under the degradation policy. Without a
-// deadline it is a plain synchronous Schedule. With one, the solve runs on a
-// goroutine: if it lands within SolveDeadline the tick proceeds normally
-// and the overrun streak resets; if not, the solve keeps running off-lock
-// (recorded in d.inflight) and the tick degrades — carry the previous grants
-// (res == nil), or after GreedyAfter consecutive overruns solve this tick's
-// instance with the bounded greedy fallback. A finished overrun solve is
-// discarded at the next tick (its instance is stale) and the solver serves
-// the new book cold.
-func (d *Daemon) solveLocked(in *sched.Instance) (res *sched.Result, degraded, usedGreedy bool, err error) {
-	if d.opts.SolveDeadline <= 0 {
-		res, err = d.sched.Schedule(in)
-		return res, false, false, err
-	}
-	if d.inflight != nil {
-		select {
-		case <-d.inflight:
-			// The overrunning solve finished between ticks. Its result is for
-			// a drained book — discard it; the solver is free again.
-			d.inflight = nil
-		default:
-		}
-	}
-	if d.inflight == nil {
-		ch := make(chan solveOutcome, 1)
-		done := make(chan struct{})
-		scheduler := d.sched
-		go func() {
-			r, e := scheduler.Schedule(in)
-			ch <- solveOutcome{res: r, err: e}
-			close(done)
-		}()
-		timer := time.NewTimer(d.opts.SolveDeadline)
-		select {
-		case out := <-ch:
-			timer.Stop()
-			d.overruns = 0
-			return out.res, false, false, out.err
-		case <-timer.C:
-			d.inflight = done
-		}
-	}
-	// Degraded slot: the solver is busy (overran just now, or still
-	// catching up from an earlier overrun).
-	d.overruns++
-	d.metrics.solveOverruns.Add(1)
-	if d.opts.GreedyAfter > 0 && d.overruns >= d.opts.GreedyAfter {
-		res, err = sched.Greedy{}.Schedule(in)
-		return res, true, true, err
-	}
-	return nil, true, false, nil
 }
 
 // KillPoint returns a channel that closes when Options.Fault.KillAfterTicks
@@ -845,9 +733,6 @@ func (d *Daemon) Drain() error {
 		return nil
 	}
 	d.draining = true
-	// Let any overrunning solve land first, so the final drain tick gets the
-	// solver and shutdown leaves no goroutine behind.
-	d.awaitInflightLocked()
 	var err error
 	if len(d.bidIdx) > 0 || len(d.offerIdx) > 0 {
 		_, err = d.tickLocked()
@@ -860,23 +745,10 @@ func (d *Daemon) Drain() error {
 	return err
 }
 
-// awaitInflightLocked blocks until an overrunning solve (if any) returns,
-// discarding its stale result and resetting the overrun streak.
-func (d *Daemon) awaitInflightLocked() {
-	if d.inflight != nil {
-		<-d.inflight
-		d.inflight = nil
-		d.overruns = 0
-	}
-}
-
 // Close stops the clock without draining or snapshotting.
 func (d *Daemon) Close() {
 	d.stopOnce.Do(func() { close(d.stop) })
 	<-d.loopDone
-	d.mu.Lock()
-	d.awaitInflightLocked()
-	d.mu.Unlock()
 }
 
 // Snapshot is the JSON state image Drain writes and New restores: the
@@ -970,9 +842,6 @@ func (d *Daemon) restoreSnapshot(path string) error {
 	d.totals = s.Totals
 	for _, p := range s.Peers {
 		d.peers[isp.PeerID(p.Peer)] = peerInfo{ISP: isp.ID(p.ISP)}
-		if d.ispOf != nil {
-			d.ispOf[isp.PeerID(p.Peer)] = isp.ID(p.ISP)
-		}
 	}
 	d.metrics.peers.Set(float64(len(d.peers)))
 	d.metrics.slot.Set(float64(d.slot))

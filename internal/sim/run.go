@@ -259,6 +259,9 @@ func stepSlot(w *world, scheduler sched.Scheduler, res *Results) error {
 			if sr.Stats != nil {
 				ssp.Arg("bids", sr.Stats["bids"]).
 					Arg("iterations", sr.Stats["iterations"])
+				if gap, ok := sr.Stats["gap"]; ok {
+					ssp.Arg("gap", gap)
+				}
 			}
 		}
 		ssp.End()
