@@ -15,7 +15,8 @@ type Edge struct {
 
 // Problem is one slot's chunk-scheduling instance: unit-demand requests,
 // capacitated sinks and weighted admissible edges. Build it with AddSink /
-// AddRequest / AddEdge (optionally presized by Grow); it is then safe for
+// AddRequest / AddEdge (optionally presized by Grow), or write each
+// request's edges in one piece with AddRequestEdges; it is then safe for
 // concurrent readers.
 //
 // All edges live in one slab. Each request's list is a capped window into
@@ -56,10 +57,13 @@ func (p *Problem) AddSink(capacity int) (SinkID, error) {
 	return SinkID(len(p.capacities) - 1), nil
 }
 
-// Grow reserves room for at least the given numbers of further requests and
-// edges, so building a problem of known size reallocates nothing. It never
-// changes the problem's contents.
-func (p *Problem) Grow(requests, edges int) {
+// Grow reserves room for at least the given numbers of further sinks,
+// requests and edges, so building a problem of known size reallocates
+// nothing. It never changes the problem's contents.
+func (p *Problem) Grow(sinks, requests, edges int) {
+	if sinks > 0 {
+		p.capacities = slices.Grow(p.capacities, sinks)
+	}
 	if requests > 0 {
 		p.adj = slices.Grow(p.adj, requests)
 	}
@@ -82,6 +86,24 @@ func (p *Problem) tail(k int) []Edge {
 func (p *Problem) AddRequest() RequestID {
 	p.adj = append(p.adj, p.tail(0))
 	return RequestID(len(p.adj) - 1)
+}
+
+// AddRequestEdges registers a unit-demand request with k edges and returns
+// its window of the slab, the next k edges, for the caller to write in
+// place: a bulk build sets each request's window once instead of growing
+// it edge by edge. The window's contents are unspecified until written.
+// Unlike AddEdge it checks nothing: the caller must write all k edges, each
+// to a sink already added, with a finite weight and no sink twice
+// (sched.fillProblem does, with the checks AddEdge makes).
+func (p *Problem) AddRequestEdges(k int) []Edge {
+	start := len(p.edges)
+	if cap(p.edges)-start < k {
+		p.edges = slices.Grow(p.edges, k)
+	}
+	p.edges = p.edges[:start+k]
+	p.adj = append(p.adj, p.tail(k))
+	p.numEdges += k
+	return p.adj[len(p.adj)-1]
 }
 
 // AddEdge declares that request r may be served by sink s with welfare w.

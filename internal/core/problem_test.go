@@ -209,13 +209,13 @@ func (sp problemSpec) buildInOrder(t *testing.T, grow bool) *Problem {
 	p := NewProblem()
 	sp.sinks(t, p)
 	if grow {
-		p.Grow(len(sp.edges)/2, sp.numEdges()/2)
+		p.Grow(0, len(sp.edges)/2, sp.numEdges()/2)
 	}
 	for i, es := range sp.edges {
 		r := p.AddRequest()
 		for k, e := range es {
 			if grow && i == len(sp.edges)/2 && k == 1 {
-				p.Grow(len(sp.edges), sp.numEdges())
+				p.Grow(0, len(sp.edges), sp.numEdges())
 			}
 			mustAddEdge(t, p, r, e)
 		}
@@ -305,7 +305,7 @@ func TestProblemOlderRequestAppendsKeepNeighbours(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Grow(2, 16) // spare slab capacity after every edge below
+	p.Grow(0, 2, 16) // spare slab capacity after every edge below
 	r0 := p.AddRequest()
 	mustAddEdge(t, p, r0, Edge{0, 1})
 	mustAddEdge(t, p, r0, Edge{1, 2})
@@ -383,7 +383,7 @@ func TestProblemResetRebuilds(t *testing.T) {
 	rebuild := func() {
 		p.Reset()
 		sp.sinks(t, p)
-		p.Grow(len(sp.edges), sp.numEdges())
+		p.Grow(0, len(sp.edges), sp.numEdges())
 		for r, es := range sp.edges {
 			p.AddRequest()
 			for _, e := range es {

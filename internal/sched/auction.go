@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -25,6 +26,7 @@ type Auction struct {
 	Deadline time.Time
 
 	problem core.Problem
+	stamp   rowStamp
 	solver  *core.Solver
 }
 
@@ -41,34 +43,79 @@ func (a *Auction) Name() string { return "auction" }
 // weights v_c(d) − w_{u→d}.
 func buildProblem(in *Instance) (*core.Problem, error) {
 	p := core.NewProblem()
-	return p, fillProblem(p, in)
+	var stamp rowStamp
+	return p, fillProblem(p, in, &stamp)
 }
 
-// fillProblem builds in's problem into the empty p. Shared by the auction
-// and exact schedulers. Sinks are minted in uploader order, so SinkID i is
-// in.Uploaders[i] and each edge's sink is its row; the problem is presized
-// from the instance, so the build appends every edge in place.
-func fillProblem(p *core.Problem, in *Instance) error {
+// fillProblem builds in's problem into the empty p in one pass. Shared by
+// the auction and exact schedulers. Sinks are minted in uploader order, so
+// SinkID i is in.Uploaders[i] and each edge's sink is its row; the problem
+// is presized from the instance, and each request's edges are written
+// straight into its window of the slab (core.Problem.AddRequestEdges). The
+// fill makes every check AddEdge would: each row names a sink, each weight
+// is finite, and no request lists an uploader twice, which stamp finds in
+// O(1) per edge. On error p is left part-built.
+func fillProblem(p *core.Problem, in *Instance, stamp *rowStamp) error {
 	edges := 0
 	for i := range in.Requests {
 		edges += len(in.Requests[i].Candidates)
 	}
-	p.Grow(len(in.Requests), edges)
+	sinks := len(in.Uploaders)
+	p.Grow(sinks, len(in.Requests), edges)
 	for _, u := range in.Uploaders {
 		if _, err := p.AddSink(u.Capacity); err != nil {
 			return err
 		}
 	}
+	stamp.reset(sinks)
 	for i := range in.Requests {
 		req := &in.Requests[i]
-		r := p.AddRequest()
-		for k, ui := range in.Rows(i) {
-			if err := p.AddEdge(r, core.SinkID(ui), req.Value-req.Candidates[k].Cost); err != nil {
-				return err
+		rows := in.Rows(i)
+		window := p.AddRequestEdges(len(rows))
+		mark := stamp.next()
+		for k, ui := range rows {
+			if ui < 0 || int(ui) >= sinks {
+				return fmt.Errorf("sched: request %d names unknown uploader row %d", i, ui)
 			}
+			w := req.Value - req.Candidates[k].Cost
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return fmt.Errorf("sched: request %d: weight %v to uploader %d is not finite", i, w, req.Candidates[k].Peer)
+			}
+			if stamp.seen[ui] == mark {
+				return fmt.Errorf("sched: request %d lists uploader %d twice", i, req.Candidates[k].Peer)
+			}
+			stamp.seen[ui] = mark
+			window[k] = core.Edge{Sink: core.SinkID(ui), Weight: w}
 		}
 	}
 	return nil
+}
+
+// rowStamp finds a request's repeated candidate rows: seen[row] holds the
+// mark of the last request that listed row. Marks rise across requests and
+// across fills, so a kept stamp is never cleared, only when its mark wraps;
+// an Auction keeps one for every round it schedules.
+type rowStamp struct {
+	seen []uint32
+	mark uint32
+}
+
+// reset readies the stamp for a fill over the given number of rows.
+func (s *rowStamp) reset(rows int) {
+	if len(s.seen) < rows {
+		// Fresh zeros lie below every mark, which is never 0.
+		s.seen = make([]uint32, max(rows, 2*len(s.seen)))
+	}
+}
+
+// next returns the mark of the next request.
+func (s *rowStamp) next() uint32 {
+	s.mark++
+	if s.mark == 0 {
+		clear(s.seen)
+		s.mark = 1
+	}
+	return s.mark
 }
 
 // grantsOf turns a solved assignment back into grants, in request order.
@@ -90,7 +137,7 @@ func grantsOf(in *Instance, a *core.Assignment) []Grant {
 // instance and solving it cold.
 func (a *Auction) Schedule(in *Instance) (*Result, error) {
 	a.problem.Reset()
-	err := fillProblem(&a.problem, in)
+	err := fillProblem(&a.problem, in, &a.stamp)
 	if err != nil {
 		return nil, fmt.Errorf("auction schedule: %w", err)
 	}

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isp"
 	"repro/internal/randx"
 	"repro/internal/video"
@@ -235,9 +237,9 @@ func allocsInstance(t *testing.T, n int) *Instance {
 
 // TestBuildProblemAllocs pins the cold build's allocation count: the
 // problem is presized from the instance, so translating 10k requests costs
-// exactly as many allocations as 1k — the Problem, its request and edge
-// slabs, and the capacity slice's growth to 50 sinks: 10 measured, 12 under
-// the race detector. The collector is paused while counting, so allocations
+// exactly as many allocations as 1k — the Problem, its sink, request and
+// edge slabs, and the row stamp: 4 measured, 7 under the race detector (10
+// and 12 when the capacity slice still grew sink by sink). The collector is paused while counting, so allocations
 // the runtime makes during a GC cycle are not charged to the build.
 func TestBuildProblemAllocs(t *testing.T) {
 	const bound = 12
@@ -327,5 +329,107 @@ func TestAuctionScheduleAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Fatalf("Schedule allocs at 1k / 10k requests = %v / %v, want equal", counts[0], counts[1])
+	}
+}
+
+// addEdgeProblem is fillProblem's referee: the same problem built one
+// checked core.Problem.AddEdge at a time.
+func addEdgeProblem(in *Instance) (*core.Problem, error) {
+	p := core.NewProblem()
+	for _, u := range in.Uploaders {
+		if _, err := p.AddSink(u.Capacity); err != nil {
+			return nil, err
+		}
+	}
+	for i := range in.Requests {
+		req := &in.Requests[i]
+		r := p.AddRequest()
+		for k, ui := range in.Rows(i) {
+			if err := p.AddEdge(r, core.SinkID(ui), req.Value-req.Candidates[k].Cost); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return p, nil
+}
+
+// TestFillProblemMatchesAddEdge pins the one-pass fill to the per-edge
+// build it replaced. On seeded random instances, filled through one kept
+// stamp as an Auction fills them round after round (once across a wrap of
+// the stamp's mark), the problem must equal the AddEdge-built one edge for
+// edge, bit for bit, with the same capacities. A repeated candidate and a
+// NaN or infinite Value − Cost must be rejected by both builds, and by
+// Auction.Schedule and Exact.Schedule.
+func TestFillProblemMatchesAddEdge(t *testing.T) {
+	var stamp rowStamp
+	var p core.Problem
+	for seed := uint64(1); seed <= 40; seed++ {
+		in := randomInstance(t, seed, 2+int(seed%13))
+		if seed == 20 {
+			// Wrap the mark within this fill, as if every row had last
+			// been listed at mark 1, a full cycle of marks ago.
+			stamp.mark = math.MaxUint32 - 3
+			for i := range stamp.seen {
+				stamp.seen[i] = 1
+			}
+		}
+		p.Reset()
+		if err := fillProblem(&p, in, &stamp); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, err := addEdgeProblem(in)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if p.NumSinks() != want.NumSinks() || p.NumRequests() != want.NumRequests() || p.NumEdges() != want.NumEdges() {
+			t.Fatalf("seed %d: filled %d sinks / %d requests / %d edges, AddEdge built %d / %d / %d", seed,
+				p.NumSinks(), p.NumRequests(), p.NumEdges(), want.NumSinks(), want.NumRequests(), want.NumEdges())
+		}
+		for s := range p.NumSinks() {
+			if p.Capacity(core.SinkID(s)) != want.Capacity(core.SinkID(s)) {
+				t.Fatalf("seed %d: sink %d capacity %d, want %d", seed, s, p.Capacity(core.SinkID(s)), want.Capacity(core.SinkID(s)))
+			}
+		}
+		for r := range p.NumRequests() {
+			if got, want := p.Edges(core.RequestID(r)), want.Edges(core.RequestID(r)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: request %d edges %v, want %v", seed, r, got, want)
+			}
+		}
+	}
+	if stamp.mark >= math.MaxUint32-3 {
+		t.Fatal("the stamp's mark never wrapped; the fixture is vacuous")
+	}
+
+	bad := map[string]func(*Request){
+		"repeated candidate": func(r *Request) { r.Candidates = append(r.Candidates, r.Candidates[0]) },
+		"NaN weight":         func(r *Request) { r.Value = math.NaN() },
+		"+Inf weight":        func(r *Request) { r.Value = math.Inf(1) },
+		"-Inf weight":        func(r *Request) { r.Candidates[len(r.Candidates)-1].Cost = math.Inf(1) },
+	}
+	for name, spoil := range bad {
+		base := randomInstance(t, 7, 8)
+		reqs := make([]Request, len(base.Requests))
+		for i, r := range base.Requests {
+			r.Candidates = slices.Clone(r.Candidates)
+			reqs[i] = r
+		}
+		spoil(&reqs[len(reqs)/2])
+		in, err := NewInstance(reqs, base.Uploaders)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := addEdgeProblem(in); err == nil {
+			t.Errorf("%s: the AddEdge build accepted it", name)
+		}
+		p.Reset()
+		if err := fillProblem(&p, in, &stamp); err == nil {
+			t.Errorf("%s: fillProblem accepted it", name)
+		}
+		if _, err := (&Auction{Epsilon: 0.01}).Schedule(in); err == nil {
+			t.Errorf("%s: Auction.Schedule accepted it", name)
+		}
+		if _, err := (&Exact{}).Schedule(in); err == nil {
+			t.Errorf("%s: Exact.Schedule accepted it", name)
+		}
 	}
 }

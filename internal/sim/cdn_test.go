@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cdn"
 	"repro/internal/cluster"
+	"repro/internal/isp"
 	"repro/internal/sched"
 )
 
@@ -230,5 +231,56 @@ func TestBuildInstanceAllocs(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("refresh + buildInstance allocates %v per round, want %d", got, want)
+	}
+}
+
+// TestPlaybackAllocs pins a steady-state playback on the same world as
+// TestBuildInstanceAllocs, after one bidding round has left delivery
+// records on the receiving watchers: reading each watcher's deliveries
+// into the reused per-offset scratch allocates nothing. Each counted run
+// restores the playback fronts it advanced, so every run plays the same
+// chunks. The collector is paused while counting.
+func TestPlaybackAllocs(t *testing.T) {
+	const want = 0
+	cfg := cdnTestConfig()
+	cfg.StaticPeers = 60
+	cfg.Catalog.Count = 6
+	cfg.NeighborCount = 8
+	cfg.SeedsPerVideo = 1
+	cfg.Placement = SeedsGlobal
+	w, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := w.buildInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&sched.Auction{Epsilon: cfg.Epsilon}).Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out slotOutcome
+	if err := w.applyGrants(0, in, res.Grants, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.deliveredPeers) == 0 {
+		t.Fatal("the round delivered nothing; the pin is vacuous")
+	}
+	pos := make([]int, len(w.peers))
+	departures := make([]isp.PeerID, 0, len(w.peers))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	play := func() {
+		for _, id := range w.order {
+			pos[id] = w.peers[id].pos
+		}
+		w.playback(&slotOutcome{departures: departures[:0]})
+		for _, id := range w.order {
+			w.peers[id].pos = pos[id]
+		}
+	}
+	play()
+	if got := testing.AllocsPerRun(20, play); got != want {
+		t.Fatalf("playback allocates %v per slot, want %d", got, want)
 	}
 }

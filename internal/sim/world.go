@@ -20,8 +20,7 @@ import (
 
 // deliveredChunk is one in-slot delivery record: chunk idx arrived at `at`
 // seconds from slot start. Per-peer append lists replace the old per-slot
-// map-of-maps; a slot delivers at most a window's worth of chunks per peer,
-// so the playback loop's linear scan is cheaper than the hashing was.
+// map-of-maps; playback reads each peer's list once (world.arrivals).
 type deliveredChunk struct {
 	idx video.ChunkIndex
 	at  float64
@@ -72,6 +71,13 @@ type peerRuntime struct {
 // started reports whether playback is running at the given slot.
 func (p *peerRuntime) started(slot int) bool {
 	return !p.seed && slot >= p.startSlot
+}
+
+// roundMemo is one valMemo entry: the valuation v computed in build round
+// round.
+type roundMemo struct {
+	round uint64
+	v     float64
 }
 
 // noPeer is the tombstone marker in world.order (peer ids are non-negative).
@@ -135,17 +141,23 @@ type world struct {
 	// nbCost is the slab of every watcher's neighbor costs (see
 	// peerRuntime.costOff), refilled in place on each neighbor refresh.
 	nbCost []float64
+	// valMemo[off] is the build round's valuation of a started peer's chunk
+	// off chunks past its playback front (see roundValue), one entry per
+	// chunk of a video; an entry stamped with an earlier round is stale.
+	valMemo []roundMemo
 
 	// Transfer/playback scratch (reused across slots): the grouped grant
 	// indices with groupGrants' per-grant row, per-row offset and row-order
-	// arrays, the peers holding delivery records this slot, and the
-	// departure list.
+	// arrays, the peers holding delivery records this slot, the departure
+	// list, and one peer's delivery times by played offset (arrivals; one
+	// entry per chunk a slot plays).
 	grantIdx       []int32
 	grantRow       []int32
 	rowNext        []int32
 	rowOrder       []int32
 	deliveredPeers []isp.PeerID
 	departScratch  []isp.PeerID
+	arrivedAt      []float64
 
 	// behave is the compiled strategic-behavior runtime (nil when
 	// cfg.Behavior is the honest zero value, which keeps every hook off the
@@ -227,12 +239,14 @@ func newWorld(cfg Config) (*world, error) {
 		chunksPerSlot: cfg.chunksPerSlot(catalog),
 		builder:       sched.NewBuilder(),
 		forceRebuild:  true,
+		valMemo:       make([]roundMemo, catalog.Chunks()),
 		costCache:     make(map[uint64]float64),
 		cdnOrigin:     noPeer,
 	}
 	if w.chunksPerSlot <= 0 {
 		return nil, fmt.Errorf("sim: slot shorter than one chunk playback")
 	}
+	w.arrivedAt = make([]float64, w.chunksPerSlot)
 	if !cfg.Behavior.IsZero() {
 		// The behavior stream derives from its own root key (5): keyed
 		// derivation is independent per label, so topology/churn/peer/
@@ -677,6 +691,19 @@ func (w *world) chunkClean(v video.ID, idx video.ChunkIndex) bool {
 	return arr == nil || arr[idx]+1 != w.buildRound
 }
 
+// roundValue returns the valuation of deadline d, which a started peer's
+// chunk off chunks past its playback front has in the current build round.
+// That deadline is a function of off alone within a round, so the value is
+// memoised per offset, computed by the same Valuation.Value call, and every
+// watcher at the same offset shares one math.Log.
+func (w *world) roundValue(off int, d float64) float64 {
+	m := &w.valMemo[off]
+	if m.round != w.buildRound {
+		m.round, m.v = w.buildRound, w.cfg.Valuation.Value(d)
+	}
+	return m.v
+}
+
 // buildInstance assembles the scheduling problem of bidding round j through
 // the persistent builder: every watcher's window requests with round-j
 // valuations/deadlines, and every online node as an uploader with its
@@ -707,12 +734,18 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 			continue
 		}
 		p := w.peers[id]
+		started := p.started(w.slot)
 		for _, idx := range w.windowOf(p, j) {
 			d := w.deadline(p, idx, j)
 			if d < 0 {
 				continue // unplayable; do not waste bandwidth
 			}
-			v := w.cfg.Valuation.Value(d)
+			var v float64
+			if started {
+				v = w.roundValue(int(idx)-p.pos, d)
+			} else {
+				v = w.cfg.Valuation.Value(d)
+			}
 			if w.behave != nil {
 				v = w.behave.ReportedValue(id, v)
 			}
@@ -949,17 +982,24 @@ func mustCost(in *sched.Instance, g sched.Grant) float64 {
 	return c
 }
 
-// deliveredAt scans p's slot deliveries for chunk idx, returning the latest
-// recorded arrival (mirroring the old map's overwrite semantics; deliveries
-// are unique per slot in practice).
-func deliveredAt(p *peerRuntime, idx video.ChunkIndex) (float64, bool) {
-	at, found := 0.0, false
+// arrivals returns, for each of the toPlay chunks from p's playback front,
+// the slot time its latest delivery record names, from one scan of p's
+// deliveries: when a chunk was delivered twice, the later record decides
+// its miss. A chunk not delivered this slot reads 0, which is late for no
+// chunk (chunk i plays at i/rate ≥ 0). It returns nil when p received
+// nothing; the slice is world scratch, valid until the next call.
+func (w *world) arrivals(p *peerRuntime, toPlay int) []float64 {
+	if len(p.delivered) == 0 {
+		return nil
+	}
+	at := w.arrivedAt[:toPlay]
+	clear(at)
 	for _, dc := range p.delivered {
-		if dc.idx == idx {
-			at, found = dc.at, true
+		if i := int(dc.idx) - p.pos; i >= 0 && i < toPlay {
+			at[i] = dc.at
 		}
 	}
-	return at, found
+	return at
 }
 
 // clearDelivered resets the slot's delivery records (called once per slot
@@ -990,14 +1030,13 @@ func (w *world) playback(out *slotOutcome) {
 			if remaining := w.catalog.Chunks() - p.pos; toPlay > remaining {
 				toPlay = remaining
 			}
+			arrived := w.arrivals(p, toPlay)
 			for i := 0; i < toPlay; i++ {
 				idx := video.ChunkIndex(p.pos + i)
 				deadlineAt := float64(i) / rate
 				miss := !p.cache.Has(idx)
-				if !miss {
-					if at, ok := deliveredAt(p, idx); ok && at > deadlineAt {
-						miss = true // arrived, but after its playback moment
-					}
+				if !miss && arrived != nil && arrived[i] > deadlineAt {
+					miss = true // arrived, but after its playback moment
 				}
 				if miss {
 					p.misses++

@@ -116,6 +116,58 @@ func TestWorldPlaybackConservation(t *testing.T) {
 	}
 }
 
+// TestPlaybackLatestDeliveryDecidesMiss pins playback's reading of a chunk
+// delivered twice in one slot: the later delivery record decides whether it
+// arrived after its playback moment, late then early playing on time and
+// early then late missing. A record of a chunk the slot does not play
+// changes nothing. Every played chunk is cached, so only delivery times can
+// miss.
+func TestPlaybackLatestDeliveryDecidesMiss(t *testing.T) {
+	cfg := testConfig()
+	const played = 2 // the twice-delivered chunk's offset from the front
+	for _, tc := range []struct {
+		name          string
+		first, second float64 // arrival times, in chunk playback periods
+		miss          int64
+	}{
+		{"late then early", played + 1, played - 1, 0},
+		{"early then late", played - 1, played + 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := newWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p *peerRuntime
+			for _, id := range w.order {
+				cand := w.peers[id]
+				if cand.started(w.slot) && cand.pos+w.chunksPerSlot < w.catalog.Chunks() {
+					p = cand
+					break
+				}
+			}
+			if p == nil || w.chunksPerSlot <= played {
+				t.Fatal("no watcher plays a full slot past the twice-delivered chunk")
+			}
+			p.cache.AddRange(video.ChunkIndex(p.pos), video.ChunkIndex(p.pos+w.chunksPerSlot+1))
+			period := 1 / w.catalog.ChunksPerSecond()
+			idx := video.ChunkIndex(p.pos + played)
+			unplayed := video.ChunkIndex(p.pos + w.chunksPerSlot)
+			p.delivered = append(p.delivered,
+				deliveredChunk{idx: unplayed, at: 0},
+				deliveredChunk{idx: idx, at: tc.first * period},
+				deliveredChunk{idx: idx, at: tc.second * period},
+				deliveredChunk{idx: unplayed, at: float64(w.chunksPerSlot+1) * period},
+			)
+			before := p.misses
+			w.playback(&slotOutcome{})
+			if got := p.misses - before; got != tc.miss {
+				t.Fatalf("%d misses, want %d", got, tc.miss)
+			}
+		})
+	}
+}
+
 // simpleCounter is a do-nothing scheduler: grants nothing, so every due chunk
 // beyond the prefilled cache is a miss. Exercises the accounting path.
 type simpleCounter struct{}
