@@ -133,7 +133,8 @@ func (m *swarmModel) build(t *testing.T, b *sched.Builder) (*sched.Instance, *sc
 			b.EndRequest()
 		}
 	}
-	in, d, err := b.Build()
+	in, err := b.Build()
+	d := b.Delta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,8 @@ func TestIncrementalPartitionKeyMigration(t *testing.T) {
 		b.StartRequest(102, video.ChunkID{Video: 2, Index: 1}, 5, 1)
 		b.AddCandidate(1, 0)
 		b.EndRequest()
-		in, d, err := b.Build()
+		in, err := b.Build()
+		d := b.Delta()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +336,8 @@ func replay(t testing.TB, b *sched.Builder, in *sched.Instance) (*sched.Instance
 		}
 		b.EndRequest()
 	}
-	out, d, err := b.Build()
+	out, err := b.Build()
+	d := b.Delta()
 	if err != nil {
 		t.Fatal(err)
 	}

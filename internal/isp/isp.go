@@ -134,8 +134,9 @@ func (t *Topology) Cost(u, d PeerID) (float64, error) {
 		lo, hi = hi, lo
 	}
 	// Stateless per-pair stream: same pair -> same cost, independent pairs
-	// — and a pure function, so callers on hot paths are free to memoize
-	// (the simulator's world does; the draw burns a PRNG derivation plus
+	// — and a pure function, so callers on hot paths are free to keep what
+	// they drew (the simulator's world carries each watcher's neighbor costs
+	// across refreshes; the draw burns a PRNG derivation plus
 	// truncated-normal rejection sampling per call).
 	pairKey := uint64(lo)<<32 | uint64(uint32(hi))
 	rng := randx.New(t.seed).Derive(pairKey)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -12,8 +13,8 @@ import (
 // the same producer built — the slot-to-slot churn a consumer
 // (cluster.ShardedAuction's incremental partitioner) can apply in O(churn)
 // instead of re-diffing two full instances by key. Deltas are produced by
-// Builder (every Build that follows an ordered Build returns one) and are
-// trusted: consumers bounds-check the row maps but do not re-derive them.
+// Builder.Delta and are trusted: consumers bounds-check the row maps but do
+// not re-derive them.
 //
 // All row references are dense indices: PrevReq[i] is the previous
 // instance's row of the new instance's request i (-1 when the request is
@@ -46,35 +47,39 @@ type DeltaScheduler interface {
 	ScheduleDelta(in *Instance, d *InstanceDelta) (*Result, error)
 }
 
-// instStore is one half of the builder's double buffer: the instance plus
-// the candidate arena its requests point into, the row table aligned with
-// that arena and its per-request offsets. Two stores alternate so the
-// previous round's instance (and every candidate slice a consumer may still
-// hold from it) stays intact while the next one is built.
+// instStore is one half of the builder's double buffer: the instance, the
+// candidate arena its requests point into, the row table and its
+// per-request offsets, whether each request's list was carried, and the
+// slot of each uploader row. Two stores alternate so the previous round's
+// instance (and every candidate slice a consumer may still hold from it)
+// stays intact while the next one is built.
 type instStore struct {
 	inst    Instance
 	arena   []Candidate
 	rows    []int32
 	rowOff  []int32
+	carried []bool
 	slotRow []int32
+	rowSlot []int32
 }
 
 // Builder maintains a persistent mutable Instance across scheduling rounds.
 // Each round the producer replays the instance — uploaders first, then
 // requests, both in ascending key order — and the builder reuses every
-// backing array, maintains the uploader index incrementally, and computes
-// the InstanceDelta against the previous round as a by-product of the
-// ordered replay (a two-pointer merge, no hashing). The produced instance
-// and delta are valid until the next Build.
+// backing array and maintains the uploader index incrementally. The
+// produced instance is valid until the next Build.
 //
 // AddUploader returns the row it assigned, and the producer names each
 // candidate by that row (AddCandidate(row, cost)), so the instance's row
 // table is filled without resolving a single PeerID. Carried candidate
-// lists have their rows remapped through the round's uploader merge.
+// lists have their rows remapped through the uploaders' slots.
+//
+// Requests only append: the slot-to-slot InstanceDelta is derived on
+// demand by Delta, for the one consumer that reads it.
 //
 // Key order: uploaders ascending by peer id; requests ascending by
 // (peer, video, chunk), strictly. Out-of-order rounds still build a correct
-// instance but yield no delta (Build returns nil and consumers fall back to
+// instance but yield no delta (Delta returns nil and consumers fall back to
 // their full diff), so ordering is a performance contract, not a
 // correctness one.
 type Builder struct {
@@ -89,34 +94,40 @@ type Builder struct {
 	numSlots  int
 
 	// upNext maps each previous-round uploader row to its row this round
-	// (-1 = departed), filled by the ordered uploader merge; carried
+	// (-1 = departed), filled when the uploader section closes; carried
 	// candidate lists remap their rows through it.
-	upNext []int32
-	// err is the first candidate error of the round, reported by Build.
-	err error
+	upNext    []int32
+	upsClosed bool
 
-	delta     InstanceDelta
-	ordered   bool // current build's keys ascending so far
-	prevOrder bool // previous build was ordered
-	prevValid bool // prev holds a completed build
-	building  bool
-
-	upCursor  int
-	reqCursor int
+	upOrdered bool // this round's uploaders ascend
 	lastUp    isp.PeerID
 	haveUp    bool
-	lastKey   reqKey
-	haveKey   bool
 
-	// open-request state
-	reqOpen    bool
-	openReq    Request
-	openPrev   int32
-	arenaStart int
-	carried    bool
+	reqOrdered bool // this round's requests ascend so far
+	lastKey    reqKey
+	haveKey    bool
+	// cursor is the carry lookup's position in the previous instance's
+	// requests, advanced past every smaller key as this round's keys ascend.
+	cursor int
+	// err is the round's first candidate error, reported by Build.
+	err error
 
-	newReqs, newUps int
-	allSame         bool
+	// The open request is the instance's last entry.
+	open     bool
+	openPrev int32 // its previous row; -2 = not looked up yet
+	start    int   // its first candidate in the arena
+	carry    bool
+
+	// carryBase: prev is a completed, ordered, error-free build whose
+	// candidate lists may be carried. hasDelta: the last Build was ordered
+	// against such a baseline, so Delta can derive its delta.
+	carryBase bool
+	hasDelta  bool
+	prevClean bool // the last completed Build was ordered and error-free
+	building  bool
+
+	delta     InstanceDelta
+	deltaDone bool
 }
 
 // NewBuilder returns an empty builder.
@@ -138,36 +149,36 @@ type reqKey struct {
 
 func keyOf(p isp.PeerID, c video.ChunkID) reqKey { return reqKey{peer: p, chunk: c} }
 
-// keyLess orders request keys by (peer, video, chunk index).
-func keyLess(a, b reqKey) bool {
-	if a.peer != b.peer {
-		return a.peer < b.peer
+func (r *Request) key() reqKey { return keyOf(r.Peer, r.Chunk) }
+
+// keyCompare orders request keys by (peer, video, chunk index).
+func keyCompare(a, b reqKey) int {
+	if c := cmp.Compare(a.peer, b.peer); c != 0 {
+		return c
 	}
-	if a.chunk.Video != b.chunk.Video {
-		return a.chunk.Video < b.chunk.Video
+	if c := cmp.Compare(a.chunk.Video, b.chunk.Video); c != 0 {
+		return c
 	}
-	return a.chunk.Index < b.chunk.Index
+	return cmp.Compare(a.chunk.Index, b.chunk.Index)
 }
 
 // Begin starts the next round's build. The previous Build's instance stays
-// valid (and is the delta baseline) until Build is called.
+// valid (and is the carry and delta baseline) until Build is called.
 func (b *Builder) Begin() {
 	if b.building {
 		panic("sched: Builder.Begin without Build")
 	}
 	b.building = true
+	b.carryBase = b.prevClean
+	b.hasDelta, b.deltaDone = false, false
 	b.cur, b.prev = b.prev, b.cur
 	b.cur.inst.Requests = b.cur.inst.Requests[:0]
 	b.cur.inst.Uploaders = b.cur.inst.Uploaders[:0]
 	b.cur.arena = b.cur.arena[:0]
 	b.cur.rows = b.cur.rows[:0]
 	b.cur.rowOff = b.cur.rowOff[:0]
-	b.err = nil
-	np := len(b.prev.inst.Uploaders)
-	b.upNext = slices.Grow(b.upNext[:0], np)[:np]
-	for i := range b.upNext {
-		b.upNext[i] = -1
-	}
+	b.cur.carried = b.cur.carried[:0]
+	b.cur.rowSlot = b.cur.rowSlot[:0]
 	if cap(b.cur.slotRow) < b.numSlots {
 		b.cur.slotRow = make([]int32, b.numSlots, b.numSlots+b.numSlots/4+8)
 	}
@@ -175,29 +186,12 @@ func (b *Builder) Begin() {
 	for i := range b.cur.slotRow {
 		b.cur.slotRow[i] = -1
 	}
-	b.delta.Identity = false
-	b.delta.PrevReq = b.delta.PrevReq[:0]
-	b.delta.SameCands = b.delta.SameCands[:0]
-	b.delta.RemovedReqs = b.delta.RemovedReqs[:0]
-	b.delta.PrevUp = b.delta.PrevUp[:0]
-	b.delta.RemovedUps = b.delta.RemovedUps[:0]
-	b.ordered = true
-	b.upCursor, b.reqCursor = 0, 0
-	b.haveUp, b.haveKey = false, false
-	b.reqOpen = false
-	b.newReqs, b.newUps = 0, 0
-	b.allSame = true
-}
-
-// dropUploader processes the departure of the previous round's uploader at
-// prev row i: its slot is recycled and the row recorded as removed.
-func (b *Builder) dropUploader(i int) {
-	p := b.prev.inst.Uploaders[i].Peer
-	if s, ok := b.slotOf[p]; ok {
-		delete(b.slotOf, p)
-		b.freeSlots = append(b.freeSlots, s)
-	}
-	b.delta.RemovedUps = append(b.delta.RemovedUps, int32(i))
+	b.upsClosed = false
+	b.upOrdered, b.haveUp = true, false
+	b.reqOrdered, b.haveKey = true, false
+	b.cursor = 0
+	b.err = nil
+	b.open = false
 }
 
 // AddUploader appends one uploader and returns its row, the index
@@ -208,7 +202,7 @@ func (b *Builder) AddUploader(p isp.PeerID, capacity int) (int32, error) {
 	if !b.building {
 		panic("sched: Builder.AddUploader outside Begin/Build")
 	}
-	if b.reqOpen || len(b.cur.inst.Requests) > 0 {
+	if b.upsClosed {
 		return -1, fmt.Errorf("sched: uploaders must be added before requests")
 	}
 	if capacity < 0 {
@@ -218,23 +212,9 @@ func (b *Builder) AddUploader(p isp.PeerID, capacity int) (int32, error) {
 		if p == b.lastUp {
 			return -1, fmt.Errorf("sched: duplicate uploader %d", p)
 		}
-		b.ordered = false
+		b.upOrdered = false
 	}
 	b.lastUp, b.haveUp = p, true
-
-	prevRow := int32(-1)
-	if b.ordered && b.prevOrder && b.prevValid {
-		for b.upCursor < len(b.prev.inst.Uploaders) && b.prev.inst.Uploaders[b.upCursor].Peer < p {
-			b.dropUploader(b.upCursor)
-			b.upCursor++
-		}
-		if b.upCursor < len(b.prev.inst.Uploaders) && b.prev.inst.Uploaders[b.upCursor].Peer == p {
-			prevRow = int32(b.upCursor)
-			b.upCursor++
-		} else {
-			b.newUps++
-		}
-	}
 
 	s, known := b.slotOf[p]
 	if !known {
@@ -248,17 +228,33 @@ func (b *Builder) AddUploader(p isp.PeerID, capacity int) (int32, error) {
 		}
 		b.slotOf[p] = s
 	}
-	if int(s) < len(b.cur.slotRow) && b.cur.slotRow[s] >= 0 {
+	if b.cur.slotRow[s] >= 0 {
 		return -1, fmt.Errorf("sched: duplicate uploader %d", p)
 	}
 	row := int32(len(b.cur.inst.Uploaders))
 	b.cur.slotRow[s] = row
+	b.cur.rowSlot = append(b.cur.rowSlot, s)
 	b.cur.inst.Uploaders = append(b.cur.inst.Uploaders, Uploader{Peer: p, Capacity: capacity})
-	b.delta.PrevUp = append(b.delta.PrevUp, prevRow)
-	if prevRow >= 0 {
-		b.upNext[prevRow] = row
-	}
 	return row, nil
+}
+
+// closeUploaders ends the uploader section: it maps every previous-round
+// uploader row to its row this round through the peer's slot, and releases
+// the slots of uploaders that did not return. No slot is reused before this
+// point, so a departed uploader's slot still reads -1 in this round's slot
+// table.
+func (b *Builder) closeUploaders() {
+	b.upsClosed = true
+	prevUps := b.prev.inst.Uploaders
+	b.upNext = slices.Grow(b.upNext[:0], len(prevUps))[:len(prevUps)]
+	for i, s := range b.prev.rowSlot[:len(prevUps)] {
+		r := b.cur.slotRow[s]
+		b.upNext[i] = r
+		if r < 0 {
+			delete(b.slotOf, prevUps[i].Peer)
+			b.freeSlots = append(b.freeSlots, s)
+		}
+	}
 }
 
 // StartRequest opens one request. Requests must arrive in strictly
@@ -268,58 +264,59 @@ func (b *Builder) StartRequest(p isp.PeerID, chunk video.ChunkID, value, deadlin
 	if !b.building {
 		panic("sched: Builder.StartRequest outside Begin/Build")
 	}
-	if b.reqOpen {
+	if b.open {
 		panic("sched: Builder.StartRequest with a request open")
 	}
-	b.flushUploaderCursor()
+	if !b.upsClosed {
+		b.closeUploaders()
+	}
 	k := keyOf(p, chunk)
-	if b.haveKey && !keyLess(b.lastKey, k) {
-		b.ordered = false
+	if b.haveKey && keyCompare(b.lastKey, k) >= 0 {
+		b.reqOrdered = false
 	}
 	b.lastKey, b.haveKey = k, true
-
-	b.openPrev = -1
-	if b.ordered && b.prevOrder && b.prevValid {
-		for b.reqCursor < len(b.prev.inst.Requests) {
-			r := &b.prev.inst.Requests[b.reqCursor]
-			pk := keyOf(r.Peer, r.Chunk)
-			if !keyLess(pk, k) {
-				if pk == k {
-					b.openPrev = int32(b.reqCursor)
-					b.reqCursor++
-				}
-				break
-			}
-			b.delta.RemovedReqs = append(b.delta.RemovedReqs, int32(b.reqCursor))
-			b.reqCursor++
-		}
-	}
-	b.openReq = Request{Peer: p, Chunk: chunk, Value: value, Deadline: deadline}
-	b.arenaStart = len(b.cur.arena)
-	b.carried = false
-	b.reqOpen = true
+	b.cur.inst.Requests = append(b.cur.inst.Requests, Request{Peer: p, Chunk: chunk, Value: value, Deadline: deadline})
+	b.openPrev = -2
+	b.start = len(b.cur.arena)
+	b.carry = false
+	b.open = true
 }
 
-// flushUploaderCursor records any previous-round uploaders past the last
-// added one as removed (called once the uploader section closes).
-func (b *Builder) flushUploaderCursor() {
-	if b.ordered && b.prevOrder && b.prevValid {
-		for b.upCursor < len(b.prev.inst.Uploaders) {
-			b.dropUploader(b.upCursor)
-			b.upCursor++
-		}
+// prevRow returns the previous instance's row of the open request, or -1
+// when it had none or carrying is off this round (no clean baseline, or
+// this round's keys broke order so far).
+func (b *Builder) prevRow() int32 {
+	if b.openPrev != -2 {
+		return b.openPrev
 	}
-	b.upCursor = len(b.prev.inst.Uploaders)
+	b.openPrev = -1
+	if !b.carryBase || !b.upOrdered || !b.reqOrdered {
+		return -1
+	}
+	k := b.lastKey
+	reqs := b.prev.inst.Requests
+	for b.cursor < len(reqs) && keyCompare(reqs[b.cursor].key(), k) < 0 {
+		b.cursor++
+	}
+	if b.cursor < len(reqs) && reqs[b.cursor].key() == k {
+		b.openPrev = int32(b.cursor)
+		b.cursor++
+	}
+	return b.openPrev
 }
 
 // PrevCandidates returns the candidate list the previous round held for the
 // open request, or nil when the request is new (or the rounds are not
-// delta-related). The slice is read-only and valid until the next Begin.
+// carry-related). The slice is read-only and valid until the next Begin.
 func (b *Builder) PrevCandidates() []Candidate {
-	if !b.reqOpen || b.openPrev < 0 {
+	if !b.open {
 		return nil
 	}
-	return b.prev.inst.Requests[b.openPrev].Candidates
+	pr := b.prevRow()
+	if pr < 0 {
+		return nil
+	}
+	return b.prev.inst.Requests[pr].Candidates
 }
 
 // CarryCandidates copies the previous round's candidate list into the open
@@ -338,13 +335,13 @@ func (b *Builder) CarryCandidates() bool {
 		nr := b.upNext[r]
 		if nr < 0 {
 			b.fail(fmt.Errorf("sched: uploader %d of a carried candidate of request (%d, %v) has departed",
-				pc[k].Peer, b.openReq.Peer, b.openReq.Chunk))
+				pc[k].Peer, b.lastKey.peer, b.lastKey.chunk))
 			continue
 		}
 		b.cur.arena = append(b.cur.arena, pc[k])
 		b.cur.rows = append(b.cur.rows, nr)
 	}
-	b.carried = true
+	b.carry = true
 	return true
 }
 
@@ -352,12 +349,13 @@ func (b *Builder) CarryCandidates() bool {
 // AddUploader) to the open request, at network cost cost. A row not yet
 // added makes Build fail.
 func (b *Builder) AddCandidate(row int32, cost float64) {
-	if row < 0 || int(row) >= len(b.cur.inst.Uploaders) {
+	ups := b.cur.inst.Uploaders
+	if row < 0 || int(row) >= len(ups) {
 		b.fail(fmt.Errorf("sched: candidate names uploader row %d, but %d uploaders were added",
-			row, len(b.cur.inst.Uploaders)))
+			row, len(ups)))
 		return
 	}
-	b.cur.arena = append(b.cur.arena, Candidate{Peer: b.cur.inst.Uploaders[row].Peer, Cost: cost})
+	b.cur.arena = append(b.cur.arena, Candidate{Peer: ups[row].Peer, Cost: cost})
 	b.cur.rows = append(b.cur.rows, row)
 }
 
@@ -370,116 +368,112 @@ func (b *Builder) fail(err error) {
 
 // EndRequest commits the open request. Requests that gathered no candidates
 // are dropped (nobody can serve them — the producer's miss accounting
-// handles it), and a dropped request that existed last round counts as
-// removed.
+// handles it).
 func (b *Builder) EndRequest() {
-	if !b.reqOpen {
+	if !b.open {
 		panic("sched: Builder.EndRequest without StartRequest")
 	}
-	b.reqOpen = false
-	cands := b.cur.arena[b.arenaStart:len(b.cur.arena):len(b.cur.arena)]
-	if len(cands) == 0 {
-		b.cur.arena = b.cur.arena[:b.arenaStart]
-		b.cur.rows = b.cur.rows[:b.arenaStart]
-		if b.openPrev >= 0 {
-			b.delta.RemovedReqs = append(b.delta.RemovedReqs, b.openPrev)
-		}
+	b.open = false
+	cur := b.cur
+	n := len(cur.arena)
+	if n == b.start {
+		cur.inst.Requests = cur.inst.Requests[:len(cur.inst.Requests)-1]
 		return
 	}
-	b.openReq.Candidates = cands
-	b.cur.inst.Requests = append(b.cur.inst.Requests, b.openReq)
-	b.cur.rowOff = append(b.cur.rowOff, int32(b.arenaStart))
-	same := false
-	switch {
-	case b.openPrev < 0:
-		b.newReqs++
-	case b.carried:
-		same = true
-	default:
-		same = candidatesEqual(b.prev.inst.Requests[b.openPrev].Candidates, cands)
-	}
-	if !same {
-		b.allSame = false
-	}
-	b.delta.PrevReq = append(b.delta.PrevReq, b.openPrev)
-	b.delta.SameCands = append(b.delta.SameCands, same)
+	cur.inst.Requests[len(cur.inst.Requests)-1].Candidates = cur.arena[b.start:n:n]
+	cur.rowOff = append(cur.rowOff, int32(b.start))
+	cur.carried = append(cur.carried, b.carry)
 }
 
-// candidatesEqual reports order-sensitive equality of two candidate lists.
-func candidatesEqual(a, b []Candidate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Build closes the round and returns the instance plus the delta versus the
-// previous Build (nil on the first round or when either round broke key
-// order). Both are valid until the next Build; the delta's slices are
-// reused across rounds. A round with a candidate error (an AddCandidate row
-// never added, a carried candidate whose uploader left) returns that error,
-// and the next round starts without a delta baseline.
-func (b *Builder) Build() (*Instance, *InstanceDelta, error) {
+// Build closes the round and returns the instance, valid until the next
+// Build. A round with a candidate error (an AddCandidate row never added, a
+// carried candidate whose uploader left) returns that error, and the next
+// round starts without a carry or delta baseline.
+func (b *Builder) Build() (*Instance, error) {
 	if !b.building {
 		panic("sched: Builder.Build without Begin")
 	}
-	if b.reqOpen {
-		return nil, nil, fmt.Errorf("sched: Build with a request still open")
+	if !b.upsClosed {
+		b.closeUploaders()
 	}
-	b.flushUploaderCursor()
-	if b.ordered && b.prevOrder && b.prevValid {
-		for b.reqCursor < len(b.prev.inst.Requests) {
-			b.delta.RemovedReqs = append(b.delta.RemovedReqs, int32(b.reqCursor))
-			b.reqCursor++
-		}
-	}
-	b.cur.rowOff = append(b.cur.rowOff, int32(len(b.cur.arena)))
-	b.cur.inst.rows, b.cur.inst.rowOff = b.cur.rows, b.cur.rowOff
-	b.cur.inst.slotRow = b.cur.slotRow
 	b.building = false
+	cur := b.cur
+	err := b.err
+	if b.open {
+		err = fmt.Errorf("sched: Build with a request still open")
+	}
+	cur.rowOff = append(cur.rowOff, int32(len(cur.rows)))
+	cur.inst.rows, cur.inst.rowOff = cur.rows, cur.rowOff
+	cur.inst.slotRow = cur.slotRow
 
-	var d *InstanceDelta
-	if b.ordered && b.prevOrder && b.prevValid {
-		d = &b.delta
-		d.Identity = b.newReqs == 0 && b.newUps == 0 && b.allSame &&
-			len(d.RemovedReqs) == 0 && len(d.RemovedUps) == 0
-	} else if b.prevValid {
-		// No merge ran, so departed uploaders were never dropped from the
-		// slot index; rebuild it from the round just built to keep the map
-		// bounded by the live population.
-		b.rebuildSlots()
+	ordered := b.upOrdered && b.reqOrdered
+	b.hasDelta = b.carryBase && ordered && err == nil
+	b.prevClean = ordered && err == nil
+	if err != nil {
+		return nil, err
 	}
-	b.prevOrder = b.ordered
-	b.prevValid = true
-	if b.err != nil {
-		// Nothing may be carried from, or diffed against, a broken round.
-		b.prevOrder = false
-		return nil, nil, b.err
-	}
-	return &b.cur.inst, d, nil
+	return &cur.inst, nil
 }
 
-// rebuildSlots re-derives the uploader slot index from the instance just
-// built — the escape hatch of out-of-order rounds, where the ordered merge
-// that normally recycles departed uploaders' slots never ran.
-func (b *Builder) rebuildSlots() {
-	for p := range b.slotOf {
-		delete(b.slotOf, p)
+// Delta returns how the last Build's instance evolved from the one before
+// it, derived in one merge pass over the two rounds' keys. It is nil after
+// the first Build, a failed one, or when either round broke key order.
+// The delta is valid until the next Begin; its slices are reused across
+// rounds.
+func (b *Builder) Delta() *InstanceDelta {
+	if b.building || !b.hasDelta {
+		return nil
 	}
-	b.freeSlots = b.freeSlots[:0]
-	b.numSlots = len(b.cur.inst.Uploaders)
-	if cap(b.cur.slotRow) < b.numSlots {
-		b.cur.slotRow = make([]int32, b.numSlots)
+	d := &b.delta
+	if b.deltaDone {
+		return d
 	}
-	b.cur.slotRow = b.cur.slotRow[:b.numSlots]
-	for i := range b.cur.inst.Uploaders {
-		b.slotOf[b.cur.inst.Uploaders[i].Peer] = int32(i)
-		b.cur.slotRow[i] = int32(i)
+	b.deltaDone = true
+	prev, cur := &b.prev.inst, &b.cur.inst
+	identity := true
+
+	d.PrevReq, d.SameCands, d.RemovedReqs = d.PrevReq[:0], d.SameCands[:0], d.RemovedReqs[:0]
+	pi := 0
+	for i := range cur.Requests {
+		r := &cur.Requests[i]
+		k := r.key()
+		for pi < len(prev.Requests) && keyCompare(prev.Requests[pi].key(), k) < 0 {
+			d.RemovedReqs = append(d.RemovedReqs, int32(pi))
+			pi++
+		}
+		pr, same := int32(-1), false
+		if pi < len(prev.Requests) && prev.Requests[pi].key() == k {
+			pr = int32(pi)
+			same = b.cur.carried[i] || slices.Equal(prev.Requests[pi].Candidates, r.Candidates)
+			pi++
+		}
+		d.PrevReq = append(d.PrevReq, pr)
+		d.SameCands = append(d.SameCands, same)
+		identity = identity && same
 	}
-	b.cur.inst.slotRow = b.cur.slotRow
+	for ; pi < len(prev.Requests); pi++ {
+		d.RemovedReqs = append(d.RemovedReqs, int32(pi))
+	}
+
+	d.PrevUp, d.RemovedUps = d.PrevUp[:0], d.RemovedUps[:0]
+	pi = 0
+	for i := range cur.Uploaders {
+		p := cur.Uploaders[i].Peer
+		for pi < len(prev.Uploaders) && prev.Uploaders[pi].Peer < p {
+			d.RemovedUps = append(d.RemovedUps, int32(pi))
+			pi++
+		}
+		pr := int32(-1)
+		if pi < len(prev.Uploaders) && prev.Uploaders[pi].Peer == p {
+			pr = int32(pi)
+			pi++
+		}
+		d.PrevUp = append(d.PrevUp, pr)
+		identity = identity && pr >= 0
+	}
+	for ; pi < len(prev.Uploaders); pi++ {
+		d.RemovedUps = append(d.RemovedUps, int32(pi))
+	}
+	d.Identity = identity && len(d.RemovedReqs) == 0 && len(d.RemovedUps) == 0
+	return d
 }

@@ -138,7 +138,8 @@ func (m *churnModel) buildRound(t *testing.T, b *sched.Builder) (*sched.Instance
 		}
 		b.EndRequest()
 	}
-	in, d, err := b.Build()
+	in, err := b.Build()
+	d := b.Delta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,8 @@ func TestBuilderUnorderedRoundsStillBuild(t *testing.T) {
 			b.AddCandidate(1, 1)
 			b.EndRequest()
 		}
-		in, d, err := b.Build()
+		in, err := b.Build()
+		d := b.Delta()
 		if err != nil {
 			t.Fatal(err)
 		}

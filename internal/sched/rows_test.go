@@ -138,7 +138,7 @@ func (m *rowsModel) replay(t *testing.T, b *sched.Builder, shuffled bool) *sched
 		}
 		b.EndRequest()
 	}
-	in, _, err := b.Build()
+	in, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBuilderRejectsUnknownRows(t *testing.T) {
 			b.AddCandidate(row, 1)
 		}
 		b.EndRequest()
-		_, _, err := b.Build()
+		_, err := b.Build()
 		return err
 	}
 	if err := round([]isp.PeerID{1, 2}, false, 2); err == nil || !strings.Contains(err.Error(), "row 2") {

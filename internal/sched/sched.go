@@ -347,9 +347,25 @@ func (in *Instance) Welfare(grants []Grant) (float64, error) {
 // Validate checks grant feasibility: known requests, candidate edges, at most
 // one grant per request, and uploader capacities respected.
 func (in *Instance) Validate(grants []Grant) error {
-	load := make([]int, len(in.Uploaders))
-	seen := make([]bool, len(in.Requests))
-	for _, g := range grants {
+	return in.Resolve(grants, make([]bool, len(in.Requests)), make([]int32, len(in.Uploaders)), nil)
+}
+
+// GrantEdge is a grant resolved against its instance: the uploader's row in
+// Uploaders and the edge's network cost.
+type GrantEdge struct {
+	Row  int32
+	Cost float64
+}
+
+// Resolve checks grant feasibility as Validate does, with its error text,
+// and resolves each grant from one scan of its request's candidates: when
+// edges is non-nil, edges[i] receives grants[i]'s edge. The caller owns the
+// scratch and hands it in zeroed: seen must hold len(Requests) entries and
+// load len(Uploaders). Resolve marks each granted request in seen and, on
+// success, leaves each row's grant count in load. It allocates nothing
+// itself.
+func (in *Instance) Resolve(grants []Grant, seen []bool, load []int32, edges []GrantEdge) error {
+	for i, g := range grants {
 		if g.Request < 0 || g.Request >= len(in.Requests) {
 			return fmt.Errorf("sched: grant for unknown request %d", g.Request)
 		}
@@ -357,14 +373,17 @@ func (in *Instance) Validate(grants []Grant) error {
 			return fmt.Errorf("sched: request %d granted twice", g.Request)
 		}
 		seen[g.Request] = true
-		i, _, ok := in.Edge(g.Request, g.Uploader)
+		row, cost, ok := in.Edge(g.Request, g.Uploader)
 		if !ok {
 			return fmt.Errorf("sched: grant %d→%d is not a candidate edge", g.Request, g.Uploader)
 		}
-		load[i]++
+		load[row]++
+		if edges != nil {
+			edges[i] = GrantEdge{Row: int32(row), Cost: cost}
+		}
 	}
 	for i, l := range load {
-		if l > in.Uploaders[i].Capacity {
+		if int(l) > in.Uploaders[i].Capacity {
 			return fmt.Errorf("sched: uploader %d over capacity: %d > %d",
 				in.Uploaders[i].Peer, l, in.Uploaders[i].Capacity)
 		}

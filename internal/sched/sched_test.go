@@ -122,6 +122,44 @@ func TestWelfareAndValidate(t *testing.T) {
 	}
 }
 
+// TestResolveEdgesAndLoad pins Resolve: it hands back each grant's row and
+// cost in grant order, leaves the per-row grant counts, and rejects
+// exactly what Validate rejects, with the same error.
+func TestResolveEdgesAndLoad(t *testing.T) {
+	in := smallInstance(t)
+	seen := make([]bool, 2)
+	load := make([]int32, 2)
+	edges := make([]GrantEdge, 2)
+	grants := []Grant{{Request: 1, Uploader: 10}, {Request: 0, Uploader: 11}}
+	if err := in.Resolve(grants, seen, load, edges); err != nil {
+		t.Fatal(err)
+	}
+	if want := []GrantEdge{{Row: 0, Cost: 2}, {Row: 1, Cost: 4}}; !slices.Equal(edges, want) {
+		t.Errorf("edges %v, want %v", edges, want)
+	}
+	if want := []int32{1, 1}; !slices.Equal(load, want) {
+		t.Errorf("load %v, want %v", load, want)
+	}
+	for _, c := range []struct {
+		grants []Grant
+		want   string
+	}{
+		{[]Grant{{Request: 2, Uploader: 10}}, "sched: grant for unknown request 2"},
+		{[]Grant{{Request: 0, Uploader: 10}, {Request: 0, Uploader: 11}}, "sched: request 0 granted twice"},
+		{[]Grant{{Request: 1, Uploader: 11}}, "sched: grant 1→11 is not a candidate edge"},
+		{[]Grant{{Request: 0, Uploader: 10}, {Request: 1, Uploader: 10}}, "sched: uploader 10 over capacity: 2 > 1"},
+	} {
+		clear(seen)
+		clear(load)
+		if err := in.Resolve(c.grants, seen, load, nil); err == nil || err.Error() != c.want {
+			t.Errorf("grants %v: Resolve %v, want %q", c.grants, err, c.want)
+		}
+		if err := in.Validate(c.grants); err == nil || err.Error() != c.want {
+			t.Errorf("grants %v: Validate %v, want %q", c.grants, err, c.want)
+		}
+	}
+}
+
 func TestAuctionSchedulerOptimal(t *testing.T) {
 	in := smallInstance(t)
 	res, err := (&Auction{Epsilon: 0.01}).Schedule(in)

@@ -215,7 +215,7 @@ func TestBuildInstanceAllocs(t *testing.T) {
 	var requests int
 	round := func() {
 		w.refreshNeighbors()
-		in, _, err := w.buildInstance(0)
+		in, err := w.buildInstance(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestPlaybackAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _, err := w.buildInstance(0)
+	in, err := w.buildInstance(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,5 +282,48 @@ func TestPlaybackAllocs(t *testing.T) {
 	play()
 	if got := testing.AllocsPerRun(20, play); got != want {
 		t.Fatalf("playback allocates %v per slot, want %d", got, want)
+	}
+}
+
+// TestApplyGrantsAllocs pins a steady-state grant application on the same
+// world as TestBuildInstanceAllocs: resolving, ordering and serving one
+// round's grants runs in world scratch, so once the buffers have grown a
+// round allocates nothing. Each counted run clears the delivery records it
+// left, so every run serves the same grants onto the same lists. The
+// collector is paused while counting.
+func TestApplyGrantsAllocs(t *testing.T) {
+	const want = 0
+	cfg := cdnTestConfig()
+	cfg.StaticPeers = 60
+	cfg.Catalog.Count = 6
+	cfg.NeighborCount = 8
+	cfg.SeedsPerVideo = 1
+	cfg.Placement = SeedsGlobal
+	w, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := w.buildInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&sched.Auction{Epsilon: cfg.Epsilon}).Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Grants) == 0 {
+		t.Fatal("the round granted nothing; the pin is vacuous")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	apply := func() {
+		var out slotOutcome
+		if err := w.applyGrants(0, in, res.Grants, &out); err != nil {
+			t.Fatal(err)
+		}
+		w.clearDelivered()
+	}
+	apply()
+	if got := testing.AllocsPerRun(20, apply); got != want {
+		t.Fatalf("applyGrants allocates %v per round, want %d", got, want)
 	}
 }

@@ -72,11 +72,39 @@ func JoinRoundRequests(cfg Config, arrivals int, visit func(RoundRequest)) error
 	}
 	w.refreshNeighbors()
 	for j := range cfg.BidRoundsPerSlot {
-		in, _, err := w.buildInstance(j)
+		in, err := w.buildInstance(j)
 		if err != nil {
 			return err
 		}
 		w.visitRound(j, in, visit)
 	}
 	return nil
+}
+
+// SteadyBuild builds cfg's world and runs warm slots of it under a cold
+// auction. It returns one slot's market build of the warm world — a
+// neighbor refresh plus the round-0 instance build, reporting the
+// instance's request count — which leaves the world as it found it.
+func SteadyBuild(cfg Config, warm int) (func() (int, error), error) {
+	w, err := newWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	scheduler := &sched.Auction{Epsilon: cfg.Epsilon}
+	res := &Results{}
+	for slot := range warm {
+		w.slot = slot
+		if err := stepSlot(w, scheduler, res); err != nil {
+			return nil, err
+		}
+	}
+	w.slot = warm
+	return func() (int, error) {
+		w.refreshNeighbors()
+		in, err := w.buildInstance(0)
+		if err != nil {
+			return 0, err
+		}
+		return len(in.Requests), nil
+	}, nil
 }

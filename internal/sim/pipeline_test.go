@@ -170,10 +170,11 @@ func TestIncrementalInstanceEqualsRebuilt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in, delta, err := w.buildInstance(j)
+			in, err := w.buildInstance(j)
 			if err != nil {
 				t.Fatal(err)
 			}
+			delta := w.builder.Delta()
 			if !reflect.DeepEqual(in.Requests, ref.Requests) {
 				for ri := range ref.Requests {
 					if ri >= len(in.Requests) || !reflect.DeepEqual(in.Requests[ri], ref.Requests[ri]) {

@@ -308,3 +308,12 @@ func (w *world) playbackRebuild(delivered map[isp.PeerID]map[video.ChunkIndex]fl
 		}
 	}
 }
+
+func mustCost(in *sched.Instance, g sched.Grant) float64 {
+	c, ok := in.Cost(g.Request, g.Uploader)
+	if !ok {
+		// Validate already guaranteed the edge exists.
+		panic(fmt.Sprintf("sim: missing cost for grant %+v", g))
+	}
+	return c
+}

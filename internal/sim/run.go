@@ -213,8 +213,8 @@ func Run(cfg Config, scheduler sched.Scheduler) (*Results, error) {
 // stepSlot runs one slot of the shared pipeline: neighbor refresh, the
 // slot's bidding rounds (schedule + transfers each), playback/misses, churn.
 // Schedulers that consume slot-to-slot deltas (sched.DeltaScheduler) get the
-// builder's delta alongside each instance; everyone else sees the classic
-// Schedule call on the identical instance.
+// builder's delta, derived for them alone, alongside each instance;
+// everyone else sees the classic Schedule call on the identical instance.
 func stepSlot(w *world, scheduler sched.Scheduler, res *Results) error {
 	// One track for the whole sim loop: stepSlot runs on a single goroutine,
 	// so the track needs no locking; when tracing is off every span call
@@ -230,9 +230,13 @@ func stepSlot(w *world, scheduler sched.Scheduler, res *Results) error {
 	ds, wantsDelta := scheduler.(sched.DeltaScheduler)
 	for j := 0; j < w.cfg.BidRoundsPerSlot; j++ {
 		bsp := tk.Begin("build")
-		in, delta, err := w.buildInstance(j)
+		in, err := w.buildInstance(j)
 		if err != nil {
 			return err
+		}
+		var delta *sched.InstanceDelta
+		if wantsDelta {
+			delta = w.builder.Delta()
 		}
 		if tk != nil {
 			bsp.Arg("round", float64(j)).

@@ -80,6 +80,13 @@ type roundMemo struct {
 	v     float64
 }
 
+// costMark is one world.nbMark entry: the cost a watcher's previous
+// neighbor list held for a peer, valid when stamp is the refresh's.
+type costMark struct {
+	stamp uint64
+	cost  float64
+}
+
 // noPeer is the tombstone marker in world.order (peer ids are non-negative).
 const noPeer = isp.PeerID(-1)
 
@@ -139,20 +146,31 @@ type world struct {
 	buildRound   uint64
 	forceRebuild bool
 	// nbCost is the slab of every watcher's neighbor costs (see
-	// peerRuntime.costOff), refilled in place on each neighbor refresh.
-	nbCost []float64
+	// peerRuntime.costOff), re-laid out on each neighbor refresh;
+	// nbCostSpare is the previous layout the refresh carries costs from,
+	// through nbOld (one watcher's previous neighbors) and nbMark (indexed
+	// by PeerID: the previous cost of a neighbor marked with nbStamp).
+	nbCost      []float64
+	nbCostSpare []float64
+	nbOld       []isp.PeerID
+	nbMark      []costMark
+	nbStamp     uint64
 	// valMemo[off] is the build round's valuation of a started peer's chunk
 	// off chunks past its playback front (see roundValue), one entry per
 	// chunk of a video; an entry stamped with an earlier round is stale.
 	valMemo []roundMemo
 
-	// Transfer/playback scratch (reused across slots): the grouped grant
-	// indices with groupGrants' per-grant row, per-row offset and row-order
-	// arrays, the peers holding delivery records this slot, the departure
-	// list, and one peer's delivery times by played offset (arrivals; one
-	// entry per chunk a slot plays).
-	grantIdx       []int32
-	grantRow       []int32
+	// Transfer/playback scratch (reused across slots): the round's grants
+	// resolved against their instance (grantEdges and grantRefs, in grant
+	// order; grantSeen is Resolve's flags), then in serve order (grantOrder),
+	// with the per-row grant counts and the PeerID order of the rows that
+	// bucket them; the peers holding delivery records this slot, the
+	// departure list, and one peer's delivery times by played offset
+	// (arrivals; one entry per chunk a slot plays).
+	grantEdges     []sched.GrantEdge
+	grantRefs      []grantRef
+	grantOrder     []grantRef
+	grantSeen      []bool
 	rowNext        []int32
 	rowOrder       []int32
 	deliveredPeers []isp.PeerID
@@ -182,36 +200,6 @@ type world struct {
 	crashScratch []isp.PeerID
 	crashes      int64
 	rejoins      int64
-
-	// costCache memoizes topo.MustCost per unordered peer pair: the draw is
-	// a pure function of (seed, pair) but burns a PRNG derivation plus
-	// truncated-normal rejection sampling, and the candidate scans ask for
-	// the same pairs every neighbor refresh — uncached, this was a quarter
-	// of a churn run's CPU. The world is single-threaded, so a plain map
-	// suffices; bounded by an epoch reset.
-	costCache map[uint64]float64
-}
-
-// maxCostCache bounds the memoized cost-pair set (~50 B/entry; at the cap
-// the cache clears and rebuilds from the live working set).
-const maxCostCache = 1 << 20
-
-// costOf returns the network cost of nb→id transfers, memoized.
-func (w *world) costOf(nb, id isp.PeerID) float64 {
-	lo, hi := nb, id
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	key := uint64(lo)<<32 | uint64(uint32(hi))
-	if c, ok := w.costCache[key]; ok {
-		return c
-	}
-	c := w.topo.MustCost(nb, id)
-	if len(w.costCache) >= maxCostCache {
-		clear(w.costCache)
-	}
-	w.costCache[key] = c
-	return c
 }
 
 // newWorld builds the initial population (seeds + static peers if any).
@@ -240,7 +228,6 @@ func newWorld(cfg Config) (*world, error) {
 		builder:       sched.NewBuilder(),
 		forceRebuild:  true,
 		valMemo:       make([]roundMemo, catalog.Chunks()),
-		costCache:     make(map[uint64]float64),
 		cdnOrigin:     noPeer,
 	}
 	if w.chunksPerSlot <= 0 {
@@ -569,11 +556,18 @@ func (w *world) online() int {
 // the configured locality policy. The uniform policy takes the classic
 // Neighbors path (and consumes no randomness), keeping ISP-blind runs
 // byte-identical to the pre-locality engine. Fresh neighbor lists invalidate
-// every carried candidate list, so the next instance build re-scans, and
-// every watcher's neighbor costs, which the cost slab re-lays out empty.
+// every carried candidate list, so the next instance build re-scans. The
+// cost slab is re-laid out for the fresh lists: a neighbor the watcher
+// already had keeps the cost its old list held (a cost is a pure function
+// of the pair, so the carried value is the one a fresh draw would give),
+// and every other neighbor starts NaN.
 func (w *world) refreshNeighbors() {
 	pol := w.cfg.Locality
-	w.nbCost = w.nbCost[:0]
+	prevCost := w.nbCost
+	w.nbCost = w.nbCostSpare[:0]
+	if n := len(w.peers); len(w.nbMark) < n {
+		w.nbMark = append(w.nbMark, make([]costMark, n-len(w.nbMark))...)
+	}
 	for _, id := range w.order {
 		if id == noPeer {
 			continue
@@ -582,6 +576,10 @@ func (w *world) refreshNeighbors() {
 		if p.seed {
 			continue
 		}
+		// The uniform policy recycles p.neighbors' array, so keep the old
+		// list aside first.
+		w.nbOld = append(w.nbOld[:0], p.neighbors...)
+		oldCost := prevCost[p.costOff : int(p.costOff)+len(w.nbOld)]
 		var neighbors []isp.PeerID
 		var err error
 		if pol.Kind == tracker.PolicyUniform {
@@ -594,11 +592,20 @@ func (w *world) refreshNeighbors() {
 		if err == nil { // on error: freshly departed; next slot heals
 			p.neighbors = neighbors
 		}
+		w.nbStamp++
+		for k, nb := range w.nbOld {
+			w.nbMark[nb] = costMark{stamp: w.nbStamp, cost: oldCost[k]}
+		}
 		p.costOff = int32(len(w.nbCost))
-		for range p.neighbors {
-			w.nbCost = append(w.nbCost, math.NaN())
+		for _, nb := range p.neighbors {
+			c := math.NaN()
+			if m := w.nbMark[nb]; m.stamp == w.nbStamp {
+				c = m.cost
+			}
+			w.nbCost = append(w.nbCost, c)
 		}
 	}
+	w.nbCostSpare = prevCost
 	if w.behave != nil {
 		// Strategic state is per-slot: clique membership follows the live
 		// population and tit-for-tat unchoke sets are cut from the ledger
@@ -707,13 +714,14 @@ func (w *world) roundValue(off int, d float64) float64 {
 // buildInstance assembles the scheduling problem of bidding round j through
 // the persistent builder: every watcher's window requests with round-j
 // valuations/deadlines, and every online node as an uploader with its
-// round-j capacity share. In steady state nothing is reallocated — the
-// builder reuses its arrays, unchanged candidate lists are carried from the
-// previous round (dirty-chunk tracking proves them unchanged), and the
-// returned delta hands the sharded scheduler the slot-to-slot churn for
-// free. The instance content is byte-identical to the from-scratch reference build
+// round-j capacity share. In steady state nothing is reallocated: the
+// builder reuses its arrays, and unchanged candidate lists are carried from
+// the previous round (dirty-chunk tracking proves them unchanged). The
+// instance content is byte-identical to the from-scratch reference build
 // (rebuild.go; pinned per scenario by TestIncrementalInstanceEqualsRebuilt).
-func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, error) {
+// The slot-to-slot delta is the builder's Delta, derived only for a caller
+// that reads it.
+func (w *world) buildInstance(j int) (*sched.Instance, error) {
 	rounds := w.cfg.BidRoundsPerSlot
 	w.buildRound++
 	b := w.builder
@@ -725,7 +733,7 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 		up := w.peers[id]
 		row, err := b.AddUploader(id, roundCapacity(up.capacity, j, rounds))
 		if err != nil {
-			return nil, nil, fmt.Errorf("sim: %w", err)
+			return nil, fmt.Errorf("sim: %w", err)
 		}
 		up.row = row
 	}
@@ -765,7 +773,7 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 						continue
 					}
 					if math.IsNaN(costs[k]) {
-						costs[k] = w.cfg.CostScale * w.costOf(nb, id)
+						costs[k] = w.cfg.CostScale * w.topo.MustCost(nb, id)
 					}
 					b.AddCandidate(up.row, costs[k])
 				}
@@ -783,11 +791,11 @@ func (w *world) buildInstance(j int) (*sched.Instance, *sched.InstanceDelta, err
 		}
 	}
 	w.forceRebuild = false
-	in, delta, err := b.Build()
+	in, err := b.Build()
 	if err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return in, delta, nil
+	return in, nil
 }
 
 // slotOutcome aggregates one slot's effects for the metrics.
@@ -822,38 +830,118 @@ func (out *slotOutcome) addPayments(grants []sched.Grant, prices map[isp.PeerID]
 	}
 }
 
+// grantRef is one grant resolved against its round's instance: the
+// request's deadline and index, which order an uploader's run, the edge's
+// network cost, and the uploader's row.
+type grantRef struct {
+	deadline float64
+	cost     float64
+	req      int32
+	row      int32
+}
+
 // applyGrants turns bidding round j's grants into serialized chunk
 // deliveries: caches update, the traffic ledger advances and per-peer
 // absolute delivery times (seconds from slot start) accumulate into the
 // peers' delivery lists for miss accounting. Grants are served grouped by
-// uploader in (uploader, deadline, request) order (see groupGrants).
+// uploader in (uploader, deadline, request) order (see orderGrants).
 func (w *world) applyGrants(j int, in *sched.Instance, grants []sched.Grant, out *slotOutcome) error {
-	if err := in.Validate(grants); err != nil {
+	refs, err := w.resolveGrants(in, grants)
+	if err != nil {
 		return fmt.Errorf("sim: scheduler produced invalid grants: %w", err)
 	}
-	return w.serveGrants(j, in, grants, w.groupGrants(in, grants), out)
+	return w.serveGrants(j, in, w.orderGrants(in, refs), out)
 }
 
-// serveGrants delivers the grants in the order idx lists them, uploader by
-// uploader: each uplink serves its run back to back at B(u)/slot chunks per
-// second.
-func (w *world) serveGrants(j int, in *sched.Instance, grants []sched.Grant, idx []int32, out *slotOutcome) error {
-	tau := w.tauOf(j)
-	for s := 0; s < len(idx); {
-		u := grants[idx[s]].Uploader
-		e := s
-		for e < len(idx) && grants[idx[e]].Uploader == u {
+// resolveGrants checks the grants through sched.Instance.Resolve and
+// resolves each into world scratch: the returned refs, in grant order, and
+// the grant count of every uploader row (rowNext).
+func (w *world) resolveGrants(in *sched.Instance, grants []sched.Grant) ([]grantRef, error) {
+	nr, nu, ng := len(in.Requests), len(in.Uploaders), len(grants)
+	w.grantSeen = slices.Grow(w.grantSeen[:0], nr)[:nr]
+	w.rowNext = slices.Grow(w.rowNext[:0], nu)[:nu]
+	w.grantEdges = slices.Grow(w.grantEdges[:0], ng)[:ng]
+	clear(w.grantSeen)
+	clear(w.rowNext)
+	if err := in.Resolve(grants, w.grantSeen, w.rowNext, w.grantEdges); err != nil {
+		return nil, err
+	}
+	refs := w.grantRefs[:0]
+	for i, e := range w.grantEdges {
+		ri := grants[i].Request
+		refs = append(refs, grantRef{deadline: in.Requests[ri].Deadline, cost: e.Cost, req: int32(ri), row: e.Row})
+	}
+	w.grantRefs = refs
+	return refs, nil
+}
+
+// orderGrants returns the resolved grants ordered by uploader PeerID, then
+// deadline (most urgent first on the uplink), then request index. The row
+// counts resolveGrants left in rowNext, visited in PeerID order, bucket the
+// grants; only each uploader's own run is then sorted, on the keys the
+// refs carry. All scratch lives on the world, so a round allocates nothing
+// once the buffers have grown.
+func (w *world) orderGrants(in *sched.Instance, refs []grantRef) []grantRef {
+	nu := len(in.Uploaders)
+	order := w.rowOrder[:0]
+	for i := range nu {
+		order = append(order, int32(i))
+	}
+	byPeer := func(a, b sched.Uploader) int { return cmp.Compare(a.Peer, b.Peer) }
+	if !slices.IsSortedFunc(in.Uploaders, byPeer) {
+		slices.SortFunc(order, func(a, b int32) int { return byPeer(in.Uploaders[a], in.Uploaders[b]) })
+	}
+	w.rowOrder = order
+	// Turn per-row counts into each row's first slot, in PeerID order.
+	next := w.rowNext
+	var at int32
+	for _, r := range order {
+		at, next[r] = at+next[r], at
+	}
+	sorted := slices.Grow(w.grantOrder[:0], len(refs))[:len(refs)]
+	for _, g := range refs {
+		sorted[next[g.row]] = g
+		next[g.row]++
+	}
+	for s := 0; s < len(sorted); {
+		e := s + 1
+		for e < len(sorted) && sorted[e].row == sorted[s].row {
 			e++
 		}
+		if e-s > 1 {
+			slices.SortFunc(sorted[s:e], func(a, b grantRef) int {
+				if c := cmp.Compare(a.deadline, b.deadline); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.req, b.req)
+			})
+		}
+		s = e
+	}
+	w.grantOrder = sorted
+	return sorted
+}
+
+// serveGrants delivers the resolved grants in the order given, uploader by
+// uploader: each uplink serves its run back to back at B(u)/slot chunks per
+// second.
+func (w *world) serveGrants(j int, in *sched.Instance, order []grantRef, out *slotOutcome) error {
+	tau := w.tauOf(j)
+	for s := 0; s < len(order); {
+		row := order[s].row
+		e := s
+		for e < len(order) && order[e].row == row {
+			e++
+		}
+		u := in.Uploaders[row].Peer
 		up := w.peers[u]
 		if up == nil {
 			return fmt.Errorf("sim: grant from unknown uploader %d", u)
 		}
 		// The uplink serves at B(u)/slot chunks per second throughout.
 		perChunk := w.cfg.SlotSeconds / float64(up.capacity)
-		for k, n := range idx[s:e] {
-			g := grants[n]
-			req := &in.Requests[g.Request]
+		for k, g := range order[s:e] {
+			req := &in.Requests[g.req]
 			at := tau + float64(k+1)*perChunk
 			down := w.peers[req.Peer]
 			if down == nil {
@@ -879,7 +967,7 @@ func (w *world) serveGrants(j int, in *sched.Instance, grants []sched.Grant, idx
 					w.behave.RecordGrant(u, req.Peer)
 				}
 			}
-			out.welfare += val - mustCost(in, g)
+			out.welfare += val - g.cost
 			out.grants++
 			if up.tier != cdn.TierP2P {
 				// CDN-served: charge the tier counters (and the edge cache),
@@ -899,11 +987,7 @@ func (w *world) serveGrants(j int, in *sched.Instance, grants []sched.Grant, idx
 				continue
 			}
 			out.servedP2P++
-			inter, err := w.topo.IsInter(u, req.Peer)
-			if err != nil {
-				return fmt.Errorf("sim: %w", err)
-			}
-			if inter {
+			if up.ispID != down.ispID {
 				out.interISP++
 			}
 			if err := w.traffic.Add(up.ispID, down.ispID, 1); err != nil {
@@ -916,70 +1000,6 @@ func (w *world) serveGrants(j int, in *sched.Instance, grants []sched.Grant, idx
 		s = e
 	}
 	return nil
-}
-
-// groupGrants orders the (validated) grants by uploader PeerID, then
-// deadline (most urgent first on the uplink), then request index, and
-// returns them as indices into grants. A counting pass over the instance's
-// uploader rows, visited in PeerID order, buckets the grants; only each
-// uploader's own run is then sorted. All scratch lives on the world, so a
-// round allocates nothing once the buffers have grown.
-func (w *world) groupGrants(in *sched.Instance, grants []sched.Grant) []int32 {
-	nu := len(in.Uploaders)
-	order := w.rowOrder[:0]
-	for i := range nu {
-		order = append(order, int32(i))
-	}
-	byPeer := func(a, b sched.Uploader) int { return cmp.Compare(a.Peer, b.Peer) }
-	if !slices.IsSortedFunc(in.Uploaders, byPeer) {
-		slices.SortFunc(order, func(a, b int32) int { return byPeer(in.Uploaders[a], in.Uploaders[b]) })
-	}
-	next := slices.Grow(w.rowNext[:0], nu)[:nu]
-	clear(next)
-	rows := w.grantRow[:0]
-	for _, g := range grants {
-		r, _, _ := in.Edge(g.Request, g.Uploader) // Validate resolved every edge
-		rows = append(rows, int32(r))
-		next[r]++
-	}
-	// Turn per-row counts into each row's first slot, in PeerID order.
-	var at int32
-	for _, r := range order {
-		at, next[r] = at+next[r], at
-	}
-	idx := slices.Grow(w.grantIdx[:0], len(grants))[:len(grants)]
-	for i, r := range rows {
-		idx[next[r]] = int32(i)
-		next[r]++
-	}
-	for s := 0; s < len(idx); {
-		u := grants[idx[s]].Uploader
-		e := s + 1
-		for e < len(idx) && grants[idx[e]].Uploader == u {
-			e++
-		}
-		if e-s > 1 {
-			slices.SortFunc(idx[s:e], func(a, b int32) int {
-				ga, gb := &grants[a], &grants[b]
-				if c := cmp.Compare(in.Requests[ga.Request].Deadline, in.Requests[gb.Request].Deadline); c != 0 {
-					return c
-				}
-				return ga.Request - gb.Request
-			})
-		}
-		s = e
-	}
-	w.grantIdx, w.grantRow, w.rowNext, w.rowOrder = idx, rows, next, order
-	return idx
-}
-
-func mustCost(in *sched.Instance, g sched.Grant) float64 {
-	c, ok := in.Cost(g.Request, g.Uploader)
-	if !ok {
-		// Validate already guaranteed the edge exists.
-		panic(fmt.Sprintf("sim: missing cost for grant %+v", g))
-	}
-	return c
 }
 
 // arrivals returns, for each of the toPlay chunks from p's playback front,

@@ -311,8 +311,8 @@ func oracleGrantOrder(in *sched.Instance, grants []sched.Grant) []int32 {
 // run in descending PeerID order — an edge server and three peers — with
 // deadline ties on one uploader and the grants listed out of order. The
 // bucketed grouping must serve them exactly as the comparison-sort oracle
-// does: same order, delivery lists, traffic ledgers, edge cache and
-// slotOutcome.
+// does: same order, rows and costs, delivery lists, traffic ledgers, edge
+// cache and slotOutcome.
 func TestApplyGrantsMatchesSortOracle(t *testing.T) {
 	cfg := cdnTestConfig()
 	got, err := newWorld(cfg)
@@ -360,8 +360,8 @@ func TestApplyGrantsMatchesSortOracle(t *testing.T) {
 	for k, pl := range plan {
 		down := got.peers[downs[k%len(downs)]]
 		var cands []sched.Candidate
-		for _, u := range ups {
-			cands = append(cands, sched.Candidate{Peer: u.Peer, Cost: 0.01 * float64(k+1)})
+		for ui, u := range ups {
+			cands = append(cands, sched.Candidate{Peer: u.Peer, Cost: 0.01*float64(k+1) + 0.001*float64(ui)})
 		}
 		reqs = append(reqs, sched.Request{
 			Peer:       down.id,
@@ -382,11 +382,27 @@ func TestApplyGrantsMatchesSortOracle(t *testing.T) {
 	if err := got.applyGrants(1, in, grants, &gotOut); err != nil {
 		t.Fatal(err)
 	}
-	want := oracleGrantOrder(in, grants)
-	if !slices.Equal(got.grantIdx, want) {
-		t.Fatalf("grant order %v, oracle %v", got.grantIdx, want)
+	// The oracle resolves every grant on its own: the row from the
+	// instance's PeerID index, the cost from a scan of the candidates.
+	var oracle []grantRef
+	for _, i := range oracleGrantOrder(in, grants) {
+		g := grants[i]
+		r := in.Requests[g.Request]
+		row, ok := in.UploaderIndex(g.Uploader)
+		if !ok {
+			t.Fatalf("grant %+v names no uploader", g)
+		}
+		k := slices.IndexFunc(r.Candidates, func(c sched.Candidate) bool { return c.Peer == g.Uploader })
+		if k < 0 {
+			t.Fatalf("grant %+v names no candidate", g)
+		}
+		oracle = append(oracle, grantRef{deadline: r.Deadline, cost: r.Candidates[k].Cost,
+			req: int32(g.Request), row: int32(row)})
 	}
-	if err := ref.serveGrants(1, in, grants, want, &refOut); err != nil {
+	if !slices.Equal(got.grantOrder, oracle) {
+		t.Fatalf("grants served as %+v, oracle %+v", got.grantOrder, oracle)
+	}
+	if err := ref.serveGrants(1, in, oracle, &refOut); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotOut, refOut) {
