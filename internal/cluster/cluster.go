@@ -17,19 +17,26 @@
 // Components are grouped under a stable swarm key (the smallest video id of
 // the component's requests), so a shard keeps its identity — and its
 // solver's reusable buffers — across slots even as churn reshapes the
-// component. Oversized components can additionally be
-// split by ISP affinity (the locality literature's observation that swarm
-// traffic decomposes per ISP once locality bias is in force); that
-// refinement cuts the few cross-ISP edges and is therefore no longer exact —
-// the referee then checks the certificate shard by shard instead.
+// component. A shard is a view of the slot instance, not a copy: its
+// auction reads the parent's rows and writes grants and prices by parent
+// index, and one pass in shard-key order merges them. Oversized components
+// can additionally be split by ISP affinity (the locality literature's
+// observation that swarm traffic decomposes per ISP once locality bias is
+// in force); that refinement cuts the few cross-ISP edges and is therefore
+// no longer exact — the referee then checks the certificate shard by shard
+// instead.
 //
 // The pieces:
 //
-//   - PartitionInstance (partition.go): union-find over the slot's bipartite
-//     graph, swarm-keyed grouping, optional ISP-affinity refinement;
+//   - PartitionInstance (partition.go): one flat pass over the slot's
+//     bipartite graph on reused arrays — union-find over uploader rows,
+//     swarm-keyed grouping, member lists laid out by a counting pass, a
+//     table from each parent uploader row to its shard-local sink — and
+//     optional ISP-affinity refinement;
 //   - ShardedAuction (sharded.go): the sched.Scheduler that owns the
 //     per-shard solvers, runs them on a bounded worker pool with
-//     deterministic per-shard randx streams, merges grants/prices/stats and
+//     deterministic per-shard randx streams, each solving its shard as a
+//     sched.View of the parent, merges grants/prices/stats in one pass and
 //     manages shard lifecycle under churn (birth, idle reclamation, peer
 //     migration accounting);
 //   - VerifySharded (referee.go): the golden referee used by the tests and
@@ -50,14 +57,6 @@ const NoISP isp.ID = -1
 type Key struct {
 	Video video.ID
 	ISP   isp.ID // NoISP unless the shard is an ISP-affinity slice
-}
-
-// less orders keys deterministically (video, then ISP).
-func (k Key) less(o Key) bool {
-	if k.Video != o.Video {
-		return k.Video < o.Video
-	}
-	return k.ISP < o.ISP
 }
 
 // seedLabel folds the key into a stable 64-bit label for randx.Derive, so a

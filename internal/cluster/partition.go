@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/isp"
@@ -10,7 +12,7 @@ import (
 
 // Shard is one partition cell: index lists into the parent instance's
 // Requests and Uploaders slices, in parent order (ready for
-// sched.Instance.Subset).
+// sched.Instance.Subset, and for Partition.view).
 type Shard struct {
 	Key Key
 	// Requests and Uploaders index the parent instance.
@@ -56,48 +58,55 @@ type Partition struct {
 	CutEdges int
 	// Refined counts swarm groups that were split by ISP affinity.
 	Refined int
+
+	// shardOf and sinkOf map every parent uploader row to its shard and to
+	// its index in that shard's Uploaders (-1 for an idle uploader).
+	shardOf, sinkOf []int32
 }
 
-// unionFind is a plain weighted quick-union with path halving over uploader
-// indices.
-type unionFind struct {
-	parent []int32
-	size   []int32
+// view returns shard i as a view of the parent instance.
+func (p *Partition) view(i int) sched.View {
+	sh := &p.Shards[i]
+	return sched.View{Requests: sh.Requests, Uploaders: sh.Uploaders, SinkOf: p.sinkOf, Cut: sh.CutEdges > 0}
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n), size: make([]int32, n)}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
-	}
-	return uf
+// partitioner computes partitions on arrays it keeps across slots, so a
+// steady-state slot partitions without allocating. The partition it
+// returns is valid until its next call.
+type partitioner struct {
+	part   Partition
+	parent []int32 // union-find over uploader rows, linking to the smaller root
+	// rootComp maps a union-find root to its component; reqComp maps a
+	// request to its component, then to its shard.
+	rootComp, reqComp []int32
+	comps             []component
+	byKey             []int32 // components in key order
+	count             []int   // members per shard
+	reqArena, upArena []int
+	spare             []Shard // refinement's output, swapped with part.Shards
 }
 
-func (u *unionFind) find(x int32) int32 {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]] // path halving
-		x = u.parent[x]
+// component is one connected component of the request–uploader graph: its
+// swarm key (the smallest video id of its requests) and its shard.
+type component struct {
+	key   video.ID
+	shard int32
+}
+
+// find returns x's union-find root, halving the path on the way.
+func (pt *partitioner) find(x int32) int32 {
+	parent := pt.parent
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
 	}
 	return x
-}
-
-func (u *unionFind) union(a, b int32) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.size[ra] < u.size[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
 }
 
 // PartitionInstance decomposes a slot instance into shards.
 //
 // Phase 1 finds the connected components of the request–uploader bipartite
-// graph (union-find over uploader indices; each request welds its candidate
+// graph (union-find over uploader rows; each request welds its candidate
 // set together). Phase 2 groups components under their stable swarm key —
 // the smallest video id among a component's requests — merging components
 // that share a key (they stay independent inside one solver, and a stable
@@ -108,89 +117,178 @@ func (u *unionFind) union(a, b int32) {
 // candidates outside that slice are cut (counted in CutEdges — the partition
 // is no longer exact, see the package comment).
 func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) *Partition {
-	nUp := len(in.Uploaders)
-	uf := newUnionFind(nUp)
-	reqAnchor := make([]int32, len(in.Requests)) // first candidate's uploader index, -1 for orphans
-	for ri := range in.Requests {
+	return new(partitioner).partition(in, maxPeers, ispOf)
+}
+
+// partition is PartitionInstance on the partitioner's arrays. Member lists
+// are laid out by a counting pass: every shard's requests, then every
+// shard's uploaders, are windows of one arena each, in shard-key order and,
+// within a shard, in parent order.
+func (pt *partitioner) partition(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) *Partition {
+	nUp, nReq := len(in.Uploaders), len(in.Requests)
+	p := &pt.part
+	p.IdleUploaders, p.Orphans = p.IdleUploaders[:0], p.Orphans[:0]
+	p.CutEdges, p.Refined = 0, 0
+
+	pt.parent = slices.Grow(pt.parent[:0], nUp)[:nUp]
+	for i := range pt.parent {
+		pt.parent[i] = int32(i)
+	}
+	for ri := 0; ri < nReq; ri++ {
+		rows := in.Rows(ri)
+		if len(rows) < 2 {
+			continue
+		}
+		a := pt.find(rows[0])
+		for _, ui := range rows[1:] {
+			if b := pt.find(ui); a != b {
+				pt.parent[max(a, b)] = min(a, b)
+				a = min(a, b)
+			}
+		}
+	}
+	// Every link points to a smaller row, so one ascending pass leaves each
+	// row pointing straight at its root.
+	for i, up := range pt.parent {
+		pt.parent[i] = pt.parent[up]
+	}
+
+	// Key each component by the smallest video id of its requests.
+	pt.rootComp = slices.Grow(pt.rootComp[:0], nUp)[:nUp]
+	for i := range pt.rootComp {
+		pt.rootComp[i] = -1
+	}
+	pt.reqComp = slices.Grow(pt.reqComp[:0], nReq)[:nReq]
+	comps := pt.comps[:0]
+	for ri := 0; ri < nReq; ri++ {
 		rows := in.Rows(ri)
 		if len(rows) == 0 {
-			reqAnchor[ri] = -1
-			continue
-		}
-		reqAnchor[ri] = rows[0]
-		for _, ui := range rows[1:] {
-			uf.union(rows[0], ui)
-		}
-	}
-
-	// Swarm key per component root: the smallest video id of its requests.
-	videoKey := make(map[int32]video.ID)
-	for ri := range in.Requests {
-		if reqAnchor[ri] < 0 {
-			continue
-		}
-		root := uf.find(reqAnchor[ri])
-		v := in.Requests[ri].Chunk.Video
-		if cur, ok := videoKey[root]; !ok || v < cur {
-			videoKey[root] = v
-		}
-	}
-
-	// Group components by swarm key, preserving parent order inside each
-	// group (Subset requires it only for determinism, but determinism we
-	// want).
-	p := &Partition{}
-	byVideo := make(map[video.ID]*Shard)
-	videos := make([]video.ID, 0, len(videoKey))
-	shardFor := func(v video.ID) *Shard {
-		sh, ok := byVideo[v]
-		if !ok {
-			sh = &Shard{Key: Key{Video: v, ISP: NoISP}}
-			byVideo[v] = sh
-			videos = append(videos, v)
-		}
-		return sh
-	}
-	for ri := range in.Requests {
-		if reqAnchor[ri] < 0 {
+			pt.reqComp[ri] = -1
 			p.Orphans = append(p.Orphans, ri)
 			continue
 		}
-		sh := shardFor(videoKey[uf.find(reqAnchor[ri])])
-		sh.Requests = append(sh.Requests, ri)
+		root := pt.parent[rows[0]]
+		v := in.Requests[ri].Chunk.Video
+		c := pt.rootComp[root]
+		if c < 0 {
+			c = int32(len(comps))
+			pt.rootComp[root] = c
+			comps = append(comps, component{key: v})
+		} else if v < comps[c].key {
+			comps[c].key = v
+		}
+		pt.reqComp[ri] = c
+	}
+	pt.comps = comps
+
+	// Group the components by key: one shard per distinct key, in key order.
+	byKey := pt.byKey[:0]
+	for c := range comps {
+		byKey = append(byKey, int32(c))
+	}
+	slices.SortFunc(byKey, func(a, b int32) int { return cmp.Compare(comps[a].key, comps[b].key) })
+	pt.byKey = byKey
+	shards := p.Shards[:0]
+	for _, c := range byKey {
+		if n := len(shards); n == 0 || shards[n-1].Key.Video != comps[c].key {
+			shards = append(shards, Shard{Key: Key{Video: comps[c].key, ISP: NoISP}})
+		}
+		comps[c].shard = int32(len(shards) - 1)
+	}
+
+	// Count each shard's members, noting each row's shard; then carve the
+	// arenas and fill them in parent order.
+	n := len(shards)
+	count := slices.Grow(pt.count[:0], 2*n)[:2*n] // n request counts, then n uploader counts
+	clear(count)
+	pt.count = count
+	p.shardOf = slices.Grow(p.shardOf[:0], nUp)[:nUp]
+	p.sinkOf = slices.Grow(p.sinkOf[:0], nUp)[:nUp]
+	for ri, c := range pt.reqComp {
+		if c >= 0 {
+			s := comps[c].shard
+			pt.reqComp[ri] = s
+			count[s]++
+		}
 	}
 	for ui := 0; ui < nUp; ui++ {
-		v, ok := videoKey[uf.find(int32(ui))]
-		if !ok {
+		s := int32(-1)
+		if c := pt.rootComp[pt.parent[ui]]; c >= 0 {
+			s = comps[c].shard
+			count[n+int(s)]++
+		} else {
 			p.IdleUploaders = append(p.IdleUploaders, ui)
-			continue
 		}
-		byVideo[v].Uploaders = append(byVideo[v].Uploaders, ui)
+		p.shardOf[ui] = s
 	}
-	sort.Slice(videos, func(i, j int) bool { return videos[i] < videos[j] })
+	reqs, ups := nReq-len(p.Orphans), nUp-len(p.IdleUploaders)
+	pt.reqArena = slices.Grow(pt.reqArena[:0], reqs)[:reqs]
+	pt.upArena = slices.Grow(pt.upArena[:0], ups)[:ups]
+	reqs, ups = 0, 0
+	for s := range shards {
+		sh := &shards[s]
+		sh.Requests = pt.reqArena[reqs : reqs : reqs+count[s]]
+		reqs += count[s]
+		sh.Uploaders = pt.upArena[ups : ups : ups+count[n+s]]
+		ups += count[n+s]
+	}
+	for ri, s := range pt.reqComp {
+		if s >= 0 {
+			shards[s].Requests = append(shards[s].Requests, ri)
+		}
+	}
+	for ui, s := range p.shardOf {
+		p.sinkOf[ui] = -1
+		if s >= 0 {
+			p.sinkOf[ui] = int32(len(shards[s].Uploaders))
+			shards[s].Uploaders = append(shards[s].Uploaders, ui)
+		}
+	}
+	p.Shards = shards
+	if maxPeers > 0 && ispOf != nil {
+		pt.refine(in, maxPeers, ispOf)
+	}
+	return p
+}
 
-	var ispOfRow []isp.ID // refinement's per-uploader-row ISP, shared by every group
-	for _, v := range videos {
-		sh := byVideo[v]
-		if maxPeers <= 0 || ispOf == nil || sh.Peers(in) <= maxPeers {
-			p.Shards = append(p.Shards, *sh)
+// refine splits every shard of more than maxPeers peers into per-ISP
+// slices (refineByISP), in place in the shard-key order, and re-points
+// every uploader row at its final shard.
+func (pt *partitioner) refine(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) {
+	p := &pt.part
+	out := pt.spare[:0]
+	var ispOfRow []isp.ID // per-uploader-row ISP, shared by every refined group
+	for i := range p.Shards {
+		sh := &p.Shards[i]
+		if sh.Peers(in) <= maxPeers {
+			out = append(out, *sh)
 			continue
 		}
 		if ispOfRow == nil {
-			ispOfRow = make([]isp.ID, nUp)
+			ispOfRow = make([]isp.ID, len(in.Uploaders))
 		}
 		refined, cut := refineByISP(in, sh, ispOf, ispOfRow)
 		if len(refined) <= 1 {
 			// Everyone is in one ISP (or unknown): nothing to split.
-			p.Shards = append(p.Shards, *sh)
+			out = append(out, *sh)
 			continue
 		}
 		p.Refined++
 		p.CutEdges += cut
-		p.Shards = append(p.Shards, refined...)
+		out = append(out, refined...)
 	}
-	sort.Slice(p.Shards, func(i, j int) bool { return p.Shards[i].Key.less(p.Shards[j].Key) })
-	return p
+	pt.spare, p.Shards = p.Shards, out
+	if p.Refined == 0 {
+		return
+	}
+	// A split moves every later shard to a higher index: re-derive every
+	// row's shard and sink from the final list.
+	for s := range out {
+		for k, ui := range out[s].Uploaders {
+			p.shardOf[ui] = int32(s)
+			p.sinkOf[ui] = int32(k)
+		}
+	}
 }
 
 // refineByISP splits one oversized swarm group into per-ISP slices. Each

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/isp"
 	"repro/internal/metrics"
@@ -352,4 +357,398 @@ func TestShardedWelfareSeriesDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: welfare series differs from sequential", workers)
 		}
 	}
+}
+
+// TestShardedColdEqualsMonolithic is the differential test of the cold
+// shards: a Builder-produced churn sequence, fed through the orchestrator,
+// must grant exactly what one monolithic sched.Auction grants, at exactly
+// its prices, on every slot and at every worker count. The cold auction's FIFO bid queue, restricted to
+// an independent component, is that component's own queue, so each shard
+// replays its part of the monolithic solve bid for bid.
+func TestShardedColdEqualsMonolithic(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		slots []*sched.Instance
+	}{
+		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false)},
+		{"integral", buildSlots(31, 14, 5, 60, 12, 0.3, true)},
+		{"heavy-churn", buildSlots(37, 10, 12, 25, 6, 0.6, false)},
+		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					coldEqualsMonolithic(t, tc.slots, workers)
+				})
+			}
+		})
+	}
+}
+
+// TestShardedViewMatchesSubsetPath is the referee of the shard views: the
+// shipping path, whose default auctions fill their problems straight from
+// the parent's rows and write grants and prices by parent index, against a
+// twin whose NewSolver hands each shard's Instance.Subset copy to a plain
+// sched.Auction. On swarm churn, cross-swarm churn, under ISP-affinity
+// refinement (cut edges) and past a deadline, at 1, 2 and 8 workers, the
+// two must agree bit for bit: grants in order, every price, every stat,
+// the welfare series and the lifecycle counters.
+func TestShardedViewMatchesSubsetPath(t *testing.T) {
+	ispOf := func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true }
+	for _, tc := range []struct {
+		name     string
+		slots    []*sched.Instance
+		maxPeers int
+		deadline time.Time
+	}{
+		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false), 0, time.Time{}},
+		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12), 0, time.Time{}},
+		{"refined", buildSlots(17, 8, 2, 60, 12, 0.15, false), 30, time.Time{}},
+		{"past-deadline", buildSlots(29, 8, 6, 40, 10, 0.2, false), 0, time.Unix(1, 0)},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				mk := func() *ShardedAuction {
+					return &ShardedAuction{Epsilon: 0.01, Workers: workers, Seed: 9,
+						MaxShardPeers: tc.maxPeers, Deadline: tc.deadline, TTLSlots: 3}
+				}
+				shipping, subset := mk(), mk()
+				subset.NewSolver = func(Key, *randx.Source) sched.Scheduler {
+					return &sched.Auction{Epsilon: 0.01, Deadline: tc.deadline}
+				}
+				shipping.SetISPLookup(ispOf)
+				subset.SetISPLookup(ispOf)
+				stopped := 0.0
+				for slot, in := range tc.slots {
+					got, err := shipping.Schedule(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := subset.Schedule(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Grants, want.Grants) {
+						t.Fatalf("slot %d: grants diverge from the Subset path's", slot)
+					}
+					if !reflect.DeepEqual(got.Prices, want.Prices) {
+						t.Fatalf("slot %d: prices diverge from the Subset path's", slot)
+					}
+					if !reflect.DeepEqual(got.Stats, want.Stats) {
+						t.Fatalf("slot %d: stats diverge:\n got %v\nwant %v", slot, got.Stats, want.Stats)
+					}
+					stopped += got.Stats["stopped"]
+				}
+				if !reflect.DeepEqual(shipping.WelfareSeries(), subset.WelfareSeries()) {
+					t.Fatal("welfare series diverge from the Subset path's")
+				}
+				if shipping.Stats() != subset.Stats() {
+					t.Fatalf("lifecycle counters %+v, Subset path %+v", shipping.Stats(), subset.Stats())
+				}
+				if tc.maxPeers > 0 && shipping.Stats().CutEdges == 0 {
+					t.Fatal("refinement never cut an edge")
+				}
+				if !tc.deadline.IsZero() && stopped == 0 {
+					t.Fatal("no shard stopped at the past deadline")
+				}
+			})
+		}
+	}
+}
+
+// TestShardedMigrationsUnderRefinement runs a trace in which ISP-affinity
+// refinement splits some swarms and not others, and swarms cross the
+// threshold both ways mid-run, so a split moves later shards to new
+// indices. Every slot, the orchestrator's reused partition must equal a
+// fresh PartitionInstance, row tables included, each row's table entries
+// must name its final shard, and the migrations counted must match a
+// per-peer map of last slot's shard keys.
+func TestShardedMigrationsUnderRefinement(t *testing.T) {
+	const maxPeers = 20
+	ispOf := func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true }
+	// reqs[s][slot] is swarm s's request count: swarm 0 starts oversized
+	// and shrinks, swarm 3 starts small and grows, swarm 2 stays oversized,
+	// swarms 1 and 4 stay small.
+	reqs := [][]int{
+		{30, 30, 30, 6, 6, 6, 30, 30},
+		{5, 5, 5, 5, 5, 5, 5, 5},
+		{25, 25, 25, 25, 25, 25, 25, 25},
+		{4, 4, 4, 30, 30, 30, 4, 4},
+		{6, 6, 6, 6, 6, 6, 6, 6},
+	}
+	const upPer = 6
+	rng := randx.New(3)
+	a := &ShardedAuction{Epsilon: 0.01, Workers: 2, MaxShardPeers: maxPeers, Seed: 4}
+	a.SetISPLookup(ispOf)
+	last := map[isp.PeerID]Key{}
+	var total int64
+	mixed := false
+	for slot := range reqs[0] {
+		var ups []sched.Uploader
+		var rs []sched.Request
+		for s := range reqs {
+			for u := 0; u < upPer; u++ {
+				ups = append(ups, sched.Uploader{Peer: isp.PeerID(s*1000 + u), Capacity: 1 + rng.Intn(3)})
+			}
+			for r := 0; r < reqs[s][slot]; r++ {
+				var cands []sched.Candidate
+				for _, u := range rng.Perm(upPer)[:1+rng.Intn(3)] {
+					cands = append(cands, sched.Candidate{Peer: isp.PeerID(s*1000 + u), Cost: float64(u%3) + rng.Float64()})
+				}
+				rs = append(rs, sched.Request{Peer: isp.PeerID(100_000 + s*1000 + r),
+					Chunk: video.ChunkID{Video: video.ID(s), Index: video.ChunkIndex(r)}, Value: rng.Range(2, 8), Candidates: cands})
+			}
+		}
+		in, err := sched.NewInstance(rs, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := a.Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := a.part, PartitionInstance(in, maxPeers, ispOf)
+		if got.CutEdges != want.CutEdges || got.Refined != want.Refined ||
+			!slices.Equal(got.IdleUploaders, want.IdleUploaders) || !slices.Equal(got.Orphans, want.Orphans) ||
+			!slices.Equal(got.shardOf, want.shardOf) || !slices.Equal(got.sinkOf, want.sinkOf) ||
+			!slices.EqualFunc(got.Shards, want.Shards, func(x, y Shard) bool {
+				return x.Key == y.Key && x.CutEdges == y.CutEdges &&
+					slices.Equal(x.Requests, y.Requests) && slices.Equal(x.Uploaders, y.Uploaders)
+			}) {
+			t.Fatalf("slot %d: the reused partition differs from a fresh PartitionInstance", slot)
+		}
+		cur := map[isp.PeerID]Key{}
+		migrations, rows, refined := 0, 0, 0
+		for s, sh := range got.Shards {
+			if sh.Key.ISP != NoISP {
+				refined++
+			}
+			for k, ui := range sh.Uploaders {
+				if got.shardOf[ui] != int32(s) || got.sinkOf[ui] != int32(k) {
+					t.Fatalf("slot %d: row %d of shard %v maps to shard %d, sink %d; want %d, %d",
+						slot, ui, sh.Key, got.shardOf[ui], got.sinkOf[ui], s, k)
+				}
+				rows++
+				peer := in.Uploaders[ui].Peer
+				cur[peer] = sh.Key
+				if prev, ok := last[peer]; ok && prev != sh.Key {
+					migrations++
+				}
+			}
+		}
+		if rows+len(got.IdleUploaders) != len(in.Uploaders) {
+			t.Fatalf("slot %d: %d shard rows and %d idle of %d uploaders", slot, rows, len(got.IdleUploaders), len(in.Uploaders))
+		}
+		mixed = mixed || (refined > 0 && refined < len(got.Shards))
+		last = cur
+		total += int64(migrations)
+		if out.Stats["migrations"] != float64(migrations) || a.Stats().Migrations != total {
+			t.Fatalf("slot %d: migrations %v (total %d), per-peer oracle %d (total %d)",
+				slot, out.Stats["migrations"], a.Stats().Migrations, migrations, total)
+		}
+	}
+	if !mixed || total == 0 {
+		t.Fatalf("the trace never mixed refined and whole shards (%v) or never migrated (%d)", mixed, total)
+	}
+}
+
+// TestShardedScheduleAllocs pins the steady-state sharded round: once its
+// arrays have grown, a Schedule allocates the same constant count at 6 and
+// at 60 swarms, and nothing per shard: the Result, its grants slice, and
+// its Prices and Stats maps, four allocations each (a map of more than
+// eight entries is a header, a directory, a table and its slots).
+func TestShardedScheduleAllocs(t *testing.T) {
+	const bound = 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var counts []float64
+	for _, swarms := range []int{6, 60} {
+		slots := buildSlots(41, 2, swarms, 30, 8, 0.3, false)
+		a := &ShardedAuction{Epsilon: 0.01, Seed: 1}
+		round := func() {
+			for _, in := range slots {
+				if _, err := a.Schedule(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 3; i++ {
+			round()
+		}
+		counts = append(counts, testing.AllocsPerRun(50, round)/float64(len(slots)))
+	}
+	t.Logf("allocations per sharded round at 6 / 60 swarms: %v", counts)
+	if counts[0] != counts[1] || counts[1] > bound {
+		t.Fatalf("a steady-state sharded round allocates %v / %v at 6 / 60 swarms, want equal and <= %d",
+			counts[0], counts[1], bound)
+	}
+}
+
+// coldEqualsMonolithic replays slots through a Builder and checks the
+// orchestrator against one sched.Auction on every slot.
+func coldEqualsMonolithic(t *testing.T, slots []*sched.Instance, workers int) {
+	b := sched.NewBuilder()
+	sharded := &ShardedAuction{Epsilon: 0.01, Workers: workers, Seed: 5}
+	mono := &sched.Auction{Epsilon: 0.01}
+	for slot, raw := range slots {
+		in := replay(t, b, raw)
+		want, err := mono.Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sharded.Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutcome(t, fmt.Sprintf("slot %d", slot), got, want)
+	}
+}
+
+// replay feeds one instance through a Builder in its key order (uploaders
+// by peer, requests by (peer, video, chunk)), so any instance trace becomes
+// a Builder-produced sequence, as the simulator hands its schedulers.
+func replay(t testing.TB, b *sched.Builder, in *sched.Instance) *sched.Instance {
+	t.Helper()
+	ups := slices.Clone(in.Uploaders)
+	slices.SortFunc(ups, func(x, y sched.Uploader) int { return cmp.Compare(x.Peer, y.Peer) })
+	reqs := slices.Clone(in.Requests)
+	slices.SortFunc(reqs, func(x, y sched.Request) int {
+		return cmp.Or(cmp.Compare(x.Peer, y.Peer), cmp.Compare(x.Chunk.Video, y.Chunk.Video),
+			cmp.Compare(x.Chunk.Index, y.Chunk.Index))
+	})
+	b.Begin()
+	rowOf := make(map[isp.PeerID]int32, len(ups))
+	for _, u := range ups {
+		row, err := b.AddUploader(u.Peer, u.Capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowOf[u.Peer] = row
+	}
+	for _, r := range reqs {
+		b.StartRequest(r.Peer, r.Chunk, r.Value, r.Deadline)
+		for _, c := range r.Candidates {
+			b.AddCandidate(rowOf[c.Peer], c.Cost)
+		}
+		b.EndRequest()
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameOutcome fails unless got grants exactly want's grants (the sharded
+// merge lists them in shard-key order, the monolithic solve in request
+// order) at bit-equal prices.
+func sameOutcome(t *testing.T, label string, got, want *sched.Result) {
+	t.Helper()
+	g := sortedGrants(got.Grants)
+	if !slices.Equal(g, want.Grants) {
+		t.Fatalf("%s: grants diverge from the monolithic auction's (%d vs %d)", label, len(g), len(want.Grants))
+	}
+	if !reflect.DeepEqual(got.Prices, want.Prices) {
+		t.Fatalf("%s: prices diverge from the monolithic auction's", label)
+	}
+}
+
+// sortedGrants returns grants in request order, the order a monolithic
+// solve lists them in.
+func sortedGrants(grants []sched.Grant) []sched.Grant {
+	return slices.SortedFunc(slices.Values(grants), func(x, y sched.Grant) int {
+		return cmp.Compare(x.Request, y.Request)
+	})
+}
+
+// crossSwarmSlots generates a churn trace whose components merge, split
+// and re-key across slots: a tenth of the candidate edges reach into the
+// next swarm (welding the two swarms under the smaller video id until the
+// edge goes), and uploaders sit out single slots (their edges vanish and
+// return). Requests survive with their candidate lists intact, change
+// them, re-value or depart, so carried, rewritten, moved and new rows all
+// occur, inside a shard and between shards.
+func crossSwarmSlots(t *testing.T, seed uint64, slots, swarms, upPer, reqPer int) []*sched.Instance {
+	t.Helper()
+	rng := randx.New(seed)
+	type req struct {
+		down  isp.PeerID
+		chunk video.ChunkID
+		value float64
+		cands []isp.PeerID
+	}
+	upPeer := func(s, u int) isp.PeerID { return isp.PeerID(s*1000 + u) }
+	cost := func(p isp.PeerID) float64 { return float64(int(p) % 3) }
+	pick := func(s int) []isp.PeerID {
+		var out []isp.PeerID
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			home := s
+			if rng.Float64() < 0.1 {
+				home = (s + 1) % swarms
+			}
+			p := upPeer(home, rng.Intn(upPer))
+			if !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	next := 0
+	fresh := func(s int) req {
+		next++
+		return req{down: isp.PeerID(1_000_000 + next), chunk: video.ChunkID{Video: video.ID(s)},
+			value: rng.Range(1, 8), cands: pick(s)}
+	}
+	reqs := make([][]req, swarms)
+	for s := range reqs {
+		for k := 0; k < reqPer; k++ {
+			reqs[s] = append(reqs[s], fresh(s))
+		}
+	}
+	var out []*sched.Instance
+	for slot := 0; slot < slots; slot++ {
+		if slot > 0 {
+			for s := range reqs {
+				for k := range reqs[s] {
+					switch x := rng.Float64(); {
+					case x < 0.08:
+						reqs[s][k] = fresh(s)
+					case x < 0.2:
+						reqs[s][k].cands = pick(s)
+					case x < 0.45:
+						reqs[s][k].value = rng.Range(1, 8)
+					}
+				}
+			}
+		}
+		present := map[isp.PeerID]bool{}
+		var ups []sched.Uploader
+		for s := 0; s < swarms; s++ {
+			for u := 0; u < upPer; u++ {
+				if slot == 0 || rng.Float64() >= 0.05 {
+					ups = append(ups, sched.Uploader{Peer: upPeer(s, u), Capacity: 1 + rng.Intn(2)})
+					present[upPeer(s, u)] = true
+				}
+			}
+		}
+		var rs []sched.Request
+		for s := range reqs {
+			for _, r := range reqs[s] {
+				var cands []sched.Candidate
+				for _, p := range r.cands {
+					if present[p] {
+						cands = append(cands, sched.Candidate{Peer: p, Cost: cost(p)})
+					}
+				}
+				if len(cands) > 0 {
+					rs = append(rs, sched.Request{Peer: r.down, Chunk: r.chunk, Value: r.value, Candidates: cands})
+				}
+			}
+		}
+		in, err := sched.NewInstance(rs, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, in)
+	}
+	return out
 }

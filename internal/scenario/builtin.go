@@ -206,7 +206,7 @@ func init() {
 	// sharded-churn — swarm churn at scale: a dynamic network ramping toward
 	// ~100k cumulative arrivals with 60% early departures, scheduled sharded.
 	// Exercises the orchestrator's whole lifecycle — shard birth as swarms
-	// form, the carried partition as peers come and go, idle reclamation as
+	// form, re-partitioning as peers come and go, idle reclamation as
 	// swarms drain — under the paper's Fig. 6 dynamics.
 	shardedChurn := smallSim()
 	shardedChurn.Scenario = sim.ScenarioDynamic
@@ -344,7 +344,7 @@ func init() {
 	// egress fee. The offload report rides along in every JSON export: %
 	// bytes served P2P vs edge vs origin, edge cache hit rate, and the CDN
 	// bill next to the flat transit bill — the welfare × transit × CDN-spend
-	// frontier of ROADMAP item 3. Sweep `edge-capacity` to trace offload vs
+	// frontier. Sweep `edge-capacity` to trace offload vs
 	// edge provisioning, or set `cdn-only=1` for the no-P2P baseline the
 	// dominance golden compares against.
 	assist := smallSim()

@@ -54,8 +54,7 @@ func TestShardedEqualsMonolithicWelfarePerScenario(t *testing.T) {
 // coldTwin hands the simulator the sharded orchestrator's result for every
 // slot instance after solving it a second time with one monolithic
 // sched.Auction, and fails the run at the first solve whose grants or
-// prices differ. On its own it hides sched.DeltaScheduler, so the simulator
-// calls Schedule; deltaTwin passes the producer's deltas through.
+// prices differ.
 type coldTwin struct {
 	sharded   *cluster.ShardedAuction
 	mono      sched.Auction
@@ -97,13 +96,6 @@ func (c *coldTwin) check(in *sched.Instance, got *sched.Result, err error) (*sch
 	c.solves++
 	c.shardPeak = max(c.shardPeak, got.Stats["shards"])
 	return got, nil
-}
-
-type deltaTwin struct{ coldTwin }
-
-func (c *deltaTwin) ScheduleDelta(in *sched.Instance, d *sched.InstanceDelta) (*sched.Result, error) {
-	res, err := c.sharded.ScheduleDelta(in, d)
-	return c.check(in, res, err)
 }
 
 // TestShardedPresetMatchesMonolithicMetrics pins the registered sharded
@@ -197,8 +189,8 @@ func TestShardingValidation(t *testing.T) {
 }
 
 // TestShardedColdEqualsMonolithicPerPreset runs the sharded presets as they
-// ship — the orchestrator the preset builds, fed the simulator's producer
-// deltas, so the partition is carried slot to slot — and demands the same
+// ship — the orchestrator the preset builds, over 30 slots of the
+// simulator's Builder-produced instances — and demands the same
 // bit-equality with one monolithic sched.Auction on every solve as the
 // per-scenario golden. The cluster package's TestShardedColdEqualsMonolithic
 // covers carried, rewritten and migrating requests on synthetic churn.
@@ -210,27 +202,22 @@ func TestShardedColdEqualsMonolithicPerPreset(t *testing.T) {
 			t.Parallel()
 			cfg := spec.Sim
 			cfg.Seed = 3
-			cfg.Slots = 30 // the presets' own runs are 2–10 slots: too few deltas
+			cfg.Slots = 30 // the presets' own runs are 2–10 slots: too little churn
 			s, err := spec.Scheduler(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			twin := &deltaTwin{coldTwin{
+			twin := &coldTwin{
 				sharded: s.(*cluster.ShardedAuction),
 				mono:    sched.Auction{Epsilon: cfg.Epsilon},
-			}}
+			}
 			if _, err := sim.Run(cfg, twin); err != nil {
 				t.Fatal(err)
-			}
-			st := twin.sharded.Stats()
-			if st.PartitionIncremental == 0 {
-				t.Fatal("the partition was never carried: the producer deltas did not reach it")
 			}
 			if twin.shardPeak <= 1 {
 				t.Fatalf("peak %v shards: the workload never sharded", twin.shardPeak)
 			}
-			t.Logf("%d solves (%d with a carried partition), grants and prices equal monolithic on every one",
-				twin.solves, st.PartitionIncremental)
+			t.Logf("%d solves, grants and prices equal monolithic on every one", twin.solves)
 		})
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // InstanceDelta describes how a slot instance evolved from the previous one
-// the same producer built — the slot-to-slot churn a consumer
-// (cluster.ShardedAuction's incremental partitioner) can apply in O(churn)
-// instead of re-diffing two full instances by key. Deltas are produced by
+// the same producer built — the slot-to-slot churn a consumer can apply in
+// O(churn) instead of re-diffing two full instances by key. No scheduler in
+// the tree consumes one; perfbench's probe still forwards them. Deltas are
+// produced by
 // Builder.Delta and are trusted: consumers bounds-check the row maps but do
 // not re-derive them.
 //
@@ -75,7 +76,7 @@ type instStore struct {
 // lists have their rows remapped through the uploaders' slots.
 //
 // Requests only append: the slot-to-slot InstanceDelta is derived on
-// demand by Delta, for the one consumer that reads it.
+// demand by Delta, for a consumer that reads it.
 //
 // Key order: uploaders ascending by peer id; requests ascending by
 // (peer, video, chunk), strictly. Out-of-order rounds still build a correct

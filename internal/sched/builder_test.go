@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/cluster/clustertest"
 	"repro/internal/isp"
 	"repro/internal/randx"
@@ -298,65 +297,6 @@ func TestBuilderDeltaMatchesKeyDiff(t *testing.T) {
 	}
 	if identities == 0 || moved == 0 {
 		t.Fatalf("%d identity and %d moving rounds; the trace must have both", identities, moved)
-	}
-}
-
-// TestScheduleDeltaMatchesSchedule is the delta path's equivalence golden
-// for the one DeltaScheduler, cluster.ShardedAuction: one orchestrator
-// consumes the Builder's deltas, a twin re-partitions each reference
-// instance through Schedule; the two must emit bit-equal grants and prices
-// every round — the delta path is unobservable in the schedule.
-func TestScheduleDeltaMatchesSchedule(t *testing.T) {
-	m := newChurnModel(11, 10, 50)
-	b := sched.NewBuilder()
-	viaDelta := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
-	viaFull := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
-	for round := 0; round < 25; round++ {
-		if round > 0 {
-			m.churn(round%4 == 2)
-		}
-		in, d := m.buildRound(t, b)
-		got, err := viaDelta.ScheduleDelta(in, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := viaFull.Schedule(m.reference(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Grants, want.Grants) {
-			t.Fatalf("round %d: grants diverge:\n got %v\nwant %v", round, got.Grants, want.Grants)
-		}
-		if !reflect.DeepEqual(got.Prices, want.Prices) {
-			t.Fatalf("round %d: prices diverge", round)
-		}
-	}
-	if viaDelta.Stats().PartitionIncremental == 0 {
-		t.Fatal("the delta twin never took the incremental partition path")
-	}
-}
-
-// TestScheduleDeltaNilFallsBack pins the DeltaScheduler contract on
-// cluster.ShardedAuction: a nil delta behaves exactly like Schedule.
-func TestScheduleDeltaNilFallsBack(t *testing.T) {
-	m := newChurnModel(3, 6, 20)
-	a := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
-	twin := &cluster.ShardedAuction{Epsilon: 0.01, Workers: 2, Seed: 42}
-	for round := 0; round < 6; round++ {
-		if round > 0 {
-			m.churn(false)
-		}
-		got, err := a.ScheduleDelta(m.reference(t), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := twin.Schedule(m.reference(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Grants, want.Grants) || !reflect.DeepEqual(got.Prices, want.Prices) {
-			t.Fatalf("round %d: nil-delta path diverges from Schedule", round)
-		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // (Exact), the Simple Locality baseline, the network-agnostic random
 // baseline (both in internal/baseline), and the sharded orchestrator (internal/cluster's
 // ShardedAuction, which partitions a slot into independent swarm components
-// and solves them concurrently via Instance.Subset). A strategy receives one
+// and solves them concurrently, each as a View of the slot). A strategy receives one
 // slot's Instance — requests with valuations and deadlines, candidate
 // uploaders with network costs, uploader capacities — and returns the set of
 // grants. The simulator computes welfare, inter-ISP traffic and miss metrics
@@ -190,8 +190,8 @@ func (in *Instance) Cost(ri int, p isp.PeerID) (float64, bool) {
 // Candidates resolve through the parent's row table and a parent-row →
 // subset-row scratch table, so Subset hashes nothing: its cost is linear in
 // the subset, whatever the parent's size, and it is safe to call
-// concurrently on one parent (the sharded orchestrator subsets every shard
-// at once). The sub-instance keeps no PeerID index; its UploaderIndex scans.
+// concurrently on one parent (the sharded orchestrator hands a custom
+// per-shard scheduler every shard's subset at once). The sub-instance keeps no PeerID index; its UploaderIndex scans.
 func (in *Instance) Subset(reqIdx, upIdx []int) (*Instance, error) {
 	subRow := getRowScratch(len(in.Uploaders))
 	defer putRowScratch(subRow, upIdx)
