@@ -70,7 +70,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.Float64Var(&o.Epsilon, "epsilon", 0.01, "auction bid increment (epsilon)")
 	fs.BoolVar(&o.Sharded, "sharded", false, "use the sharded swarm orchestrator")
 	fs.IntVar(&o.ShardWorkers, "shard-workers", 0, "concurrent shard solves (0 = sequential)")
-	fs.IntVar(&o.MaxShardPeers, "max-shard-peers", 0, "refine shards above this peer count (0 = exact partition)")
 	fs.StringVar(&o.SnapshotPath, "snapshot", "", "state snapshot path (drain writes, start restores)")
 	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 0, "also write the snapshot every N ticks (0 = only on drain)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")

@@ -9,12 +9,6 @@ import (
 	"repro/internal/sched"
 )
 
-// testISPOf spreads the synthetic trace's peers over n ISPs
-// deterministically by id.
-func testISPOf(n int) func(isp.PeerID) (isp.ID, bool) {
-	return func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % n), true }
-}
-
 // TestShardedTrafficMatrixRecombinesExactly is the economics half of the
 // sharding contract: decompose a sharded solve's grants by owning shard,
 // build each shard's ISP×ISP traffic ledger independently, and the merged
@@ -25,17 +19,17 @@ func testISPOf(n int) func(isp.PeerID) (isp.ID, bool) {
 // materializing the global grant stream.
 func TestShardedTrafficMatrixRecombinesExactly(t *testing.T) {
 	const numISPs = 5
-	ispOf := testISPOf(numISPs)
+	// Spread the synthetic trace's peers over the ISPs by id.
+	ispOf := func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % numISPs), true }
 	slots := clustertest.BuildSlots(7, 6, 6, 40, 12, 0.10, false)
-	sa := &ShardedAuction{Epsilon: 0.01, Workers: 4, Seed: 7}
-	sa.SetISPLookup(ispOf)
+	sa := &ShardedAuction{Epsilon: 0.01, Workers: 4}
 
 	for si, in := range slots {
 		res, err := sa.Schedule(in)
 		if err != nil {
 			t.Fatalf("slot %d: %v", si, err)
 		}
-		part := PartitionInstance(in, 0, nil)
+		part := PartitionInstance(in)
 		// Assign every granted request to its owning shard.
 		owner := make(map[int]int, len(in.Requests)) // request index -> shard index
 		for shi, sh := range part.Shards {

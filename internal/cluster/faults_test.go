@@ -6,23 +6,22 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/randx"
-	"repro/internal/sched"
 )
 
 // TestShardedSlowSolverInjection: the fault layer's slow-solver wrapper
-// composes with the per-shard solver factory — a drill can make individual
-// shards lag without touching the orchestrator — and the grants are exactly
-// those of the default solvers (the wrapper only adds latency).
+// composes with the sharded orchestrator — a drill can make the sharded
+// solve lag without touching its shards — and the grants and prices are
+// exactly those of an unwrapped orchestrator (the wrapper only adds
+// latency).
 func TestShardedSlowSolverInjection(t *testing.T) {
 	const eps = 0.01
 	slots := buildSlots(3, 4, 3, 20, 6, 0.1, false)
 	spec := fault.Spec{SolveDelay: time.Millisecond}
-	slow := &ShardedAuction{Epsilon: eps, Workers: 2,
-		NewSolver: func(key Key, rng *randx.Source) sched.Scheduler {
-			return fault.Slow(&sched.Auction{Epsilon: eps}, spec)
-		}}
+	slow := fault.Slow(&ShardedAuction{Epsilon: eps, Workers: 2}, spec)
 	clean := &ShardedAuction{Epsilon: eps, Workers: 2}
+	if slow.Name() != clean.Name()+"+slow" {
+		t.Fatalf("wrapped solver is named %q", slow.Name())
+	}
 	for i, in := range slots {
 		start := time.Now()
 		sres, err := slow.Schedule(in)
@@ -40,7 +39,10 @@ func TestShardedSlowSolverInjection(t *testing.T) {
 			t.Fatalf("slot %d: nothing granted; the fixture is vacuous", i)
 		}
 		if !reflect.DeepEqual(sres.Grants, cres.Grants) {
-			t.Fatalf("slot %d: slow solvers changed the grants", i)
+			t.Fatalf("slot %d: the slow wrapper changed the grants", i)
+		}
+		if !reflect.DeepEqual(sres.Prices, cres.Prices) {
+			t.Fatalf("slot %d: the slow wrapper changed the prices", i)
 		}
 	}
 }

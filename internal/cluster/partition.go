@@ -3,44 +3,21 @@ package cluster
 import (
 	"cmp"
 	"slices"
-	"sort"
 
-	"repro/internal/isp"
 	"repro/internal/sched"
 	"repro/internal/video"
 )
 
 // Shard is one partition cell: index lists into the parent instance's
-// Requests and Uploaders slices, in parent order (ready for
-// sched.Instance.Subset, and for Partition.view).
+// Requests and Uploaders slices, in parent order (Partition.view hands them
+// to the shard's auction).
 type Shard struct {
-	Key Key
+	// Key is the shard's swarm: the smallest video id of its requests. It
+	// identifies the shard stably across slots.
+	Key video.ID
 	// Requests and Uploaders index the parent instance.
 	Requests  []int
 	Uploaders []int
-	// CutEdges counts candidate edges the ISP-affinity refinement dropped
-	// from this shard's requests (0 for unrefined shards: the component
-	// decomposition cuts nothing).
-	CutEdges int
-}
-
-// Peers returns the shard's distinct peer population — uploaders plus
-// downloaders that are not also uploaders here — the size the refinement
-// threshold (MaxShardPeers) compares against. A downloader contributes one
-// peer no matter how many window chunks it requests.
-func (s *Shard) Peers(in *sched.Instance) int {
-	n := len(s.Uploaders)
-	seen := make(map[isp.PeerID]bool, len(s.Uploaders))
-	for _, ui := range s.Uploaders {
-		seen[in.Uploaders[ui].Peer] = true
-	}
-	for _, ri := range s.Requests {
-		if p := in.Requests[ri].Peer; !seen[p] {
-			seen[p] = true
-			n++
-		}
-	}
-	return n
 }
 
 // Partition is one slot's decomposition into shards.
@@ -53,11 +30,6 @@ type Partition struct {
 	IdleUploaders []int
 	// Orphans indexes requests with no candidates (unservable this slot).
 	Orphans []int
-	// CutEdges totals the edges dropped by ISP-affinity refinement; 0 means
-	// the partition is exact and sharded welfare provably equals monolithic.
-	CutEdges int
-	// Refined counts swarm groups that were split by ISP affinity.
-	Refined int
 
 	// shardOf and sinkOf map every parent uploader row to its shard and to
 	// its index in that shard's Uploaders (-1 for an idle uploader).
@@ -67,7 +39,7 @@ type Partition struct {
 // view returns shard i as a view of the parent instance.
 func (p *Partition) view(i int) sched.View {
 	sh := &p.Shards[i]
-	return sched.View{Requests: sh.Requests, Uploaders: sh.Uploaders, SinkOf: p.sinkOf, Cut: sh.CutEdges > 0}
+	return sched.View{Requests: sh.Requests, Uploaders: sh.Uploaders, SinkOf: p.sinkOf}
 }
 
 // partitioner computes partitions on arrays it keeps across slots, so a
@@ -83,7 +55,6 @@ type partitioner struct {
 	byKey             []int32 // components in key order
 	count             []int   // members per shard
 	reqArena, upArena []int
-	spare             []Shard // refinement's output, swapped with part.Shards
 }
 
 // component is one connected component of the request–uploader graph: its
@@ -111,24 +82,19 @@ func (pt *partitioner) find(x int32) int32 {
 // the smallest video id among a component's requests — merging components
 // that share a key (they stay independent inside one solver, and a stable
 // key is what lets the orchestrator keep a shard's solver across slots).
-// Phase 3, only when maxPeers > 0 and ispOf is provided, splits groups
-// larger than maxPeers into per-ISP slices: uploaders go to their own ISP's
-// slice, each request follows its cheapest candidate, and the request's
-// candidates outside that slice are cut (counted in CutEdges — the partition
-// is no longer exact, see the package comment).
-func PartitionInstance(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) *Partition {
-	return new(partitioner).partition(in, maxPeers, ispOf)
+// No candidate edge crosses shards, so the partition is exact.
+func PartitionInstance(in *sched.Instance) *Partition {
+	return new(partitioner).partition(in)
 }
 
 // partition is PartitionInstance on the partitioner's arrays. Member lists
 // are laid out by a counting pass: every shard's requests, then every
 // shard's uploaders, are windows of one arena each, in shard-key order and,
 // within a shard, in parent order.
-func (pt *partitioner) partition(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) *Partition {
+func (pt *partitioner) partition(in *sched.Instance) *Partition {
 	nUp, nReq := len(in.Uploaders), len(in.Requests)
 	p := &pt.part
 	p.IdleUploaders, p.Orphans = p.IdleUploaders[:0], p.Orphans[:0]
-	p.CutEdges, p.Refined = 0, 0
 
 	pt.parent = slices.Grow(pt.parent[:0], nUp)[:nUp]
 	for i := range pt.parent {
@@ -190,8 +156,8 @@ func (pt *partitioner) partition(in *sched.Instance, maxPeers int, ispOf func(is
 	pt.byKey = byKey
 	shards := p.Shards[:0]
 	for _, c := range byKey {
-		if n := len(shards); n == 0 || shards[n-1].Key.Video != comps[c].key {
-			shards = append(shards, Shard{Key: Key{Video: comps[c].key, ISP: NoISP}})
+		if n := len(shards); n == 0 || shards[n-1].Key != comps[c].key {
+			shards = append(shards, Shard{Key: comps[c].key})
 		}
 		comps[c].shard = int32(len(shards) - 1)
 	}
@@ -245,102 +211,5 @@ func (pt *partitioner) partition(in *sched.Instance, maxPeers int, ispOf func(is
 		}
 	}
 	p.Shards = shards
-	if maxPeers > 0 && ispOf != nil {
-		pt.refine(in, maxPeers, ispOf)
-	}
 	return p
-}
-
-// refine splits every shard of more than maxPeers peers into per-ISP
-// slices (refineByISP), in place in the shard-key order, and re-points
-// every uploader row at its final shard.
-func (pt *partitioner) refine(in *sched.Instance, maxPeers int, ispOf func(isp.PeerID) (isp.ID, bool)) {
-	p := &pt.part
-	out := pt.spare[:0]
-	var ispOfRow []isp.ID // per-uploader-row ISP, shared by every refined group
-	for i := range p.Shards {
-		sh := &p.Shards[i]
-		if sh.Peers(in) <= maxPeers {
-			out = append(out, *sh)
-			continue
-		}
-		if ispOfRow == nil {
-			ispOfRow = make([]isp.ID, len(in.Uploaders))
-		}
-		refined, cut := refineByISP(in, sh, ispOf, ispOfRow)
-		if len(refined) <= 1 {
-			// Everyone is in one ISP (or unknown): nothing to split.
-			out = append(out, *sh)
-			continue
-		}
-		p.Refined++
-		p.CutEdges += cut
-		out = append(out, refined...)
-	}
-	pt.spare, p.Shards = p.Shards, out
-	if p.Refined == 0 {
-		return
-	}
-	// A split moves every later shard to a higher index: re-derive every
-	// row's shard and sink from the final list.
-	for s := range out {
-		for k, ui := range out[s].Uploaders {
-			p.shardOf[ui] = int32(s)
-			p.sinkOf[ui] = int32(k)
-		}
-	}
-}
-
-// refineByISP splits one oversized swarm group into per-ISP slices. Each
-// uploader lands in its ISP's slice (unknown ISPs pool under NoISP); each
-// request follows its cheapest candidate (ties: first in candidate order,
-// the instance's deterministic order) and loses its candidates outside that
-// slice. Returns the slices sorted by ISP and the number of cut edges.
-// ispOfRow is scratch indexed by uploader row; only sh's rows are written.
-func refineByISP(in *sched.Instance, sh *Shard, ispOf func(isp.PeerID) (isp.ID, bool), ispOfRow []isp.ID) ([]Shard, int) {
-	slice := make(map[isp.ID]*Shard)
-	ids := make([]isp.ID, 0, 8)
-	sliceFor := func(m isp.ID) *Shard {
-		s, ok := slice[m]
-		if !ok {
-			s = &Shard{Key: Key{Video: sh.Key.Video, ISP: m}}
-			slice[m] = s
-			ids = append(ids, m)
-		}
-		return s
-	}
-	for _, ui := range sh.Uploaders {
-		m, ok := ispOf(in.Uploaders[ui].Peer)
-		if !ok {
-			m = NoISP
-		}
-		ispOfRow[ui] = m
-		sliceFor(m).Uploaders = append(sliceFor(m).Uploaders, ui)
-	}
-	cut := 0
-	for _, ri := range sh.Requests {
-		cands := in.Requests[ri].Candidates
-		best := 0
-		for ci := 1; ci < len(cands); ci++ {
-			if cands[ci].Cost < cands[best].Cost {
-				best = ci
-			}
-		}
-		rows := in.Rows(ri)
-		home := ispOfRow[rows[best]]
-		s := sliceFor(home)
-		s.Requests = append(s.Requests, ri)
-		for _, ui := range rows {
-			if ispOfRow[ui] != home {
-				s.CutEdges++
-				cut++
-			}
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Shard, 0, len(ids))
-	for _, m := range ids {
-		out = append(out, *slice[m])
-	}
-	return out, cut
 }

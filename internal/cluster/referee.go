@@ -10,19 +10,13 @@ import (
 // VerifySharded is the golden referee: it checks a sharded slot result
 // against the monolithic solve it replaces.
 //
-// When the partition cut no edges (CutEdges == 0), the decomposition is
-// exact — no admissible edge crosses shards, so the union of per-shard ε-CS
-// certificates is an ε-CS certificate for the full problem — and the sharded
-// welfare must match a monolithic cold auction's within the shared
-// certificate band n·ε (bit-equal on integral weights with ε small enough,
-// where both resolve to the unique optimum; TestShardedBitEqual pins that).
-//
-// When refinement cut edges, monolithic equality is no longer a theorem:
-// the sharded solve optimizes the edge-restricted problem. The referee then
-// re-solves each shard's sub-instance cold and requires the sharded welfare
-// to match the summed per-shard optima within the same band — the ε-CS
-// guarantee that survives refinement.
-func VerifySharded(in *sched.Instance, part *Partition, res *sched.Result, epsilon float64) error {
+// The decomposition is exact — no admissible edge crosses shards, so the
+// union of per-shard ε-CS certificates is an ε-CS certificate for the full
+// problem — and the sharded welfare must match a monolithic cold auction's
+// within the shared certificate band n·ε (bit-equal with cold shards, since
+// each replays its part of the monolithic solve;
+// TestShardedColdEqualsMonolithic pins that).
+func VerifySharded(in *sched.Instance, res *sched.Result, epsilon float64) error {
 	if err := in.Validate(res.Grants); err != nil {
 		return fmt.Errorf("cluster: sharded grants infeasible: %w", err)
 	}
@@ -30,42 +24,18 @@ func VerifySharded(in *sched.Instance, part *Partition, res *sched.Result, epsil
 	if err != nil {
 		return err
 	}
-	band := epsilon*float64(len(in.Requests)) + 1e-9
-
-	var want float64
-	if part.CutEdges == 0 {
-		mono, err := (&sched.Auction{Epsilon: epsilon}).Schedule(in)
-		if err != nil {
-			return fmt.Errorf("cluster: monolithic referee solve: %w", err)
-		}
-		if want, err = in.Welfare(mono.Grants); err != nil {
-			return err
-		}
-	} else {
-		for i := range part.Shards {
-			sh := &part.Shards[i]
-			sub, err := in.Subset(sh.Requests, sh.Uploaders)
-			if err != nil {
-				return err
-			}
-			mono, err := (&sched.Auction{Epsilon: epsilon}).Schedule(sub)
-			if err != nil {
-				return fmt.Errorf("cluster: referee solve of shard %v: %w", sh.Key, err)
-			}
-			w, err := sub.Welfare(mono.Grants)
-			if err != nil {
-				return err
-			}
-			want += w
-		}
+	mono, err := (&sched.Auction{Epsilon: epsilon}).Schedule(in)
+	if err != nil {
+		return fmt.Errorf("cluster: monolithic referee solve: %w", err)
 	}
+	want, err := in.Welfare(mono.Grants)
+	if err != nil {
+		return err
+	}
+	band := epsilon*float64(len(in.Requests)) + 1e-9
 	if diff := math.Abs(got - want); diff > band {
-		kind := "monolithic"
-		if part.CutEdges > 0 {
-			kind = fmt.Sprintf("restricted (%d cut edges)", part.CutEdges)
-		}
-		return fmt.Errorf("cluster: sharded welfare %v vs %s %v — Δ=%g exceeds the n·ε certificate band %g",
-			got, kind, want, diff, band)
+		return fmt.Errorf("cluster: sharded welfare %v vs monolithic %v — Δ=%g exceeds the n·ε certificate band %g",
+			got, want, diff, band)
 	}
 	return nil
 }

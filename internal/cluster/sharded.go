@@ -12,44 +12,38 @@ import (
 	"repro/internal/isp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/randx"
 	"repro/internal/sched"
+	"repro/internal/video"
 )
 
 // defaultTTL is how many consecutive slots a shard may sit unused (its swarm
 // drained or merged away) before its solver is reclaimed. A retired shard's
-// buffers (and a stateful factory solver's carried state) are worthless once
-// its peers are gone, and a returning swarm simply gets a fresh solver.
+// buffers are worthless once its peers are gone, and a returning swarm
+// simply gets a fresh solver.
 const defaultTTL = 8
 
 // shardState is the orchestrator's persistent view of one shard.
 type shardState struct {
-	// auction is the default solver, a cold sched.Auction that solves the
-	// shard as a view of the parent instance and takes the orchestrator's
-	// deadline; solver is a NewSolver factory's instead, which solves the
-	// shard's Instance.Subset copy.
-	auction *sched.Auction
-	solver  sched.Scheduler
-	rng     *randx.Source
+	// auction is the shard's cold sched.Auction: it solves the shard as a
+	// view of the parent instance and takes the orchestrator's deadline.
+	auction sched.Auction
 	// idle counts consecutive slots the shard was absent from the partition.
 	idle int
 }
 
-// solved is one shard's outcome in a slot. A view solve writes its grants
+// solved is one shard's outcome in a slot: the view solve writes its grants
 // and prices into the orchestrator's parent-indexed arrays and leaves its
-// counters here; a NewSolver solver's Result is kept whole.
+// counters here.
 type solved struct {
-	view    sched.ViewResult
-	res     *sched.Result
-	welfare float64
-	err     error
+	view sched.ViewResult
+	err  error
 }
 
 // owner is an uploader peer's shard in the last slot, for migration
 // counting.
 type owner struct {
 	peer isp.PeerID
-	key  Key
+	key  video.ID
 }
 
 // Stats are the orchestrator's cumulative lifecycle counters.
@@ -65,26 +59,24 @@ type Stats struct {
 	// membership an incremental partitioner carried, and is kept only
 	// because perfbench's reportSharded still reads it.
 	PartitionIncremental, PartitionRebuilds int64
-	// CutEdges totals candidate edges dropped by ISP-affinity refinement.
-	CutEdges int64
 	// MaxShardRequests is the largest per-shard request count seen.
 	MaxShardRequests int
 }
 
 // ShardedAuction is a sched.Scheduler that solves each slot as a set of
 // independent per-swarm markets: PartitionInstance splits the instance,
-// every shard keeps its own solver across slots (a cold sched.Auction by
-// default, whose problem and solver buffers it reuses), and a bounded
-// worker pool solves the shards concurrently. A default shard is a view of
-// the parent instance, not a copy: its auction fills its problem straight
-// from the parent's rows and writes grants and prices into arrays indexed
-// by parent request and uploader row, which one pass merges into the
-// Result. Results are identical regardless of Workers: shards share no
-// state, and grants, prices and stats merge in deterministic shard-key
-// order. With the default solver and no refinement they are also bit-equal
-// to one sched.Auction on the whole instance: the cold auction's FIFO bid
-// queue, restricted to an independent component, is that component's own
-// queue, so every shard replays its part of the monolithic solve exactly.
+// every shard keeps its own cold sched.Auction across slots (whose problem
+// and solver buffers it reuses), and a bounded worker pool solves the
+// shards concurrently. A shard is a view of the parent instance, not a
+// copy: its auction fills its problem straight from the parent's rows and
+// writes grants and prices into arrays indexed by parent request and
+// uploader row, which one pass merges into the Result. Results are
+// identical regardless of Workers: shards share no state, and grants,
+// prices and stats merge in deterministic shard-key order. They are also
+// bit-equal to one sched.Auction on the whole instance: the cold auction's
+// FIFO bid queue, restricted to an independent component, is that
+// component's own queue, so every shard replays its part of the monolithic
+// solve exactly.
 //
 // A ShardedAuction carries shard solvers across Schedule calls and is bound
 // to one simulation run: create a fresh value per run and do not call
@@ -92,39 +84,26 @@ type Stats struct {
 type ShardedAuction struct {
 	// Epsilon is the bid increment handed to every per-shard solver.
 	Epsilon float64
-	// Deadline is handed to the default per-shard auctions at every
-	// Schedule: each shard, run or queued, stops bidding at that instant
+	// Deadline is handed to the per-shard auctions at every Schedule: each
+	// shard, run or queued, stops bidding at that instant
 	// (sched.Auction.Deadline). The zero value never stops.
 	Deadline time.Time
 	// Workers bounds concurrent shard solves (0 or 1 = sequential).
 	Workers int
-	// MaxShardPeers enables ISP-affinity refinement: swarm groups with more
-	// than this many distinct peers (uploaders plus downloaders, however
-	// many chunks each requests — Shard.Peers) are split per ISP, once an
-	// ISP lookup is injected. 0 = never refine; the partition stays exact.
-	MaxShardPeers int
-	// Seed roots the deterministic per-shard random streams: shard key k
-	// gets root.Derive(k.seedLabel()), so a stream depends only on (Seed,
-	// key) — never on shard count or discovery order.
+	// Seed has no effect: the cold per-shard auctions draw no randomness.
+	// It is kept only because perfbench's worlds still set it.
 	Seed uint64
 	// TTLSlots overrides the idle-reclamation horizon (0 = defaultTTL).
 	TTLSlots int
-	// NewSolver overrides the per-shard solver factory (default: a
-	// sched.Auction with Epsilon). A factory's solver is handed each slot's
-	// shard as an Instance.Subset copy. The shard's private random stream is
-	// for factories whose solvers randomize; sched.Auction ignores it.
-	NewSolver func(key Key, rng *randx.Source) sched.Scheduler
 	// SelfCheck runs the golden referee (VerifySharded) after every slot —
 	// a monolithic re-solve per Schedule, so tests only.
 	SelfCheck bool
 
-	ispOf  func(isp.PeerID) (isp.ID, bool)
 	pt     partitioner
-	shards map[Key]*shardState
+	shards map[video.ID]*shardState
 	// owners lists last slot's shard uploaders by ascending peer, for
 	// migration counting; spareOwners is its double buffer.
 	owners, spareOwners []owner
-	root                *randx.Source
 	slot                int
 	stats               Stats
 	// welfare is the per-solve welfare series (timestamps are solve
@@ -156,11 +135,6 @@ var _ sched.Scheduler = (*ShardedAuction)(nil)
 // Name implements sched.Scheduler.
 func (a *ShardedAuction) Name() string { return "auction-sharded" }
 
-// SetISPLookup injects the peer→ISP mapping that unlocks ISP-affinity
-// refinement (sim.Run injects the topology's lookup through this; without
-// one, oversized components are left whole).
-func (a *ShardedAuction) SetISPLookup(f func(isp.PeerID) (isp.ID, bool)) { a.ispOf = f }
-
 // Stats returns the cumulative lifecycle counters.
 func (a *ShardedAuction) Stats() Stats { return a.stats }
 
@@ -187,8 +161,7 @@ func (a *ShardedAuction) ttl() int {
 // merge, advance the lifecycle.
 func (a *ShardedAuction) Schedule(in *sched.Instance) (*sched.Result, error) {
 	if a.shards == nil {
-		a.shards = make(map[Key]*shardState)
-		a.root = randx.New(a.Seed)
+		a.shards = make(map[video.ID]*shardState)
 	}
 	// tracing is sampled once per slot: the per-shard spans below want a
 	// consistent on/off decision for the whole schedule call, and the
@@ -196,10 +169,9 @@ func (a *ShardedAuction) Schedule(in *sched.Instance) (*sched.Result, error) {
 	a.tracing = obs.Active() != nil
 	ctk := obs.TrackFor("cluster")
 	psp := ctk.Begin("partition")
-	part := a.pt.partition(in, a.MaxShardPeers, a.ispOf)
+	part := a.pt.partition(in)
 	a.stats.PartitionRebuilds++
 	psp.Arg("shards", float64(len(part.Shards))).
-		Arg("cut_edges", float64(part.CutEdges)).
 		Arg("rebuilds_total", float64(a.stats.PartitionRebuilds))
 	psp.End()
 
@@ -214,18 +186,11 @@ func (a *ShardedAuction) Schedule(in *sched.Instance) (*sched.Result, error) {
 		sh := &part.Shards[i]
 		st, ok := a.shards[sh.Key]
 		if !ok {
-			st = &shardState{rng: a.root.Derive(sh.Key.seedLabel())}
-			if a.NewSolver != nil {
-				st.solver = a.NewSolver(sh.Key, st.rng)
-			} else {
-				st.auction = &sched.Auction{Epsilon: a.Epsilon}
-			}
+			st = &shardState{auction: sched.Auction{Epsilon: a.Epsilon}}
 			a.shards[sh.Key] = st
 			a.stats.Born++
 		}
-		if st.auction != nil {
-			st.auction.Deadline = a.Deadline
-		}
+		st.auction.Deadline = a.Deadline
 		st.idle = -1 // seen this slot; bumped back to >= 0 below
 		a.states[i] = st
 		a.stats.MaxShardRequests = max(a.stats.MaxShardRequests, len(sh.Requests))
@@ -285,7 +250,7 @@ func (a *ShardedAuction) Schedule(in *sched.Instance) (*sched.Result, error) {
 	a.in = nil
 
 	if a.SelfCheck {
-		if err := VerifySharded(in, part, out, a.Epsilon); err != nil {
+		if err := VerifySharded(in, out, a.Epsilon); err != nil {
 			return nil, fmt.Errorf("sharded auction self-check: %w", err)
 		}
 	}
@@ -308,10 +273,9 @@ func (a *ShardedAuction) work(w int) {
 	}
 }
 
-// solveShard solves shard i into its slot of the results. A default shard
-// solves as a view of the parent and writes its grants and prices into the
-// parent-indexed arrays; a NewSolver solver solves a Subset copy, and its
-// prices are copied into the same array.
+// solveShard solves shard i as a view of the parent: its auction writes
+// the grants and prices into the parent-indexed arrays and its counters
+// into the shard's slot of the results.
 func (a *ShardedAuction) solveShard(tk *obs.Track, i int) {
 	sh := &a.part.Shards[i]
 	sp := tk.Begin("shard-solve")
@@ -322,37 +286,12 @@ func (a *ShardedAuction) solveShard(tk *obs.Track, i int) {
 			Arg("queue_wait_us", float64(time.Since(a.readyAt).Microseconds()))
 	}
 	defer sp.End()
-	r := &a.results[i]
-	if au := a.states[i].auction; au != nil {
-		v := a.part.view(i)
-		vr, err := au.ScheduleView(a.in, &v, a.grant, a.price)
-		*r = solved{view: vr, welfare: vr.Welfare, err: err}
-		if tk != nil && err == nil {
-			sp.Arg("bids", float64(vr.Bids)).Arg("iterations", float64(vr.Iterations)).Arg("gap", vr.Gap)
-		}
-		return
+	v := a.part.view(i)
+	vr, err := a.states[i].auction.ScheduleView(a.in, &v, a.grant, a.price)
+	a.results[i] = solved{view: vr, err: err}
+	if tk != nil && err == nil {
+		sp.Arg("bids", float64(vr.Bids)).Arg("iterations", float64(vr.Iterations)).Arg("gap", vr.Gap)
 	}
-	sub, err := a.in.Subset(sh.Requests, sh.Uploaders)
-	if err != nil {
-		*r = solved{err: err}
-		return
-	}
-	res, err := a.states[i].solver.Schedule(sub)
-	if err != nil {
-		*r = solved{err: err}
-		return
-	}
-	if tk != nil && res.Stats != nil {
-		sp.Arg("bids", res.Stats["bids"]).Arg("iterations", res.Stats["iterations"])
-		if gap, ok := res.Stats["gap"]; ok {
-			sp.Arg("gap", gap)
-		}
-	}
-	for k, ui := range sh.Uploaders {
-		a.price[ui] = res.Prices[sub.Uploaders[k].Peer]
-	}
-	w, err := sub.Welfare(res.Grants)
-	*r = solved{res: res, welfare: w, err: err}
 }
 
 // merge turns the shards' outcomes into the slot's Result in one pass in
@@ -368,41 +307,25 @@ func (a *ShardedAuction) merge(ctk *obs.Track) (*sched.Result, error) {
 		if err := results[i].err; err != nil {
 			return nil, fmt.Errorf("sharded auction: shard %v: %w", part.Shards[i].Key, err)
 		}
-		if res := results[i].res; res != nil {
-			grants += len(res.Grants)
-		} else {
-			grants += results[i].view.Grants
-		}
+		grants += results[i].view.Grants
 	}
 	out := &sched.Result{
 		Prices: make(map[isp.PeerID]float64, len(in.Uploaders)),
-		Stats:  make(map[string]float64, 9),
+		Stats:  make(map[string]float64, 8),
 	}
 	if grants > 0 {
 		out.Grants = make([]sched.Grant, 0, grants)
 	}
 	var bids, iterations, evictions, stopped int
-	views := 0
 	gap, welfare := 0.0, 0.0
 	for i := range part.Shards {
-		sh, r := &part.Shards[i], &results[i]
-		welfare += r.welfare
-		if r.res != nil {
-			for _, g := range r.res.Grants {
-				out.Grants = append(out.Grants, sched.Grant{Request: sh.Requests[g.Request], Uploader: g.Uploader})
-			}
-			for k, v := range r.res.Stats {
-				out.Stats[k] += v
-			}
-			continue
-		}
-		for _, ri := range sh.Requests {
+		for _, ri := range part.Shards[i].Requests {
 			if row := a.grant[ri]; row >= 0 {
 				out.Grants = append(out.Grants, sched.Grant{Request: ri, Uploader: in.Uploaders[row].Peer})
 			}
 		}
-		v := &r.view
-		views++
+		v := &results[i].view
+		welfare += v.Welfare
 		bids += v.Bids
 		iterations += v.Iterations
 		evictions += v.Evictions
@@ -411,7 +334,7 @@ func (a *ShardedAuction) merge(ctk *obs.Track) (*sched.Result, error) {
 			stopped++
 		}
 	}
-	if views > 0 {
+	if len(part.Shards) > 0 {
 		out.Stats["bids"] = float64(bids)
 		out.Stats["iterations"] = float64(iterations)
 		out.Stats["evictions"] = float64(evictions)
@@ -426,20 +349,12 @@ func (a *ShardedAuction) merge(ctk *obs.Track) (*sched.Result, error) {
 	}
 	migrations := a.migrations()
 	a.stats.Migrations += int64(migrations)
-	a.stats.CutEdges += int64(part.CutEdges)
-	if part.CutEdges > 0 {
-		// Refinement solved the shards without their cut edges, so the
-		// summed shard gaps do not bound the whole instance: price it whole.
-		out.Stats["gap"] = dualGap(in, a.price, welfare)
-	}
 	out.Stats["shards"] = float64(len(part.Shards))
-	out.Stats["cut_edges"] = float64(part.CutEdges)
 	out.Stats["migrations"] = float64(migrations)
 	out.Stats["idle_uploaders"] = float64(len(part.IdleUploaders))
 	msp.Arg("shards", float64(len(part.Shards))).
 		Arg("grants", float64(len(out.Grants))).
-		Arg("migrations", float64(migrations)).
-		Arg("cut_edges", float64(part.CutEdges))
+		Arg("migrations", float64(migrations))
 	msp.End()
 	return out, nil
 }
@@ -481,23 +396,4 @@ func (a *ShardedAuction) migrations() int {
 	}
 	a.owners, a.spareOwners = cur, prev
 	return migrations
-}
-
-// dualGap is the merged result's duality gap over the whole instance:
-// Σ λ_u·B(u) + Σ_r max(0, max_k(v − c_k − λ_{u_k})) − welfare, with the
-// prices by uploader row.
-func dualGap(in *sched.Instance, prices []float64, welfare float64) float64 {
-	dual := 0.0
-	for i, u := range in.Uploaders {
-		dual += prices[i] * float64(u.Capacity)
-	}
-	for i := range in.Requests {
-		r := &in.Requests[i]
-		eta := 0.0
-		for k, row := range in.Rows(i) {
-			eta = max(eta, r.Value-r.Candidates[k].Cost-prices[row])
-		}
-		dual += eta
-	}
-	return dual - welfare
 }

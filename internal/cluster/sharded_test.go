@@ -122,67 +122,48 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedSelfCheckRefinement runs the orchestrator with ISP-affinity
-// refinement forced on and the referee armed: the per-shard certificate must
-// hold even though the partition is no longer exact, and edges must actually
-// be cut.
-func TestShardedSelfCheckRefinement(t *testing.T) {
-	slots := buildSlots(17, 5, 2, 60, 12, 0.15, false)
-	a := &ShardedAuction{Epsilon: 0.01, Workers: 2, MaxShardPeers: 30, SelfCheck: true}
-	a.SetISPLookup(func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true })
-	for i, in := range slots {
-		if _, err := a.Schedule(in); err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-	}
-	if a.Stats().CutEdges == 0 {
-		t.Fatal("refinement never cut an edge; the scenario is not exercising the refined path")
-	}
-}
-
-// TestShardedGapCoversWholeInstance: the merged Stats["gap"] must be the
-// whole instance's Dual(λ) − W, recomputed here from its candidates, both on
-// the exact partition (where it is the sum of the shard gaps and within
-// n·ε) and under ISP-affinity refinement, whose shards never see the cut
-// edges.
+// TestShardedGapCoversWholeInstance: the merged Stats["gap"], the sum of
+// the shard gaps, must be the whole instance's Dual(λ) − W, recomputed here
+// from its candidates, and within n·ε. The golden referee (SelfCheck) runs
+// after every slot too.
 func TestShardedGapCoversWholeInstance(t *testing.T) {
 	const eps = 0.01
 	slots := buildSlots(17, 5, 2, 60, 12, 0.15, false)
-	for _, maxPeers := range []int{0, 30} {
-		a := &ShardedAuction{Epsilon: eps, Workers: 2, MaxShardPeers: maxPeers}
-		a.SetISPLookup(func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true })
-		for i, in := range slots {
-			res, err := a.Schedule(in)
-			if err != nil {
-				t.Fatalf("slot %d: %v", i, err)
-			}
-			welfare, err := in.Welfare(res.Grants)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dual := 0.0
-			for _, u := range in.Uploaders {
-				dual += res.Prices[u.Peer] * float64(u.Capacity)
-			}
-			for _, r := range in.Requests {
-				eta := 0.0
-				for _, c := range r.Candidates {
-					eta = max(eta, r.Value-c.Cost-res.Prices[c.Peer])
-				}
-				dual += eta
-			}
-			gap, tol := res.Stats["gap"], 1e-9*max(1, dual)
-			if math.Abs(gap-(dual-welfare)) > tol || gap < -tol {
-				t.Fatalf("max-shard-peers %d, slot %d: gap %v, whole-instance Dual − W = %v",
-					maxPeers, i, gap, dual-welfare)
-			}
-			if maxPeers == 0 && gap > eps*float64(len(in.Requests))+tol {
-				t.Fatalf("slot %d: exact-partition gap %v exceeds n·ε", i, gap)
-			}
+	a := &ShardedAuction{Epsilon: eps, Workers: 2, SelfCheck: true}
+	for i, in := range slots {
+		res, err := a.Schedule(in)
+		if err != nil {
+			t.Fatalf("slot %d: %v", i, err)
 		}
-		if maxPeers > 0 && a.Stats().CutEdges == 0 {
-			t.Fatal("refinement never cut an edge")
+		checkGap(t, fmt.Sprintf("slot %d", i), in, res)
+		if gap := res.Stats["gap"]; gap > eps*float64(len(in.Requests))+1e-9 {
+			t.Fatalf("slot %d: gap %v exceeds n·ε", i, gap)
 		}
+	}
+}
+
+// checkGap fails unless res.Stats["gap"] is in's Dual(λ) − W at res's
+// prices and grants, recomputed from the candidates.
+func checkGap(t *testing.T, label string, in *sched.Instance, res *sched.Result) {
+	t.Helper()
+	welfare, err := in.Welfare(res.Grants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual := 0.0
+	for _, u := range in.Uploaders {
+		dual += res.Prices[u.Peer] * float64(u.Capacity)
+	}
+	for _, r := range in.Requests {
+		eta := 0.0
+		for _, c := range r.Candidates {
+			eta = max(eta, r.Value-c.Cost-res.Prices[c.Peer])
+		}
+		dual += eta
+	}
+	gap, tol := res.Stats["gap"], 1e-9*max(1, dual)
+	if math.Abs(gap-(dual-welfare)) > tol || gap < -tol {
+		t.Fatalf("%s: gap %v, whole-instance Dual − W = %v", label, gap, dual-welfare)
 	}
 }
 
@@ -303,28 +284,6 @@ func TestShardedWelfareSeriesMergesExactly(t *testing.T) {
 	}
 }
 
-// TestShardedPerShardStreamsStable pins the per-shard randomness contract: a
-// shard's stream depends only on (Seed, Key) — the same key yields the same
-// stream regardless of how many shards exist or when it was born.
-func TestShardedPerShardStreamsStable(t *testing.T) {
-	root := randx.New(42)
-	k := Key{Video: 7, ISP: NoISP}
-	a := root.Derive(k.seedLabel())
-	// A different root position or other derivations must not disturb it.
-	root2 := randx.New(42)
-	_ = root2.Derive(Key{Video: 1, ISP: NoISP}.seedLabel())
-	_ = root2.Derive(Key{Video: 3, ISP: 2}.seedLabel())
-	b := root2.Derive(k.seedLabel())
-	for i := 0; i < 8; i++ {
-		if got, want := b.Uint64(), a.Uint64(); got != want {
-			t.Fatalf("draw %d: stream for %+v not stable: %x vs %x", i, k, got, want)
-		}
-	}
-	if (Key{Video: 7, ISP: 0}).seedLabel() == k.seedLabel() {
-		t.Error("ISP slice shares a seed label with its unrefined shard")
-	}
-}
-
 func chunkOf(swarm, idx int) video.ChunkID {
 	return video.ChunkID{Video: video.ID(swarm), Index: video.ChunkIndex(idx)}
 }
@@ -359,26 +318,33 @@ func TestShardedWelfareSeriesDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedColdEqualsMonolithic is the differential test of the cold
-// shards: a Builder-produced churn sequence, fed through the orchestrator,
+// TestShardedColdEqualsMonolithic is the differential test of the shard
+// views: a Builder-produced churn sequence, fed through the orchestrator,
 // must grant exactly what one monolithic sched.Auction grants, at exactly
-// its prices, on every slot and at every worker count. The cold auction's FIFO bid queue, restricted to
-// an independent component, is that component's own queue, so each shard
-// replays its part of the monolithic solve bid for bid.
+// its prices, on every slot and at every worker count. The cold auction's
+// FIFO bid queue, restricted to an independent component, is that
+// component's own queue, so each shard replays its part of the monolithic
+// solve bid for bid. Past a deadline both sides stop before the first bid
+// and fill spare capacity in request order, which a component also does on
+// its own, so the stopped fills are bit-equal too. (A deadline reached
+// mid-solve is not: every solver reads the clock on its own iteration
+// count.)
 func TestShardedColdEqualsMonolithic(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		slots []*sched.Instance
+		name     string
+		slots    []*sched.Instance
+		deadline time.Time
 	}{
-		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false)},
-		{"integral", buildSlots(31, 14, 5, 60, 12, 0.3, true)},
-		{"heavy-churn", buildSlots(37, 10, 12, 25, 6, 0.6, false)},
-		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12)},
+		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false), time.Time{}},
+		{"integral", buildSlots(31, 14, 5, 60, 12, 0.3, true), time.Time{}},
+		{"heavy-churn", buildSlots(37, 10, 12, 25, 6, 0.6, false), time.Time{}},
+		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12), time.Time{}},
+		{"past-deadline", buildSlots(29, 8, 6, 40, 10, 0.2, false), time.Unix(1, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					coldEqualsMonolithic(t, tc.slots, workers)
+					coldEqualsMonolithic(t, tc.slots, workers, tc.deadline)
 				})
 			}
 		})
@@ -386,67 +352,49 @@ func TestShardedColdEqualsMonolithic(t *testing.T) {
 }
 
 // TestShardedViewMatchesSubsetPath is the referee of the shard views: the
-// shipping path, whose default auctions fill their problems straight from
-// the parent's rows and write grants and prices by parent index, against a
-// twin whose NewSolver hands each shard's Instance.Subset copy to a plain
-// sched.Auction. On swarm churn, cross-swarm churn, under ISP-affinity
-// refinement (cut edges) and past a deadline, at 1, 2 and 8 workers, the
-// two must agree bit for bit: grants in order, every price, every stat,
-// the welfare series and the lifecycle counters.
+// shipping path, whose auctions fill their problems straight from the
+// parent's rows and write grants and prices by parent index, against a
+// twin that copies each shard of a fresh PartitionInstance into a
+// standalone instance and hands it to a plain sched.Auction. On swarm
+// churn, cross-swarm churn and past a deadline, at 1, 2 and 8 workers, the
+// two must agree bit for bit: grants in order, every price and every
+// summed counter.
 func TestShardedViewMatchesSubsetPath(t *testing.T) {
-	ispOf := func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true }
 	for _, tc := range []struct {
 		name     string
 		slots    []*sched.Instance
-		maxPeers int
 		deadline time.Time
 	}{
-		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false), 0, time.Time{}},
-		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12), 0, time.Time{}},
-		{"refined", buildSlots(17, 8, 2, 60, 12, 0.15, false), 30, time.Time{}},
-		{"past-deadline", buildSlots(29, 8, 6, 40, 10, 0.2, false), 0, time.Unix(1, 0)},
+		{"float", buildSlots(23, 14, 8, 40, 10, 0.2, false), time.Time{}},
+		{"cross-swarm", crossSwarmSlots(t, 43, 24, 8, 6, 12), time.Time{}},
+		{"past-deadline", buildSlots(29, 8, 6, 40, 10, 0.2, false), time.Unix(1, 0)},
 	} {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				mk := func() *ShardedAuction {
-					return &ShardedAuction{Epsilon: 0.01, Workers: workers, Seed: 9,
-						MaxShardPeers: tc.maxPeers, Deadline: tc.deadline, TTLSlots: 3}
-				}
-				shipping, subset := mk(), mk()
-				subset.NewSolver = func(Key, *randx.Source) sched.Scheduler {
-					return &sched.Auction{Epsilon: 0.01, Deadline: tc.deadline}
-				}
-				shipping.SetISPLookup(ispOf)
-				subset.SetISPLookup(ispOf)
-				stopped := 0.0
+				shipping := &ShardedAuction{Epsilon: 0.01, Workers: workers, Deadline: tc.deadline}
+				stopped, granted := 0.0, 0
 				for slot, in := range tc.slots {
 					got, err := shipping.Schedule(in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := subset.Schedule(in)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := subsetPath(t, in, 0.01, tc.deadline)
 					if !slices.Equal(got.Grants, want.Grants) {
 						t.Fatalf("slot %d: grants diverge from the Subset path's", slot)
 					}
 					if !reflect.DeepEqual(got.Prices, want.Prices) {
 						t.Fatalf("slot %d: prices diverge from the Subset path's", slot)
 					}
-					if !reflect.DeepEqual(got.Stats, want.Stats) {
-						t.Fatalf("slot %d: stats diverge:\n got %v\nwant %v", slot, got.Stats, want.Stats)
+					for k, w := range want.Stats {
+						if got.Stats[k] != w {
+							t.Fatalf("slot %d: stat %q is %v, Subset path %v", slot, k, got.Stats[k], w)
+						}
 					}
 					stopped += got.Stats["stopped"]
+					granted += len(got.Grants)
 				}
-				if !reflect.DeepEqual(shipping.WelfareSeries(), subset.WelfareSeries()) {
-					t.Fatal("welfare series diverge from the Subset path's")
-				}
-				if shipping.Stats() != subset.Stats() {
-					t.Fatalf("lifecycle counters %+v, Subset path %+v", shipping.Stats(), subset.Stats())
-				}
-				if tc.maxPeers > 0 && shipping.Stats().CutEdges == 0 {
-					t.Fatal("refinement never cut an edge")
+				if granted == 0 {
+					t.Fatal("nothing granted; the fixture is vacuous")
 				}
 				if !tc.deadline.IsZero() && stopped == 0 {
 					t.Fatal("no shard stopped at the past deadline")
@@ -456,73 +404,78 @@ func TestShardedViewMatchesSubsetPath(t *testing.T) {
 	}
 }
 
-// TestShardedMigrationsUnderRefinement runs a trace in which ISP-affinity
-// refinement splits some swarms and not others, and swarms cross the
-// threshold both ways mid-run, so a split moves later shards to new
-// indices. Every slot, the orchestrator's reused partition must equal a
-// fresh PartitionInstance, row tables included, each row's table entries
-// must name its final shard, and the migrations counted must match a
-// per-peer map of last slot's shard keys.
-func TestShardedMigrationsUnderRefinement(t *testing.T) {
-	const maxPeers = 20
-	ispOf := func(p isp.PeerID) (isp.ID, bool) { return isp.ID(int(p) % 3), true }
-	// reqs[s][slot] is swarm s's request count: swarm 0 starts oversized
-	// and shrinks, swarm 3 starts small and grows, swarm 2 stays oversized,
-	// swarms 1 and 4 stay small.
-	reqs := [][]int{
-		{30, 30, 30, 6, 6, 6, 30, 30},
-		{5, 5, 5, 5, 5, 5, 5, 5},
-		{25, 25, 25, 25, 25, 25, 25, 25},
-		{4, 4, 4, 30, 30, 30, 4, 4},
-		{6, 6, 6, 6, 6, 6, 6, 6},
+// subsetPath solves in shard by shard on standalone copies: each shard of
+// PartitionInstance(in) becomes its own Instance (its requests and
+// uploaders in parent order, candidate lists intact, since no edge leaves
+// a component) solved by a fresh sched.Auction. Grants come back in parent
+// indices, shard by shard in key order; prices cover every uploader (idle
+// ones at 0); bids, iterations, evictions, gap and stopped shards are
+// summed in key order, as the orchestrator merges them.
+func subsetPath(t *testing.T, in *sched.Instance, eps float64, deadline time.Time) *sched.Result {
+	t.Helper()
+	part := PartitionInstance(in)
+	out := &sched.Result{Prices: map[isp.PeerID]float64{}, Stats: map[string]float64{}}
+	for _, u := range in.Uploaders {
+		out.Prices[u.Peer] = 0
 	}
-	const upPer = 6
-	rng := randx.New(3)
-	a := &ShardedAuction{Epsilon: 0.01, Workers: 2, MaxShardPeers: maxPeers, Seed: 4}
-	a.SetISPLookup(ispOf)
-	last := map[isp.PeerID]Key{}
-	var total int64
-	mixed := false
-	for slot := range reqs[0] {
-		var ups []sched.Uploader
-		var rs []sched.Request
-		for s := range reqs {
-			for u := 0; u < upPer; u++ {
-				ups = append(ups, sched.Uploader{Peer: isp.PeerID(s*1000 + u), Capacity: 1 + rng.Intn(3)})
-			}
-			for r := 0; r < reqs[s][slot]; r++ {
-				var cands []sched.Candidate
-				for _, u := range rng.Perm(upPer)[:1+rng.Intn(3)] {
-					cands = append(cands, sched.Candidate{Peer: isp.PeerID(s*1000 + u), Cost: float64(u%3) + rng.Float64()})
-				}
-				rs = append(rs, sched.Request{Peer: isp.PeerID(100_000 + s*1000 + r),
-					Chunk: video.ChunkID{Video: video.ID(s), Index: video.ChunkIndex(r)}, Value: rng.Range(2, 8), Candidates: cands})
-			}
+	for _, sh := range part.Shards {
+		reqs := make([]sched.Request, len(sh.Requests))
+		for k, ri := range sh.Requests {
+			reqs[k] = in.Requests[ri]
 		}
-		in, err := sched.NewInstance(rs, ups)
+		ups := make([]sched.Uploader, len(sh.Uploaders))
+		for k, ui := range sh.Uploaders {
+			ups[k] = in.Uploaders[ui]
+		}
+		sub, err := sched.NewInstance(reqs, ups)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("shard %v: %v", sh.Key, err)
 		}
+		res, err := (&sched.Auction{Epsilon: eps, Deadline: deadline}).Schedule(sub)
+		if err != nil {
+			t.Fatalf("shard %v: %v", sh.Key, err)
+		}
+		for _, g := range sortedGrants(res.Grants) {
+			out.Grants = append(out.Grants, sched.Grant{Request: sh.Requests[g.Request], Uploader: g.Uploader})
+		}
+		for p, lambda := range res.Prices {
+			out.Prices[p] = lambda
+		}
+		for _, k := range []string{"bids", "iterations", "evictions", "gap", "stopped"} {
+			out.Stats[k] += res.Stats[k]
+		}
+	}
+	out.Stats["shards"] = float64(len(part.Shards))
+	out.Stats["idle_uploaders"] = float64(len(part.IdleUploaders))
+	return out
+}
+
+// TestShardedMigrations runs the cross-swarm churn trace, whose components
+// merge, split and re-key across slots, so shards move to new indices and
+// uploaders to new keys. Every slot, the orchestrator's reused partition
+// must equal a fresh PartitionInstance, row tables included, each row's
+// table entries must name its final shard, and the migrations counted must
+// match a per-peer map of last slot's shard keys.
+func TestShardedMigrations(t *testing.T) {
+	a := &ShardedAuction{Epsilon: 0.01, Workers: 2}
+	last := map[isp.PeerID]video.ID{}
+	var total int64
+	for slot, in := range crossSwarmSlots(t, 43, 24, 8, 6, 12) {
 		out, err := a.Schedule(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := a.part, PartitionInstance(in, maxPeers, ispOf)
-		if got.CutEdges != want.CutEdges || got.Refined != want.Refined ||
-			!slices.Equal(got.IdleUploaders, want.IdleUploaders) || !slices.Equal(got.Orphans, want.Orphans) ||
+		got, want := a.part, PartitionInstance(in)
+		if !slices.Equal(got.IdleUploaders, want.IdleUploaders) || !slices.Equal(got.Orphans, want.Orphans) ||
 			!slices.Equal(got.shardOf, want.shardOf) || !slices.Equal(got.sinkOf, want.sinkOf) ||
 			!slices.EqualFunc(got.Shards, want.Shards, func(x, y Shard) bool {
-				return x.Key == y.Key && x.CutEdges == y.CutEdges &&
-					slices.Equal(x.Requests, y.Requests) && slices.Equal(x.Uploaders, y.Uploaders)
+				return x.Key == y.Key && slices.Equal(x.Requests, y.Requests) && slices.Equal(x.Uploaders, y.Uploaders)
 			}) {
 			t.Fatalf("slot %d: the reused partition differs from a fresh PartitionInstance", slot)
 		}
-		cur := map[isp.PeerID]Key{}
-		migrations, rows, refined := 0, 0, 0
+		cur := map[isp.PeerID]video.ID{}
+		migrations, rows := 0, 0
 		for s, sh := range got.Shards {
-			if sh.Key.ISP != NoISP {
-				refined++
-			}
 			for k, ui := range sh.Uploaders {
 				if got.shardOf[ui] != int32(s) || got.sinkOf[ui] != int32(k) {
 					t.Fatalf("slot %d: row %d of shard %v maps to shard %d, sink %d; want %d, %d",
@@ -539,7 +492,6 @@ func TestShardedMigrationsUnderRefinement(t *testing.T) {
 		if rows+len(got.IdleUploaders) != len(in.Uploaders) {
 			t.Fatalf("slot %d: %d shard rows and %d idle of %d uploaders", slot, rows, len(got.IdleUploaders), len(in.Uploaders))
 		}
-		mixed = mixed || (refined > 0 && refined < len(got.Shards))
 		last = cur
 		total += int64(migrations)
 		if out.Stats["migrations"] != float64(migrations) || a.Stats().Migrations != total {
@@ -547,23 +499,24 @@ func TestShardedMigrationsUnderRefinement(t *testing.T) {
 				slot, out.Stats["migrations"], a.Stats().Migrations, migrations, total)
 		}
 	}
-	if !mixed || total == 0 {
-		t.Fatalf("the trace never mixed refined and whole shards (%v) or never migrated (%d)", mixed, total)
+	if total == 0 {
+		t.Fatal("the trace never migrated an uploader")
 	}
 }
 
 // TestShardedScheduleAllocs pins the steady-state sharded round: once its
 // arrays have grown, a Schedule allocates the same constant count at 6 and
-// at 60 swarms, and nothing per shard: the Result, its grants slice, and
-// its Prices and Stats maps, four allocations each (a map of more than
-// eight entries is a header, a directory, a table and its slots).
+// at 60 swarms, and nothing per shard: the Result, its grants slice, its
+// Prices map, four allocations (a map of more than eight entries is a
+// header, a directory, a table and its slots), and its eight-entry Stats
+// map, two (a header and one group).
 func TestShardedScheduleAllocs(t *testing.T) {
-	const bound = 10
+	const bound = 8
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var counts []float64
 	for _, swarms := range []int{6, 60} {
 		slots := buildSlots(41, 2, swarms, 30, 8, 0.3, false)
-		a := &ShardedAuction{Epsilon: 0.01, Seed: 1}
+		a := &ShardedAuction{Epsilon: 0.01}
 		round := func() {
 			for _, in := range slots {
 				if _, err := a.Schedule(in); err != nil {
@@ -584,11 +537,13 @@ func TestShardedScheduleAllocs(t *testing.T) {
 }
 
 // coldEqualsMonolithic replays slots through a Builder and checks the
-// orchestrator against one sched.Auction on every slot.
-func coldEqualsMonolithic(t *testing.T, slots []*sched.Instance, workers int) {
+// orchestrator against one sched.Auction, both under deadline, on every
+// slot. Past the deadline every shard must have stopped, and the merged
+// gap must still be the whole instance's.
+func coldEqualsMonolithic(t *testing.T, slots []*sched.Instance, workers int, deadline time.Time) {
 	b := sched.NewBuilder()
-	sharded := &ShardedAuction{Epsilon: 0.01, Workers: workers, Seed: 5}
-	mono := &sched.Auction{Epsilon: 0.01}
+	sharded := &ShardedAuction{Epsilon: 0.01, Workers: workers, Deadline: deadline}
+	mono := &sched.Auction{Epsilon: 0.01, Deadline: deadline}
 	for slot, raw := range slots {
 		in := replay(t, b, raw)
 		want, err := mono.Schedule(in)
@@ -599,7 +554,15 @@ func coldEqualsMonolithic(t *testing.T, slots []*sched.Instance, workers int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameOutcome(t, fmt.Sprintf("slot %d", slot), got, want)
+		label := fmt.Sprintf("slot %d", slot)
+		sameOutcome(t, label, got, want)
+		if !deadline.IsZero() {
+			if got.Stats["stopped"] != got.Stats["shards"] || want.Stats["stopped"] != 1 {
+				t.Fatalf("%s: %v of %v shards stopped (monolithic stopped %v) at a past deadline",
+					label, got.Stats["stopped"], got.Stats["shards"], want.Stats["stopped"])
+			}
+			checkGap(t, label, in, got)
+		}
 	}
 }
 

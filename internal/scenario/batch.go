@@ -23,8 +23,7 @@ type Grid struct {
 var intParams = map[string]bool{
 	"peers": true, "slots": true, "neighbors": true,
 	"seeds-per-video": true, "videos": true, "window": true,
-	"requests": true, "sinks": true,
-	"shard-workers": true, "shard-max": true,
+	"requests": true, "sinks": true, "shard-workers": true,
 	"cross-cap": true, "clique-size": true,
 	"edge-capacity": true, "edge-cache": true, "origin-capacity": true,
 	"rejoin-after": true,
@@ -33,8 +32,8 @@ var intParams = map[string]bool{
 // ApplyParam mutates the spec by one named parameter — the vocabulary of
 // batch sweeps and of p2psim's -set. Keys: peers, slots, neighbors, epsilon,
 // arrival, early-leave, cost-scale, seeds-per-video, videos, window,
-// requests, sinks, sharding, shard-workers, shard-max, locality,
-// cross-cap, transit-cost, free-rider-frac, shade-factor, clique-size,
+// requests, sinks, sharding, shard-workers, locality, cross-cap,
+// transit-cost, free-rider-frac, shade-factor, clique-size,
 // throttle-cap, edge-capacity, edge-cache, origin-capacity, cdn-only,
 // crash-prob, rejoin-after. Integer keys reject fractional values.
 func ApplyParam(s *Spec, key string, v float64) error {
@@ -124,8 +123,6 @@ func ApplyParam(s *Spec, key string, v float64) error {
 		}
 	case "shard-workers":
 		s.Sharding.Workers = int(v)
-	case "shard-max":
-		s.Sharding.MaxShardPeers = int(v)
 	case "peers":
 		s.Sim.StaticPeers = int(v)
 	case "slots":
@@ -191,7 +188,7 @@ func ApplyParam(s *Spec, key string, v float64) error {
 		return fmt.Errorf("scenario: unknown sweep parameter %q (want peers, slots, "+
 			"neighbors, epsilon, arrival, early-leave, cost-scale, seeds-per-video, "+
 			"videos, window, requests, sinks, sharding, shard-workers, "+
-			"shard-max, locality, cross-cap, transit-cost, free-rider-frac, "+
+			"locality, cross-cap, transit-cost, free-rider-frac, "+
 			"shade-factor, clique-size, throttle-cap, edge-capacity, edge-cache, "+
 			"origin-capacity, cdn-only, crash-prob or rejoin-after)", key)
 	}

@@ -59,7 +59,7 @@ func TestApplyParamRejectsFractionalIntegers(t *testing.T) {
 		"peers", "slots", "neighbors",
 		"seeds-per-video", "videos", "window",
 		"requests", "sinks",
-		"shard-workers", "shard-max",
+		"shard-workers",
 		"cross-cap", "clique-size",
 		"edge-capacity", "edge-cache", "origin-capacity",
 		"rejoin-after",

@@ -146,7 +146,6 @@ var honestPathGolden = map[string]map[string]float64{
 		"joined":           1508,
 		"miss_rate":        0.054428600120506127,
 		"payments":         60.20666063973271,
-		"shard_cut_edges":  0,
 		"shard_migrations": 0,
 		"shards_born":      252,
 		"shards_mean":      251.5,
@@ -181,7 +180,6 @@ var honestPathGolden = map[string]map[string]float64{
 		"joined":           487,
 		"miss_rate":        0.01891891891891892,
 		"payments":         0,
-		"shard_cut_edges":  0,
 		"shard_migrations": 0,
 		"shards_born":      61,
 		"shards_mean":      34.4,

@@ -83,10 +83,8 @@ const (
 	// SolverAuctionSharded is the sharded swarm orchestrator
 	// (cluster.ShardedAuction, sim only): the slot problem is partitioned into
 	// its independent swarm components, each solved cold by its own
-	// sched.Auction, concurrently per Spec.Sharding. When no edges are cut
-	// the grants and prices equal SolverAuction's bit for bit; with ISP
-	// refinement each shard keeps its own ε-CS certificate (see
-	// docs/ARCHITECTURE.md §10).
+	// sched.Auction, concurrently per Spec.Sharding. The grants and prices
+	// equal SolverAuction's bit for bit (see docs/ARCHITECTURE.md §10).
 	SolverAuctionSharded Solver = "auction-sharded"
 	// SolverAuctionDES plays the auction as the paper's distributed
 	// protocol, message by message over a latency-accurate network
@@ -115,12 +113,7 @@ func (s Spec) Scheduler(cfg sim.Config) (sched.Scheduler, error) {
 	case SolverAuction:
 		return &sched.Auction{Epsilon: cfg.Epsilon}, nil
 	case SolverAuctionSharded:
-		return &cluster.ShardedAuction{
-			Epsilon:       cfg.Epsilon,
-			Workers:       s.Sharding.Workers,
-			MaxShardPeers: s.Sharding.MaxShardPeers,
-			Seed:          cfg.Seed,
-		}, nil
+		return &cluster.ShardedAuction{Epsilon: cfg.Epsilon, Workers: s.Sharding.Workers}, nil
 	case SolverAuctionDES:
 		return &sim.DES{}, nil
 	case SolverExact:
@@ -169,9 +162,6 @@ type LiveParams struct {
 type Sharding struct {
 	// Workers bounds concurrent shard solves (0 or 1 = sequential).
 	Workers int
-	// MaxShardPeers enables ISP-affinity refinement of components bigger
-	// than this many peers (0 = never refine; the partition stays exact).
-	MaxShardPeers int
 }
 
 // Spec declares one scenario: what world to build, what workload to drive
@@ -191,8 +181,8 @@ type Spec struct {
 	// for KindLive, which only plays the distributed auction — is
 	// SolverAuction.
 	Solver Solver
-	// Sharding sizes SolverAuctionSharded's worker pool and shard
-	// refinement; other solvers ignore it.
+	// Sharding sizes SolverAuctionSharded's worker pool; other solvers
+	// ignore it.
 	Sharding Sharding
 	// Heavy marks scenarios too large for routine double-run golden tests;
 	// they are smoke-tested once instead.
@@ -468,7 +458,6 @@ func (s Spec) runSim(seed uint64) (*Result, error) {
 		res.Metrics["shards_born"] = float64(st.Born)
 		res.Metrics["shards_retired"] = float64(st.Retired)
 		res.Metrics["shard_migrations"] = float64(st.Migrations)
-		res.Metrics["shard_cut_edges"] = float64(st.CutEdges)
 	}
 	if !s.Behavior.IsZero() {
 		// Run the honest control at the same seed — the behavior RNG stream

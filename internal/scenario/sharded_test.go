@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/isp"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -18,11 +17,11 @@ import (
 // every registered sim scenario, run the seed-42 simulation through the
 // sharded orchestrator and solve every slot instance a second time with one
 // monolithic cold auction; the two must grant exactly the same requests to
-// the same uploaders at bit-equal prices on every single solve. With no ISP
-// refinement the partition is exact (no admissible edge crosses shards),
-// and the cold auction's FIFO bid queue restricted to an independent
-// component is that component's own queue, so each shard replays its part
-// of the monolithic solve bid for bid.
+// the same uploaders at bit-equal prices on every single solve. The
+// partition is exact (no admissible edge crosses shards), and the cold
+// auction's FIFO bid queue restricted to an independent component is that
+// component's own queue, so each shard replays its part of the monolithic
+// solve bid for bid.
 func TestShardedEqualsMonolithicWelfarePerScenario(t *testing.T) {
 	const seed = 42
 	for _, spec := range All() {
@@ -63,8 +62,6 @@ type coldTwin struct {
 }
 
 func (c *coldTwin) Name() string { return c.sharded.Name() }
-
-func (c *coldTwin) SetISPLookup(f func(isp.PeerID) (isp.ID, bool)) { c.sharded.SetISPLookup(f) }
 
 func (c *coldTwin) Schedule(in *sched.Instance) (*sched.Result, error) {
 	res, err := c.sharded.Schedule(in)
@@ -139,13 +136,8 @@ func TestShardedPresetMatchesMonolithicMetrics(t *testing.T) {
 // maps onto it.
 func TestShardingValidation(t *testing.T) {
 	spec := mustGet(t, "churn").WithSolver(SolverAuctionSharded)
-	for _, p := range []struct {
-		key string
-		val float64
-	}{{"shard-workers", 4}, {"shard-max", 2000}} {
-		if err := ApplyParam(&spec, p.key, p.val); err != nil {
-			t.Fatal(err)
-		}
+	if err := ApplyParam(&spec, "shard-workers", 4); err != nil {
+		t.Fatal(err)
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("sharded churn should validate: %v", err)
@@ -155,8 +147,8 @@ func TestShardingValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sa, ok := s.(*cluster.ShardedAuction)
-	if !ok || sa.Workers != 4 || sa.MaxShardPeers != 2000 {
-		t.Fatalf("auction-sharded built %T %+v, want a 4-worker ShardedAuction refining above 2000 peers", s, s)
+	if !ok || sa.Workers != 4 {
+		t.Fatalf("auction-sharded built %T %+v, want a 4-worker ShardedAuction", s, s)
 	}
 	// The sharding key: 1 turns the auction into the sharded variant and 0
 	// turns it back; 1 on any other solver is an error, and 0 leaves other

@@ -39,17 +39,15 @@ var noProblem = core.NewProblem()
 func (a *Auction) Name() string { return "auction" }
 
 // View is one shard of a parent instance seen in the parent's coordinates,
-// so that an auction solves it without the copy Instance.Subset makes: the
-// parent requests and uploader rows the shard holds, each ascending, and
-// the partition's table from every parent uploader row to that row's index
-// in its own shard's Uploaders. A candidate whose row is not one of the
-// shard's uploaders is dropped when Cut is set, as Subset drops it (an
-// ISP-affinity slice loses its cross-ISP edges), and is an error otherwise.
+// so that an auction solves it without copying it: the parent requests and
+// uploader rows the shard holds, each ascending, and the partition's table
+// from every parent uploader row to that row's index in its own shard's
+// Uploaders. A candidate whose row is not one of the shard's uploaders is
+// an error: a shard is a whole component, so none of its edges leaves it.
 type View struct {
 	Requests  []int
 	Uploaders []int
 	SinkOf    []int32
-	Cut       bool
 }
 
 // request returns the parent index of the view's i-th request; a nil view
@@ -132,18 +130,8 @@ func fillView(p *core.Problem, in *Instance, v *View, stamp *rowStamp) error {
 		ri := v.request(i)
 		req := &in.Requests[ri]
 		rows := in.Rows(ri)
-		kept := len(rows)
-		if v != nil && v.Cut {
-			kept = 0
-			for _, row := range rows {
-				if v.holds(row) {
-					kept++
-				}
-			}
-		}
-		window := p.AddRequestEdges(kept)
+		window := p.AddRequestEdges(len(rows))
 		mark := stamp.next()
-		j := 0
 		for k, row := range rows {
 			if row < 0 || int(row) >= len(in.Uploaders) {
 				return fmt.Errorf("sched: request %d names unknown uploader row %d", ri, row)
@@ -151,9 +139,6 @@ func fillView(p *core.Problem, in *Instance, v *View, stamp *rowStamp) error {
 			sink := row
 			if v != nil {
 				if !v.holds(row) {
-					if v.Cut {
-						continue
-					}
 					return fmt.Errorf("sched: request %d names uploader row %d outside its shard", ri, row)
 				}
 				sink = v.SinkOf[row]
@@ -166,8 +151,7 @@ func fillView(p *core.Problem, in *Instance, v *View, stamp *rowStamp) error {
 				return fmt.Errorf("sched: request %d lists uploader %d twice", ri, req.Candidates[k].Peer)
 			}
 			stamp.seen[sink] = mark
-			window[j] = core.Edge{Sink: core.SinkID(sink), Weight: w}
-			j++
+			window[k] = core.Edge{Sink: core.SinkID(sink), Weight: w}
 		}
 	}
 	return nil

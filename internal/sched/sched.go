@@ -13,7 +13,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/isp"
 	"repro/internal/video"
@@ -46,16 +45,15 @@ type Uploader struct {
 // Besides the public requests and uploaders, every instance carries a row
 // table: for each candidate edge, the dense index of its uploader in
 // Uploaders, read through Rows. Every per-edge consumer (the problem build,
-// the partitioners, the baseline passes, grant validation) reads rows and
-// never resolves a PeerID. Instances come from three producers that all fill
+// the partitioner, the baseline passes, grant validation) reads rows and
+// never resolves a PeerID. Instances come from two producers that both fill
 // the table: NewInstance resolves each candidate once in the validation pass
-// it makes anyway (the general path: tests, Clone, the daemon); Subset maps
-// its parent's rows through a scratch table; Builder maintains one
-// persistent instance across rounds, takes each candidate's row from the
-// producer and reuses every backing array, so steady-state rounds allocate
-// nothing (see builder.go). A builder-produced instance is valid until the
-// builder's next Build. The table describes the candidate lists as built: an
-// instance's Candidates must not be edited afterwards.
+// it makes anyway (the general path: tests, Clone, the daemon); Builder
+// maintains one persistent instance across rounds, takes each candidate's
+// row from the producer and reuses every backing array, so steady-state
+// rounds allocate nothing (see builder.go). A builder-produced instance is
+// valid until the builder's next Build. The table describes the candidate
+// lists as built: an instance's Candidates must not be edited afterwards.
 type Instance struct {
 	Requests  []Request
 	Uploaders []Uploader
@@ -68,8 +66,7 @@ type Instance struct {
 	// UploaderIndex's PeerID lookup, for callers keyed by peer:
 	// uploaderIdx is NewInstance's per-instance map; slotOf/slotRow are the
 	// Builder's two-level index, a persistent peer→slot map (touched only by
-	// uploader churn) plus a per-round slot→row array. A Subset instance
-	// has neither.
+	// uploader churn) plus a per-round slot→row array.
 	uploaderIdx map[isp.PeerID]int
 	slotOf      map[isp.PeerID]int32
 	slotRow     []int32
@@ -140,22 +137,13 @@ func (in *Instance) Rows(ri int) []int32 {
 // UploaderIndex returns the dense index of uploader p. It is for callers
 // keyed by PeerID; per-edge loops read Rows instead.
 func (in *Instance) UploaderIndex(p isp.PeerID) (int, bool) {
-	switch {
-	case in.uploaderIdx != nil:
+	if in.uploaderIdx != nil {
 		i, ok := in.uploaderIdx[p]
 		return i, ok
-	case in.slotOf != nil:
-		if s, ok := in.slotOf[p]; ok && int(s) < len(in.slotRow) {
-			if r := in.slotRow[s]; r >= 0 {
-				return int(r), true
-			}
-		}
-		return 0, false
 	}
-	// A Subset instance keeps no index: scan its uploaders.
-	for i := range in.Uploaders {
-		if in.Uploaders[i].Peer == p {
-			return i, true
+	if s, ok := in.slotOf[p]; ok && int(s) < len(in.slotRow) {
+		if r := in.slotRow[s]; r >= 0 {
+			return int(r), true
 		}
 	}
 	return 0, false
@@ -176,102 +164,6 @@ func (in *Instance) Edge(ri int, p isp.PeerID) (row int, cost float64, ok bool) 
 func (in *Instance) Cost(ri int, p isp.PeerID) (float64, bool) {
 	_, c, ok := in.Edge(ri, p)
 	return c, ok
-}
-
-// Subset carves a sub-instance out of in: the requests and uploaders at the
-// given indices, in the given order. Candidate edges to uploaders outside the
-// subset are dropped (the caller decides whether that loses anything — a
-// connected-component subset drops nothing by construction); a request whose
-// candidate list survives intact shares the original backing array. The
-// returned instance's request i is in.Requests[reqIdx[i]], so callers can map
-// grants back to the parent instance. Duplicate or out-of-range indices are
-// an error.
-//
-// Candidates resolve through the parent's row table and a parent-row →
-// subset-row scratch table, so Subset hashes nothing: its cost is linear in
-// the subset, whatever the parent's size, and it is safe to call
-// concurrently on one parent (the sharded orchestrator hands a custom
-// per-shard scheduler every shard's subset at once). The sub-instance keeps no PeerID index; its UploaderIndex scans.
-func (in *Instance) Subset(reqIdx, upIdx []int) (*Instance, error) {
-	subRow := getRowScratch(len(in.Uploaders))
-	defer putRowScratch(subRow, upIdx)
-	uploaders := make([]Uploader, 0, len(upIdx))
-	for _, ui := range upIdx {
-		if ui < 0 || ui >= len(in.Uploaders) {
-			return nil, fmt.Errorf("sched: subset references unknown uploader index %d", ui)
-		}
-		if (*subRow)[ui] >= 0 {
-			return nil, fmt.Errorf("sched: subset: duplicate uploader %d", in.Uploaders[ui].Peer)
-		}
-		(*subRow)[ui] = int32(len(uploaders))
-		uploaders = append(uploaders, in.Uploaders[ui])
-	}
-	edges := 0
-	for _, ri := range reqIdx {
-		if ri < 0 || ri >= len(in.Requests) {
-			return nil, fmt.Errorf("sched: subset references unknown request index %d", ri)
-		}
-		edges += len(in.Rows(ri))
-	}
-	// One allocation holds both tables, sized for the unfiltered edge count
-	// (the rows beyond the kept edges stay unused).
-	table := make([]int32, len(reqIdx)+1+edges)
-	rowOff, rows := table[:len(reqIdx)+1], table[len(reqIdx)+1:len(reqIdx)+1]
-	requests := make([]Request, 0, len(reqIdx))
-	for i, ri := range reqIdx {
-		r := in.Requests[ri]
-		parentRows := in.Rows(ri)
-		start := len(rows)
-		for _, pr := range parentRows {
-			if sr := (*subRow)[pr]; sr >= 0 {
-				rows = append(rows, sr)
-			}
-		}
-		if kept := len(rows) - start; kept != len(parentRows) {
-			cands := make([]Candidate, 0, kept)
-			for k, pr := range parentRows {
-				if (*subRow)[pr] >= 0 {
-					cands = append(cands, r.Candidates[k])
-				}
-			}
-			r.Candidates = cands
-		}
-		requests = append(requests, r)
-		rowOff[i+1] = int32(len(rows))
-	}
-	return &Instance{Requests: requests, Uploaders: uploaders, rows: rows, rowOff: rowOff}, nil
-}
-
-// rowScratch recycles Subset's parent-row → subset-row tables. A table
-// leaves the pool all -1 and goes back all -1: Subset restores exactly the
-// entries it wrote, so a shard's subset never pays for the parent's size.
-var rowScratch sync.Pool
-
-// getRowScratch returns an all -1 table of at least n entries.
-func getRowScratch(n int) *[]int32 {
-	t, _ := rowScratch.Get().(*[]int32)
-	if t == nil {
-		t = new([]int32)
-	}
-	if len(*t) < n {
-		*t = make([]int32, n)
-		for i := range *t {
-			(*t)[i] = -1
-		}
-	}
-	return t
-}
-
-// putRowScratch resets every in-range entry of upIdx — a superset of the
-// entries Subset set, even when it stopped at a bad index — and returns the
-// table to the pool.
-func putRowScratch(t *[]int32, upIdx []int) {
-	for _, ui := range upIdx {
-		if ui >= 0 && ui < len(*t) {
-			(*t)[ui] = -1
-		}
-	}
-	rowScratch.Put(t)
 }
 
 // Clone returns a deep, self-contained copy of the instance: its own

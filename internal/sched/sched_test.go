@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -469,5 +470,22 @@ func TestFillProblemMatchesAddEdge(t *testing.T) {
 		if _, err := (&Exact{}).Schedule(in); err == nil {
 			t.Errorf("%s: Exact.Schedule accepted it", name)
 		}
+	}
+}
+
+// TestScheduleViewRejectsEdgeOutsideShard pins the view's exactness check:
+// a shard is a whole component, so a request whose candidate row lies
+// outside the view's uploaders is an error, not an edge to drop.
+func TestScheduleViewRejectsEdgeOutsideShard(t *testing.T) {
+	in, err := NewInstance([]Request{{Peer: 10, Value: 5,
+		Candidates: []Candidate{{Peer: 1, Cost: 1}, {Peer: 2, Cost: 1}}}},
+		[]Uploader{{Peer: 1, Capacity: 1}, {Peer: 2, Capacity: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := View{Requests: []int{0}, Uploaders: []int{0}, SinkOf: []int32{0, -1}}
+	_, err = new(Auction).ScheduleView(in, &v, make([]int32, 1), make([]float64, 2))
+	if err == nil || !strings.Contains(err.Error(), "request 0 names uploader row 1 outside its shard") {
+		t.Fatalf("edge outside the shard: err = %v", err)
 	}
 }

@@ -218,7 +218,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"schedulerd_solver_bids_total":          "counter",
 		"schedulerd_solver_iterations_total":    "counter",
 		"schedulerd_solver_epsilon":             "gauge",
-		"schedulerd_partition_cut_edges":        "gauge",
 		"schedulerd_partition_migrations_total": "counter",
 	}
 	for name, kind := range wantKinds {

@@ -48,7 +48,6 @@ type daemonMetrics struct {
 	solverIterations    *obs.Counter
 	solverEvictions     *obs.Counter
 	solverEpsilon       *obs.Gauge
-	partitionCutEdges   *obs.Gauge
 	partitionMigrations *obs.Counter
 }
 
@@ -90,7 +89,6 @@ func newDaemonMetrics() *daemonMetrics {
 		solverIterations:    r.Counter("schedulerd_solver_iterations_total", "Solver bidding iterations across all slots."),
 		solverEvictions:     r.Counter("schedulerd_solver_evictions_total", "Accepted bids later displaced by higher ones."),
 		solverEpsilon:       r.Gauge("schedulerd_solver_epsilon", "Bid increment epsilon of the configured solver."),
-		partitionCutEdges:   r.Gauge("schedulerd_partition_cut_edges", "Candidate edges dropped by ISP-affinity refinement in the last slot."),
 		partitionMigrations: r.Counter("schedulerd_partition_migrations_total", "Uploader peers observed under a different shard than the slot before."),
 	}
 }
@@ -104,7 +102,6 @@ func (m *daemonMetrics) observeSolve(stats map[string]float64) {
 	m.solverBids.Add(uint64(stats["bids"]))
 	m.solverIterations.Add(uint64(stats["iterations"]))
 	m.solverEvictions.Add(uint64(stats["evictions"]))
-	m.partitionCutEdges.Set(stats["cut_edges"])
 	m.partitionMigrations.Add(uint64(stats["migrations"]))
 }
 

@@ -51,9 +51,6 @@ type Options struct {
 	Sharded bool
 	// ShardWorkers bounds concurrent shard solves (0 or 1 = sequential).
 	ShardWorkers int
-	// MaxShardPeers enables ISP-affinity refinement of oversized components
-	// (0 = never refine; the partition stays exact).
-	MaxShardPeers int
 	// SnapshotPath, when non-empty, is where Drain writes the JSON state
 	// snapshot, and where New restores one from if the file exists.
 	SnapshotPath string
@@ -231,17 +228,7 @@ func New(opts Options) (*Daemon, error) {
 		metrics:  newDaemonMetrics(),
 	}
 	if opts.Sharded {
-		sa := &cluster.ShardedAuction{
-			Epsilon:       opts.Epsilon,
-			Workers:       opts.ShardWorkers,
-			MaxShardPeers: opts.MaxShardPeers,
-		}
-		// The solve runs inside the tick, under d.mu, so the lookup reads
-		// d.peers directly.
-		sa.SetISPLookup(func(p isp.PeerID) (isp.ID, bool) {
-			info, ok := d.peers[p]
-			return info.ISP, ok
-		})
+		sa := &cluster.ShardedAuction{Epsilon: opts.Epsilon, Workers: opts.ShardWorkers}
 		d.sched, d.deadline = sa, &sa.Deadline
 	} else {
 		a := &sched.Auction{Epsilon: opts.Epsilon}

@@ -160,9 +160,9 @@ func (r *Results) nameSeries(strategy string) {
 	r.CrossISPBytes.Name = strategy + "/cross-isp-bytes"
 }
 
-// ISPAware is implemented by schedulers that refine their decisions with
-// the world's peer→ISP mapping (cluster.ShardedAuction's ISP-affinity
-// refinement). Run injects the topology lookup before the first slot.
+// ISPAware is implemented by schedulers and wrappers that want the world's
+// peer→ISP lookup (a probe that prices each round's traffic per ISP pair).
+// Run injects the topology lookup before the first slot.
 type ISPAware interface {
 	SetISPLookup(func(isp.PeerID) (isp.ID, bool))
 }

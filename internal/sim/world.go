@@ -625,8 +625,8 @@ func (w *world) refreshNeighbors() {
 	w.forceRebuild = true
 }
 
-// ispOf adapts the topology to the ISP-lookup signature ISP-aware
-// schedulers take (cluster.ShardedAuction's refinement).
+// ispOf adapts the topology to the ISP-lookup signature ISPAware
+// schedulers and wrappers take.
 func (w *world) ispOf(p isp.PeerID) (isp.ID, bool) {
 	id, err := w.topo.Of(p)
 	return id, err == nil
