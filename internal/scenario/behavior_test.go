@@ -246,7 +246,10 @@ func TestHonestPathGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, v := range want {
-				if got := res.Metrics[k]; got != v {
+				got, reported := res.Metrics[k]
+				if !reported {
+					t.Errorf("%s: pinned metric %q is no longer reported", spec.Name, k)
+				} else if got != v {
 					t.Errorf("%s: %s = %v, want exactly %v", spec.Name, k, got, v)
 				}
 			}

@@ -48,8 +48,9 @@ type Uploader struct {
 // the partitioner, the baseline passes, grant validation) reads rows and
 // never resolves a PeerID. Instances come from two producers that both fill
 // the table: NewInstance resolves each candidate once in the validation pass
-// it makes anyway (the general path: tests, Clone, the daemon); Builder
-// maintains one persistent instance across rounds, takes each candidate's
+// it makes anyway (the general path: tests, Clone); Builder, which the sim
+// world and the daemon drive, maintains one persistent instance across
+// rounds, takes each candidate's
 // row from the producer and reuses every backing array, so steady-state
 // rounds allocate nothing (see builder.go). A builder-produced instance is
 // valid until the builder's next Build. The table describes the candidate

@@ -138,8 +138,8 @@ func (d *Daemon) instrument(h func(http.ResponseWriter, *http.Request) int) http
 	}
 }
 
-// jsonContentType is writeJSON's Content-Type value, shared by every answer
-// (Header().Set would allocate a fresh one-element slice per call). net/http
+// jsonContentType is the Content-Type value of writeJSON's and writeBody's
+// answers (Header().Set would allocate a fresh one-element slice per call). net/http
 // only reads header values, and an Add would copy, not write through.
 var jsonContentType = []string{"application/json"}
 
@@ -150,6 +150,18 @@ func writeJSON(w http.ResponseWriter, status int, body any) int {
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 	return status
+}
+
+// emptyBody is what json.Encoder writes for struct{}{}: the answer to every
+// accepted join, leave, offer and bid.
+var emptyBody = []byte("{}\n")
+
+// writeBody answers 200 with a JSON body already encoded.
+func writeBody(w http.ResponseWriter, body []byte) int {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	return http.StatusOK
 }
 
 func writeError(w http.ResponseWriter, status int, err error) int {
@@ -171,55 +183,71 @@ func (d *Daemon) writeOverloaded(w http.ResponseWriter, err error) int {
 	return writeError(w, http.StatusTooManyRequests, err)
 }
 
-// decodeInto reads a join/leave/offer body and decodes it with
-// encoding/json. These verbs are about one call in eight on a busy daemon,
-// at ~3 µs each, so unlike /v1/bid they take no fast path (wire.go).
-func decodeInto(w http.ResponseWriter, r *http.Request, into any) (int, bool) {
-	in, status, ok := readBody(w, r)
-	if !ok {
-		return status, false
-	}
-	defer in.release()
-	if err := decodeBody(in.body.Bytes(), into); err != nil {
-		return writeError(w, http.StatusBadRequest, err), false
-	}
-	return 0, true
-}
+// The join, leave and offer handlers read a body in canonical form in one
+// pass into its integer fields (wire.go); any other is decoded by
+// encoding/json, with the same result.
 
 func (d *Daemon) handleJoin(w http.ResponseWriter, r *http.Request) int {
-	var req JoinRequest
-	if status, ok := decodeInto(w, r, &req); !ok {
+	in, status, ok := readBody(w, r)
+	if !ok {
 		return status
 	}
-	if err := d.Join(isp.PeerID(req.Peer), isp.ID(req.ISP)); err != nil {
+	defer in.release()
+	v, ok := joinBody.decode(in.body.Bytes())
+	if !ok {
+		var req JoinRequest
+		if err := decodeBody(in.body.Bytes(), &req); err != nil {
+			return writeError(w, http.StatusBadRequest, err)
+		}
+		v = [2]int64{req.Peer, int64(req.ISP)}
+	}
+	if err := d.Join(isp.PeerID(v[0]), isp.ID(v[1])); err != nil {
 		return writeError(w, http.StatusBadRequest, err)
 	}
-	return writeJSON(w, http.StatusOK, struct{}{})
+	return writeBody(w, emptyBody)
 }
 
 func (d *Daemon) handleLeave(w http.ResponseWriter, r *http.Request) int {
-	var req LeaveRequest
-	if status, ok := decodeInto(w, r, &req); !ok {
+	in, status, ok := readBody(w, r)
+	if !ok {
 		return status
 	}
-	if err := d.Leave(isp.PeerID(req.Peer)); err != nil {
+	defer in.release()
+	v, ok := leaveBody.decode(in.body.Bytes())
+	if !ok {
+		var req LeaveRequest
+		if err := decodeBody(in.body.Bytes(), &req); err != nil {
+			return writeError(w, http.StatusBadRequest, err)
+		}
+		v = [2]int64{req.Peer}
+	}
+	if err := d.Leave(isp.PeerID(v[0])); err != nil {
 		return writeError(w, http.StatusNotFound, err)
 	}
-	return writeJSON(w, http.StatusOK, struct{}{})
+	return writeBody(w, emptyBody)
 }
 
 func (d *Daemon) handleOffer(w http.ResponseWriter, r *http.Request) int {
-	var req OfferRequest
-	if status, ok := decodeInto(w, r, &req); !ok {
+	in, status, ok := readBody(w, r)
+	if !ok {
 		return status
 	}
-	if err := d.Offer(isp.PeerID(req.Peer), req.Capacity); err != nil {
+	defer in.release()
+	v, ok := offerBody.decode(in.body.Bytes())
+	if !ok {
+		var req OfferRequest
+		if err := decodeBody(in.body.Bytes(), &req); err != nil {
+			return writeError(w, http.StatusBadRequest, err)
+		}
+		v = [2]int64{req.Peer, int64(req.Capacity)}
+	}
+	if err := d.Offer(isp.PeerID(v[0]), int(v[1])); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			return d.writeOverloaded(w, err)
 		}
 		return writeError(w, http.StatusBadRequest, err)
 	}
-	return writeJSON(w, http.StatusOK, struct{}{})
+	return writeBody(w, emptyBody)
 }
 
 // handleBid books a bid batch. A body in canonical form is decoded in one
@@ -245,9 +273,11 @@ func (d *Daemon) handleBid(w http.ResponseWriter, r *http.Request) int {
 		}
 		return writeError(w, http.StatusBadRequest, err)
 	}
-	return writeJSON(w, http.StatusOK, struct{}{})
+	return writeBody(w, emptyBody)
 }
 
+// handleTick runs one slot and answers its TickResponse, appended into
+// pooled bytes exactly as writeJSON would encode it (wire.go).
 func (d *Daemon) handleTick(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -256,7 +286,9 @@ func (d *Daemon) handleTick(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err)
 	}
-	return writeJSON(w, http.StatusOK, TickResponse{
+	in := getIngest()
+	defer in.release()
+	in.out = appendTickBody(in.out[:0], &TickResponse{
 		Slot:      tr.Slot,
 		Requests:  tr.Requests,
 		Uploaders: tr.Uploaders,
@@ -268,8 +300,11 @@ func (d *Daemon) handleTick(w http.ResponseWriter, r *http.Request) int {
 		Gap:       tr.Gap,
 		Degraded:  tr.Degraded,
 	})
+	return writeBody(w, in.out)
 }
 
+// handleGrants answers a poll straight from the grant book into pooled
+// bytes, exactly as writeJSON would encode its GrantsResponse (wire.go).
 func (d *Daemon) handleGrants(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodGet {
 		return writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
@@ -278,17 +313,10 @@ func (d *Daemon) handleGrants(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, fmt.Errorf("peer query parameter: %w", err))
 	}
-	slot, gs := d.Grants(isp.PeerID(peer))
-	resp := GrantsResponse{Slot: slot, Grants: make([]WireGrant, 0, len(gs))}
-	for _, g := range gs {
-		resp.Grants = append(resp.Grants, WireGrant{
-			Video:    int32(g.Chunk.Video),
-			Chunk:    int32(g.Chunk.Index),
-			Uploader: int64(g.Uploader),
-			Price:    g.Price,
-		})
-	}
-	return writeJSON(w, http.StatusOK, resp)
+	in := getIngest()
+	defer in.release()
+	in.out = d.appendGrants(in.out[:0], isp.PeerID(peer))
+	return writeBody(w, in.out)
 }
 
 // queryGet returns the first value of key in a raw URL query, exactly as

@@ -2,12 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/url"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -227,6 +232,66 @@ func TestHTTPOversizedBody(t *testing.T) {
 	}
 	if st := d.Stats(); st.Peers != 2 || st.PendingBids != 0 || st.PendingOffers != 0 {
 		t.Fatalf("an oversized body took effect: %+v", st)
+	}
+}
+
+// TestHTTPOversizedBodyClosesConn pins both effects of the body limit over a
+// real connection: a chunked body past maxBody gets 413 with Connection:
+// close, and the client's next call opens a new connection. The body passes
+// the limit by a few bytes, so a server that kept the connection would
+// drain the rest and reuse it.
+func TestHTTPOversizedBodyClosesConn(t *testing.T) {
+	d := manual(t, Options{Epsilon: 0.01})
+	var chunked atomic.Int32 // calls that arrived chunked
+	h := d.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength == -1 && slices.Equal(r.TransferEncoding, []string{"chunked"}) {
+			chunked.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	var reused []bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+	})
+	post := func(body io.Reader) *http.Response {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/join", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := post(strings.NewReader(`{"peer":1,"isp":0}`)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("join: status %d", resp.StatusCode)
+	}
+	// An io.Reader of unknown length goes out chunked.
+	big := struct{ io.Reader }{strings.NewReader(`{"peer":2,"isp":0}` + strings.Repeat(" ", maxBody))}
+	resp := post(big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+		t.Fatalf("oversized chunked join: status %d, Connection: close %v; want 413 and close",
+			resp.StatusCode, resp.Close)
+	}
+	if n := chunked.Load(); n != 1 {
+		t.Fatalf("%d calls arrived chunked, want the oversized one", n)
+	}
+	if resp := post(strings.NewReader(`{"peer":3,"isp":0}`)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("join after the 413: status %d", resp.StatusCode)
+	}
+	if want := []bool{false, true, false}; !slices.Equal(reused, want) {
+		t.Fatalf("connection reuse per call %v, want %v: the 413's connection must not be reused", reused, want)
+	}
+	if st := d.Stats(); st.Peers != 2 {
+		t.Fatalf("%d peers joined, want 2", st.Peers)
 	}
 }
 

@@ -2,7 +2,8 @@
 // the online counterpart of the batch simulators. Peers register, submit
 // bandwidth offers and chunk bids over an HTTP/JSON API (http.go); slots tick
 // on a wall clock (or on demand); every tick drains the current bid book into
-// one sched.Instance and solves it cold, as the paper's bidding cycle does:
+// one sched.Instance, built on a kept sched.Builder, and solves it cold, as
+// the paper's bidding cycle does:
 // every downloader re-bids and λ is re-cleared from zero, by one kept
 // sched.Auction or, when sharding is enabled, by cluster.ShardedAuction's
 // cold per-shard auctions. Grants are held for polling until the next tick
@@ -163,8 +164,15 @@ type Daemon struct {
 	// Candidates is a capped window of it, which a re-bid for the same key
 	// reuses when the new list fits. The tick's drain truncates it.
 	cands []sched.Candidate
+	// builder turns the books into each tick's instance, reusing its arrays
+	// and uploader index across ticks; upRow is the tick's instance row of
+	// each offer book row (-1 for a tombstone).
+	builder *sched.Builder
+	upRow   []int32
 	// grants holds the last solved slot's per-peer grants; grantSlot is the
-	// slot they belong to.
+	// slot they belong to. A tick truncates each peer's slice and refills
+	// it, so a steady population re-grants into the same arrays; Leave
+	// deletes its peer's entry.
 	grants    map[isp.PeerID][]Grant
 	grantSlot int64
 	slot      int64
@@ -220,6 +228,7 @@ func New(opts Options) (*Daemon, error) {
 		peers:    make(map[isp.PeerID]peerInfo),
 		offerIdx: make(map[isp.PeerID]int),
 		bidIdx:   make(map[bidKey]int),
+		builder:  sched.NewBuilder(),
 		grants:   make(map[isp.PeerID][]Grant),
 		started:  time.Now(),
 		killed:   make(chan struct{}),
@@ -300,8 +309,8 @@ func (d *Daemon) Leave(p isp.PeerID) error {
 	delete(d.peers, p)
 	delete(d.grants, p)
 	if i, ok := d.offerIdx[p]; ok {
-		// Keep book order stable for determinism: mark the slot dead by
-		// zeroing capacity; buildInstance compacts it away.
+		// Keep book order stable for determinism: mark the slot dead with
+		// a negative capacity; buildInstance skips it.
 		d.offers[i].Capacity = -1
 		delete(d.offerIdx, p)
 	}
@@ -475,6 +484,14 @@ func (d *Daemon) Grants(p isp.PeerID) (slot int64, gs []Grant) {
 	return d.grantSlot, append([]Grant(nil), d.grants[p]...)
 }
 
+// appendGrants appends peer p's /v1/grants answer to b straight from the
+// grant book (appendGrantsBody).
+func (d *Daemon) appendGrants(b []byte, p isp.PeerID) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return appendGrantsBody(b, d.grantSlot, d.grants[p])
+}
+
 // Slot returns the current slot number (ticks completed since start,
 // including restored snapshot ticks).
 func (d *Daemon) Slot() int64 {
@@ -575,8 +592,8 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 		return TickResult{}, fmt.Errorf("service: slot %d welfare: %w", d.slot, err)
 	}
 	// Publish per-peer grants.
-	for p := range d.grants {
-		delete(d.grants, p)
+	for p, gs := range d.grants {
+		d.grants[p] = gs[:0]
 	}
 	for _, g := range res.Grants {
 		req := &in.Requests[g.Request]
@@ -666,41 +683,46 @@ func (d *Daemon) tickLocked() (TickResult, error) {
 // SIGKILL-equivalent the crash-recovery drill restores from.
 func (d *Daemon) KillPoint() <-chan struct{} { return d.killed }
 
-// buildInstance turns the books into a solvable instance: tombstoned offers
-// compact away, bid candidate lists filter down to uploaders that actually
+// buildInstance replays the books into the kept builder: tombstoned offers
+// are skipped, bid candidate lists filter down to uploaders that actually
 // offered, and bids left with no live candidate drop (counted as rejected).
 // Book order is submission order throughout, so a deterministic client drives
 // a deterministic instance sequence — the property the e2e golden leans on.
+// The instance is valid until the next tick's build.
 func (d *Daemon) buildInstance() (*sched.Instance, int, error) {
-	uploaders := make([]sched.Uploader, 0, len(d.offers))
-	offered := make(map[isp.PeerID]bool, len(d.offers))
+	b := d.builder
+	b.Begin()
+	d.upRow = d.upRow[:0]
 	for _, u := range d.offers {
-		if u.Capacity <= 0 { // tombstone from Leave
-			continue
+		row := int32(-1)
+		if u.Capacity > 0 { // else a tombstone from Leave
+			var err error
+			if row, err = b.AddUploader(u.Peer, u.Capacity); err != nil {
+				_, _ = b.Build() // close the round; the error is AddUploader's
+				return nil, 0, fmt.Errorf("service: building slot instance: %w", err)
+			}
 		}
-		uploaders = append(uploaders, u)
-		offered[u.Peer] = true
+		d.upRow = append(d.upRow, row)
 	}
-	requests := make([]sched.Request, 0, len(d.bids))
 	rejected := 0
 	for _, r := range d.bids {
 		if r.Peer < 0 { // tombstone from Leave
 			continue
 		}
-		keep := r.Candidates[:0] // filter in place; the book drains after the tick
+		b.StartRequest(r.Peer, r.Chunk, r.Value, r.Deadline)
+		live := false
 		for _, c := range r.Candidates {
-			if offered[c.Peer] {
-				keep = append(keep, c)
+			if i, ok := d.offerIdx[c.Peer]; ok {
+				b.AddCandidate(d.upRow[i], c.Cost)
+				live = true
 			}
 		}
-		if len(keep) == 0 {
+		b.EndRequest() // drops a request with no live candidate
+		if !live {
 			rejected++
-			continue
 		}
-		r.Candidates = keep[:len(keep):len(keep)]
-		requests = append(requests, r)
 	}
-	in, err := sched.NewInstance(requests, uploaders)
+	in, err := b.Build()
 	if err != nil {
 		return nil, 0, fmt.Errorf("service: building slot instance: %w", err)
 	}

@@ -1,28 +1,35 @@
 package service
 
-// wire.go: reading POST bodies, and the bid body's one-pass decoder.
+// wire.go: reading POST bodies, the one-pass decoders for canonical bodies,
+// and the writers of the tick and grants answers.
 //
 // Every POST body is read whole, once, through a 4 MiB limit into a pooled
 // buffer; that read is where oversize bodies (413) are refused. A body must
 // hold exactly one JSON value: trailing bytes other than whitespace get 400.
 //
-// POST /v1/bid is most of a busy daemon's calls, and encoding/json was about
-// three quarters of its handler time. So a bid body in canonical form — the
-// shape json.Marshal gives a BidBatch — is parsed in one pass straight into a
-// pooled []BidRequest. Anything outside that form is declined and decoded by
-// encoding/json, which stays the contract: every body the fast path accepts,
-// encoding/json accepts too, with bit-identical values (FuzzBidBody referees
-// the two). join/leave/offer take encoding/json directly: they are about one
-// call in eight and cost ~3 µs each.
+// The daemon's tick loop is one offer per uploader, one bid batch per
+// downloader, the tick and one grants poll per downloader, and
+// encoding/json's reflection was most of its allocations. So every body a
+// tick posts is parsed in one pass when it is in canonical form — the shape
+// json.Marshal gives its wire type: a bid batch straight into a pooled
+// []BidRequest, and a join, leave or offer body into its integer fields.
+// Anything outside that form is declined and decoded by encoding/json, which
+// stays the contract: every body a fast path accepts, encoding/json accepts
+// too, with bit-identical values (FuzzBidBody and FuzzVerbBody referee the
+// two). The tick and grants answers are appended into pooled bytes, the
+// grants straight from the grant book, byte for byte what json.Encoder
+// writes (TestTickBodyMatchesEncoder, TestGrantsBodyMatchesEncoder).
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
-	"sync"
+	"strings"
 
 	"repro/internal/isp"
 	"repro/internal/sched"
@@ -33,35 +40,103 @@ const (
 	// maxBody caps every POST body; a larger one is answered 413.
 	maxBody = 4 << 20
 	// maxPooledBody, maxPooledBids and maxPooledCands bound what an ingest
-	// put back in ingestPool holds (64 KiB, 56 KiB and 64 KiB), so one big
-	// body cannot pin maxBody per P. maxPooledBody also caps how far a
-	// declared Content-Length pre-sizes the body buffer: beyond it the
-	// buffer grows only as bytes arrive, so a client that declares 4 MiB
-	// and sends nothing costs no more than one that declares 64 KiB.
+	// put back on the free list holds (64 KiB for the body and for a poll's
+	// answer, 56 KiB and 64 KiB), so one big body cannot pin maxBody.
+	// maxPooledBody also caps how far a declared Content-Length pre-sizes
+	// the body buffer: beyond it the buffer grows only as bytes arrive, so
+	// a client that declares 4 MiB and sends nothing costs no more than one
+	// that declares 64 KiB.
 	maxPooledBody  = 64 << 10
 	maxPooledBids  = 1 << 10
 	maxPooledCands = 4 << 10
+	// maxFreeIngests bounds the free list: room for an ingest per handler
+	// a busy daemon runs at once (cmd/loadgen runs 16 clients by default,
+	// its full suite 32), and with the caps above at most 8 MiB held, a
+	// few KiB per ingest in practice.
+	maxFreeIngests = 32
 )
 
 var errTrailingData = errors.New("trailing data after the JSON value")
 
-// ingest is one POST's pooled working memory: the body, read whole, and —
-// for /v1/bid — the fast path's output, the batch's requests and one
-// candidate slab, of which each request's Candidates is a capped window.
-// Daemon.Bid copies every candidate list it books, so the whole ingest is
-// free again once the handler returns.
+// errBodyTooLarge is what http.MaxBytesReader returns past its limit.
+var errBodyTooLarge error = &http.MaxBytesError{Limit: maxBody}
+
+// ingest is one call's pooled working memory: a POST's body, read whole
+// through lim, and — for /v1/bid — the fast path's output, the batch's
+// requests and one candidate slab, of which each request's Candidates is a
+// capped window; or a poll's answer, out. Daemon.Bid copies every candidate
+// list it books, so the whole ingest is free again once the handler
+// returns.
 type ingest struct {
 	body  bytes.Buffer
+	lim   bodyLimit
 	reqs  []BidRequest
 	cands []sched.Candidate
+	out   []byte
 }
 
-var ingestPool = sync.Pool{New: func() any { return new(ingest) }}
+// freeIngests is the ingest free list. It is not a sync.Pool: a pool sets
+// its objects aside at every GC, and a Get on one P cannot reach the object
+// another P kept for itself, so on a daemon that collects every few ticks
+// the pool kept losing ingests, and each one lost re-grew four buffers.
+var freeIngests = make(chan *ingest, maxFreeIngests)
+
+func getIngest() *ingest {
+	select {
+	case in := <-freeIngests:
+		return in
+	default:
+		return new(ingest)
+	}
+}
 
 func (in *ingest) release() {
-	if in.body.Cap() <= maxPooledBody && cap(in.reqs) <= maxPooledBids && cap(in.cands) <= maxPooledCands {
-		ingestPool.Put(in)
+	in.lim = bodyLimit{}
+	if in.body.Cap() > maxPooledBody || cap(in.reqs) > maxPooledBids || cap(in.cands) > maxPooledCands ||
+		cap(in.out) > maxPooledBody {
+		return
 	}
+	select {
+	case freeIngests <- in:
+	default: // the list is full; let the GC have it
+	}
+}
+
+// bodyLimit reads a request body up to maxBody bytes and fails with
+// errBodyTooLarge past it, as http.MaxBytesReader does; unlike one, it lives
+// in the pooled ingest. The byte past the limit is read, so a body of
+// exactly maxBody bytes passes.
+type bodyLimit struct {
+	r io.Reader
+	n int64 // bytes left before the limit
+}
+
+func (l *bodyLimit) Read(p []byte) (int, error) {
+	if l.n < 0 {
+		return 0, errBodyTooLarge
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if int64(len(p)) > l.n+1 {
+		p = p[:l.n+1]
+	}
+	n, err := l.r.Read(p)
+	if int64(n) <= l.n {
+		l.n -= int64(n)
+		return n, err
+	}
+	n, l.n = int(l.n), -1
+	return n, errBodyTooLarge
+}
+
+// passLimit tells the server what http.MaxBytesReader tells it when a body
+// passes the limit: answer with Connection: close, stop reading the
+// connection and close it after the answer. net/http exposes that only
+// through a MaxBytesReader, so one with a zero limit reads one byte. It
+// runs only on the oversize path.
+func passLimit(w http.ResponseWriter) {
+	_, _ = http.MaxBytesReader(w, io.NopCloser(strings.NewReader("x")), 0).Read(make([]byte, 1))
 }
 
 // readBody reads a POST body whole into a pooled ingest, which the caller
@@ -71,17 +146,19 @@ func readBody(w http.ResponseWriter, r *http.Request) (*ingest, int, bool) {
 	if r.Method != http.MethodPost {
 		return nil, writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST")), false
 	}
-	in := ingestPool.Get().(*ingest)
+	in := getIngest()
 	in.body.Reset()
 	if n := r.ContentLength; n > 0 {
 		// ReadFrom wants MinRead free for its last read.
 		in.body.Grow(int(min(n, maxPooledBody)) + bytes.MinRead)
 	}
-	if _, err := in.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+	in.lim = bodyLimit{r: r.Body, n: maxBody}
+	if _, err := in.body.ReadFrom(&in.lim); err != nil {
 		in.release()
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
+			passLimit(w)
 			status = http.StatusRequestEntityTooLarge
 		}
 		return nil, writeError(w, status, fmt.Errorf("bad request body: %w", err)), false
@@ -225,9 +302,49 @@ func (in *ingest) candidate(s *bidScanner) {
 	in.cands = append(in.cands, c)
 }
 
-// bidScanner walks one body for ingest.decode. Declining is sticky: it
-// moves the cursor to the end, so every later step fails and every loop
-// ends.
+// verbBody describes a join, leave or offer body for its fast path: the
+// wire type's member keys, spelled as its json tags, and the bit size each
+// integer field is parsed at, as encoding/json parses it.
+type verbBody struct {
+	keys []string
+	bits []int
+}
+
+var (
+	joinBody  = verbBody{keys: []string{"peer", "isp"}, bits: []int{64, strconv.IntSize}}
+	leaveBody = verbBody{keys: []string{"peer"}, bits: []int{64}}
+	offerBody = verbBody{keys: []string{"peer", "capacity"}, bits: []int{64, strconv.IntSize}}
+)
+
+// decode parses body as v's wire type in canonical form and returns the
+// fields in key order, 0 for a key the body leaves out, as encoding/json
+// leaves it. It reports false — declined — for anything else, and the
+// caller falls back to encoding/json. Canonical form is the bid body's:
+// exact keys, each at most once, integer literals of the field's size, JSON
+// whitespace between tokens and only whitespace after the object.
+func (v *verbBody) decode(body []byte) (vals [2]int64, ok bool) {
+	s := bidScanner{b: body}
+	s.expect('{')
+	var seen uint8
+	for n := 0; s.member(n); n++ {
+		k := 0
+		for k < len(v.keys) && string(s.key) != v.keys[k] {
+			k++
+		}
+		if k == len(v.keys) {
+			s.decline()
+			break
+		}
+		s.once(&seen, 1<<k)
+		vals[k] = s.int(v.bits[k])
+	}
+	s.space()
+	return vals, !s.bad && s.i == len(s.b)
+}
+
+// bidScanner walks one body for ingest.decode or verbBody.decode.
+// Declining is sticky: it moves the cursor to the end, so every later step
+// fails and every loop ends.
 type bidScanner struct {
 	b   []byte
 	i   int
@@ -385,4 +502,86 @@ func (s *bidScanner) float() float64 {
 		s.decline()
 	}
 	return v
+}
+
+// appendGrantsBody appends the /v1/grants answer for slot and gs to b, byte
+// for byte what json.NewEncoder(w).Encode writes for its GrantsResponse:
+// keys in field order, [] for no grants, encoding/json's floats and a
+// trailing newline. A NaN or infinite price, which the encoder refuses,
+// leaves b as it was: the encoder writes nothing then.
+func appendGrantsBody(b []byte, slot int64, gs []Grant) []byte {
+	n := len(b)
+	b = append(b, `{"slot":`...)
+	b = strconv.AppendInt(b, slot, 10)
+	b = append(b, `,"grants":[`...)
+	for i, g := range gs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"video":`...)
+		b = strconv.AppendInt(b, int64(int32(g.Chunk.Video)), 10)
+		b = append(b, `,"chunk":`...)
+		b = strconv.AppendInt(b, int64(int32(g.Chunk.Index)), 10)
+		b = append(b, `,"uploader":`...)
+		b = strconv.AppendInt(b, int64(g.Uploader), 10)
+		b = append(b, `,"price":`...)
+		var ok bool
+		if b, ok = appendFloat(b, g.Price); !ok {
+			return b[:n]
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendTickBody appends t to b, byte for byte what
+// json.NewEncoder(w).Encode writes for it, as appendGrantsBody does for a
+// poll; a NaN or infinite float leaves b as it was.
+func appendTickBody(b []byte, t *TickResponse) []byte {
+	n := len(b)
+	b = append(b, `{"slot":`...)
+	b = strconv.AppendInt(b, t.Slot, 10)
+	b = append(b, `,"requests":`...)
+	b = strconv.AppendInt(b, int64(t.Requests), 10)
+	b = append(b, `,"uploaders":`...)
+	b = strconv.AppendInt(b, int64(t.Uploaders), 10)
+	b = append(b, `,"grants":`...)
+	b = strconv.AppendInt(b, int64(t.Grants), 10)
+	b = append(b, `,"rejected":`...)
+	b = strconv.AppendInt(b, int64(t.Rejected), 10)
+	b = append(b, `,"welfare":`...)
+	b, ok1 := appendFloat(b, t.Welfare)
+	b = append(b, `,"shards":`...)
+	b = strconv.AppendInt(b, int64(t.Shards), 10)
+	b = append(b, `,"solve_ms":`...)
+	b, ok2 := appendFloat(b, t.SolveMs)
+	b = append(b, `,"gap":`...)
+	b, ok3 := appendFloat(b, t.Gap)
+	if !ok1 || !ok2 || !ok3 {
+		return b[:n]
+	}
+	if t.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent unpadded (1e-7, not 1e-07). It reports
+// false for NaN and ±Inf.
+func appendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }
